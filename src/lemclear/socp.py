@@ -11,6 +11,15 @@ predictor-corrector method with Nesterov-Todd scaling on the cone blocks;
 equality duals are reported with the convention  d(obj)/d(b_i) = y_i,  which
 is what lets a nodal-balance dual be read directly as a marginal price.
 
+Each solve builds one workspace (``_Workspace``) that lives for that solve
+only.  Its cone layout groups the second-order blocks by size into
+(n_blocks, k) index arrays, so the Jordan algebra and the NT scaling run as
+one numpy call per size group rather than a Python loop over blocks.  The
+scaling matrix H and the KKT matrix [[Q + H + delta I, A'], [A, -delta I]]
+have sparsity patterns that do not change between iterations; the workspace
+computes them once as CSR/CSC index arrays plus a map from each source entry
+to its slot, and every factorization only refills the data vector.
+
 Everything here is deterministic: no randomization, no threading, and the
 same inputs always produce bit-identical outputs.
 """
@@ -136,203 +145,225 @@ class ConicSolution:
 
 
 # ---------------------------------------------------------------------------
-# Jordan-algebra primitives for second-order cones.
+# Jordan-algebra primitives for second-order cones, batched by block size.
 #
 # For u = (u0, ub) the cone is u0 >= ||ub||; the algebra has identity
 # e = (1, 0), product u o v = (u'v, u0*vb + v0*ub) and determinant
 # det(u) = u0^2 - ||ub||^2.  The quadratic representation
 # P(u) v = 2 u (u'v) - det(u) (v0, -vb) gives the NT scaling point in
 # closed form:  w = P(sqrt(x)) (P(sqrt(x)) z)^(-1/2)  satisfies P(w) z = x.
+#
+# Every helper takes (n_blocks, k) arrays holding one cone block of size k
+# per row, and works row by row.
 # ---------------------------------------------------------------------------
 
 
-def _jdet(u: np.ndarray) -> float:
-    return float(u[0] * u[0] - u[1:] @ u[1:])
+def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", u, v)
+
+
+def _jdet(u: np.ndarray) -> np.ndarray:
+    return u[:, 0] * u[:, 0] - _rowdot(u[:, 1:], u[:, 1:])
 
 
 def _jsqrt(u: np.ndarray) -> np.ndarray:
-    det = _jdet(u)
-    root = math.sqrt(max(det, 0.0))
-    s = math.sqrt(max((u[0] + root) / 2.0, 1e-300))
-    out = np.empty_like(u)
-    out[0] = s
-    out[1:] = u[1:] / (2.0 * s)
+    root = np.sqrt(np.maximum(_jdet(u), 0.0))
+    s = np.sqrt(np.maximum((u[:, 0] + root) / 2.0, 1e-300))
+    out = u / (2.0 * s)[:, None]
+    out[:, 0] = s
     return out
 
 
 def _jinv(u: np.ndarray) -> np.ndarray:
     det = _jdet(u)
-    out = np.empty_like(u)
-    out[0] = u[0] / det
-    out[1:] = -u[1:] / det
+    out = -u / det[:, None]
+    out[:, 0] = u[:, 0] / det
     return out
 
 
 def _jprod(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u)
-    out[0] = u @ v
-    out[1:] = u[0] * v[1:] + v[0] * u[1:]
+    out = u[:, :1] * v + v[:, :1] * u
+    out[:, 0] = _rowdot(u, v)
     return out
 
 
 def _jdiv(lam: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Solve lam o u = d for u."""
-    det = _jdet(lam)
     out = np.empty_like(d)
-    out[0] = (lam[0] * d[0] - lam[1:] @ d[1:]) / det
-    out[1:] = (d[1:] - out[0] * lam[1:]) / lam[0]
+    out[:, 0] = (lam[:, 0] * d[:, 0] - _rowdot(lam[:, 1:], d[:, 1:])) / _jdet(lam)
+    out[:, 1:] = (d[:, 1:] - out[:, :1] * lam[:, 1:]) / lam[:, :1]
     return out
 
 
 def _papply(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Quadratic representation P(u) applied to v."""
-    det = _jdet(u)
-    uv = u @ v
-    out = 2.0 * uv * u
-    out[0] -= det * v[0]
-    out[1:] += det * v[1:]
+    det = _jdet(u)[:, None]
+    out = 2.0 * _rowdot(u, v)[:, None] * u
+    out[:, :1] -= det * v[:, :1]
+    out[:, 1:] += det * v[:, 1:]
     return out
 
 
 def _pmat(u: np.ndarray) -> np.ndarray:
-    """Dense matrix of P(u) for a small cone block."""
-    k = u.shape[0]
-    det = _jdet(u)
-    m = 2.0 * np.outer(u, u)
-    m[0, 0] -= det
-    m[1:, 1:] += det * np.eye(k - 1)
+    """P(u) as a stack of dense k x k matrices, 2uu' - det(u) R."""
+    k = u.shape[1]
+    det = _jdet(u)[:, None, None]
+    m = 2.0 * (u[:, :, None] * u[:, None, :])
+    m[:, :1, :1] -= det
+    m[:, 1:, 1:] += det * np.eye(k - 1)
     return m
 
 
-def _soc_step(u: np.ndarray, du: np.ndarray) -> float:
+def _soc_step(u: np.ndarray, du: np.ndarray) -> np.ndarray:
     """Largest step a with u + a*du remaining in the cone (inf if unbounded)."""
-    a2 = du[0] * du[0] - du[1:] @ du[1:]
-    b1 = u[0] * du[0] - u[1:] @ du[1:]
+    a2 = _jdet(du)
+    b1 = u[:, 0] * du[:, 0] - _rowdot(u[:, 1:], du[:, 1:])
     c0 = _jdet(u)
     # f(a) = a2*a^2 + 2*b1*a + c0 >= 0, f(0) = c0 > 0
     disc = b1 * b1 - a2 * c0
-    if a2 >= 0.0 and b1 >= 0.0:
-        return math.inf
-    if disc < 0.0:
-        return math.inf
-    rd = math.sqrt(disc)
-    roots = []
-    if abs(a2) > 1e-300:
-        roots = [(-b1 - rd) / a2, (-b1 + rd) / a2]
-    elif b1 < 0.0:
-        roots = [-c0 / (2.0 * b1)]
-    pos = [r for r in roots if r > 0.0]
-    return min(pos) if pos else math.inf
+    rd = np.sqrt(np.maximum(disc, 0.0))
+    quad = np.abs(a2) > 1e-300
+    lin = ~quad & (b1 < 0.0)
+    # unselected branches get harmless denominators instead of zeros
+    a2q = np.where(quad, a2, 1.0)
+    b1l = np.where(lin, b1, -1.0)
+    r1 = np.where(quad, (-b1 - rd) / a2q, np.where(lin, -c0 / (2.0 * b1l), np.inf))
+    r2 = np.where(quad, (-b1 + rd) / a2q, np.inf)
+    step = np.minimum(np.where(r1 > 0.0, r1, np.inf), np.where(r2 > 0.0, r2, np.inf))
+    never = ((a2 >= 0.0) & (b1 >= 0.0)) | (disc < 0.0)
+    return np.where(never, np.inf, step)
+
+
+def _cat(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=int)
+
+
+def _pattern(major: np.ndarray, minor: np.ndarray, size: int, fmt: str):
+    """Compressed size x size pattern of the given entries (duplicates merged).
+
+    Returns the ``indices`` and ``indptr`` arrays in the index dtype scipy
+    picks, so matrices refilled on them skip that choice, and the slot of each
+    entry in the data vector.
+    """
+    keys, slot = np.unique(major * size + minor, return_inverse=True)
+    indptr = np.searchsorted(keys // size, np.arange(size + 1))
+    kind = sp.csr_matrix if fmt == "csr" else sp.csc_matrix
+    mat = kind((np.zeros(len(keys)), keys % size, indptr), shape=(size, size))
+    return mat.indices, mat.indptr, slot
 
 
 class _Cones:
-    """Precomputed block layout plus per-iteration NT scaling state."""
+    """Cone layout with SOC blocks grouped by size, plus the pattern of H.
+
+    ``soc_groups`` holds one (n_blocks, k) index array per SOC size, so each
+    operation on the cone runs once per size group, not once per block.  The
+    scaling matrix H = W^{-T} W^{-1} has a fixed sparsity pattern (the full
+    diagonal plus one dense k x k square per SOC block), stored once as CSR
+    ``h_indices``/``h_indptr``; each iteration refills only its values.
+    """
 
     def __init__(self, cones: tuple[ConeBlock, ...]):
-        self.blocks: list[tuple[str, int, int]] = []
-        off = 0
+        parts: dict[str, list[np.ndarray]] = {"free": [], "nonneg": []}
+        socs: dict[int, list[np.ndarray]] = {}
+        n = 0
         for cb in cones:
-            self.blocks.append((cb.kind, off, cb.size))
-            off += cb.size
-        self.n = off
-        self.nonneg_idx = np.concatenate(
-            [np.arange(o, o + k) for kind, o, k in self.blocks if kind == "nonneg"]
-        ).astype(int) if any(kind == "nonneg" for kind, _, _ in self.blocks) else np.empty(0, dtype=int)
-        self.soc_blocks = [(o, k) for kind, o, k in self.blocks if kind == "soc"]
-        self.free_idx = np.concatenate(
-            [np.arange(o, o + k) for kind, o, k in self.blocks if kind == "free"]
-        ).astype(int) if any(kind == "free" for kind, _, _ in self.blocks) else np.empty(0, dtype=int)
-        cone_parts = [np.arange(o, o + k) for kind, o, k in self.blocks if kind != "free"]
-        self.cone_idx = (
-            np.concatenate(cone_parts).astype(int) if cone_parts else np.empty(0, dtype=int)
-        )
-        self.degree = len(self.nonneg_idx) + len(self.soc_blocks)
+            idx = np.arange(n, n + cb.size)
+            if cb.kind == "soc":
+                socs.setdefault(cb.size, []).append(idx)
+            else:
+                parts[cb.kind].append(idx)
+            n += cb.size
+        self.n = n
+        self.free_idx = _cat(parts["free"])
+        self.nonneg_idx = _cat(parts["nonneg"])
+        self.soc_groups = [np.array(socs[k]) for k in sorted(socs)]
+        self.cone_idx = np.setdiff1d(np.arange(n), self.free_idx)
+        self.degree = len(self.nonneg_idx) + sum(len(g) for g in self.soc_groups)
+
+        # pattern of H: the diagonal, then the entries h_matrix() fills
+        rows = [np.arange(n), self.nonneg_idx]
+        cols = [np.arange(n), self.nonneg_idx]
+        for g in self.soc_groups:
+            sq = np.broadcast_to(g[:, :, None], g.shape + g.shape[1:])
+            rows.append(sq.ravel())
+            cols.append(sq.transpose(0, 2, 1).ravel())
+        self.h_indices, self.h_indptr, slot = _pattern(_cat(rows), _cat(cols), n, "csr")
+        self.h_diag = slot[:n]
+        self.h_slots = slot[n:]
 
     def identity(self) -> np.ndarray:
         e = np.zeros(self.n)
         e[self.nonneg_idx] = 1.0
-        for o, _ in self.soc_blocks:
-            e[o] = 1.0
+        for g in self.soc_groups:
+            e[g[:, 0]] = 1.0
         return e
-
-    def inside(self, u: np.ndarray, margin: float = 0.0) -> bool:
-        if np.any(u[self.nonneg_idx] <= margin):
-            return False
-        for o, k in self.soc_blocks:
-            if u[o] <= margin or _jdet(u[o : o + k]) <= margin:
-                return False
-        return True
 
     def membership_violation(self, u: np.ndarray) -> float:
         """How far u sits outside the cone (0 when inside)."""
         worst = 0.0
         if len(self.nonneg_idx):
-            worst = max(worst, float(-np.min(u[self.nonneg_idx]))) if np.min(u[self.nonneg_idx]) < 0 else worst
-        for o, k in self.soc_blocks:
-            blk = u[o : o + k]
-            worst = max(worst, float(np.linalg.norm(blk[1:]) - blk[0]))
-        return max(worst, 0.0)
+            worst = max(worst, float(-np.min(u[self.nonneg_idx])))
+        for g in self.soc_groups:
+            blk = u[g]
+            tail = np.sqrt(_rowdot(blk[:, 1:], blk[:, 1:]))
+            worst = max(worst, float(np.max(tail - blk[:, 0])))
+        return worst
 
     # -- NT scaling -------------------------------------------------------
 
     def compute_scaling(self, x: np.ndarray, z: np.ndarray):
+        """NT scaling: NonNeg weights, per-group (w, sqrt(w), sqrt(w)^-1), lambda."""
         nn = self.nonneg_idx
-        w_nn = np.sqrt(x[nn] / z[nn]) if len(nn) else np.empty(0)
+        w_nn = np.sqrt(x[nn] / z[nn])
         lam = np.zeros(self.n)
         lam[nn] = np.sqrt(x[nn] * z[nn])
         soc_w = []
-        for o, k in self.soc_blocks:
-            xb, zb = x[o : o + k], z[o : o + k]
+        for g in self.soc_groups:
+            xb, zb = x[g], z[g]
             t = _jsqrt(xb)
             u = _papply(t, zb)
             w = _papply(t, _jinv(_jsqrt(u)))
             wh = _jsqrt(w)
             whi = _jinv(wh)
             soc_w.append((w, wh, whi))
-            lam[o : o + k] = _papply(whi, xb)
+            lam[g] = _papply(whi, xb)
         return w_nn, soc_w, lam
 
     def h_matrix(self, w_nn: np.ndarray, soc_w) -> sp.csr_matrix:
-        """Block-diagonal W^{-T} W^{-1} (P(w^{-1}) on SOC blocks, z/x on NonNeg)."""
-        rows, cols, vals = [], [], []
-        nn = self.nonneg_idx
-        for i, idx in enumerate(nn):
-            rows.append(idx)
-            cols.append(idx)
-            vals.append(1.0 / (w_nn[i] * w_nn[i]))
-        for (o, k), (w, _, _) in zip(self.soc_blocks, soc_w):
-            m = _pmat(_jinv(w))
-            for i in range(k):
-                for j in range(k):
-                    rows.append(o + i)
-                    cols.append(o + j)
-                    vals.append(m[i, j])
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
+        """W^{-T} W^{-1} on the fixed pattern (P(w^{-1}) on SOC blocks, z/x on NonNeg)."""
+        data = np.zeros(len(self.h_indices))
+        data[self.h_slots] = np.concatenate(
+            [1.0 / (w_nn * w_nn)] + [_pmat(_jinv(w)).ravel() for w, _, _ in soc_w]
+        )
+        return self.csr(data)
+
+    def csr(self, data: np.ndarray) -> sp.csr_matrix:
+        """An n x n matrix on H's pattern."""
+        return sp.csr_matrix((data, self.h_indices, self.h_indptr), shape=(self.n, self.n))
 
     def apply_w(self, w_nn, soc_w, u: np.ndarray, inverse: bool) -> np.ndarray:
         """Apply W (inverse=False) or W^{-1} (inverse=True) to the cone part."""
         out = u.copy()
         nn = self.nonneg_idx
-        if len(nn):
-            out[nn] = u[nn] / w_nn if inverse else u[nn] * w_nn
-        for (o, k), (_, wh, whi) in zip(self.soc_blocks, soc_w):
-            out[o : o + k] = _papply(whi if inverse else wh, u[o : o + k])
+        out[nn] = u[nn] / w_nn if inverse else u[nn] * w_nn
+        for g, (_, wh, whi) in zip(self.soc_groups, soc_w):
+            out[g] = _papply(whi if inverse else wh, u[g])
         return out
 
     def jprod_all(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         out = np.zeros(self.n)
         nn = self.nonneg_idx
         out[nn] = u[nn] * v[nn]
-        for o, k in self.soc_blocks:
-            out[o : o + k] = _jprod(u[o : o + k], v[o : o + k])
+        for g in self.soc_groups:
+            out[g] = _jprod(u[g], v[g])
         return out
 
     def jdiv_all(self, lam: np.ndarray, d: np.ndarray) -> np.ndarray:
         out = np.zeros(self.n)
         nn = self.nonneg_idx
         out[nn] = d[nn] / lam[nn]
-        for o, k in self.soc_blocks:
-            out[o : o + k] = _jdiv(lam[o : o + k], d[o : o + k])
+        for g in self.soc_groups:
+            out[g] = _jdiv(lam[g], d[g])
         return out
 
     def max_step(self, u: np.ndarray, du: np.ndarray) -> float:
@@ -342,34 +373,123 @@ class _Cones:
             neg = du[nn] < 0
             if np.any(neg):
                 alpha = min(alpha, float(np.min(-u[nn][neg] / du[nn][neg])))
-        for o, k in self.soc_blocks:
-            alpha = min(alpha, _soc_step(u[o : o + k], du[o : o + k]))
+        for g in self.soc_groups:
+            alpha = min(alpha, float(np.min(_soc_step(u[g], du[g]))))
         return alpha
 
 
-def _kkt_factor(Q_plus_H: sp.csr_matrix, A: sp.csr_matrix, delta: float):
-    n = Q_plus_H.shape[0]
-    m = A.shape[0]
-    reg_n = sp.identity(n) * delta
-    reg_m = sp.identity(m) * delta
-    kkt = sp.bmat(
-        [[Q_plus_H + reg_n, A.T], [A, -reg_m]],
-        format="csc",
-    )
-    return spla.splu(kkt)
+class _Workspace:
+    """Everything one call of solve_socp computes once and reuses.
 
+    Holds the program, its cone layout, A' (transposed once) and the fixed
+    CSC pattern of the KKT matrix [[Q + H + delta I, A'], [A, -delta I]]:
+    ``kkt_slots`` sends each source entry (Q + H on H's pattern, the delta
+    diagonal, A', A, the -delta diagonal, in that order) to its slot, so a
+    factorization only sums a new data vector into place.  A workspace
+    belongs to one solve; nothing is cached between solves.
+    """
 
-def _solve_kkt(lu, A, Q_plus_H, rx, ry, refine: int = 1):
-    n = Q_plus_H.shape[0]
-    rhs = np.concatenate([rx, ry])
-    sol = lu.solve(rhs)
-    # one round of iterative refinement against the unregularized system
-    for _ in range(refine):
-        res_x = rx - (Q_plus_H @ sol[:n] + A.T @ sol[n:])
-        res_y = ry - (A @ sol[:n])
-        corr = lu.solve(np.concatenate([res_x, res_y]))
-        sol = sol + corr
-    return sol[:n], sol[n:]
+    def __init__(self, prog: ConicProgram):
+        self.prog = prog
+        n, m = self.n, self.m = prog.n_vars, prog.n_eq
+        self.cones = cones = _Cones(prog.cones)
+        self.A = prog.A
+        self.AT = prog.A.T.tocsr()
+        self.bnorm = 1.0 + (float(np.max(np.abs(prog.b))) if m else 0.0)
+        self.cnorm = 1.0 + float(np.max(np.abs(prog.c)))
+
+        size = n + m
+        a = prog.A.tocoo()
+        h_rows = np.repeat(np.arange(n), np.diff(cones.h_indptr))
+        diag_n, diag_m = np.arange(n), np.arange(n, size)
+        rows = np.concatenate([h_rows, diag_n, a.col, a.row + n, diag_m])
+        cols = np.concatenate([cones.h_indices, diag_n, a.row + n, a.col, diag_m])
+        self.kkt_indices, self.kkt_indptr, self.kkt_slots = _pattern(cols, rows, size, "csc")
+        self.a_data = np.concatenate([a.data, a.data])
+
+    def plus_q(self, H: sp.csr_matrix) -> sp.csr_matrix:
+        """Q + H, for H on the cone layout's pattern."""
+        if self.prog.q is None:
+            return H
+        data = H.data.copy()
+        data[self.cones.h_diag] += self.prog.q
+        return self.cones.csr(data)
+
+    def kkt(self, QH: sp.csr_matrix, delta: float) -> sp.csc_matrix:
+        """[[Q + H + delta I, A'], [A, -delta I]] on the fixed pattern."""
+        n, m = self.n, self.m
+        weights = np.concatenate([QH.data, np.full(n, delta), self.a_data, np.full(m, -delta)])
+        data = np.bincount(self.kkt_slots, weights=weights, minlength=len(self.kkt_indices))
+        return sp.csc_matrix((data, self.kkt_indices, self.kkt_indptr), shape=(n + m, n + m))
+
+    def factor(self, QH: sp.csr_matrix, delta: float):
+        return spla.splu(self.kkt(QH, delta))
+
+    def solve(self, lu, QH: sp.csr_matrix, rx, ry, refine: int = 1):
+        n = self.n
+        sol = lu.solve(np.concatenate([rx, ry]))
+        # iterative refinement against the unregularized system
+        for _ in range(refine):
+            res_x = rx - (QH @ sol[:n] + self.AT @ sol[n:])
+            res_y = ry - (self.A @ sol[:n])
+            corr = lu.solve(np.concatenate([res_x, res_y]))
+            sol = sol + corr
+        return sol[:n], sol[n:]
+
+    def residuals(self, x, y, z):
+        """Dual residual Qx + c - A'y - z and primal residual Ax - b."""
+        prog = self.prog
+        qx = prog.q * x if prog.q is not None else np.zeros(self.n)
+        return qx + prog.c - self.AT @ y - z, self.A @ x - prog.b
+
+    def finish(self, status, x, y, z, iters) -> ConicSolution:
+        r_d, r_p = self.residuals(x, y, z)
+        cone = self.cones.cone_idx
+        gap = float(x[cone] @ z[cone]) if len(cone) else 0.0
+        s = np.zeros(self.n)
+        s[cone] = x[cone]
+        return ConicSolution(
+            status=status,
+            x=x,
+            y=y,
+            z=z,
+            s=s,
+            obj=self.prog.objective(x),
+            residuals={
+                "primal": float(np.max(np.abs(r_p))) if self.m else 0.0,
+                "dual": float(np.max(np.abs(r_d))),
+                "gap": abs(gap),
+            },
+            iterations=iters,
+        )
+
+    def classify(self, x, y, z, iters, scale=1e8) -> ConicSolution:
+        """Divergence heuristics; ties favor infeasible.
+
+        Primal infeasibility shows as a diverging dual ray with positive
+        b'y and vanishing homogeneous residual A'y + z; unboundedness as a
+        diverging primal ray that stays equality-feasible with negative
+        linear objective along the ray.
+        """
+        prog, m = self.prog, self.m
+        xs = float(np.linalg.norm(x, np.inf))
+        ys = (float(np.linalg.norm(y, np.inf)) if m else 0.0) + float(
+            np.linalg.norm(z, np.inf)
+        )
+        status = ITER_LIMIT
+        if ys > scale:
+            hom_d = float(np.linalg.norm(self.AT @ y + z, np.inf)) / ys
+            if float(prog.b @ y) > 1e-8 * ys and hom_d <= 1e-6:
+                status = INFEASIBLE
+        if status == ITER_LIMIT and xs > scale:
+            pr_ray = (float(np.max(np.abs(self.A @ x - prog.b))) if m else 0.0) / xs
+            lin_ray = float(prog.c @ x + (prog.q @ (x * x) if prog.q is not None else 0.0)) / xs
+            if pr_ray <= 1e-6 and lin_ray < -1e-8:
+                status = UNBOUNDED
+        if status == ITER_LIMIT and (ys > scale or xs > scale):
+            # both certificates weak but iterates clearly diverged
+            status = INFEASIBLE if ys >= xs else UNBOUNDED
+        return self.finish(status, x, y, z, iters)
 
 
 def solve_socp(prog: ConicProgram, tol: float = 1e-8, max_iter: int = 200) -> ConicSolution:
@@ -382,13 +502,9 @@ def solve_socp(prog: ConicProgram, tol: float = 1e-8, max_iter: int = 200) -> Co
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     n, m = prog.n_vars, prog.n_eq
-    cones = _Cones(prog.cones)
-    c, b = prog.c, prog.b
-    A = prog.A
-    Q = sp.diags(prog.q) if prog.q is not None else sp.csr_matrix((n, n))
 
     if n == 0:
-        ok = m == 0 or float(np.max(np.abs(b))) <= tol
+        ok = m == 0 or float(np.max(np.abs(prog.b))) <= tol
         return ConicSolution(
             status=OPTIMAL if ok else INFEASIBLE,
             x=np.zeros(0),
@@ -399,62 +515,14 @@ def solve_socp(prog: ConicProgram, tol: float = 1e-8, max_iter: int = 200) -> Co
             residuals={"primal": 0.0, "dual": 0.0, "gap": 0.0},
         )
 
-    bnorm = 1.0 + (float(np.max(np.abs(b))) if m else 0.0)
-    cnorm = 1.0 + (float(np.max(np.abs(c))) if n else 0.0)
-
-    def classify(x, y, z, iters, scale=1e8):
-        """Divergence heuristics; ties favor infeasible.
-
-        Primal infeasibility shows as a diverging dual ray with positive
-        b'y and vanishing homogeneous residual A'y + z; unboundedness as a
-        diverging primal ray that stays equality-feasible with negative
-        linear objective along the ray.
-        """
-        xs = float(np.linalg.norm(x, np.inf)) if n else 0.0
-        ys = (float(np.linalg.norm(y, np.inf)) if m else 0.0) + float(
-            np.linalg.norm(z, np.inf)
-        )
-        status = ITER_LIMIT
-        if ys > scale:
-            hom_d = float(np.linalg.norm((A.T @ y if m else 0.0) + z, np.inf)) / ys
-            if (float(b @ y) if m else 0.0) > 1e-8 * ys and hom_d <= 1e-6:
-                status = INFEASIBLE
-        if status == ITER_LIMIT and xs > scale:
-            pr_ray = (float(np.max(np.abs(A @ x - b))) if m else 0.0) / xs
-            lin_ray = float(c @ x + (prog.q @ (x * x) if prog.q is not None else 0.0)) / xs
-            if pr_ray <= 1e-6 and lin_ray < -1e-8:
-                status = UNBOUNDED
-        if status == ITER_LIMIT and (ys > scale or xs > scale):
-            # both certificates weak but iterates clearly diverged
-            status = INFEASIBLE if ys >= xs else UNBOUNDED
-        return _finish(status, x, y, z, iters)
-
-    def _finish(status, x, y, z, iters):
-        r_d = Q @ x + c - (A.T @ y if m else 0.0) - z
-        r_p = A @ x - b if m else np.zeros(0)
-        gap = float(x[cones.cone_idx] @ z[cones.cone_idx]) if len(cones.cone_idx) else 0.0
-        s = np.zeros(n)
-        s[cones.cone_idx] = x[cones.cone_idx]
-        return ConicSolution(
-            status=status,
-            x=x,
-            y=y,
-            z=z,
-            s=s,
-            obj=prog.objective(x),
-            residuals={
-                "primal": float(np.max(np.abs(r_p))) if m else 0.0,
-                "dual": float(np.max(np.abs(r_d))),
-                "gap": abs(gap),
-            },
-            iterations=iters,
-        )
+    ws = _Workspace(prog)
 
     # purely free program: a single regularized KKT solve
-    if cones.degree == 0:
+    if ws.cones.degree == 0:
+        Q = ws.plus_q(ws.cones.csr(np.zeros(len(ws.cones.h_indices))))
         try:
-            lu = _kkt_factor(Q, A, 1e-10)
-            x, ytil = _solve_kkt(lu, A, Q, -c, b, refine=2)
+            lu = ws.factor(Q, 1e-10)
+            x, ytil = ws.solve(lu, Q, -prog.c, prog.b, refine=2)
         except (RuntimeError, ValueError):
             return ConicSolution(
                 status=INFEASIBLE,
@@ -466,44 +534,42 @@ def solve_socp(prog: ConicProgram, tol: float = 1e-8, max_iter: int = 200) -> Co
                 residuals={"primal": float("inf"), "dual": float("inf"), "gap": 0.0},
             )
         y = -ytil
-        sol = _finish(OPTIMAL, x, y, np.zeros(n), 1)
+        sol = ws.finish(OPTIMAL, x, y, np.zeros(n), 1)
         scaled_ok = (
-            sol.residuals["primal"] / bnorm <= 10 * max(tol, 1e-9)
-            and sol.residuals["dual"] / cnorm <= 10 * max(tol, 1e-9)
+            sol.residuals["primal"] / ws.bnorm <= 10 * max(tol, 1e-9)
+            and sol.residuals["dual"] / ws.cnorm <= 10 * max(tol, 1e-9)
         )
         if not scaled_ok:
             sol.status = INFEASIBLE
         return sol
 
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _ipm_loop(ws, tol, max_iter)
+
+
+def _ipm_loop(ws: _Workspace, tol: float, max_iter: int) -> ConicSolution:
+    prog, cones, m = ws.prog, ws.cones, ws.m
+    cone_idx, free_idx = cones.cone_idx, cones.free_idx
+
     # interior starting point
     e = cones.identity()
-    x = e * max(1.0, math.sqrt(bnorm))
-    z = e * max(1.0, math.sqrt(cnorm))
+    x = e * max(1.0, math.sqrt(ws.bnorm))
+    z = e * max(1.0, math.sqrt(ws.cnorm))
     y = np.zeros(m)
     nu = cones.degree
 
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _ipm_loop(
-            prog, cones, Q, A, b, c, x, y, z, e, nu, bnorm, cnorm,
-            tol, max_iter, classify, _finish,
-        )
-
-
-def _ipm_loop(prog, cones, Q, A, b, c, x, y, z, e, nu, bnorm, cnorm, tol, max_iter, classify, _finish):
-    m = prog.n_eq
     best = None
     for it in range(1, max_iter + 1):
-        r_d = Q @ x + c - (A.T @ y if m else 0.0) - z
-        r_p = (A @ x - b) if m else np.zeros(0)
-        gap = float(x[cones.cone_idx] @ z[cones.cone_idx])
+        r_d, r_p = ws.residuals(x, y, z)
+        gap = float(x[cone_idx] @ z[cone_idx])
         mu = gap / nu
         obj = prog.objective(x)
 
-        rel_p = (float(np.max(np.abs(r_p))) / bnorm) if m else 0.0
-        rel_d = float(np.max(np.abs(r_d))) / cnorm
+        rel_p = (float(np.max(np.abs(r_p))) / ws.bnorm) if m else 0.0
+        rel_d = float(np.max(np.abs(r_d))) / ws.cnorm
         rel_g = abs(gap) / (1.0 + abs(obj))
         if rel_p <= tol and rel_d <= tol and rel_g <= tol:
-            return _finish(OPTIMAL, x, y, z, it)
+            return ws.finish(OPTIMAL, x, y, z, it)
         if best is None or rel_p + rel_d + rel_g < best[0]:
             best = (rel_p + rel_d + rel_g, x.copy(), y.copy(), z.copy())
         xs = float(np.linalg.norm(x, np.inf))
@@ -511,19 +577,20 @@ def _ipm_loop(prog, cones, Q, A, b, c, x, y, z, e, nu, bnorm, cnorm, tol, max_it
             np.linalg.norm(z, np.inf)
         )
         if xs > 1e8 or ys > 1e8:
-            verdict = classify(x, y, z, it)
+            verdict = ws.classify(x, y, z, it)
             if verdict.status != ITER_LIMIT:
                 return verdict
 
         w_nn, soc_w, lam = cones.compute_scaling(x, z)
         H = cones.h_matrix(w_nn, soc_w)
+        QH = ws.plus_q(H)
         try:
-            lu = _kkt_factor(Q + H, A, 1e-9)
+            lu = ws.factor(QH, 1e-9)
         except (RuntimeError, ValueError):
             try:
-                lu = _kkt_factor(Q + H, A, 1e-6)
+                lu = ws.factor(QH, 1e-6)
             except (RuntimeError, ValueError):
-                return classify(x, y, z, it)
+                return ws.classify(x, y, z, it)
 
         lam_lam = cones.jprod_all(lam, lam)
 
@@ -531,12 +598,12 @@ def _ipm_loop(prog, cones, Q, A, b, c, x, y, z, e, nu, bnorm, cnorm, tol, max_it
             g = cones.jdiv_all(lam, d_target)
             wig = cones.apply_w(w_nn, soc_w, g, inverse=True)
             rx = -r_d + wig
-            rx[cones.free_idx] = -r_d[cones.free_idx]
+            rx[free_idx] = -r_d[free_idx]
             # free coordinates carry no complementarity term
-            dx, dyt = _solve_kkt(lu, A, Q + H, rx, -r_p)
+            dx, dyt = ws.solve(lu, QH, rx, -r_p)
             dy = -dyt
             dz = wig - H @ dx
-            dz[cones.free_idx] = 0.0
+            dz[free_idx] = 0.0
             return dx, dy, dz
 
         # predictor
@@ -546,7 +613,7 @@ def _ipm_loop(prog, cones, Q, A, b, c, x, y, z, e, nu, bnorm, cnorm, tol, max_it
         a_aff = min(1.0, a_x, a_z)
         x_a = x + a_aff * dx_a
         z_a = z + a_aff * dz_a
-        mu_aff = float(x_a[cones.cone_idx] @ z_a[cones.cone_idx]) / nu
+        mu_aff = float(x_a[cone_idx] @ z_a[cone_idx]) / nu
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
         # corrector
@@ -559,7 +626,7 @@ def _ipm_loop(prog, cones, Q, A, b, c, x, y, z, e, nu, bnorm, cnorm, tol, max_it
         a_z = cones.max_step(z, dz)
         alpha = min(1.0, 0.99 * a_x, 0.99 * a_z)
         if not math.isfinite(alpha) or alpha <= 1e-14:
-            return classify(x, y, z, it, scale=1e5)
+            return ws.classify(x, y, z, it, scale=1e5)
         x = x + alpha * dx
         y = y + alpha * dy
         z = z + alpha * dz
@@ -567,7 +634,7 @@ def _ipm_loop(prog, cones, Q, A, b, c, x, y, z, e, nu, bnorm, cnorm, tol, max_it
     # iteration cap: report the best iterate seen
     if best is not None:
         _, x, y, z = best
-    return _finish(ITER_LIMIT, x, y, z, max_iter)
+    return ws.finish(ITER_LIMIT, x, y, z, max_iter)
 
 
 def check_kkt(prog: ConicProgram, sol: ConicSolution) -> dict[str, float]:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,6 +12,9 @@ from lemclear.socp import (
     Free,
     NonNeg,
     SecondOrder,
+    _Cones,
+    _soc_step,
+    _Workspace,
     check_kkt,
     dual_sensitivity_probe,
     dump_program,
@@ -235,3 +240,354 @@ def test_dump_program_grammar(tmp_path):
     assert text[1] == "EQS 2"
     assert any(line.startswith("CONES soc:3") for line in text)
     assert sum(1 for line in text if line.startswith("A ")) == prog.A.nnz
+
+
+# ---------------------------------------------------------------------------
+# Reference implementation: the per-block Jordan algebra and KKT assembly
+# that the size-grouped versions in socp replaced.  The batched code sums in
+# a different order, so it must agree to relative 1e-12 in the infinity norm
+# (infinite entries exactly); the KKT pattern is pure data movement and must
+# agree exactly.
+# ---------------------------------------------------------------------------
+
+
+def ref_jdet(u):
+    return float(u[0] * u[0] - u[1:] @ u[1:])
+
+
+def ref_jsqrt(u):
+    det = ref_jdet(u)
+    root = math.sqrt(max(det, 0.0))
+    s = math.sqrt(max((u[0] + root) / 2.0, 1e-300))
+    out = np.empty_like(u)
+    out[0] = s
+    out[1:] = u[1:] / (2.0 * s)
+    return out
+
+
+def ref_jinv(u):
+    det = ref_jdet(u)
+    out = np.empty_like(u)
+    out[0] = u[0] / det
+    out[1:] = -u[1:] / det
+    return out
+
+
+def ref_jprod(u, v):
+    out = np.empty_like(u)
+    out[0] = u @ v
+    out[1:] = u[0] * v[1:] + v[0] * u[1:]
+    return out
+
+
+def ref_jdiv(lam, d):
+    det = ref_jdet(lam)
+    out = np.empty_like(d)
+    out[0] = (lam[0] * d[0] - lam[1:] @ d[1:]) / det
+    out[1:] = (d[1:] - out[0] * lam[1:]) / lam[0]
+    return out
+
+
+def ref_papply(u, v):
+    det = ref_jdet(u)
+    uv = u @ v
+    out = 2.0 * uv * u
+    out[0] -= det * v[0]
+    out[1:] += det * v[1:]
+    return out
+
+
+def ref_pmat(u):
+    k = u.shape[0]
+    det = ref_jdet(u)
+    m = 2.0 * np.outer(u, u)
+    m[0, 0] -= det
+    m[1:, 1:] += det * np.eye(k - 1)
+    return m
+
+
+def ref_soc_step(u, du):
+    a2 = du[0] * du[0] - du[1:] @ du[1:]
+    b1 = u[0] * du[0] - u[1:] @ du[1:]
+    c0 = ref_jdet(u)
+    disc = b1 * b1 - a2 * c0
+    if a2 >= 0.0 and b1 >= 0.0:
+        return math.inf
+    if disc < 0.0:
+        return math.inf
+    rd = math.sqrt(disc)
+    roots = []
+    if abs(a2) > 1e-300:
+        roots = [(-b1 - rd) / a2, (-b1 + rd) / a2]
+    elif b1 < 0.0:
+        roots = [-c0 / (2.0 * b1)]
+    pos = [r for r in roots if r > 0.0]
+    return min(pos) if pos else math.inf
+
+
+class ReferenceCones:
+    """One Python loop iteration per cone block."""
+
+    def __init__(self, cones):
+        self.blocks = []
+        off = 0
+        for cb in cones:
+            self.blocks.append((cb.kind, off, cb.size))
+            off += cb.size
+        self.n = off
+        self.nonneg_idx = np.array(
+            [i for kind, o, k in self.blocks if kind == "nonneg" for i in range(o, o + k)],
+            dtype=int,
+        )
+        self.soc_blocks = [(o, k) for kind, o, k in self.blocks if kind == "soc"]
+
+    def membership_violation(self, u):
+        worst = 0.0
+        if len(self.nonneg_idx):
+            worst = max(worst, float(-np.min(u[self.nonneg_idx]))) if np.min(u[self.nonneg_idx]) < 0 else worst
+        for o, k in self.soc_blocks:
+            blk = u[o : o + k]
+            worst = max(worst, float(np.linalg.norm(blk[1:]) - blk[0]))
+        return max(worst, 0.0)
+
+    def compute_scaling(self, x, z):
+        nn = self.nonneg_idx
+        w_nn = np.sqrt(x[nn] / z[nn])
+        lam = np.zeros(self.n)
+        lam[nn] = np.sqrt(x[nn] * z[nn])
+        soc_w = []
+        for o, k in self.soc_blocks:
+            xb, zb = x[o : o + k], z[o : o + k]
+            t = ref_jsqrt(xb)
+            u = ref_papply(t, zb)
+            w = ref_papply(t, ref_jinv(ref_jsqrt(u)))
+            wh = ref_jsqrt(w)
+            whi = ref_jinv(wh)
+            soc_w.append((w, wh, whi))
+            lam[o : o + k] = ref_papply(whi, xb)
+        return w_nn, soc_w, lam
+
+    def h_matrix(self, w_nn, soc_w):
+        rows, cols, vals = [], [], []
+        for i, idx in enumerate(self.nonneg_idx):
+            rows.append(idx)
+            cols.append(idx)
+            vals.append(1.0 / (w_nn[i] * w_nn[i]))
+        for (o, k), (w, _, _) in zip(self.soc_blocks, soc_w):
+            m = ref_pmat(ref_jinv(w))
+            for i in range(k):
+                for j in range(k):
+                    rows.append(o + i)
+                    cols.append(o + j)
+                    vals.append(m[i, j])
+        return sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
+
+    def apply_w(self, w_nn, soc_w, u, inverse):
+        out = u.copy()
+        nn = self.nonneg_idx
+        out[nn] = u[nn] / w_nn if inverse else u[nn] * w_nn
+        for (o, k), (_, wh, whi) in zip(self.soc_blocks, soc_w):
+            out[o : o + k] = ref_papply(whi if inverse else wh, u[o : o + k])
+        return out
+
+    def jprod_all(self, u, v):
+        out = np.zeros(self.n)
+        nn = self.nonneg_idx
+        out[nn] = u[nn] * v[nn]
+        for o, k in self.soc_blocks:
+            out[o : o + k] = ref_jprod(u[o : o + k], v[o : o + k])
+        return out
+
+    def jdiv_all(self, lam, d):
+        out = np.zeros(self.n)
+        nn = self.nonneg_idx
+        out[nn] = d[nn] / lam[nn]
+        for o, k in self.soc_blocks:
+            out[o : o + k] = ref_jdiv(lam[o : o + k], d[o : o + k])
+        return out
+
+    def max_step(self, u, du):
+        alpha = math.inf
+        nn = self.nonneg_idx
+        if len(nn):
+            neg = du[nn] < 0
+            if np.any(neg):
+                alpha = min(alpha, float(np.min(-u[nn][neg] / du[nn][neg])))
+        for o, k in self.soc_blocks:
+            alpha = min(alpha, ref_soc_step(u[o : o + k], du[o : o + k]))
+        return alpha
+
+
+def reference_kkt(prog, H, delta):
+    """The KKT matrix as sp.bmat built it on every iteration."""
+    n, m = prog.n_vars, prog.n_eq
+    Q = sp.diags(prog.q) if prog.q is not None else sp.csr_matrix((n, n))
+    return sp.bmat(
+        [[Q + H + sp.identity(n) * delta, prog.A.T], [prog.A, -sp.identity(m) * delta]],
+        format="csc",
+    )
+
+
+def assert_rel(new, ref):
+    """Relative 1e-12 in the infinity norm; infinite entries match exactly."""
+    new, ref = np.atleast_1d(np.asarray(new, float)), np.atleast_1d(np.asarray(ref, float))
+    fin = np.isfinite(ref)
+    assert np.array_equal(np.isfinite(new), fin)
+    assert np.array_equal(new[~fin], ref[~fin])
+    err = np.max(np.abs(new[fin] - ref[fin]), initial=0.0)
+    assert err <= 1e-12 * np.max(np.abs(ref[fin]), initial=0.0)
+
+
+def random_layout(rng):
+    """Free/NonNeg blocks and SOC blocks of sizes 2-5, interleaved."""
+    blocks = [Free(int(rng.integers(1, 3))), NonNeg(int(rng.integers(1, 4)))]
+    blocks += [SecondOrder(int(rng.integers(2, 6))) for _ in range(int(rng.integers(4, 9)))]
+    blocks += [NonNeg(int(rng.integers(1, 4))), Free(1)]
+    return tuple(blocks[i] for i in rng.permutation(len(blocks)))
+
+
+def interior_point(rng, cones):
+    u = np.empty(sum(cb.size for cb in cones))
+    off = 0
+    for cb in cones:
+        if cb.kind == "soc":
+            t = rng.normal(size=cb.size)
+            t[0] = np.linalg.norm(t[1:]) + rng.uniform(0.1, 2)
+        elif cb.kind == "nonneg":
+            t = rng.uniform(0.1, 2, size=cb.size)
+        else:
+            t = rng.normal(size=cb.size)
+        u[off : off + cb.size] = t
+        off += cb.size
+    return u
+
+
+def spread(cones, per_group):
+    """Scatter per-group (n_blocks, k) arrays into a full-length vector."""
+    out = np.zeros(cones.n)
+    for g, v in zip(cones.soc_groups, per_group):
+        out[g] = v
+    return out
+
+
+def spread_ref(ref, per_block):
+    out = np.zeros(ref.n)
+    for (o, k), v in zip(ref.soc_blocks, per_block):
+        out[o : o + k] = v
+    return out
+
+
+class TestBatchedConeAlgebra:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_block_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        layout = random_layout(rng)
+        cones, ref = _Cones(layout), ReferenceCones(layout)
+        x, z = interior_point(rng, layout), interior_point(rng, layout)
+        w_nn, soc_w, lam = cones.compute_scaling(x, z)
+        rw_nn, rsoc_w, rlam = ref.compute_scaling(x, z)
+        assert_rel(w_nn, rw_nn)
+        assert_rel(lam, rlam)
+        for part in range(3):  # w, sqrt(w), sqrt(w)^-1
+            assert_rel(
+                spread(cones, [t[part] for t in soc_w]),
+                spread_ref(ref, [t[part] for t in rsoc_w]),
+            )
+        assert_rel(
+            cones.h_matrix(w_nn, soc_w).toarray(), ref.h_matrix(rw_nn, rsoc_w).toarray()
+        )
+        v = rng.normal(size=cones.n)
+        for inverse in (False, True):
+            assert_rel(
+                cones.apply_w(w_nn, soc_w, v, inverse), ref.apply_w(rw_nn, rsoc_w, v, inverse)
+            )
+        assert_rel(cones.jprod_all(x, v), ref.jprod_all(x, v))
+        assert_rel(cones.jdiv_all(lam, v), ref.jdiv_all(lam, v))
+        for scale in (0.1, 1.0, 10.0):
+            du = scale * rng.normal(size=cones.n)
+            assert_rel(cones.max_step(x, du), ref.max_step(x, du))
+            for g in cones.soc_groups:
+                steps = _soc_step(x[g], du[g])
+                assert_rel(steps, [ref_soc_step(x[row], du[row]) for row in g])
+        # cone membership, inside and outside
+        assert_rel(cones.membership_violation(x), ref.membership_violation(x))
+        assert_rel(cones.membership_violation(v), ref.membership_violation(v))
+        assert cones.membership_violation(v) > 0.0
+
+    @pytest.mark.parametrize(
+        "u, du",
+        [
+            ((2.0, 0.5, 0.0), (1.0, 0.1, 0.0)),  # a2 >= 0, b1 >= 0: unbounded
+            ((1.0, 2.0, 0.0), (0.0, -0.1, 1.0)),  # negative discriminant, -b1/a2 > 0
+            ((2.0, 0.0, 0.0), (-1.0, 1.0, 0.0)),  # a2 == 0: linear root
+            ((2.0, 0.0, 0.0), (-1e-150, 5e-151, 0.0)),  # 0 < a2 < 1e-300: linear root
+            ((1.0, 0.0, 0.0), (-1.0, 0.5, 0.0)),  # two positive roots
+            ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),  # roots of both signs
+        ],
+    )
+    def test_step_rule_branches(self, u, du):
+        u, du = np.array(u), np.array(du)
+        assert_rel(_soc_step(u[None, :], du[None, :]), [ref_soc_step(u, du)])
+
+    def test_step_rule_branch_values(self):
+        u = np.array([[2.0, 0.5, 0.0], [1.0, 2.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        du = np.array([[1.0, 0.1, 0.0], [0.0, -0.1, 1.0], [-1.0, 1.0, 0.0], [-1.0, 0.5, 0.0]])
+        steps = _soc_step(u, du)
+        assert steps[0] == math.inf and steps[1] == math.inf
+        assert steps[2] == pytest.approx(1.0, rel=1e-15)
+        assert steps[3] == pytest.approx(2.0 / 3.0, rel=1e-15)
+
+    def test_check_kkt_cone_matches_per_block_loop(self):
+        for i, prog in enumerate(seeded_programs(50)):
+            s = solve_socp(prog, tol=1e-8)
+            ref = ReferenceCones(prog.cones)
+            expect = max(ref.membership_violation(s.x), ref.membership_violation(s.z))
+            assert_rel(check_kkt(prog, s)["cone"], expect)
+
+
+def kkt_programs():
+    rng = np.random.default_rng(17)
+
+    def program(cones, m, with_q):
+        n = sum(cb.size for cb in cones)
+        A = sp.random(m, n, density=0.5, random_state=rng, format="csr")
+        q = rng.uniform(0.0, 1.0, size=n) if with_q else None
+        return ConicProgram(c=rng.normal(size=n), A=A, b=rng.normal(size=m), cones=cones, q=q)
+
+    return {
+        "q=None": program((NonNeg(3), SecondOrder(3), SecondOrder(2)), 3, False),
+        "no NonNeg": program((Free(2), SecondOrder(4), SecondOrder(3)), 4, True),
+        "no SOC": program((Free(2), NonNeg(5)), 3, True),
+        "leading Free": program(
+            (Free(3), NonNeg(2), SecondOrder(4), SecondOrder(3), SecondOrder(4), SecondOrder(3)),
+            9,
+            True,
+        ),
+        "zero rows": program((NonNeg(2), SecondOrder(3)), 0, True),
+    }
+
+
+class TestKktPattern:
+    @pytest.mark.parametrize("name", sorted(kkt_programs()))
+    @pytest.mark.parametrize("delta", [1e-9, 1e-6])
+    def test_refill_matches_bmat(self, name, delta):
+        prog = kkt_programs()[name]
+        ws = _Workspace(prog)
+        rng = np.random.default_rng(3)
+        x, z = interior_point(rng, prog.cones), interior_point(rng, prog.cones)
+        w_nn, soc_w, _ = ws.cones.compute_scaling(x, z)
+        H = ws.cones.h_matrix(w_nn, soc_w)
+        kkt = ws.kkt(ws.plus_q(H), delta)
+        assert kkt.format == "csc" and kkt.has_canonical_format
+        expect = reference_kkt(prog, H, delta)
+        assert np.array_equal(kkt.toarray(), expect.toarray())
+
+    def test_solves_stay_independent(self):
+        p = seeded_programs(1, seed=3)[0]
+        q = kkt_programs()["leading Free"]
+        first = solve_socp(p, tol=1e-8)
+        solve_socp(q, tol=1e-8)
+        again = solve_socp(p, tol=1e-8)
+        assert first.iterations == again.iterations
+        for attr in ("x", "y", "z"):
+            assert np.array_equal(getattr(first, attr), getattr(again, attr))
