@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dso import DsoInfeasible
 from .market import ClearingResult, run_clearing
 from .model import (
     AdmmConfig,
@@ -694,7 +695,8 @@ def _override_admm(scenario: Scenario, args) -> Scenario:
 
 
 def cli_main(argv: list[str] | None = None) -> int:
-    """Entry point; exit 0 on success, 1 on nonconvergence, 2 on input error."""
+    """Entry point; exit 0 on success, 1 on nonconvergence, 2 on input error,
+    3 when the network program of some hour is infeasible."""
     ap = _build_parser()
     try:
         args = ap.parse_args(argv)
@@ -721,9 +723,7 @@ def cli_main(argv: list[str] | None = None) -> int:
             if args.mode == "distributed":
                 result = run_clearing(
                     scenario,
-                    prosumer_solver=(
-                        "exact" if args.prosumer_solver == "exact" else "relax_repair"
-                    ),
+                    prosumer_solver=args.prosumer_solver,
                     log_messages=args.log_messages,
                 )
                 emit_results(result, out, scenario)
@@ -738,9 +738,7 @@ def cli_main(argv: list[str] | None = None) -> int:
             else:
                 res = solve_selfish(
                     scenario,
-                    prosumer_solver=(
-                        "exact" if args.prosumer_solver == "exact" else "relax_repair"
-                    ),
+                    prosumer_solver=args.prosumer_solver,
                 )
             payload = {
                 "mode": res.mode,
@@ -758,6 +756,16 @@ def cli_main(argv: list[str] | None = None) -> int:
             )
             print(f"mode={res.mode} objective={res.objective:.4f}")
             return 0
+    except DsoInfeasible as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        payload = {"status": "infeasible", "mode": args.mode, "hour": exc.hour,
+                   "diagnosis": exc.detail}
+        (out / "summary.json").write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        return 3
     except (ScenarioFormatError, ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -289,7 +289,7 @@ def run_clearing(
                 cfg,
                 dt,
                 T,
-                mode=prosumer_solver if prosumer_solver != "relax-repair" else "relax_repair",
+                mode=prosumer_solver,
                 mip_gap=mip_gap,
                 node_limit=node_limit,
                 tol=socp_tol,

@@ -240,7 +240,7 @@ def solve_selfish(
             scenario.admm,
             dt,
             T,
-            mode="exact" if prosumer_solver == "exact" else "relax_repair",
+            mode=prosumer_solver,
             tol=tol,
         )
 

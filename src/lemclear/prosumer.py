@@ -405,6 +405,9 @@ def _extract(pp: ProsumerProgram, x: np.ndarray, obj: float, gap: float) -> Pros
     )
 
 
+_SOLVER_MODES = {"exact": "exact", "relax_repair": "relax_repair", "relax-repair": "relax_repair"}
+
+
 def solve_subproblem_III(
     pros: Prosumer,
     inp: ProsumerInput,
@@ -418,16 +421,20 @@ def solve_subproblem_III(
 ) -> ProsumerSchedule:
     """Solve the prosumer's scheduling problem and reconstruct the schedule.
 
-    ``mode`` selects exact branch and bound or the relax-and-repair fast
-    path.  Solver failures surface with the prosumer id attached.
+    ``mode`` selects exact branch and bound (``"exact"``) or the
+    relax-and-repair fast path (``"relax_repair"``, or ``"relax-repair"`` as
+    the command line spells it); any other value raises ValueError.  Solver
+    failures surface with the prosumer id attached.
     """
+    if mode not in _SOLVER_MODES:
+        raise ValueError(
+            f"unknown prosumer solver {mode!r}; expected one of {sorted(_SOLVER_MODES)}"
+        )
     pp = build_subproblem(pros, inp, cfg, dt, horizon)
-    if mode == "exact":
+    if _SOLVER_MODES[mode] == "exact":
         res: BnBResult = solve_mbp(pp.mbp, mip_gap=mip_gap, node_limit=node_limit, tol=tol)
-    elif mode == "relax_repair":
-        res = relax_and_repair(pp.mbp, tol=tol)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        res = relax_and_repair(pp.mbp, tol=tol)
     if res.x_incumbent is None or res.status not in (OPTIMAL, "iter_limit"):
         raise RuntimeError(
             f"prosumer {pros.id}: scheduling solve failed with status {res.status}"

@@ -14,11 +14,23 @@ is what lets a nodal-balance dual be read directly as a marginal price.
 Each solve builds one workspace (``_Workspace``) that lives for that solve
 only.  Its cone layout groups the second-order blocks by size into
 (n_blocks, k) index arrays, so the Jordan algebra and the NT scaling run as
-one numpy call per size group rather than a Python loop over blocks.  The
-scaling matrix H and the KKT matrix [[Q + H + delta I, A'], [A, -delta I]]
-have sparsity patterns that do not change between iterations; the workspace
-computes them once as CSR/CSC index arrays plus a map from each source entry
-to its slot, and every factorization only refills the data vector.
+one numpy call per size group rather than a Python loop over blocks.
+
+The regularized KKT matrix [[Q + H + delta I, A'], [A, -delta I]] is
+symmetric quasi-definite, so it can be factored under any symmetric ordering
+without pivoting (Vanderbei, SIAM J. Optim. 1995); ECOS pairs this with
+static regularization and iterative refinement (Domahidi, Chu and Boyd,
+ECC 2013).  Its pattern does not change between iterations.  The workspace
+therefore computes one minimum-degree ordering per solve, stores the matrix
+already permuted with a map from each source entry to its slot, and each
+iteration only refills the data and factors it with diagonal pivots.
+Solves and one refinement step against the unregularized matrix stay in the
+permuted coordinates, and H v is applied through the NT scaling rather than
+as a matrix.  Diagonal pivots can shrink toward zero on nearly singular
+programs (a lossless network, say) and stall the iteration, so a run that
+ends non-optimal is repeated with SuperLU's partial pivoting.  Either way an
+optimal answer is only returned when residuals computed from the program
+itself, not from the factorization, meet the tolerance.
 
 Everything here is deterministic: no randomization, no threading, and the
 same inputs always produce bit-identical outputs.
@@ -238,28 +250,51 @@ def _cat(parts: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, dtype=int)
 
 
-def _pattern(major: np.ndarray, minor: np.ndarray, size: int, fmt: str):
-    """Compressed size x size pattern of the given entries (duplicates merged).
+def _pattern(major: np.ndarray, minor: np.ndarray, size: int):
+    """Compressed (CSC) size x size pattern of the given entries, duplicates merged.
 
     Returns the ``indices`` and ``indptr`` arrays in the index dtype scipy
-    picks, so matrices refilled on them skip that choice, and the slot of each
-    entry in the data vector.
+    picks, and the slot of each entry in the data vector.
     """
     keys, slot = np.unique(major * size + minor, return_inverse=True)
     indptr = np.searchsorted(keys // size, np.arange(size + 1))
-    kind = sp.csr_matrix if fmt == "csr" else sp.csc_matrix
-    mat = kind((np.zeros(len(keys)), keys % size, indptr), shape=(size, size))
+    mat = sp.csc_matrix((np.zeros(len(keys)), keys % size, indptr), shape=(size, size))
     return mat.indices, mat.indptr, slot
 
 
+# SuperLU options for a quasi-definite matrix: the diagonal is the pivot
+# whenever it is nonzero.  Supernodes in these KKT matrices are small, so
+# relaxed supernodes and wide panels only add work on padded zeros (about
+# half the factor time on the 1708-row network KKT).
+_DIAGONAL_PIVOTS = dict(
+    diag_pivot_thresh=0.0, relax=1, panel_size=1, options=dict(SymmetricMode=True)
+)
+
+
+def _symmetric_ordering(rows: np.ndarray, cols: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Minimum-degree ordering of the structurally symmetric pattern (rows, cols).
+
+    scipy exposes SuperLU's MMD on A' + A only through a factorization, so
+    this factors a diagonally dominant matrix on the pattern, its diagonal
+    signed like the KKT matrix's; the ordering depends on the pattern alone.
+    Returns the original index at each new position.
+    """
+    size = len(sign)
+    indices, indptr, slot = _pattern(cols, rows, size)
+    weights = np.where(rows == cols, (len(rows) + 1.0) * sign[rows], 1.0)
+    probe = sp.csc_matrix((np.bincount(slot, weights=weights), indices, indptr), shape=(size, size))
+    lu = spla.splu(probe, permc_spec="MMD_AT_PLUS_A", **_DIAGONAL_PIVOTS)
+    return np.argsort(lu.perm_c)
+
+
 class _Cones:
-    """Cone layout with SOC blocks grouped by size, plus the pattern of H.
+    """Cone layout with SOC blocks grouped by size, plus the entries of H.
 
     ``soc_groups`` holds one (n_blocks, k) index array per SOC size, so each
     operation on the cone runs once per size group, not once per block.  The
-    scaling matrix H = W^{-T} W^{-1} has a fixed sparsity pattern (the full
-    diagonal plus one dense k x k square per SOC block), stored once as CSR
-    ``h_indices``/``h_indptr``; each iteration refills only its values.
+    scaling matrix H = W^{-T} W^{-1} has fixed nonzero positions (the NonNeg
+    diagonal plus one dense k x k square per SOC block), stored once as
+    ``h_rows``/``h_cols``; each iteration computes only their values.
     """
 
     def __init__(self, cones: tuple[ConeBlock, ...]):
@@ -280,16 +315,13 @@ class _Cones:
         self.cone_idx = np.setdiff1d(np.arange(n), self.free_idx)
         self.degree = len(self.nonneg_idx) + sum(len(g) for g in self.soc_groups)
 
-        # pattern of H: the diagonal, then the entries h_matrix() fills
-        rows = [np.arange(n), self.nonneg_idx]
-        cols = [np.arange(n), self.nonneg_idx]
+        # positions of H's entries, in the order h_values() returns them
+        rows, cols = [self.nonneg_idx], [self.nonneg_idx]
         for g in self.soc_groups:
             sq = np.broadcast_to(g[:, :, None], g.shape + g.shape[1:])
             rows.append(sq.ravel())
             cols.append(sq.transpose(0, 2, 1).ravel())
-        self.h_indices, self.h_indptr, slot = _pattern(_cat(rows), _cat(cols), n, "csr")
-        self.h_diag = slot[:n]
-        self.h_slots = slot[n:]
+        self.h_rows, self.h_cols = _cat(rows), _cat(cols)
 
     def identity(self) -> np.ndarray:
         e = np.zeros(self.n)
@@ -329,17 +361,17 @@ class _Cones:
             lam[g] = _papply(whi, xb)
         return w_nn, soc_w, lam
 
-    def h_matrix(self, w_nn: np.ndarray, soc_w) -> sp.csr_matrix:
-        """W^{-T} W^{-1} on the fixed pattern (P(w^{-1}) on SOC blocks, z/x on NonNeg)."""
-        data = np.zeros(len(self.h_indices))
-        data[self.h_slots] = np.concatenate(
+    def h_values(self, w_nn: np.ndarray, soc_w) -> np.ndarray:
+        """Entries of W^{-T} W^{-1} at (h_rows, h_cols): z/x on NonNeg, P(w^{-1}) on SOC."""
+        return np.concatenate(
             [1.0 / (w_nn * w_nn)] + [_pmat(_jinv(w)).ravel() for w, _, _ in soc_w]
         )
-        return self.csr(data)
 
-    def csr(self, data: np.ndarray) -> sp.csr_matrix:
-        """An n x n matrix on H's pattern."""
-        return sp.csr_matrix((data, self.h_indices, self.h_indptr), shape=(self.n, self.n))
+    def h_apply(self, w_nn, soc_w, u: np.ndarray) -> np.ndarray:
+        """H u = W^{-1} W^{-1} u (W is symmetric); zero on free coordinates."""
+        out = self.apply_w(w_nn, soc_w, self.apply_w(w_nn, soc_w, u, True), True)
+        out[self.free_idx] = 0.0
+        return out
 
     def apply_w(self, w_nn, soc_w, u: np.ndarray, inverse: bool) -> np.ndarray:
         """Apply W (inverse=False) or W^{-1} (inverse=True) to the cone part."""
@@ -381,12 +413,15 @@ class _Cones:
 class _Workspace:
     """Everything one call of solve_socp computes once and reuses.
 
-    Holds the program, its cone layout, A' (transposed once) and the fixed
-    CSC pattern of the KKT matrix [[Q + H + delta I, A'], [A, -delta I]]:
-    ``kkt_slots`` sends each source entry (Q + H on H's pattern, the delta
-    diagonal, A', A, the -delta diagonal, in that order) to its slot, so a
-    factorization only sums a new data vector into place.  A workspace
-    belongs to one solve; nothing is cached between solves.
+    Holds the program, its cone layout, A' (transposed once), a symmetric
+    fill-reducing ordering ``perm`` of the KKT matrix
+    [[Q + H + delta I, A'], [A, -delta I]] and that matrix itself, ``K``,
+    stored already permuted: ``kkt_slots`` sends each source entry (H's
+    entries, the Q and delta diagonals, A', A, the -delta diagonal, in that
+    order) to its slot, so a factorization only sums a new data vector into
+    ``K.data``.  ``pivoting`` selects SuperLU's partial pivoting over static
+    diagonal pivots.  A workspace belongs to one solve; nothing is cached
+    between solves.
     """
 
     def __init__(self, prog: ConicProgram):
@@ -397,44 +432,57 @@ class _Workspace:
         self.AT = prog.A.T.tocsr()
         self.bnorm = 1.0 + (float(np.max(np.abs(prog.b))) if m else 0.0)
         self.cnorm = 1.0 + float(np.max(np.abs(prog.c)))
+        self.q = prog.q if prog.q is not None else np.zeros(n)
 
         size = n + m
         a = prog.A.tocoo()
-        h_rows = np.repeat(np.arange(n), np.diff(cones.h_indptr))
         diag_n, diag_m = np.arange(n), np.arange(n, size)
-        rows = np.concatenate([h_rows, diag_n, a.col, a.row + n, diag_m])
-        cols = np.concatenate([cones.h_indices, diag_n, a.row + n, a.col, diag_m])
-        self.kkt_indices, self.kkt_indptr, self.kkt_slots = _pattern(cols, rows, size, "csc")
+        rows = np.concatenate([cones.h_rows, diag_n, diag_n, a.col, a.row + n, diag_m])
+        cols = np.concatenate([cones.h_cols, diag_n, diag_n, a.row + n, a.col, diag_m])
+        sign = np.concatenate([np.ones(n), -np.ones(m)])
+        self.perm = _symmetric_ordering(rows, cols, sign)
+        self.sign = sign[self.perm]
+        new = np.empty(size, dtype=int)
+        new[self.perm] = np.arange(size)
+        indices, indptr, self.kkt_slots = _pattern(new[cols], new[rows], size)
+        self.K = sp.csc_matrix((np.zeros(len(indices)), indices, indptr), shape=(size, size))
         self.a_data = np.concatenate([a.data, a.data])
+        self.pivoting = False
+        self.lu = None
+        self.delta = 0.0
 
-    def plus_q(self, H: sp.csr_matrix) -> sp.csr_matrix:
-        """Q + H, for H on the cone layout's pattern."""
-        if self.prog.q is None:
-            return H
-        data = H.data.copy()
-        data[self.cones.h_diag] += self.prog.q
-        return self.cones.csr(data)
-
-    def kkt(self, QH: sp.csr_matrix, delta: float) -> sp.csc_matrix:
-        """[[Q + H + delta I, A'], [A, -delta I]] on the fixed pattern."""
+    def kkt(self, h: np.ndarray, delta: float) -> sp.csc_matrix:
+        """Refill K, the permuted KKT matrix, for H's entries h."""
         n, m = self.n, self.m
-        weights = np.concatenate([QH.data, np.full(n, delta), self.a_data, np.full(m, -delta)])
-        data = np.bincount(self.kkt_slots, weights=weights, minlength=len(self.kkt_indices))
-        return sp.csc_matrix((data, self.kkt_indices, self.kkt_indptr), shape=(n + m, n + m))
+        weights = np.concatenate(
+            [h, self.q, np.full(n, delta), self.a_data, np.full(m, -delta)]
+        )
+        self.K.data[:] = np.bincount(self.kkt_slots, weights=weights, minlength=len(self.K.data))
+        return self.K
 
-    def factor(self, QH: sp.csr_matrix, delta: float):
-        return spla.splu(self.kkt(QH, delta))
+    def factor(self, h: np.ndarray, delta: float) -> bool:
+        """Factor the KKT matrix for H's entries h; False if SuperLU fails."""
+        K = self.kkt(h, delta)
+        try:
+            self.lu = (
+                spla.splu(K) if self.pivoting
+                else spla.splu(K, permc_spec="NATURAL", **_DIAGONAL_PIVOTS)
+            )
+        except (RuntimeError, ValueError):
+            return False
+        self.delta = delta
+        return True
 
-    def solve(self, lu, QH: sp.csr_matrix, rx, ry, refine: int = 1):
+    def solve(self, rx, ry, refine: int = 1):
+        """Solve with the current factor, refined against the unregularized system."""
         n = self.n
-        sol = lu.solve(np.concatenate([rx, ry]))
-        # iterative refinement against the unregularized system
+        r = np.concatenate([rx, ry])[self.perm]
+        sol = self.lu.solve(r)
         for _ in range(refine):
-            res_x = rx - (QH @ sol[:n] + self.AT @ sol[n:])
-            res_y = ry - (self.A @ sol[:n])
-            corr = lu.solve(np.concatenate([res_x, res_y]))
-            sol = sol + corr
-        return sol[:n], sol[n:]
+            sol = sol + self.lu.solve(r - (self.K @ sol - self.delta * self.sign * sol))
+        out = np.empty_like(sol)
+        out[self.perm] = sol
+        return out[:n], out[n:]
 
     def residuals(self, x, y, z):
         """Dual residual Qx + c - A'y - z and primal residual Ax - b."""
@@ -516,35 +564,41 @@ def solve_socp(prog: ConicProgram, tol: float = 1e-8, max_iter: int = 200) -> Co
         )
 
     ws = _Workspace(prog)
-
-    # purely free program: a single regularized KKT solve
-    if ws.cones.degree == 0:
-        Q = ws.plus_q(ws.cones.csr(np.zeros(len(ws.cones.h_indices))))
-        try:
-            lu = ws.factor(Q, 1e-10)
-            x, ytil = ws.solve(lu, Q, -prog.c, prog.b, refine=2)
-        except (RuntimeError, ValueError):
-            return ConicSolution(
-                status=INFEASIBLE,
-                x=np.zeros(n),
-                y=np.zeros(m),
-                z=np.zeros(n),
-                s=np.zeros(n),
-                obj=float("nan"),
-                residuals={"primal": float("inf"), "dual": float("inf"), "gap": 0.0},
-            )
-        y = -ytil
-        sol = ws.finish(OPTIMAL, x, y, np.zeros(n), 1)
-        scaled_ok = (
-            sol.residuals["primal"] / ws.bnorm <= 10 * max(tol, 1e-9)
-            and sol.residuals["dual"] / ws.cnorm <= 10 * max(tol, 1e-9)
-        )
-        if not scaled_ok:
-            sol.status = INFEASIBLE
-        return sol
-
+    run = _ipm_loop if ws.cones.degree else _solve_free
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _ipm_loop(ws, tol, max_iter)
+        sol = run(ws, tol, max_iter)
+        if sol.status != OPTIMAL:
+            # a static pivot can shrink toward zero on nearly singular
+            # systems; rerun the program under partial pivoting
+            ws.pivoting = True
+            first = sol.iterations
+            sol = run(ws, tol, max_iter)
+            sol.iterations += first
+    return sol
+
+
+def _solve_free(ws: _Workspace, tol: float, max_iter: int) -> ConicSolution:
+    """A purely free program: a single regularized KKT solve."""
+    prog, n, m = ws.prog, ws.n, ws.m
+    if not ws.factor(np.empty(0), 1e-10):
+        return ConicSolution(
+            status=INFEASIBLE,
+            x=np.zeros(n),
+            y=np.zeros(m),
+            z=np.zeros(n),
+            s=np.zeros(n),
+            obj=float("nan"),
+            residuals={"primal": float("inf"), "dual": float("inf"), "gap": 0.0},
+        )
+    x, ytil = ws.solve(-prog.c, prog.b, refine=2)
+    sol = ws.finish(OPTIMAL, x, -ytil, np.zeros(n), 1)
+    scaled_ok = (
+        sol.residuals["primal"] / ws.bnorm <= 10 * max(tol, 1e-9)
+        and sol.residuals["dual"] / ws.cnorm <= 10 * max(tol, 1e-9)
+    )
+    if not scaled_ok:
+        sol.status = INFEASIBLE
+    return sol
 
 
 def _ipm_loop(ws: _Workspace, tol: float, max_iter: int) -> ConicSolution:
@@ -582,15 +636,9 @@ def _ipm_loop(ws: _Workspace, tol: float, max_iter: int) -> ConicSolution:
                 return verdict
 
         w_nn, soc_w, lam = cones.compute_scaling(x, z)
-        H = cones.h_matrix(w_nn, soc_w)
-        QH = ws.plus_q(H)
-        try:
-            lu = ws.factor(QH, 1e-9)
-        except (RuntimeError, ValueError):
-            try:
-                lu = ws.factor(QH, 1e-6)
-            except (RuntimeError, ValueError):
-                return ws.classify(x, y, z, it)
+        h = cones.h_values(w_nn, soc_w)
+        if not (ws.factor(h, 1e-9) or ws.factor(h, 1e-6)):
+            return ws.classify(x, y, z, it)
 
         lam_lam = cones.jprod_all(lam, lam)
 
@@ -600,10 +648,9 @@ def _ipm_loop(ws: _Workspace, tol: float, max_iter: int) -> ConicSolution:
             rx = -r_d + wig
             rx[free_idx] = -r_d[free_idx]
             # free coordinates carry no complementarity term
-            dx, dyt = ws.solve(lu, QH, rx, -r_p)
+            dx, dyt = ws.solve(rx, -r_p)
             dy = -dyt
-            dz = wig - H @ dx
-            dz[free_idx] = 0.0
+            dz = wig - cones.h_apply(w_nn, soc_w, dx)
             return dx, dy, dz
 
         # predictor

@@ -13,7 +13,7 @@ from lemclear.dso import (
 )
 from lemclear.io_cli import bundled_scenario_dir, load_scenario
 from lemclear.model import Bus, Line, NetworkModel, reactive_from_pf
-from lemclear.socp import dual_sensitivity_probe, solve_socp
+from lemclear.socp import OPTIMAL, _ipm_loop, _Workspace, dual_sensitivity_probe, solve_socp
 
 
 def two_bus(r=0.01, x=0.02, smax=1.0, vmin=0.9, vmax=1.1):
@@ -57,6 +57,17 @@ class TestAssembly:
         out = solve_dso_subproblem(net, one_hour_input(P2, Q2), np.array([10.0]), 1.0)
         assert out.p_loss[0] == pytest.approx(0.0, abs=1e-9)
         assert out.flows[0]["p"][0] == pytest.approx(P2, abs=1e-7)
+
+    def test_zero_impedance_recovers_from_static_pivot_stall(self):
+        # with r = x = 0 the quasi-definite factor without pivoting loses
+        # accuracy and the IPM stalls; solve_socp reruns with pivoting
+        bf = assemble_branch_flow(two_bus(r=0.0, x=0.0), {2: P2}, {2: Q2}, loss_price=10.0)
+        with np.errstate(all="ignore"):
+            static = _ipm_loop(_Workspace(bf.prog), 1e-8, 200)
+        assert static.status != OPTIMAL
+        sol = solve_socp(bf.prog, tol=1e-8)
+        assert sol.status == OPTIMAL
+        assert sol.iterations > static.iterations
 
     def test_counts_two_bus(self):
         bf = assemble_branch_flow(two_bus(), {2: P2}, {2: Q2}, loss_price=10.0)

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -224,6 +225,25 @@ class TestCli:
 
     def test_unknown_flag_exits_2(self):
         assert cli_main(["clear", "--nonsense"]) == 2
+
+    def test_infeasible_feeder_exits_3(self, tmp_path, capsys):
+        scen = tmp_path / "scen"
+        shutil.copytree(bundled_scenario_dir("six_bus"), scen)
+        lines = (scen / "lines.csv").read_text().splitlines()
+        head = lines[1].split(",")
+        lines[1] = ",".join(head[:4] + ["0.001"])  # the feeder head can carry no load
+        (scen / "lines.csv").write_text("\n".join(lines) + "\n")
+        rc = cli_main([
+            "clear", "--scenario", str(scen), "--mode", "distributed",
+            "--out", str(tmp_path / "out"), "--prosumer-solver", "relax-repair",
+        ])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "infeasible" in err and "Traceback" not in err
+        data = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert data["status"] == "infeasible"
+        assert data["hour"] == 0
+        assert data["diagnosis"] in err
 
 
 def test_cli_clear_centralized(tmp_path):

@@ -117,6 +117,16 @@ class TestSelfish:
         assert st_.p_ch[0] > 1e-6
         assert st_.p_ch[20] == pytest.approx(0.0, abs=1e-7)
 
+    @pytest.mark.parametrize("solver", ["exact", "relax_repair", "relax-repair"])
+    def test_solver_spellings_accepted(self, solver):
+        res = solve_selfish(zero_device_scenario(), prosumer_solver=solver)
+        assert np.allclose(res.schedules["a"].p_net, 0.1, atol=1e-7)
+
+    def test_unknown_solver_rejected(self):
+        # a misspelling must not fall through to relax-and-repair
+        with pytest.raises(ValueError, match="exat"):
+            solve_selfish(zero_device_scenario(), prosumer_solver="exat")
+
     def test_congestion_reported_not_raised(self):
         sc = storage_scenario()
         tight = Scenario(

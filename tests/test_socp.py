@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from lemclear.socp import (
     INFEASIBLE,
@@ -428,6 +429,11 @@ def reference_kkt(prog, H, delta):
     )
 
 
+def h_matrix(cones, h):
+    """H as a sparse matrix from the entries the solver computes."""
+    return sp.csr_matrix((h, (cones.h_rows, cones.h_cols)), shape=(cones.n, cones.n))
+
+
 def assert_rel(new, ref):
     """Relative 1e-12 in the infinity norm; infinite entries match exactly."""
     new, ref = np.atleast_1d(np.asarray(new, float)), np.atleast_1d(np.asarray(ref, float))
@@ -493,10 +499,10 @@ class TestBatchedConeAlgebra:
                 spread(cones, [t[part] for t in soc_w]),
                 spread_ref(ref, [t[part] for t in rsoc_w]),
             )
-        assert_rel(
-            cones.h_matrix(w_nn, soc_w).toarray(), ref.h_matrix(rw_nn, rsoc_w).toarray()
-        )
+        H = ref.h_matrix(rw_nn, rsoc_w)
+        assert_rel(h_matrix(cones, cones.h_values(w_nn, soc_w)).toarray(), H.toarray())
         v = rng.normal(size=cones.n)
+        assert_rel(cones.h_apply(w_nn, soc_w, v), H @ v)
         for inverse in (False, True):
             assert_rel(
                 cones.apply_w(w_nn, soc_w, v, inverse), ref.apply_w(rw_nn, rsoc_w, v, inverse)
@@ -576,11 +582,49 @@ class TestKktPattern:
         rng = np.random.default_rng(3)
         x, z = interior_point(rng, prog.cones), interior_point(rng, prog.cones)
         w_nn, soc_w, _ = ws.cones.compute_scaling(x, z)
-        H = ws.cones.h_matrix(w_nn, soc_w)
-        kkt = ws.kkt(ws.plus_q(H), delta)
+        h = ws.cones.h_values(w_nn, soc_w)
+        kkt = ws.kkt(h, delta)
         assert kkt.format == "csc" and kkt.has_canonical_format
-        expect = reference_kkt(prog, H, delta)
-        assert np.array_equal(kkt.toarray(), expect.toarray())
+        # K is stored under the workspace's ordering: K = K0[perm][:, perm]
+        back = np.argsort(ws.perm)
+        expect = reference_kkt(prog, h_matrix(ws.cones, h), delta)
+        assert np.array_equal(kkt.toarray()[np.ix_(back, back)], expect.toarray())
+
+    def test_refinement_targets_unregularized_system(self):
+        prog = kkt_programs()["leading Free"]
+        ws = _Workspace(prog)
+        rng = np.random.default_rng(5)
+        x, z = interior_point(rng, prog.cones), interior_point(rng, prog.cones)
+        w_nn, soc_w, _ = ws.cones.compute_scaling(x, z)
+        h = ws.cones.h_values(w_nn, soc_w)
+        assert ws.factor(h, 1e-6)
+        rhs = rng.normal(size=prog.n_vars + prog.n_eq)
+        dx, dy = ws.solve(rhs[: prog.n_vars], rhs[prog.n_vars :])
+        # one refinement step removes the delta error to first order
+        exact = reference_kkt(prog, h_matrix(ws.cones, h), 0.0)
+        res = exact @ np.concatenate([dx, dy]) - rhs
+        assert np.max(np.abs(res)) <= 1e-9 * np.max(np.abs(rhs))
+
+    def test_ordering_computed_once_per_solve(self, monkeypatch):
+        prog = seeded_programs(1, seed=3)[0]
+        ws = _Workspace(prog)
+        size = prog.n_vars + prog.n_eq
+        assert np.array_equal(np.sort(ws.perm), np.arange(size))
+        specs = []
+        splu = spla.splu
+
+        def spy(A, **kwargs):
+            specs.append(kwargs.get("permc_spec"))
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", spy)
+        sol = solve_socp(prog, tol=1e-8)
+        assert sol.status == OPTIMAL
+        # one ordering, then one statically pivoted factor per iteration
+        # that did not stop (no fallback or recovery on this program)
+        assert specs.count("MMD_AT_PLUS_A") == 1
+        assert specs.count("NATURAL") == sol.iterations - 1
+        assert len(specs) == sol.iterations
 
     def test_solves_stay_independent(self):
         p = seeded_programs(1, seed=3)[0]
