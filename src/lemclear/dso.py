@@ -16,15 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import Bus, Line, NetworkModel, validate_network
-from .socp import (
-    OPTIMAL,
-    ConicProgram,
-    ConeBlock,
-    Free,
-    NonNeg,
-    SecondOrder,
-    solve_socp,
-)
+from .socp import OPTIMAL, ConicProgram, NonNeg, SecondOrder, SparseRows, solve_socp
 
 __all__ = [
     "FeederIndex",
@@ -37,6 +29,8 @@ __all__ = [
     "solve_dso_subproblem",
     "check_tightness",
     "TightnessReport",
+    "relaxed_limits",
+    "limit_violations",
 ]
 
 
@@ -101,10 +95,9 @@ def orient_feeder(net: NetworkModel) -> FeederIndex:
 class BranchFlowProgram:
     """One hour's cone program plus the variable map needed to read it back.
 
-    ``n_natural_vars`` counts the physical unknowns (3 per line, one squared
-    voltage per bus, grid import/export pair and total loss); the cone
-    rewriting adds auxiliary coordinates beyond that.  ``n_core_eq`` counts
-    the voltage-drop, nodal-balance and loss-definition rows.
+    The variables are exactly the physical unknowns: flows p and q, squared
+    currents l and squared voltages v per line and bus, the grid import and
+    export pair and the total loss.
     """
 
     prog: ConicProgram
@@ -117,9 +110,6 @@ class BranchFlowProgram:
     q_ug: int
     p_loss: int
     balance_rows: dict[int, int]
-    n_natural_vars: int
-    n_core_eq: int
-    n_cones: int
 
 
 @dataclass(frozen=True)
@@ -167,130 +157,58 @@ def assemble_branch_flow(
     F = len(net.lines)
     N = len(net.buses)
 
-    off_p = 0
-    off_q = F
-    off_v = 2 * F
-    p_ug = 2 * F + N
+    off_p, off_q, off_v = 0, F, 2 * F
+    off_l = 2 * F + N
+    p_ug = off_l + F
     q_ug = p_ug + 1
     p_loss = q_ug + 1
-    n_free = 2 * F + N + 3
-    off_l = n_free
-    off_slo = off_l + F
-    off_shi = off_slo + (N - 1)
-    n_nonneg = F + 2 * (N - 1)
-    off_soc = n_free + n_nonneg
-    n = off_soc + 7 * F
-
-    cones: list[ConeBlock] = [Free(n_free), NonNeg(n_nonneg)]
-    for _ in range(F):
-        cones.append(SecondOrder(4))
-        cones.append(SecondOrder(3))
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    b: list[float] = []
-
-    def add(row: int, col: int, val: float) -> None:
-        rows.append(row)
-        cols.append(col)
-        vals.append(val)
-
+    n = p_loss + 1
     vpos = {bus_id: off_v + i for i, bus_id in enumerate(fd.bus_ids)}
-    nonpcc = [bid for bid in fd.bus_ids if bid != fd.pcc]
 
-    r_eq = 0
-    balance_rows: dict[int, int] = {}
-    # active balance per bus (bus order: PCC first)
-    for bid in fd.bus_ids:
-        balance_rows[bid] = r_eq
-        if bid == fd.pcc:
-            add(r_eq, p_ug, 1.0)
-        else:
-            li = fd.in_line[bid]
-            _, _, r, _, _ = fd.oriented[li]
-            add(r_eq, off_p + li, 1.0)
-            add(r_eq, off_l + li, -r)
-        for lo in fd.out_lines[bid]:
-            add(r_eq, off_p + lo, -1.0)
-        b.append(float(p_net.get(bid, 0.0)))
-        r_eq += 1
-    # reactive balance per bus
-    for bid in fd.bus_ids:
-        if bid == fd.pcc:
-            add(r_eq, q_ug, 1.0)
-        else:
-            li = fd.in_line[bid]
-            _, _, _, x, _ = fd.oriented[li]
-            add(r_eq, off_q + li, 1.0)
-            add(r_eq, off_l + li, -x)
-        for lo in fd.out_lines[bid]:
-            add(r_eq, off_q + lo, -1.0)
-        b.append(float(q_net.get(bid, 0.0)))
-        r_eq += 1
+    eq = SparseRows()
+    # active balance per bus (rows 0..N-1, bus order: PCC first), then
+    # reactive; a line's loss term is r*l on the active side and x*l on the
+    # reactive side (k picks r or x out of fd.oriented)
+    for off, grid, injections, k in ((off_p, p_ug, p_net, 2), (off_q, q_ug, q_net, 3)):
+        for bid in fd.bus_ids:
+            if bid == fd.pcc:
+                entries = [(grid, 1.0)]
+            else:
+                li = fd.in_line[bid]
+                entries = [(off + li, 1.0), (off_l + li, -fd.oriented[li][k])]
+            entries += [(off + lo, -1.0) for lo in fd.out_lines[bid]]
+            eq.add(entries, injections.get(bid, 0.0))
+    balance_rows = {bid: i for i, bid in enumerate(fd.bus_ids)}
     # voltage drop per line
     for li, (fb, tb, r, x, _) in enumerate(fd.oriented):
-        add(r_eq, vpos[fb], 1.0)
-        add(r_eq, vpos[tb], -1.0)
-        add(r_eq, off_p + li, -2.0 * r)
-        add(r_eq, off_q + li, -2.0 * x)
-        add(r_eq, off_l + li, r * r + x * x)
-        b.append(0.0)
-        r_eq += 1
-    # loss definition
-    for li, (_, _, r, _, _) in enumerate(fd.oriented):
-        add(r_eq, off_l + li, -r)
-    add(r_eq, p_loss, 1.0)
-    b.append(0.0)
-    r_eq += 1
-    n_core_eq = r_eq  # = N + F + 1 for the active side plus N reactive rows
-    # reference voltage at the PCC
-    add(r_eq, vpos[fd.pcc], 1.0)
-    b.append(1.0)
-    r_eq += 1
-    # voltage bounds at other buses
-    for i, bid in enumerate(nonpcc):
-        bus = net.bus(bid)
-        add(r_eq, vpos[bid], 1.0)
-        add(r_eq, off_slo + i, -1.0)
-        b.append(bus.vmin**2)
-        r_eq += 1
-        add(r_eq, vpos[bid], 1.0)
-        add(r_eq, off_shi + i, 1.0)
-        b.append(bus.vmax**2)
-        r_eq += 1
-    # cone couplings per line: rotated cone (v*l >= p^2+q^2) then capacity
+        eq.add(
+            [(vpos[fb], 1.0), (vpos[tb], -1.0), (off_p + li, -2.0 * r),
+             (off_q + li, -2.0 * x), (off_l + li, r * r + x * x)],
+            0.0,
+        )
+    # loss definition and reference voltage at the PCC
+    eq.add([(off_l + li, -r) for li, (_, _, r, _, _) in enumerate(fd.oriented)] + [(p_loss, 1.0)], 0.0)
+    eq.add([(vpos[fd.pcc], 1.0)], 1.0)
+
+    # cone rows G x + s = h: voltage bounds at the other buses, then per
+    # line the rotated cone (v + l, 2p, 2q, v - l), i.e. v*l >= p^2 + q^2,
+    # and the capacity cone (s_max, p, q); the rotated cone implies l >= 0
+    cone = SparseRows()
+    for bid in fd.bus_ids:
+        if bid != fd.pcc:
+            bus = net.bus(bid)
+            cone.add([(vpos[bid], -1.0)], -bus.vmin**2)
+            cone.add([(vpos[bid], 1.0)], bus.vmax**2)
     for li, (fb, _, _, _, smax) in enumerate(fd.oriented):
-        base = off_soc + 7 * li
-        add(r_eq, base + 0, 1.0)
-        add(r_eq, vpos[fb], -1.0)
-        add(r_eq, off_l + li, -1.0)
-        b.append(0.0)
-        r_eq += 1
-        add(r_eq, base + 1, 1.0)
-        add(r_eq, off_p + li, -2.0)
-        b.append(0.0)
-        r_eq += 1
-        add(r_eq, base + 2, 1.0)
-        add(r_eq, off_q + li, -2.0)
-        b.append(0.0)
-        r_eq += 1
-        add(r_eq, base + 3, 1.0)
-        add(r_eq, vpos[fb], -1.0)
-        add(r_eq, off_l + li, 1.0)
-        b.append(0.0)
-        r_eq += 1
-        add(r_eq, base + 4, 1.0)
-        b.append(smax)
-        r_eq += 1
-        add(r_eq, base + 5, 1.0)
-        add(r_eq, off_p + li, -1.0)
-        b.append(0.0)
-        r_eq += 1
-        add(r_eq, base + 6, 1.0)
-        add(r_eq, off_q + li, -1.0)
-        b.append(0.0)
-        r_eq += 1
+        v, p, q, l = vpos[fb], off_p + li, off_q + li, off_l + li
+        cone.add([(v, -1.0), (l, -1.0)], 0.0)
+        cone.add([(p, -2.0)], 0.0)
+        cone.add([(q, -2.0)], 0.0)
+        cone.add([(v, -1.0), (l, 1.0)], 0.0)
+        cone.add([], smax)
+        cone.add([(p, -1.0)], 0.0)
+        cone.add([(q, -1.0)], 0.0)
+    cones = (NonNeg(2 * (N - 1)),) + (SecondOrder(4), SecondOrder(3)) * F
 
     c = np.zeros(n)
     qdiag = np.zeros(n)
@@ -301,13 +219,10 @@ def assemble_branch_flow(
     # zero-resistance lines, where losses alone leave l unpinned
     c[off_l : off_l + F] += 1e-9
 
+    A, b = eq.matrix(n)
+    G, h = cone.matrix(n)
     prog = ConicProgram(
-        c=c,
-        A=sp.csr_matrix((vals, (rows, cols)), shape=(r_eq, n)),
-        b=np.array(b),
-        cones=tuple(cones),
-        q=qdiag if rho_prime > 0 else None,
-        c0=c0,
+        c=c, A=A, b=b, G=G, h=h, cones=cones, q=qdiag if rho_prime > 0 else None, c0=c0
     )
     return BranchFlowProgram(
         prog=prog,
@@ -320,38 +235,53 @@ def assemble_branch_flow(
         q_ug=q_ug,
         p_loss=p_loss,
         balance_rows=balance_rows,
-        n_natural_vars=3 * F + N + 3,
-        n_core_eq=N + F + 1,
-        n_cones=2 * F,
     )
 
 
-def _diagnose(net: NetworkModel, bf: BranchFlowProgram, p_net, q_net) -> str:
-    """Re-solve without caps or voltage bounds and name violated limits."""
-    relaxed_net = NetworkModel(
+def relaxed_limits(net: NetworkModel) -> NetworkModel:
+    """The same feeder with line capacities and voltage bounds made non-binding."""
+    return NetworkModel(
         buses=tuple(Bus(b.id, 0.1, 4.0, b.is_pcc) for b in net.buses),
-        lines=tuple(
-            Line(ln.from_bus, ln.to_bus, ln.r, ln.x, 1e3) for ln in net.lines
-        ),
+        lines=tuple(Line(ln.from_bus, ln.to_bus, ln.r, ln.x, 1e3) for ln in net.lines),
         base_mva=net.base_mva,
         base_kv=net.base_kv,
     )
-    bf2 = assemble_branch_flow(relaxed_net, p_net, q_net, loss_price=1.0)
-    sol = solve_socp(bf2.prog, tol=1e-8)
-    if sol.status != OPTIMAL:
+
+
+def limit_violations(net: NetworkModel, out: DsoOutput) -> list[tuple[int, str]]:
+    """(hour, limit) for every line capacity and voltage bound of net that out exceeds."""
+    found = []
+    for li, (fb, tb) in enumerate(out.lines_oriented):
+        smax = net.lines[li].s_max
+        s = np.hypot(out.flows[li]["p"], out.flows[li]["q"])
+        for t in np.nonzero(s > smax + 1e-9)[0]:
+            found.append((int(t), f"line {fb}-{tb} capacity ({s[t]:.4f} > {smax:.4f})"))
+    for bus in net.buses:
+        v = out.v[bus.id]
+        for t in np.nonzero(v < bus.vmin**2 - 1e-9)[0]:
+            found.append((int(t), f"voltage lower bound at bus {bus.id} (v^2={v[t]:.4f})"))
+        for t in np.nonzero(v > bus.vmax**2 + 1e-9)[0]:
+            found.append((int(t), f"voltage upper bound at bus {bus.id} (v^2={v[t]:.4f})"))
+    return sorted(found, key=lambda tm: tm[0])
+
+
+def _diagnose(net: NetworkModel, p_net, q_net) -> str:
+    """Re-solve one hour without caps or voltage bounds and name violated limits."""
+    relaxed = relaxed_limits(net)
+    if relaxed == net:
+        # already relaxed: the solve below would only fail the same way
         return "network equations unsolvable at these injections"
-    issues = []
-    for li, (fb, tb, _, _, smax) in enumerate(bf.feeder.oriented):
-        s = np.hypot(sol.x[bf2.off_p + li], sol.x[bf2.off_q + li])
-        if s > smax + 1e-9:
-            issues.append(f"line {fb}-{tb} capacity ({s:.4f} > {smax:.4f})")
-    for i, bid in enumerate(bf.feeder.bus_ids):
-        v = sol.x[bf2.off_v + i]
-        bus = net.bus(bid)
-        if v < bus.vmin**2 - 1e-9:
-            issues.append(f"voltage lower bound at bus {bid} (v^2={v:.4f})")
-        if v > bus.vmax**2 + 1e-9:
-            issues.append(f"voltage upper bound at bus {bid} (v^2={v:.4f})")
+    hour = DsoInput(
+        p_net_node={b: np.array([v]) for b, v in p_net.items()},
+        q_net_node={b: np.array([v]) for b, v in q_net.items()},
+        p_loss_tilde=np.zeros(1),
+        lambda_loss=np.zeros(1),
+    )
+    try:
+        out = solve_dso_subproblem(relaxed, hour, np.ones(1), 1.0)
+    except DsoInfeasible:
+        return "network equations unsolvable at these injections"
+    issues = [msg for _, msg in limit_violations(net, out)]
     return "; ".join(issues) if issues else "no single binding bound identified"
 
 
@@ -395,7 +325,7 @@ def solve_dso_subproblem(
         )
         sol = solve_socp(bf.prog, tol=tol)
         if sol.status != OPTIMAL:
-            raise DsoInfeasible(t, _diagnose(net, bf, p_net, q_net))
+            raise DsoInfeasible(t, _diagnose(net, p_net, q_net))
         loss_sum = 0.0
         for li, (_, _, r, x, _) in enumerate(fd.oriented):
             pf = float(sol.x[bf.off_p + li])

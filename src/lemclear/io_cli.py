@@ -36,6 +36,7 @@ from .model import (
     validate_network,
 )
 from .oracle import solve_centralized, solve_selfish
+from .socp import SolveFailed
 
 __all__ = [
     "ScenarioFormatError",
@@ -694,9 +695,22 @@ def _override_admm(scenario: Scenario, args) -> Scenario:
     )
 
 
+def _failed(args, code: int, message: str, payload: dict) -> int:
+    """Report a clearing that could not finish: stderr plus a summary.json."""
+    print(message, file=sys.stderr)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "summary.json").write_text(
+        json.dumps({**payload, "mode": args.mode}, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+    return code
+
+
 def cli_main(argv: list[str] | None = None) -> int:
     """Entry point; exit 0 on success, 1 on nonconvergence, 2 on input error,
-    3 when the network program of some hour is infeasible."""
+    3 when the network program of some hour is infeasible, 4 when a prosumer
+    or the centralized program cannot be solved."""
     ap = _build_parser()
     try:
         args = ap.parse_args(argv)
@@ -757,15 +771,11 @@ def cli_main(argv: list[str] | None = None) -> int:
             print(f"mode={res.mode} objective={res.objective:.4f}")
             return 0
     except DsoInfeasible as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        payload = {"status": "infeasible", "mode": args.mode, "hour": exc.hour,
-                   "diagnosis": exc.detail}
-        (out / "summary.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        return 3
+        return _failed(args, 3, f"infeasible: {exc}",
+                       {"status": "infeasible", "hour": exc.hour, "diagnosis": exc.detail})
+    except SolveFailed as exc:
+        return _failed(args, 4, f"solve failed: {exc}",
+                       {"status": "solve_failed", "agent": exc.agent, "solver_status": exc.status})
     except (ScenarioFormatError, ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ and gap do not depend on any execution schedule.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,13 +78,10 @@ def with_fixed_variables(prog: ConicProgram, fixed: dict[int, float]) -> ConicPr
         (np.ones(len(idx)), (np.arange(len(idx)), idx)),
         shape=(len(idx), prog.n_vars),
     )
-    return ConicProgram(
-        c=prog.c,
+    return replace(
+        prog,
         A=sp.vstack([prog.A, rows], format="csr"),
         b=np.concatenate([prog.b, np.array([fixed[i] for i in idx], dtype=float)]),
-        cones=prog.cones,
-        q=prog.q,
-        c0=prog.c0,
     )
 
 

@@ -18,12 +18,21 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import prosumer as pros_mod
-from .dso import DsoInput, DsoOutput, DsoInfeasible, assemble_branch_flow, orient_feeder, solve_dso_subproblem
+from .dso import (
+    DsoInfeasible,
+    DsoInput,
+    DsoOutput,
+    assemble_branch_flow,
+    limit_violations,
+    orient_feeder,
+    relaxed_limits,
+    solve_dso_subproblem,
+)
 from .market import ClearingResult
 from .miqp import with_fixed_variables
-from .model import Bus, Line, NetworkModel, Scenario
+from .model import Scenario
 from .prosumer import ProsumerInput, ProsumerSchedule
-from .socp import OPTIMAL, ConicProgram, solve_socp
+from .socp import OPTIMAL, ConicProgram, SolveFailed, solve_socp
 
 __all__ = ["OracleResult", "solve_centralized", "solve_selfish"]
 
@@ -41,26 +50,43 @@ class OracleResult:
     meta: dict = field(default_factory=dict)
 
 
-def _stack(programs: list[ConicProgram]) -> tuple[ConicProgram, list[int], list[int]]:
-    """Block-diagonal concatenation; returns (program, var offsets, row offsets)."""
-    var_off, row_off = [], []
-    v, r = 0, 0
-    for p in programs:
-        var_off.append(v)
-        row_off.append(r)
-        v += p.n_vars
-        r += p.n_eq
+def _stack(
+    programs: list[ConicProgram], coupling: list[tuple[int, int, int, int, float]]
+) -> tuple[ConicProgram, list[int], list[int]]:
+    """Block-diagonal concatenation plus coupling entries of A.
+
+    Each coupling entry (i, row, j, col, value) places value at equality row
+    ``row`` of program i and variable ``col`` of program j.  Returns the
+    program and the variable and equality-row offsets of each block.
+    """
+    var_off = np.cumsum([0] + [p.n_vars for p in programs])
+    row_off = np.cumsum([0] + [p.n_eq for p in programs])
+    blocks = sp.block_diag([p.A for p in programs], format="coo")
+    i, row, j, col, val = np.array(coupling, dtype=float).reshape(-1, 5).T
+    i, row, j, col = (v.astype(int) for v in (i, row, j, col))
+    A = sp.csr_matrix(
+        (
+            np.concatenate([blocks.data, val]),
+            (
+                np.concatenate([blocks.row, row_off[i] + row]),
+                np.concatenate([blocks.col, var_off[j] + col]),
+            ),
+        ),
+        shape=blocks.shape,
+    )
     prog = ConicProgram(
         c=np.concatenate([p.c for p in programs]),
-        A=sp.block_diag([p.A for p in programs], format="csr"),
+        A=A,
         b=np.concatenate([p.b for p in programs]),
+        G=sp.block_diag([p.G for p in programs], format="csr"),
+        h=np.concatenate([p.h for p in programs]),
         cones=tuple(cb for p in programs for cb in p.cones),
         q=np.concatenate(
             [p.q if p.q is not None else np.zeros(p.n_vars) for p in programs]
         ),
         c0=sum(p.c0 for p in programs),
     )
-    return prog, var_off, row_off
+    return prog, list(var_off[:-1]), list(row_off[:-1])
 
 
 def solve_centralized(
@@ -105,27 +131,22 @@ def solve_centralized(
         bf.prog.c[bf.p_ug] = float(scenario.wem_price[t]) * dt
         hourly.append(bf)
 
+    # couple prosumer net powers into the nodal balances of their bus; the
+    # reactive rows follow the active rows
+    coupling = []
+    for i, a in enumerate(ids):
+        bus_id = pros_by_id[a].bus_id
+        tanphi = float(np.tan(np.arccos(scenario.pf_at(bus_id))))
+        for t, bf in enumerate(hourly):
+            p_row = bf.balance_rows[bus_id]
+            col = pros_programs[a].p_net + t
+            coupling.append((len(ids) + t, p_row, i, col, -1.0))
+            coupling.append((len(ids) + t, p_row + len(net.buses), i, col, -tanphi))
     blocks = [pros_programs[a].mbp.relaxation for a in ids] + [bf.prog for bf in hourly]
-    prog, var_off, row_off = _stack(blocks)
+    prog, var_off, row_off = _stack(blocks, coupling)
     pros_off = {a: var_off[i] for i, a in enumerate(ids)}
     hour_voff = var_off[len(ids):]
     hour_roff = row_off[len(ids):]
-
-    # couple prosumer net powers into the nodal balances of their bus
-    extra_r, extra_c, extra_v = [], [], []
-    A = prog.A.tolil()
-    for i, a in enumerate(ids):
-        pp = pros_programs[a]
-        bus_id = pros_by_id[a].bus_id
-        tanphi = float(np.tan(np.arccos(scenario.pf_at(bus_id))))
-        for t in range(T):
-            bf = hourly[t]
-            p_row = hour_roff[t] + bf.balance_rows[bus_id]
-            q_row = p_row + len(net.buses)  # reactive rows follow active rows
-            col = pros_off[a] + pp.p_net + t
-            A[p_row, col] = -1.0
-            A[q_row, col] = -tanphi
-    prog.A = A.tocsr()
 
     binary_fix: dict[int, float] = {}
     if isinstance(binaries, ClearingResult):
@@ -151,9 +172,9 @@ def solve_centralized(
     solve_prog = with_fixed_variables(prog, binary_fix) if binary_fix else prog
     sol = solve_socp(solve_prog, tol=tol)
     if sol.status != OPTIMAL:
-        raise RuntimeError(
-            f"centralized program not solved to optimality (status {sol.status}); "
-            "likely binding family: device energy floors vs network limits"
+        raise SolveFailed(
+            "centralized program", sol.status,
+            "likely binding family: device energy floors vs network limits",
         )
 
     dlmp = {n: np.zeros(T) for n in net.bus_ids()}
@@ -198,15 +219,6 @@ def solve_centralized(
         p_ug=p_ug,
         p_loss=p_loss,
         meta={"binaries": "relaxed" if not binary_fix else "fixed"},
-    )
-
-
-def _relaxed_limits(net: NetworkModel) -> NetworkModel:
-    return NetworkModel(
-        buses=tuple(Bus(b.id, 0.1, 4.0, b.is_pcc) for b in net.buses),
-        lines=tuple(Line(l.from_bus, l.to_bus, l.r, l.x, 1e3) for l in net.lines),
-        base_mva=net.base_mva,
-        base_kv=net.base_kv,
     )
 
 
@@ -262,18 +274,9 @@ def solve_selfish(
     except DsoInfeasible as exc:
         violations.append(str(exc))
         dso_out = solve_dso_subproblem(
-            _relaxed_limits(net), inp_net, scenario.loss_cost, dt, tol=tol
+            relaxed_limits(net), inp_net, scenario.loss_cost, dt, tol=tol
         )
-        for li, (fb, tb) in enumerate(dso_out.lines_oriented):
-            smax = net.lines[li].s_max
-            s = np.hypot(dso_out.flows[li]["p"], dso_out.flows[li]["q"])
-            for t in np.nonzero(s > smax + 1e-9)[0]:
-                violations.append(f"line {fb}-{tb} over capacity at hour {t}")
-        for n in net.bus_ids():
-            bus = net.bus(n)
-            v = dso_out.v[n]
-            for t in np.nonzero(v < bus.vmin**2 - 1e-9)[0]:
-                violations.append(f"undervoltage at bus {n} hour {t}")
+        violations += [f"{msg} at hour {t}" for t, msg in limit_violations(net, dso_out)]
 
     total_net = scenario.total_background().copy()
     for a in ids:

@@ -15,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .miqp import BnBResult, MixedBinaryProgram, RepairHints, relax_and_repair, solve_mbp
 from .model import AdmmConfig, Prosumer, StorageDevice, reactive_from_pf
-from .socp import ConicProgram, Free, NonNeg, OPTIMAL
+from .socp import OPTIMAL, ConicProgram, NonNeg, SolveFailed, SparseRows
 
 __all__ = [
     "ProsumerInput",
@@ -136,142 +135,78 @@ def build_subproblem(
         if fl.e_min > attainable + 1e-9:
             raise ValueError(f"prosumer {pros.id}: flexible-load energy floor unattainable")
 
-    # --- variable layout: one free block, one nonneg block ---------------
-    free_ptr = 0
+    # --- variables: the schedule itself ------------------------------------
+    n = 0
 
-    def free_vars(k: int) -> int:
-        nonlocal free_ptr
-        start = free_ptr
-        free_ptr += k
-        return start
+    def take(k: int) -> int:
+        nonlocal n
+        n += k
+        return n - k
 
-    p_net = free_vars(T)
-    st_soc = [free_vars(len(list(d.hours()))) for d in pros.storages]
-    n_free = free_ptr
-
-    nn_ptr = n_free
-
-    def nn_vars(k: int) -> int:
-        nonlocal nn_ptr
-        start = nn_ptr
-        nn_ptr += k
-        return start
-
-    pv_off = [nn_vars(T) for _ in pros.pvs]
-    pv_slack = [nn_vars(T) for _ in pros.pvs]
+    p_net = take(T)
+    st_soc = [take(len(list(d.hours()))) for d in pros.storages]
+    n_signed = n  # the variables above may take either sign
+    pv_off = [take(T) for _ in pros.pvs]
     st_pch, st_pdch, st_xch, st_xdch = [], [], [], []
-    st_gch, st_gdch, st_excl, st_slo, st_shi, st_trip = [], [], [], [], [], []
     for d in pros.storages:
         w = len(list(d.hours()))
-        st_pch.append(nn_vars(w))
-        st_pdch.append(nn_vars(w))
-        st_xch.append(nn_vars(w))
-        st_xdch.append(nn_vars(w))
-        st_gch.append(nn_vars(w))
-        st_gdch.append(nn_vars(w))
-        st_excl.append(nn_vars(w))
-        st_slo.append(nn_vars(w))
-        st_shi.append(nn_vars(w))
-        st_trip.append(nn_vars(1))
-    fl_pos, fl_neg, fl_y, fl_yub, fl_gate, fl_cnt, fl_en = [], [], [], [], [], [], []
+        st_pch.append(take(w))
+        st_pdch.append(take(w))
+        st_xch.append(take(w))
+        st_xdch.append(take(w))
+    fl_pos, fl_neg, fl_y = [], [], []
     for _ in pros.fls:
-        fl_pos.append(nn_vars(T))
-        fl_neg.append(nn_vars(T))
-        fl_y.append(nn_vars(T))
-        fl_yub.append(nn_vars(T))
-        fl_gate.append(nn_vars(T))
-        fl_cnt.append(nn_vars(1))
-        fl_en.append(nn_vars(1))
-    n = nn_ptr
-    cones = (Free(n_free), NonNeg(n - n_free)) if n > n_free else (Free(n_free),)
+        fl_pos.append(take(T))
+        fl_neg.append(take(T))
+        fl_y.append(take(T))
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    b: list[float] = []
-    r = 0
-
-    def add(col: int, val: float) -> None:
-        rows.append(r)
-        cols.append(col)
-        vals.append(val)
-
-    def finish(rhs: float) -> None:
-        nonlocal r
-        b.append(rhs)
-        r += 1
-
-    # net-power identity per hour
+    # --- equality rows: net-power identity, state-of-charge recursion -----
+    eq = SparseRows()
     for t in range(T):
-        add(p_net + t, 1.0)
-        for u in range(len(pros.pvs)):
-            add(pv_off[u] + t, 1.0)
+        entries = [(p_net + t, 1.0)] + [(o + t, 1.0) for o in pv_off]
         for di, d in enumerate(pros.storages):
             if d.window[0] <= t <= d.window[1]:
                 k = t - d.window[0]
-                add(st_pch[di] + k, -1.0)
-                add(st_pdch[di] + k, 1.0)
+                entries += [(st_pch[di] + k, -1.0), (st_pdch[di] + k, 1.0)]
         for li in range(len(pros.fls)):
-            add(fl_pos[li] + t, 1.0)
-            add(fl_neg[li] + t, -1.0)
-        finish(float(pros.baseline_load[t]))
-    # PV caps
+            entries += [(fl_pos[li] + t, 1.0), (fl_neg[li] + t, -1.0)]
+        eq.add(entries, pros.baseline_load[t])
+    for di, d in enumerate(pros.storages):
+        for k in range(len(list(d.hours()))):
+            prev = [(st_soc[di] + k - 1, -1.0)] if k > 0 else []
+            eq.add(
+                [(st_soc[di] + k, 1.0)] + prev
+                + [(st_pch[di] + k, -d.eta_ch * dt), (st_pdch[di] + k, dt / d.eta_dch)],
+                d.e0 if k == 0 else 0.0,
+            )
+
+    # --- inequality rows a'x <= rhs, one NonNeg block ---------------------
+    le = SparseRows()
+    for j in range(n_signed, n):
+        le.add([(j, -1.0)], 0.0)
     for u, unit in enumerate(pros.pvs):
         for t in range(T):
-            add(pv_off[u] + t, 1.0)
-            add(pv_slack[u] + t, 1.0)
-            finish(unit.cap(t))
-    # storage blocks
+            le.add([(pv_off[u] + t, 1.0)], unit.cap(t))
     for di, d in enumerate(pros.storages):
-        hours = list(d.hours())
-        for k, t in enumerate(hours):
-            add(st_pch[di] + k, 1.0)
-            add(st_xch[di] + k, -d.p_ch_max)
-            add(st_gch[di] + k, 1.0)
-            finish(0.0)
-            add(st_pdch[di] + k, 1.0)
-            add(st_xdch[di] + k, -d.p_dch_max)
-            add(st_gdch[di] + k, 1.0)
-            finish(0.0)
-            add(st_xch[di] + k, 1.0)
-            add(st_xdch[di] + k, 1.0)
-            add(st_excl[di] + k, 1.0)
-            finish(1.0)
-            add(st_soc[di] + k, 1.0)
-            if k > 0:
-                add(st_soc[di] + k - 1, -1.0)
-            add(st_pch[di] + k, -d.eta_ch * dt)
-            add(st_pdch[di] + k, dt / d.eta_dch)
-            finish(d.e0 if k == 0 else 0.0)
-            add(st_soc[di] + k, 1.0)
-            add(st_slo[di] + k, -1.0)
-            finish(d.soc_min)
-            add(st_soc[di] + k, 1.0)
-            add(st_shi[di] + k, 1.0)
-            finish(d.soc_max)
-        add(st_soc[di] + len(hours) - 1, 1.0)
-        add(st_trip[di], -1.0)
-        finish(d.e_trip)
-    # flexible loads
+        w = len(list(d.hours()))
+        for k in range(w):
+            soc, xc, xd = st_soc[di] + k, st_xch[di] + k, st_xdch[di] + k
+            le.add([(st_pch[di] + k, 1.0), (xc, -d.p_ch_max)], 0.0)
+            le.add([(st_pdch[di] + k, 1.0), (xd, -d.p_dch_max)], 0.0)
+            le.add([(xc, 1.0), (xd, 1.0)], 1.0)
+            le.add([(soc, -1.0)], -d.soc_min)
+            le.add([(soc, 1.0)], d.soc_max)
+        le.add([(st_soc[di] + w - 1, -1.0)], -d.e_trip)
     for li, fl in enumerate(pros.fls):
         for t in range(T):
-            add(fl_y[li] + t, 1.0)
-            add(fl_yub[li] + t, 1.0)
-            finish(1.0)
-            add(fl_pos[li] + t, 1.0)
-            add(fl_neg[li] + t, 1.0)
-            add(fl_y[li] + t, -float(fl.p_fl_max[t]))
-            add(fl_gate[li] + t, 1.0)
-            finish(0.0)
-        for t in range(T):
-            add(fl_y[li] + t, 1.0)
-        add(fl_cnt[li], 1.0)
-        finish(float(fl.t_max))
-        for t in range(T):
-            add(fl_pos[li] + t, dt)
-            add(fl_neg[li] + t, -dt)
-        add(fl_en[li], 1.0)
-        finish(float(np.sum(pros.baseline_load * dt)) - fl.e_min)
+            y = fl_y[li] + t
+            le.add([(y, 1.0)], 1.0)
+            le.add([(fl_pos[li] + t, 1.0), (fl_neg[li] + t, 1.0), (y, -float(fl.p_fl_max[t]))], 0.0)
+        le.add([(fl_y[li] + t, 1.0) for t in range(T)], fl.t_max)
+        le.add(
+            [(fl_pos[li] + t, dt) for t in range(T)] + [(fl_neg[li] + t, -dt) for t in range(T)],
+            float(np.sum(pros.baseline_load * dt)) - fl.e_min,
+        )
 
     # --- objective --------------------------------------------------------
     c = np.zeros(n)
@@ -296,11 +231,15 @@ def build_subproblem(
             c[fl_pos[li] + t] += fl.discomfort_cost * dt
             c[fl_neg[li] + t] += fl.discomfort_cost * dt
 
+    A, b = eq.matrix(n)
+    G, h = le.matrix(n)
     prog = ConicProgram(
         c=c,
-        A=sp.csr_matrix((vals, (rows, cols)), shape=(r, n)),
-        b=np.array(b),
-        cones=cones,
+        A=A,
+        b=b,
+        G=G,
+        h=h,
+        cones=(NonNeg(len(h)),) if len(h) else (),
         q=qdiag if inp.p_tilde is not None else None,
         c0=c0,
     )
@@ -423,8 +362,8 @@ def solve_subproblem_III(
 
     ``mode`` selects exact branch and bound (``"exact"``) or the
     relax-and-repair fast path (``"relax_repair"``, or ``"relax-repair"`` as
-    the command line spells it); any other value raises ValueError.  Solver
-    failures surface with the prosumer id attached.
+    the command line spells it); any other value raises ValueError.  A solve
+    without a usable schedule raises :class:`SolveFailed` naming the prosumer.
     """
     if mode not in _SOLVER_MODES:
         raise ValueError(
@@ -436,9 +375,7 @@ def solve_subproblem_III(
     else:
         res = relax_and_repair(pp.mbp, tol=tol)
     if res.x_incumbent is None or res.status not in (OPTIMAL, "iter_limit"):
-        raise RuntimeError(
-            f"prosumer {pros.id}: scheduling solve failed with status {res.status}"
-        )
+        raise SolveFailed(f"prosumer {pros.id}", res.status)
     return _extract(pp, res.x_incumbent, res.obj_incumbent, res.gap)
 
 

@@ -1,34 +1,41 @@
-"""Standard-form cone programs and a compact primal-dual interior-point solver.
+"""Cone programs in standard form and a compact primal-dual interior-point solver.
 
 Problems take the form
 
     minimize    c'x + 0.5 * sum_i q_i x_i^2 + c0
-    subject to  A x = b,   x in K
+    subject to  A x = b,   G x + s = h,   s in K
 
-where K is an ordered product of Free, NonNeg and SecondOrder blocks that
-partitions the variable vector.  The solver is a Mehrotra
-predictor-corrector method with Nesterov-Todd scaling on the cone blocks;
-equality duals are reported with the convention  d(obj)/d(b_i) = y_i,  which
-is what lets a nodal-balance dual be read directly as a marginal price.
+where x is free and K is an ordered product of NonNeg and SecondOrder blocks
+that partitions the slack s, i.e. the rows of G.  Builders state bounds and
+cone constraints directly as rows of G; how a cone is represented is known
+to this module alone.  The solver is a Mehrotra predictor-corrector method
+with Nesterov-Todd scaling of (s, z); equality duals are reported with the
+convention  d(obj)/d(b_i) = y_i,  which is what lets a nodal-balance dual be
+read directly as a marginal price.
 
 Each solve builds one workspace (``_Workspace``) that lives for that solve
 only.  Its cone layout groups the second-order blocks by size into
 (n_blocks, k) index arrays, so the Jordan algebra and the NT scaling run as
 one numpy call per size group rather than a Python loop over blocks.
 
-The regularized KKT matrix [[Q + H + delta I, A'], [A, -delta I]] is
-symmetric quasi-definite, so it can be factored under any symmetric ordering
-without pivoting (Vanderbei, SIAM J. Optim. 1995); ECOS pairs this with
-static regularization and iterative refinement (Domahidi, Chu and Boyd,
+The regularized KKT matrix
+
+    [[Q + delta I, A',        G'           ],
+     [A,           -delta I,  0            ],
+     [G,           0,         -W^2 - delta I]]
+
+is symmetric quasi-definite, so it can be factored under any symmetric
+ordering without pivoting (Vanderbei, SIAM J. Optim. 1995); ECOS pairs this
+with static regularization and iterative refinement (Domahidi, Chu and Boyd,
 ECC 2013).  Its pattern does not change between iterations.  The workspace
 therefore computes one minimum-degree ordering per solve, stores the matrix
 already permuted with a map from each source entry to its slot, and each
 iteration only refills the data and factors it with diagonal pivots.
 Solves and one refinement step against the unregularized matrix stay in the
-permuted coordinates, and H v is applied through the NT scaling rather than
-as a matrix.  Diagonal pivots can shrink toward zero on nearly singular
-programs (a lossless network, say) and stall the iteration, so a run that
-ends non-optimal is repeated with SuperLU's partial pivoting.  Either way an
+permuted coordinates; outside the KKT matrix W is applied through the NT
+scaling rather than as a matrix.  Diagonal pivots can shrink toward zero on
+nearly singular programs and stall the iteration, so a run that ends
+non-optimal is repeated with SuperLU's partial pivoting.  Either way an
 optimal answer is only returned when residuals computed from the program
 itself, not from the factorization, meet the tolerance.
 
@@ -39,19 +46,20 @@ same inputs always produce bit-identical outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = [
-    "Free",
     "NonNeg",
     "SecondOrder",
     "ConeBlock",
     "ConicProgram",
     "ConicSolution",
+    "SparseRows",
+    "SolveFailed",
     "OPTIMAL",
     "INFEASIBLE",
     "UNBOUNDED",
@@ -69,22 +77,29 @@ UNBOUNDED = "unbounded"
 ITER_LIMIT = "iter_limit"
 
 
+class SolveFailed(RuntimeError):
+    """A solve ended without a usable answer; names the agent and the status."""
+
+    def __init__(self, agent: str, status: str, detail: str = ""):
+        super().__init__(
+            f"{agent}: solve failed with status {status}" + (f" ({detail})" if detail else "")
+        )
+        self.agent = agent
+        self.status = status
+
+
 @dataclass(frozen=True)
 class ConeBlock:
-    kind: str  # "free" | "nonneg" | "soc"
+    kind: str  # "nonneg" | "soc"
     size: int
 
     def __post_init__(self):
-        if self.kind not in ("free", "nonneg", "soc"):
+        if self.kind not in ("nonneg", "soc"):
             raise ValueError(f"unknown cone kind {self.kind!r}")
         if self.size < 1:
             raise ValueError("cone block must have positive size")
         if self.kind == "soc" and self.size < 2:
             raise ValueError("second-order cone needs dimension >= 2")
-
-
-def Free(k: int) -> ConeBlock:
-    return ConeBlock("free", k)
 
 
 def NonNeg(k: int) -> ConeBlock:
@@ -95,6 +110,17 @@ def SecondOrder(k: int) -> ConeBlock:
     return ConeBlock("soc", k)
 
 
+def _csr(M) -> sp.csr_matrix:
+    if sp.issparse(M):
+        return M.tocsr()
+    return sp.csr_matrix(np.atleast_2d(np.asarray(M, dtype=float)))
+
+
+def _norm(*vs: np.ndarray) -> float:
+    """Largest absolute entry over the given vectors (0 when all are empty)."""
+    return max([float(abs(v).max()) for v in vs if v.size], default=0.0)
+
+
 @dataclass
 class ConicProgram:
     """Standard-form cone program with an optional diagonal quadratic term."""
@@ -102,6 +128,8 @@ class ConicProgram:
     c: np.ndarray
     A: sp.csr_matrix
     b: np.ndarray
+    G: sp.csr_matrix
+    h: np.ndarray
     cones: tuple[ConeBlock, ...]
     q: np.ndarray | None = None
     c0: float = 0.0
@@ -109,25 +137,21 @@ class ConicProgram:
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
-        if not sp.issparse(self.A):
-            self.A = sp.csr_matrix(np.atleast_2d(np.asarray(self.A, dtype=float)))
-        else:
-            self.A = self.A.tocsr()
+        self.h = np.asarray(self.h, dtype=float)
+        self.A, self.G = _csr(self.A), _csr(self.G)
+        n = self.c.shape[0]
         if self.q is not None:
             self.q = np.asarray(self.q, dtype=float)
             if np.any(self.q < 0):
                 raise ValueError("quadratic diagonal must be elementwise nonnegative")
             if self.q.shape != self.c.shape:
                 raise ValueError("quadratic diagonal must match variable count")
-        n = sum(cb.size for cb in self.cones)
-        if n != self.c.shape[0]:
-            raise ValueError(
-                f"cone blocks cover {n} coordinates but c has {self.c.shape[0]}"
-            )
-        if self.A.shape != (self.b.shape[0], n):
-            raise ValueError(
-                f"A has shape {self.A.shape}, expected ({self.b.shape[0]}, {n})"
-            )
+        for name, M, rhs in (("A", self.A, self.b), ("G", self.G, self.h)):
+            if M.shape != (rhs.shape[0], n):
+                raise ValueError(f"{name} has shape {M.shape}, expected ({rhs.shape[0]}, {n})")
+        p = sum(cb.size for cb in self.cones)
+        if p != self.h.shape[0]:
+            raise ValueError(f"cone blocks cover {p} rows but h has {self.h.shape[0]}")
 
     @property
     def n_vars(self) -> int:
@@ -154,6 +178,34 @@ class ConicSolution:
     obj: float
     residuals: dict[str, float] = field(default_factory=dict)
     iterations: int = 0
+
+
+class SparseRows:
+    """Constraint rows collected one at a time, for A and b or for G and h.
+
+    ``add`` appends the row  sum_j val_j x_{col_j}  with right-hand side
+    ``rhs`` and returns its index; repeated columns in a row are summed.
+    """
+
+    def __init__(self):
+        self.rows: list[int] = []
+        self.cols: list[int] = []
+        self.vals: list[float] = []
+        self.rhs: list[float] = []
+
+    def add(self, entries, rhs: float) -> int:
+        r = len(self.rhs)
+        for col, val in entries:
+            self.cols.append(col)
+            self.vals.append(val)
+        self.rows.extend([r] * (len(self.cols) - len(self.rows)))
+        self.rhs.append(float(rhs))
+        return r
+
+    def matrix(self, n: int) -> tuple[sp.csr_matrix, np.ndarray]:
+        """The rows as a (rows, n) CSR matrix, and their right-hand sides."""
+        shape = (len(self.rhs), n)
+        return sp.csr_matrix((self.vals, (self.rows, self.cols)), shape=shape), np.array(self.rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +340,17 @@ def _symmetric_ordering(rows: np.ndarray, cols: np.ndarray, sign: np.ndarray) ->
 
 
 class _Cones:
-    """Cone layout with SOC blocks grouped by size, plus the entries of H.
+    """Cone layout of the slack rows, SOC blocks grouped by size, plus W^2's pattern.
 
     ``soc_groups`` holds one (n_blocks, k) index array per SOC size, so each
     operation on the cone runs once per size group, not once per block.  The
-    scaling matrix H = W^{-T} W^{-1} has fixed nonzero positions (the NonNeg
-    diagonal plus one dense k x k square per SOC block), stored once as
-    ``h_rows``/``h_cols``; each iteration computes only their values.
+    squared NT scaling W^2 has fixed nonzero positions (the NonNeg diagonal
+    plus one dense k x k square per SOC block), stored once as
+    ``w2_rows``/``w2_cols``; each iteration computes only their values.
     """
 
     def __init__(self, cones: tuple[ConeBlock, ...]):
-        parts: dict[str, list[np.ndarray]] = {"free": [], "nonneg": []}
+        nonneg: list[np.ndarray] = []
         socs: dict[int, list[np.ndarray]] = {}
         n = 0
         for cb in cones:
@@ -306,22 +358,20 @@ class _Cones:
             if cb.kind == "soc":
                 socs.setdefault(cb.size, []).append(idx)
             else:
-                parts[cb.kind].append(idx)
+                nonneg.append(idx)
             n += cb.size
         self.n = n
-        self.free_idx = _cat(parts["free"])
-        self.nonneg_idx = _cat(parts["nonneg"])
+        self.nonneg_idx = _cat(nonneg)
         self.soc_groups = [np.array(socs[k]) for k in sorted(socs)]
-        self.cone_idx = np.setdiff1d(np.arange(n), self.free_idx)
         self.degree = len(self.nonneg_idx) + sum(len(g) for g in self.soc_groups)
 
-        # positions of H's entries, in the order h_values() returns them
+        # positions of W^2's entries, in the order w2_values() returns them
         rows, cols = [self.nonneg_idx], [self.nonneg_idx]
         for g in self.soc_groups:
             sq = np.broadcast_to(g[:, :, None], g.shape + g.shape[1:])
             rows.append(sq.ravel())
             cols.append(sq.transpose(0, 2, 1).ravel())
-        self.h_rows, self.h_cols = _cat(rows), _cat(cols)
+        self.w2_rows, self.w2_cols = _cat(rows), _cat(cols)
 
     def identity(self) -> np.ndarray:
         e = np.zeros(self.n)
@@ -343,39 +393,31 @@ class _Cones:
 
     # -- NT scaling -------------------------------------------------------
 
-    def compute_scaling(self, x: np.ndarray, z: np.ndarray):
+    def compute_scaling(self, s: np.ndarray, z: np.ndarray):
         """NT scaling: NonNeg weights, per-group (w, sqrt(w), sqrt(w)^-1), lambda."""
         nn = self.nonneg_idx
-        w_nn = np.sqrt(x[nn] / z[nn])
+        w_nn = np.sqrt(s[nn] / z[nn])
         lam = np.zeros(self.n)
-        lam[nn] = np.sqrt(x[nn] * z[nn])
+        lam[nn] = np.sqrt(s[nn] * z[nn])
         soc_w = []
         for g in self.soc_groups:
-            xb, zb = x[g], z[g]
-            t = _jsqrt(xb)
+            sb, zb = s[g], z[g]
+            t = _jsqrt(sb)
             u = _papply(t, zb)
             w = _papply(t, _jinv(_jsqrt(u)))
             wh = _jsqrt(w)
             whi = _jinv(wh)
             soc_w.append((w, wh, whi))
-            lam[g] = _papply(whi, xb)
+            lam[g] = _papply(whi, sb)
         return w_nn, soc_w, lam
 
-    def h_values(self, w_nn: np.ndarray, soc_w) -> np.ndarray:
-        """Entries of W^{-T} W^{-1} at (h_rows, h_cols): z/x on NonNeg, P(w^{-1}) on SOC."""
-        return np.concatenate(
-            [1.0 / (w_nn * w_nn)] + [_pmat(_jinv(w)).ravel() for w, _, _ in soc_w]
-        )
-
-    def h_apply(self, w_nn, soc_w, u: np.ndarray) -> np.ndarray:
-        """H u = W^{-1} W^{-1} u (W is symmetric); zero on free coordinates."""
-        out = self.apply_w(w_nn, soc_w, self.apply_w(w_nn, soc_w, u, True), True)
-        out[self.free_idx] = 0.0
-        return out
+    def w2_values(self, w_nn: np.ndarray, soc_w) -> np.ndarray:
+        """Entries of W^2 at (w2_rows, w2_cols): s/z on NonNeg, P(w) on SOC."""
+        return np.concatenate([w_nn * w_nn] + [_pmat(w).ravel() for w, _, _ in soc_w])
 
     def apply_w(self, w_nn, soc_w, u: np.ndarray, inverse: bool) -> np.ndarray:
-        """Apply W (inverse=False) or W^{-1} (inverse=True) to the cone part."""
-        out = u.copy()
+        """Apply W (inverse=False) or W^{-1} (inverse=True)."""
+        out = np.empty_like(u)
         nn = self.nonneg_idx
         out[nn] = u[nn] / w_nn if inverse else u[nn] * w_nn
         for g, (_, wh, whi) in zip(self.soc_groups, soc_w):
@@ -413,56 +455,57 @@ class _Cones:
 class _Workspace:
     """Everything one call of solve_socp computes once and reuses.
 
-    Holds the program, its cone layout, A' (transposed once), a symmetric
-    fill-reducing ordering ``perm`` of the KKT matrix
-    [[Q + H + delta I, A'], [A, -delta I]] and that matrix itself, ``K``,
-    stored already permuted: ``kkt_slots`` sends each source entry (H's
-    entries, the Q and delta diagonals, A', A, the -delta diagonal, in that
-    order) to its slot, so a factorization only sums a new data vector into
-    ``K.data``.  ``pivoting`` selects SuperLU's partial pivoting over static
-    diagonal pivots.  A workspace belongs to one solve; nothing is cached
-    between solves.
+    Holds the program, its cone layout, the constraint matrix C = [A; G]
+    and its transpose (so one product serves both row sets), a symmetric
+    fill-reducing ordering ``perm`` of the KKT matrix over (x, y, z) and that
+    matrix itself, ``K``, stored already permuted: ``kkt_slots`` sends each
+    source entry (the Q and delta diagonals, C', C, the -delta diagonal of
+    the y block, the -W^2 entries and the -delta diagonal of the z block, in
+    that order) to its slot, so a factorization only sums a new data vector
+    into ``K.data``.  ``pivoting``
+    selects SuperLU's partial pivoting over static diagonal pivots.  A
+    workspace belongs to one solve; nothing is cached between solves.
     """
 
     def __init__(self, prog: ConicProgram):
         self.prog = prog
-        n, m = self.n, self.m = prog.n_vars, prog.n_eq
+        n, m, p = self.n, self.m, self.p = prog.n_vars, prog.n_eq, len(prog.h)
         self.cones = cones = _Cones(prog.cones)
-        self.A = prog.A
-        self.AT = prog.A.T.tocsr()
-        self.bnorm = 1.0 + (float(np.max(np.abs(prog.b))) if m else 0.0)
-        self.cnorm = 1.0 + float(np.max(np.abs(prog.c)))
+        self.C = sp.vstack([prog.A, prog.G], format="csr")
+        self.CT = self.C.T.tocsr()
+        self.bnorm = 1.0 + _norm(prog.b, prog.h)
+        self.cnorm = 1.0 + _norm(prog.c)
         self.q = prog.q if prog.q is not None else np.zeros(n)
 
-        size = n + m
-        a = prog.A.tocoo()
-        diag_n, diag_m = np.arange(n), np.arange(n, size)
-        rows = np.concatenate([cones.h_rows, diag_n, diag_n, a.col, a.row + n, diag_m])
-        cols = np.concatenate([cones.h_cols, diag_n, diag_n, a.row + n, a.col, diag_m])
-        sign = np.concatenate([np.ones(n), -np.ones(m)])
+        size = n + m + p
+        c = self.C.tocoo()
+        dx, dy, dz = np.arange(n), np.arange(n, n + m), np.arange(n + m, size)
+        rows = np.concatenate([dx, dx, c.col, c.row + n, dy, cones.w2_rows + n + m, dz])
+        cols = np.concatenate([dx, dx, c.row + n, c.col, dy, cones.w2_cols + n + m, dz])
+        sign = np.concatenate([np.ones(n), -np.ones(m + p)])
         self.perm = _symmetric_ordering(rows, cols, sign)
         self.sign = sign[self.perm]
         new = np.empty(size, dtype=int)
         new[self.perm] = np.arange(size)
         indices, indptr, self.kkt_slots = _pattern(new[cols], new[rows], size)
         self.K = sp.csc_matrix((np.zeros(len(indices)), indices, indptr), shape=(size, size))
-        self.a_data = np.concatenate([a.data, a.data])
+        self.c_data = np.concatenate([c.data, c.data])
         self.pivoting = False
         self.lu = None
         self.delta = 0.0
 
-    def kkt(self, h: np.ndarray, delta: float) -> sp.csc_matrix:
-        """Refill K, the permuted KKT matrix, for H's entries h."""
-        n, m = self.n, self.m
+    def kkt(self, w2: np.ndarray, delta: float) -> sp.csc_matrix:
+        """Refill K, the permuted KKT matrix, for W^2's entries w2."""
+        n, m, p = self.n, self.m, self.p
         weights = np.concatenate(
-            [h, self.q, np.full(n, delta), self.a_data, np.full(m, -delta)]
+            [self.q, np.full(n, delta), self.c_data, np.full(m, -delta), -w2, np.full(p, -delta)]
         )
         self.K.data[:] = np.bincount(self.kkt_slots, weights=weights, minlength=len(self.K.data))
         return self.K
 
-    def factor(self, h: np.ndarray, delta: float) -> bool:
-        """Factor the KKT matrix for H's entries h; False if SuperLU fails."""
-        K = self.kkt(h, delta)
+    def factor(self, w2: np.ndarray, delta: float) -> bool:
+        """Factor the KKT matrix for W^2's entries w2; False if SuperLU fails."""
+        K = self.kkt(w2, delta)
         try:
             self.lu = (
                 spla.splu(K) if self.pivoting
@@ -473,29 +516,29 @@ class _Workspace:
         self.delta = delta
         return True
 
-    def solve(self, rx, ry, refine: int = 1):
+    def solve(self, rx, ry, rz, refine: int = 1):
         """Solve with the current factor, refined against the unregularized system."""
-        n = self.n
-        r = np.concatenate([rx, ry])[self.perm]
+        n, m = self.n, self.m
+        r = np.concatenate([rx, ry, rz])[self.perm]
         sol = self.lu.solve(r)
         for _ in range(refine):
             sol = sol + self.lu.solve(r - (self.K @ sol - self.delta * self.sign * sol))
         out = np.empty_like(sol)
         out[self.perm] = sol
-        return out[:n], out[n:]
+        return out[:n], out[n : n + m], out[n + m :]
 
-    def residuals(self, x, y, z):
-        """Dual residual Qx + c - A'y - z and primal residual Ax - b."""
-        prog = self.prog
-        qx = prog.q * x if prog.q is not None else np.zeros(self.n)
-        return qx + prog.c - self.AT @ y - z, self.A @ x - prog.b
+    def residuals(self, x, y, s, z):
+        """Dual residual Qx + c - A'y + G'z and primal residuals Ax - b, Gx + s - h."""
+        prog, m = self.prog, self.m
+        cx = self.C @ x
+        return (
+            self.q * x + prog.c - self.CT @ np.concatenate([y, -z]),
+            cx[:m] - prog.b,
+            cx[m:] + s - prog.h,
+        )
 
-    def finish(self, status, x, y, z, iters) -> ConicSolution:
-        r_d, r_p = self.residuals(x, y, z)
-        cone = self.cones.cone_idx
-        gap = float(x[cone] @ z[cone]) if len(cone) else 0.0
-        s = np.zeros(self.n)
-        s[cone] = x[cone]
+    def finish(self, status, x, y, s, z, iters) -> ConicSolution:
+        r_d, r_p, r_g = self.residuals(x, y, s, z)
         return ConicSolution(
             status=status,
             x=x,
@@ -503,41 +546,36 @@ class _Workspace:
             z=z,
             s=s,
             obj=self.prog.objective(x),
-            residuals={
-                "primal": float(np.max(np.abs(r_p))) if self.m else 0.0,
-                "dual": float(np.max(np.abs(r_d))),
-                "gap": abs(gap),
-            },
+            residuals={"primal": _norm(r_p, r_g), "dual": _norm(r_d), "gap": abs(float(s @ z))},
             iterations=iters,
         )
 
-    def classify(self, x, y, z, iters, scale=1e8) -> ConicSolution:
+    def classify(self, x, y, s, z, iters, scale=1e8) -> ConicSolution:
         """Divergence heuristics; ties favor infeasible.
 
         Primal infeasibility shows as a diverging dual ray with positive
-        b'y and vanishing homogeneous residual A'y + z; unboundedness as a
-        diverging primal ray that stays equality-feasible with negative
-        linear objective along the ray.
+        b'y - h'z and vanishing homogeneous residual A'y - G'z; unboundedness
+        as a diverging primal ray that stays feasible in both row sets with
+        negative linear objective along the ray.
         """
-        prog, m = self.prog, self.m
-        xs = float(np.linalg.norm(x, np.inf))
-        ys = (float(np.linalg.norm(y, np.inf)) if m else 0.0) + float(
-            np.linalg.norm(z, np.inf)
-        )
+        prog = self.prog
+        xs = _norm(x, s)
+        ys = _norm(y) + _norm(z)
         status = ITER_LIMIT
         if ys > scale:
-            hom_d = float(np.linalg.norm(self.AT @ y + z, np.inf)) / ys
-            if float(prog.b @ y) > 1e-8 * ys and hom_d <= 1e-6:
+            hom_d = _norm(self.CT @ np.concatenate([y, -z])) / ys
+            if float(prog.b @ y - prog.h @ z) > 1e-8 * ys and hom_d <= 1e-6:
                 status = INFEASIBLE
         if status == ITER_LIMIT and xs > scale:
-            pr_ray = (float(np.max(np.abs(self.A @ x - prog.b))) if m else 0.0) / xs
-            lin_ray = float(prog.c @ x + (prog.q @ (x * x) if prog.q is not None else 0.0)) / xs
+            _, r_p, r_g = self.residuals(x, y, s, z)
+            pr_ray = _norm(r_p, r_g) / xs
+            lin_ray = float(prog.c @ x + self.q @ (x * x)) / xs
             if pr_ray <= 1e-6 and lin_ray < -1e-8:
                 status = UNBOUNDED
         if status == ITER_LIMIT and (ys > scale or xs > scale):
             # both certificates weak but iterates clearly diverged
             status = INFEASIBLE if ys >= xs else UNBOUNDED
-        return self.finish(status, x, y, z, iters)
+        return self.finish(status, x, y, s, z, iters)
 
 
 def solve_socp(prog: ConicProgram, tol: float = 1e-8, max_iter: int = 200) -> ConicSolution:
@@ -552,19 +590,20 @@ def solve_socp(prog: ConicProgram, tol: float = 1e-8, max_iter: int = 200) -> Co
     n, m = prog.n_vars, prog.n_eq
 
     if n == 0:
-        ok = m == 0 or float(np.max(np.abs(prog.b))) <= tol
+        # nothing to choose: b must vanish and s = h must lie in the cone
+        ok = _norm(prog.b) <= tol and _Cones(prog.cones).membership_violation(prog.h) <= tol
         return ConicSolution(
             status=OPTIMAL if ok else INFEASIBLE,
             x=np.zeros(0),
             y=np.zeros(m),
-            z=np.zeros(0),
-            s=np.zeros(0),
+            z=np.zeros(len(prog.h)),
+            s=prog.h.copy(),
             obj=prog.c0,
             residuals={"primal": 0.0, "dual": 0.0, "gap": 0.0},
         )
 
     ws = _Workspace(prog)
-    run = _ipm_loop if ws.cones.degree else _solve_free
+    run = _ipm_loop if ws.p else _solve_free
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         sol = run(ws, tol, max_iter)
         if sol.status != OPTIMAL:
@@ -578,20 +617,21 @@ def solve_socp(prog: ConicProgram, tol: float = 1e-8, max_iter: int = 200) -> Co
 
 
 def _solve_free(ws: _Workspace, tol: float, max_iter: int) -> ConicSolution:
-    """A purely free program: a single regularized KKT solve."""
+    """A program without cone rows: a single regularized KKT solve."""
     prog, n, m = ws.prog, ws.n, ws.m
-    if not ws.factor(np.empty(0), 1e-10):
+    empty = np.zeros(0)
+    if not ws.factor(empty, 1e-10):
         return ConicSolution(
             status=INFEASIBLE,
             x=np.zeros(n),
             y=np.zeros(m),
-            z=np.zeros(n),
-            s=np.zeros(n),
+            z=empty,
+            s=empty,
             obj=float("nan"),
             residuals={"primal": float("inf"), "dual": float("inf"), "gap": 0.0},
         )
-    x, ytil = ws.solve(-prog.c, prog.b, refine=2)
-    sol = ws.finish(OPTIMAL, x, -ytil, np.zeros(n), 1)
+    x, ytil, _ = ws.solve(-prog.c, prog.b, empty, refine=2)
+    sol = ws.finish(OPTIMAL, x, -ytil, empty, empty, 1)
     scaled_ok = (
         sol.residuals["primal"] / ws.bnorm <= 10 * max(tol, 1e-9)
         and sol.residuals["dual"] / ws.cnorm <= 10 * max(tol, 1e-9)
@@ -602,116 +642,97 @@ def _solve_free(ws: _Workspace, tol: float, max_iter: int) -> ConicSolution:
 
 
 def _ipm_loop(ws: _Workspace, tol: float, max_iter: int) -> ConicSolution:
-    prog, cones, m = ws.prog, ws.cones, ws.m
-    cone_idx, free_idx = cones.cone_idx, cones.free_idx
+    prog, cones = ws.prog, ws.cones
 
-    # interior starting point
+    # interior starting point for (s, z); x and y start at zero
     e = cones.identity()
-    x = e * max(1.0, math.sqrt(ws.bnorm))
+    x = np.zeros(ws.n)
+    y = np.zeros(ws.m)
+    s = e * max(1.0, math.sqrt(ws.bnorm))
     z = e * max(1.0, math.sqrt(ws.cnorm))
-    y = np.zeros(m)
     nu = cones.degree
 
     best = None
     for it in range(1, max_iter + 1):
-        r_d, r_p = ws.residuals(x, y, z)
-        gap = float(x[cone_idx] @ z[cone_idx])
+        r_d, r_p, r_g = ws.residuals(x, y, s, z)
+        gap = float(s @ z)
         mu = gap / nu
         obj = prog.objective(x)
 
-        rel_p = (float(np.max(np.abs(r_p))) / ws.bnorm) if m else 0.0
-        rel_d = float(np.max(np.abs(r_d))) / ws.cnorm
+        rel_p = _norm(r_p, r_g) / ws.bnorm
+        rel_d = _norm(r_d) / ws.cnorm
         rel_g = abs(gap) / (1.0 + abs(obj))
         if rel_p <= tol and rel_d <= tol and rel_g <= tol:
-            return ws.finish(OPTIMAL, x, y, z, it)
+            return ws.finish(OPTIMAL, x, y, s, z, it)
         if best is None or rel_p + rel_d + rel_g < best[0]:
-            best = (rel_p + rel_d + rel_g, x.copy(), y.copy(), z.copy())
-        xs = float(np.linalg.norm(x, np.inf))
-        ys = (float(np.linalg.norm(y, np.inf)) if m else 0.0) + float(
-            np.linalg.norm(z, np.inf)
-        )
-        if xs > 1e8 or ys > 1e8:
-            verdict = ws.classify(x, y, z, it)
+            best = (rel_p + rel_d + rel_g, x.copy(), y.copy(), s.copy(), z.copy())
+        if _norm(x, s) > 1e8 or _norm(y) + _norm(z) > 1e8:
+            verdict = ws.classify(x, y, s, z, it)
             if verdict.status != ITER_LIMIT:
                 return verdict
 
-        w_nn, soc_w, lam = cones.compute_scaling(x, z)
-        h = cones.h_values(w_nn, soc_w)
-        if not (ws.factor(h, 1e-9) or ws.factor(h, 1e-6)):
-            return ws.classify(x, y, z, it)
+        w_nn, soc_w, lam = cones.compute_scaling(s, z)
+        w2 = cones.w2_values(w_nn, soc_w)
+        if not (ws.factor(w2, 1e-9) or ws.factor(w2, 1e-6)):
+            return ws.classify(x, y, s, z, it)
 
         lam_lam = cones.jprod_all(lam, lam)
 
         def direction(d_target):
+            # linearized complementarity lam o (W^-1 ds + W dz) = d_target
+            # gives ds = W g - W^2 dz with g = lam \ d_target
             g = cones.jdiv_all(lam, d_target)
-            wig = cones.apply_w(w_nn, soc_w, g, inverse=True)
-            rx = -r_d + wig
-            rx[free_idx] = -r_d[free_idx]
-            # free coordinates carry no complementarity term
-            dx, dyt = ws.solve(rx, -r_p)
-            dy = -dyt
-            dz = wig - cones.h_apply(w_nn, soc_w, dx)
-            return dx, dy, dz
+            wg = cones.apply_w(w_nn, soc_w, g, inverse=False)
+            dx, dyt, dz = ws.solve(-r_d, -r_p, -r_g - wg)
+            ds = cones.apply_w(
+                w_nn, soc_w, g - cones.apply_w(w_nn, soc_w, dz, inverse=False), inverse=False
+            )
+            return dx, -dyt, ds, dz
 
         # predictor
-        dx_a, dy_a, dz_a = direction(-lam_lam)
-        a_x = cones.max_step(x, dx_a)
-        a_z = cones.max_step(z, dz_a)
-        a_aff = min(1.0, a_x, a_z)
-        x_a = x + a_aff * dx_a
-        z_a = z + a_aff * dz_a
-        mu_aff = float(x_a[cone_idx] @ z_a[cone_idx]) / nu
+        dx_a, dy_a, ds_a, dz_a = direction(-lam_lam)
+        a_aff = min(1.0, cones.max_step(s, ds_a), cones.max_step(z, dz_a))
+        mu_aff = float((s + a_aff * ds_a) @ (z + a_aff * dz_a)) / nu
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
         # corrector
-        wdx = cones.apply_w(w_nn, soc_w, dx_a, inverse=True)
+        wds = cones.apply_w(w_nn, soc_w, ds_a, inverse=True)
         wdz = cones.apply_w(w_nn, soc_w, dz_a, inverse=False)
-        d_cor = sigma * mu * e - lam_lam - cones.jprod_all(wdx, wdz)
-        dx, dy, dz = direction(d_cor)
+        d_cor = sigma * mu * e - lam_lam - cones.jprod_all(wds, wdz)
+        dx, dy, ds, dz = direction(d_cor)
 
-        a_x = cones.max_step(x, dx)
-        a_z = cones.max_step(z, dz)
-        alpha = min(1.0, 0.99 * a_x, 0.99 * a_z)
+        alpha = min(1.0, 0.99 * cones.max_step(s, ds), 0.99 * cones.max_step(z, dz))
         if not math.isfinite(alpha) or alpha <= 1e-14:
-            return ws.classify(x, y, z, it, scale=1e5)
+            return ws.classify(x, y, s, z, it, scale=1e5)
         x = x + alpha * dx
         y = y + alpha * dy
+        s = s + alpha * ds
         z = z + alpha * dz
 
     # iteration cap: report the best iterate seen
     if best is not None:
-        _, x, y, z = best
-    return ws.finish(ITER_LIMIT, x, y, z, max_iter)
+        _, x, y, s, z = best
+    return ws.finish(ITER_LIMIT, x, y, s, z, max_iter)
 
 
 def check_kkt(prog: ConicProgram, sol: ConicSolution) -> dict[str, float]:
     """Recompute optimality residuals independently of the solver internals.
 
-    Returns the infinity norms of the primal and dual residuals, the
-    complementarity gap and the worst cone-membership violation of x and z.
+    Returns the infinity norm of the primal residuals Ax - b and Gx + s - h,
+    that of the dual residual, the complementarity gap s'z and the worst
+    cone-membership violation of s and z.
     """
     if sol.status != OPTIMAL:
         raise ValueError("check_kkt expects an optimal solution")
-    n, m = prog.n_vars, prog.n_eq
-    if n == 0:
-        return {"primal": 0.0, "dual": 0.0, "gap": 0.0, "cone": 0.0}
     cones = _Cones(prog.cones)
-    r_p = prog.A @ sol.x - prog.b if m else np.zeros(0)
-    qx = prog.q * sol.x if prog.q is not None else 0.0
-    r_d = qx + prog.c - (prog.A.T @ sol.y if m else 0.0) - sol.z
-    gap = (
-        float(sol.x[cones.cone_idx] @ sol.z[cones.cone_idx])
-        if len(cones.cone_idx)
-        else 0.0
-    )
-    cone_viol = max(
-        cones.membership_violation(sol.x), cones.membership_violation(sol.z)
-    )
+    x, s, z = sol.x, sol.s, sol.z
+    qx = prog.q * x if prog.q is not None else 0.0
+    r_d = qx + prog.c - prog.A.T @ sol.y + prog.G.T @ z
     return {
-        "primal": float(np.max(np.abs(r_p))) if m else 0.0,
-        "dual": float(np.max(np.abs(r_d))),
-        "gap": abs(gap),
-        "cone": cone_viol,
+        "primal": _norm(prog.A @ x - prog.b, prog.G @ x + s - prog.h),
+        "dual": _norm(r_d),
+        "gap": abs(float(s @ z)),
+        "cone": max(cones.membership_violation(s), cones.membership_violation(z)),
     }
 
 
@@ -742,10 +763,7 @@ def dual_sensitivity_probe(
     for sign in (+1.0, -1.0):
         b2 = prog.b.copy()
         b2[eq_index] += sign * delta
-        pert = ConicProgram(
-            c=prog.c, A=prog.A, b=b2, cones=prog.cones, q=prog.q, c0=prog.c0
-        )
-        s2 = solve_socp(pert, tol=tol)
+        s2 = solve_socp(replace(prog, b=b2), tol=tol)
         if s2.status != OPTIMAL:
             return ProbeResult(float("nan"), float(sol.y[eq_index]), False)
         objs.append(s2.obj)
@@ -760,10 +778,10 @@ def dump_program(prog: ConicProgram, path: str) -> None:
     lines.append("C " + " ".join(repr(v) for v in prog.c))
     if prog.q is not None:
         lines.append("Q " + " ".join(repr(v) for v in prog.q))
-    coo = prog.A.tocoo()
-    for i, j, v in sorted(zip(coo.row, coo.col, coo.data), key=lambda t: (t[0], t[1])):
-        lines.append(f"A {i} {j} {v!r}")
-    for i, v in enumerate(prog.b):
-        lines.append(f"B {i} {v!r}")
+    for tag, M, rhs_tag, rhs in (("A", prog.A, "B", prog.b), ("G", prog.G, "H", prog.h)):
+        coo = M.tocoo()
+        for i, j, v in sorted(zip(coo.row, coo.col, coo.data), key=lambda t: (t[0], t[1])):
+            lines.append(f"{tag} {i} {j} {v!r}")
+        lines.extend(f"{rhs_tag} {i} {v!r}" for i, v in enumerate(rhs))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -13,14 +13,13 @@ from lemclear.miqp import MixedBinaryProgram, solve_mbp
 from lemclear.oracle import solve_centralized
 from lemclear.prosumer import validate_schedule
 from lemclear.socp import (
-    ConicProgram,
-    Free,
     NonNeg,
     OPTIMAL,
     SecondOrder,
     dual_sensitivity_probe,
     solve_socp,
 )
+from lifted import Free, lifted
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -202,7 +201,7 @@ def test_09_solver_unit_suite():
                 t[0] = np.linalg.norm(t[1:]) + rng.uniform(0.5, 2)
                 x0[off : off + cb.size] = t
             off += cb.size
-        prog = ConicProgram(
+        prog = lifted(
             c=rng.normal(size=n), A=sp.csr_matrix(Am), b=Am @ x0,
             cones=tuple(cones), q=rng.uniform(0.1, 1.0, size=n),
         )
@@ -219,7 +218,7 @@ def test_09_solver_unit_suite():
         for i in range(k):
             rows[i, i] = 1.0
             rows[i, k + i] = 1.0
-        prog = ConicProgram(
+        prog = lifted(
             c=np.concatenate([-2 * t, np.zeros(k)]),
             A=sp.csr_matrix(rows),
             b=np.ones(k),

@@ -13,7 +13,7 @@ from lemclear.dso import (
 )
 from lemclear.io_cli import bundled_scenario_dir, load_scenario
 from lemclear.model import Bus, Line, NetworkModel, reactive_from_pf
-from lemclear.socp import OPTIMAL, _ipm_loop, _Workspace, dual_sensitivity_probe, solve_socp
+from lemclear.socp import dual_sensitivity_probe, solve_socp
 
 
 def two_bus(r=0.01, x=0.02, smax=1.0, vmin=0.9, vmax=1.1):
@@ -58,29 +58,21 @@ class TestAssembly:
         assert out.p_loss[0] == pytest.approx(0.0, abs=1e-9)
         assert out.flows[0]["p"][0] == pytest.approx(P2, abs=1e-7)
 
-    def test_zero_impedance_recovers_from_static_pivot_stall(self):
-        # with r = x = 0 the quasi-definite factor without pivoting loses
-        # accuracy and the IPM stalls; solve_socp reruns with pivoting
-        bf = assemble_branch_flow(two_bus(r=0.0, x=0.0), {2: P2}, {2: Q2}, loss_price=10.0)
-        with np.errstate(all="ignore"):
-            static = _ipm_loop(_Workspace(bf.prog), 1e-8, 200)
-        assert static.status != OPTIMAL
-        sol = solve_socp(bf.prog, tol=1e-8)
-        assert sol.status == OPTIMAL
-        assert sol.iterations > static.iterations
-
     def test_counts_two_bus(self):
+        # variables p, q, l per line, v per bus, p_ug, q_ug, p_loss; rows:
+        # two balances per bus, a voltage drop per line, loss, reference
+        # voltage; cone rows: two voltage bounds per non-PCC bus, 4 + 3 per line
         bf = assemble_branch_flow(two_bus(), {2: P2}, {2: Q2}, loss_price=10.0)
-        assert bf.n_natural_vars == 3 * 1 + 2 + 3
-        assert bf.n_core_eq == 2 + 1 + 1
-        assert bf.n_cones == 2
+        assert bf.prog.n_vars == 3 * 1 + 2 + 3
+        assert bf.prog.n_eq == 2 * 2 + 1 + 2
+        assert bf.prog.G.shape == (2 * 1 + 7 * 1, bf.prog.n_vars)
 
     def test_counts_69_bus(self):
         sc = load_scenario(bundled_scenario_dir("ieee69"))
         bf = assemble_branch_flow(sc.network, {}, {}, loss_price=10.0)
-        assert bf.n_natural_vars == 3 * 68 + 69 + 3 == 276
-        assert bf.n_core_eq == 69 + 68 + 1
-        assert bf.n_cones == 2 * 68
+        assert bf.prog.n_vars == 3 * 68 + 69 + 3 == 276
+        assert bf.prog.n_eq == 2 * 69 + 68 + 2 == 208
+        assert bf.prog.G.shape[0] == 2 * 68 + 7 * 68 == 612
 
     def test_unvalidated_network_rejected(self):
         bad = NetworkModel(
@@ -143,6 +135,13 @@ class TestSolve:
         net = two_bus(vmin=0.999)
         with pytest.raises(DsoInfeasible, match="hour 0"):
             solve_dso_subproblem(net, one_hour_input(P2, Q2), np.array([10.0]), 1.0)
+
+    def test_load_beyond_relaxed_limits_named_unsolvable(self):
+        # even without caps and with voltage bounds 0.1-4 pu the feeder
+        # cannot carry this load; the diagnosis says so instead of recursing
+        net = two_bus(r=0.3, x=0.6)
+        with pytest.raises(DsoInfeasible, match="network equations unsolvable"):
+            solve_dso_subproblem(net, one_hour_input(5.0, 3.0), np.array([10.0]), 1.0)
 
     def test_monotone_loss_in_load(self):
         base = solve_dso_subproblem(

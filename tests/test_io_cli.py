@@ -246,6 +246,27 @@ class TestCli:
         assert data["diagnosis"] in err
 
 
+    def test_unsolvable_centralized_exits_4(self, tmp_path, capsys):
+        scen = tmp_path / "scen"
+        shutil.copytree(bundled_scenario_dir("six_bus"), scen)
+        lines = (scen / "lines.csv").read_text().splitlines()
+        head = lines[1].split(",")
+        lines[1] = ",".join(head[:4] + ["0.001"])  # the feeder head can carry no load
+        (scen / "lines.csv").write_text("\n".join(lines) + "\n")
+        rc = cli_main([
+            "clear", "--scenario", str(scen), "--mode", "centralized",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "solve failed" in err and "Traceback" not in err
+        data = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert data["status"] == "solve_failed"
+        assert data["mode"] == "centralized"
+        assert data["agent"] == "centralized program"
+        assert data["solver_status"] != "optimal"
+
+
 def test_cli_clear_centralized(tmp_path):
     rc = cli_main([
         "clear", "--scenario", str(bundled_scenario_dir("six_bus")),

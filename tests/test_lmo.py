@@ -13,7 +13,8 @@ from lemclear.lmo import (
     update_power_dual,
 )
 from lemclear.model import AdmmConfig, Bus, Line, NetworkModel, Scenario
-from lemclear.socp import ConicProgram, Free, solve_socp
+from lemclear.socp import solve_socp
+from lifted import Free, lifted
 
 
 def make_state(ids, T, lambda_p=0.0, lambda_loss=0.0, psi=None):
@@ -93,7 +94,7 @@ class TestSubproblemI:
             c[j] = wem[t] * 1.0 + state.lambda_loss[t] - cfg.rho_prime * pl_star[t]
             q[j] = cfg.rho_prime
             c0 += -state.lambda_loss[t] * pl_star[t] + 0.5 * cfg.rho_prime * pl_star[t] ** 2
-        prog = ConicProgram(
+        prog = lifted(
             c=c, A=sp.csr_matrix((0, n)), b=np.zeros(0), cones=(Free(n),), q=q, c0=c0
         )
         sol = solve_socp(prog, tol=1e-11)

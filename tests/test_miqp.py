@@ -11,7 +11,8 @@ from lemclear.miqp import (
     solve_mbp,
     with_fixed_variables,
 )
-from lemclear.socp import ConicProgram, NonNeg, OPTIMAL, solve_socp
+from lemclear.socp import NonNeg, OPTIMAL, solve_socp
+from lifted import lifted
 
 
 def binary_quadratic(targets):
@@ -22,7 +23,7 @@ def binary_quadratic(targets):
     for i in range(k):
         rows[i, i] = 1.0
         rows[i, k + i] = 1.0
-    prog = ConicProgram(
+    prog = lifted(
         c=np.concatenate([-2 * t, np.zeros(k)]),
         A=sp.csr_matrix(rows),
         b=np.ones(k),
@@ -51,7 +52,7 @@ def gate_program(reward=(1.0, 1.0), cap=2.0):
             [0.0, 0, 1, 1, 0, 0, 1],
         ]
     )
-    prog = ConicProgram(
+    prog = lifted(
         c=c,
         A=sp.csr_matrix(rows),
         b=np.array([0.0, 0, 1]),
@@ -151,7 +152,7 @@ class TestRelaxAndRepair:
         # through the full search rather than failing
         c = np.array([0.0, 0, 0, 0])
         rows = np.array([[1.0, 1, 0, 0], [1.0, 0, 1, 0], [0.0, 1, 0, 1]])
-        prog = ConicProgram(
+        prog = lifted(
             c=c, A=sp.csr_matrix(rows), b=np.array([1.0, 1, 1]),
             cones=(NonNeg(4),), q=np.full(4, 1.0),
         )

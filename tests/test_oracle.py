@@ -9,6 +9,7 @@ from lemclear.model import (
     Line,
     NetworkModel,
     Prosumer,
+    PvUnit,
     Scenario,
     StorageDevice,
 )
@@ -142,6 +143,24 @@ class TestSelfish:
         assert res.violations  # loaded hours exceed the 0.10 pu rating
         assert any("capacity" in v or "over capacity" in v for v in res.violations)
         assert res.p_loss is not None
+
+    def test_export_over_vmax_reported(self):
+        # a selfish PV export overloads the line and lifts bus 2 above its
+        # upper voltage bound; both limits must be named
+        pv = PvUnit(p_forecast=np.full(T, 0.5), s_inv=1.0)
+        sc = Scenario(
+            network=NetworkModel(
+                buses=(Bus(1, 1.0, 1.0, True), Bus(2, 0.95, 1.05)),
+                lines=(Line(1, 2, 0.05, 0.1, 0.3),),
+            ),
+            prosumers=(Prosumer(id="a", bus_id=2, baseline_load=np.zeros(T), pvs=(pv,)),),
+            horizon=T, dt=1.0, wem_price=np.linspace(20, 90, T),
+            loss_cost=np.full(T, 15.0), bus_pf={2: 0.85},
+        )
+        res = solve_selfish(sc)
+        assert any("capacity" in v for v in res.violations)
+        over = [v for v in res.violations if v.startswith("voltage upper bound at bus 2")]
+        assert len(over) == T
 
 
 def test_selfish_peak_import_at_least_coordinated():

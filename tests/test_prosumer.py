@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lemclear.model import AdmmConfig, FlexibleLoad, Prosumer, StorageDevice
+from lemclear.model import AdmmConfig, FlexibleLoad, Prosumer, PvUnit, StorageDevice
 from lemclear.prosumer import (
     ProsumerInput,
     build_subproblem,
@@ -29,6 +29,22 @@ def battery(**kw):
 
 
 class TestBuildSubproblem:
+    def test_variables_are_the_schedule(self):
+        # PV + battery + flexible load over 4 hours: p_net, SoC, PV output,
+        # charge/discharge powers and gates, FL deviations and flags
+        H = 4
+        pros = Prosumer(
+            id="a", bus_id=2, baseline_load=np.full(H, 0.1),
+            pvs=(PvUnit(p_forecast=np.full(H, 0.05), s_inv=0.1),),
+            storages=(battery(window=(0, H - 1)),),
+            fls=(FlexibleLoad(p_fl_max=np.full(H, 0.01), t_max=2, e_min=0.0),),
+        )
+        inp = ProsumerInput(lambda_lem=np.full(H, 50.0), p_tilde=None, lambda_p=np.zeros(H))
+        prog = build_subproblem(pros, inp, CFG, 1.0, H).mbp.relaxation
+        assert prog.n_vars == H + H + H + 4 * H + 3 * H
+        # net-power identity and SoC recursion per hour
+        assert prog.n_eq == H + H
+
     def test_no_devices_is_passthrough(self):
         pros = Prosumer(id="a", bus_id=2, baseline_load=np.full(T, 0.1))
         pp = build_subproblem(pros, FLAT, CFG, 1.0, T)

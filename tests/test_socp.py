@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from lemclear.socp import (
     OPTIMAL,
     UNBOUNDED,
     ConicProgram,
-    Free,
     NonNeg,
     SecondOrder,
     _Cones,
@@ -19,21 +19,23 @@ from lemclear.socp import (
     check_kkt,
     dual_sensitivity_probe,
     dump_program,
+    _ipm_loop,
     solve_socp,
 )
+from lifted import Free, lifted
 
 
 def norm_cone_program():
     # min x0 subject to x0 >= ||(3, 4)||
     A = sp.csr_matrix(np.array([[0.0, 1, 0], [0, 0, 1]]))
-    return ConicProgram(
+    return lifted(
         c=np.array([1.0, 0, 0]), A=A, b=np.array([3.0, 4]), cones=(SecondOrder(3),)
     )
 
 
 def simplex_lp():
     # min x1 + x2 subject to x1 + x2 = 1, x >= 0
-    return ConicProgram(
+    return lifted(
         c=np.array([1.0, 1.0]),
         A=sp.csr_matrix(np.array([[1.0, 1.0]])),
         b=np.array([1.0]),
@@ -69,7 +71,7 @@ def seeded_programs(n_programs=50, seed=42):
                 x0[off : off + cb.size] = t
             off += cb.size
         out.append(
-            ConicProgram(
+            lifted(
                 c=rng.normal(size=n),
                 A=sp.csr_matrix(Am),
                 b=Am @ x0,
@@ -88,7 +90,7 @@ class TestSolveBasics:
 
     def test_equality_determined_free(self):
         A = np.array([[2.0, 1.0], [1.0, 3.0]])
-        prog = ConicProgram(
+        prog = lifted(
             c=np.array([1.0, 1.0]),
             A=sp.csr_matrix(A),
             b=np.array([3.0, 5.0]),
@@ -105,7 +107,7 @@ class TestSolveBasics:
         assert s.y[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_infeasible_classified(self):
-        prog = ConicProgram(
+        prog = lifted(
             c=np.array([1.0, 1.0]),
             A=sp.csr_matrix(np.array([[1.0, 1.0]])),
             b=np.array([-1.0]),
@@ -114,7 +116,7 @@ class TestSolveBasics:
         assert solve_socp(prog, tol=1e-8).status == INFEASIBLE
 
     def test_unbounded_classified(self):
-        prog = ConicProgram(
+        prog = lifted(
             c=np.array([-1.0, 0.0]),
             A=sp.csr_matrix(np.array([[1.0, -1.0]])),
             b=np.array([0.0]),
@@ -122,8 +124,21 @@ class TestSolveBasics:
         )
         assert solve_socp(prog, tol=1e-8).status == UNBOUNDED
 
-    def test_zero_variable_program(self):
+    def test_infeasibility_certified_through_cone_rows(self):
+        # x >= 1 and x <= 0 stated as cone rows: the Farkas ray z = (1, 1)
+        # has G'z = 0 and h'z = -1 < 0, with no equality rows at all
         prog = ConicProgram(
+            c=np.array([1.0]), A=sp.csr_matrix((0, 1)), b=np.zeros(0),
+            G=sp.csr_matrix([[-1.0], [1.0]]), h=np.array([-1.0, 0.0]), cones=(NonNeg(2),),
+        )
+        assert solve_socp(prog, tol=1e-8).status == INFEASIBLE
+        # the certificate decides even when the primal iterates are larger
+        ws = _Workspace(prog)
+        verdict = ws.classify(np.zeros(1), np.zeros(0), np.full(2, 1e10), np.full(2, 1e9), 1)
+        assert verdict.status == INFEASIBLE
+
+    def test_zero_variable_program(self):
+        prog = lifted(
             c=np.zeros(0), A=sp.csr_matrix((0, 0)), b=np.zeros(0), cones=(), c0=3.5
         )
         s = solve_socp(prog, tol=1e-8)
@@ -155,10 +170,7 @@ class TestStrongDuality:
         for i, prog in enumerate(seeded_programs(10, seed=7)):
             base = solve_socp(prog, tol=1e-9)
             alpha = 3.7
-            scaled = ConicProgram(
-                c=prog.c * alpha, A=prog.A, b=prog.b, cones=prog.cones,
-                q=prog.q * alpha, c0=prog.c0 * alpha,
-            )
+            scaled = replace(prog, c=prog.c * alpha, q=prog.q * alpha, c0=prog.c0 * alpha)
             s2 = solve_socp(scaled, tol=1e-9)
             assert s2.status == OPTIMAL
             assert np.allclose(s2.x, base.x, atol=1e-5), f"program {i}"
@@ -182,15 +194,24 @@ class TestCheckKkt:
         rep = check_kkt(prog, s)
         assert rep["primal"] >= 1e-4
 
+    def test_perturbed_slack_flagged(self):
+        prog = norm_cone_program()
+        s = solve_socp(prog, tol=1e-8)
+        s.s = s.s.copy()
+        s.s[0] -= 1e-3  # breaks G x + s = h and leaves the cone
+        rep = check_kkt(prog, s)
+        assert rep["primal"] >= 1e-4
+        assert rep["cone"] >= 1e-4
+
     def test_zero_variable_program(self):
-        prog = ConicProgram(
+        prog = lifted(
             c=np.zeros(0), A=sp.csr_matrix((0, 0)), b=np.zeros(0), cones=()
         )
         rep = check_kkt(prog, solve_socp(prog))
         assert all(v == 0.0 for v in rep.values())
 
     def test_requires_optimal(self):
-        prog = ConicProgram(
+        prog = lifted(
             c=np.array([1.0, 1.0]),
             A=sp.csr_matrix(np.array([[1.0, 1.0]])),
             b=np.array([-1.0]),
@@ -241,11 +262,14 @@ def test_dump_program_grammar(tmp_path):
     assert text[1] == "EQS 2"
     assert any(line.startswith("CONES soc:3") for line in text)
     assert sum(1 for line in text if line.startswith("A ")) == prog.A.nnz
+    assert sum(1 for line in text if line.startswith("G ")) == prog.G.nnz
+    assert sum(1 for line in text if line.startswith("H ")) == len(prog.h)
+    assert not any(line.startswith("CONES") and "free" in line for line in text)
 
 
 # ---------------------------------------------------------------------------
 # Reference implementation: the per-block Jordan algebra and KKT assembly
-# that the size-grouped versions in socp replaced.  The batched code sums in
+# that the size-grouped versions in socp replaced, restated for cone rows.  The batched code sums in
 # a different order, so it must agree to relative 1e-12 in the infinity norm
 # (infinite entries exactly); the KKT pattern is pure data movement and must
 # agree exactly.
@@ -368,14 +392,14 @@ class ReferenceCones:
             lam[o : o + k] = ref_papply(whi, xb)
         return w_nn, soc_w, lam
 
-    def h_matrix(self, w_nn, soc_w):
+    def w2_matrix(self, w_nn, soc_w):
         rows, cols, vals = [], [], []
         for i, idx in enumerate(self.nonneg_idx):
             rows.append(idx)
             cols.append(idx)
-            vals.append(1.0 / (w_nn[i] * w_nn[i]))
+            vals.append(w_nn[i] * w_nn[i])
         for (o, k), (w, _, _) in zip(self.soc_blocks, soc_w):
-            m = ref_pmat(ref_jinv(w))
+            m = ref_pmat(w)
             for i in range(k):
                 for j in range(k):
                     rows.append(o + i)
@@ -419,19 +443,23 @@ class ReferenceCones:
         return alpha
 
 
-def reference_kkt(prog, H, delta):
-    """The KKT matrix as sp.bmat built it on every iteration."""
-    n, m = prog.n_vars, prog.n_eq
+def reference_kkt(prog, W2, delta):
+    """The three-block KKT matrix, built with sp.bmat."""
+    n, m, p = prog.n_vars, prog.n_eq, len(prog.h)
     Q = sp.diags(prog.q) if prog.q is not None else sp.csr_matrix((n, n))
     return sp.bmat(
-        [[Q + H + sp.identity(n) * delta, prog.A.T], [prog.A, -sp.identity(m) * delta]],
+        [
+            [Q + sp.identity(n) * delta, prog.A.T, prog.G.T],
+            [prog.A, -sp.identity(m) * delta, None],
+            [prog.G, None, -W2 - sp.identity(p) * delta],
+        ],
         format="csc",
     )
 
 
-def h_matrix(cones, h):
-    """H as a sparse matrix from the entries the solver computes."""
-    return sp.csr_matrix((h, (cones.h_rows, cones.h_cols)), shape=(cones.n, cones.n))
+def w2_matrix(cones, w2):
+    """W^2 as a sparse matrix from the entries the solver computes."""
+    return sp.csr_matrix((w2, (cones.w2_rows, cones.w2_cols)), shape=(cones.n, cones.n))
 
 
 def assert_rel(new, ref):
@@ -445,10 +473,10 @@ def assert_rel(new, ref):
 
 
 def random_layout(rng):
-    """Free/NonNeg blocks and SOC blocks of sizes 2-5, interleaved."""
-    blocks = [Free(int(rng.integers(1, 3))), NonNeg(int(rng.integers(1, 4)))]
+    """NonNeg blocks and SOC blocks of sizes 2-5, interleaved."""
+    blocks = [NonNeg(int(rng.integers(1, 4)))]
     blocks += [SecondOrder(int(rng.integers(2, 6))) for _ in range(int(rng.integers(4, 9)))]
-    blocks += [NonNeg(int(rng.integers(1, 4))), Free(1)]
+    blocks += [NonNeg(int(rng.integers(1, 4)))]
     return tuple(blocks[i] for i in rng.permutation(len(blocks)))
 
 
@@ -499,10 +527,11 @@ class TestBatchedConeAlgebra:
                 spread(cones, [t[part] for t in soc_w]),
                 spread_ref(ref, [t[part] for t in rsoc_w]),
             )
-        H = ref.h_matrix(rw_nn, rsoc_w)
-        assert_rel(h_matrix(cones, cones.h_values(w_nn, soc_w)).toarray(), H.toarray())
+        W2 = ref.w2_matrix(rw_nn, rsoc_w)
+        assert_rel(w2_matrix(cones, cones.w2_values(w_nn, soc_w)).toarray(), W2.toarray())
         v = rng.normal(size=cones.n)
-        assert_rel(cones.h_apply(w_nn, soc_w, v), H @ v)
+        w_twice = cones.apply_w(w_nn, soc_w, cones.apply_w(w_nn, soc_w, v, False), False)
+        assert_rel(w_twice, W2 @ v)
         for inverse in (False, True):
             assert_rel(
                 cones.apply_w(w_nn, soc_w, v, inverse), ref.apply_w(rw_nn, rsoc_w, v, inverse)
@@ -547,7 +576,7 @@ class TestBatchedConeAlgebra:
         for i, prog in enumerate(seeded_programs(50)):
             s = solve_socp(prog, tol=1e-8)
             ref = ReferenceCones(prog.cones)
-            expect = max(ref.membership_violation(s.x), ref.membership_violation(s.z))
+            expect = max(ref.membership_violation(s.s), ref.membership_violation(s.z))
             assert_rel(check_kkt(prog, s)["cone"], expect)
 
 
@@ -558,7 +587,7 @@ def kkt_programs():
         n = sum(cb.size for cb in cones)
         A = sp.random(m, n, density=0.5, random_state=rng, format="csr")
         q = rng.uniform(0.0, 1.0, size=n) if with_q else None
-        return ConicProgram(c=rng.normal(size=n), A=A, b=rng.normal(size=m), cones=cones, q=q)
+        return lifted(c=rng.normal(size=n), A=A, b=rng.normal(size=m), cones=cones, q=q)
 
     return {
         "q=None": program((NonNeg(3), SecondOrder(3), SecondOrder(2)), 3, False),
@@ -580,35 +609,36 @@ class TestKktPattern:
         prog = kkt_programs()[name]
         ws = _Workspace(prog)
         rng = np.random.default_rng(3)
-        x, z = interior_point(rng, prog.cones), interior_point(rng, prog.cones)
-        w_nn, soc_w, _ = ws.cones.compute_scaling(x, z)
-        h = ws.cones.h_values(w_nn, soc_w)
-        kkt = ws.kkt(h, delta)
+        s, z = interior_point(rng, prog.cones), interior_point(rng, prog.cones)
+        w_nn, soc_w, _ = ws.cones.compute_scaling(s, z)
+        w2 = ws.cones.w2_values(w_nn, soc_w)
+        kkt = ws.kkt(w2, delta)
         assert kkt.format == "csc" and kkt.has_canonical_format
         # K is stored under the workspace's ordering: K = K0[perm][:, perm]
         back = np.argsort(ws.perm)
-        expect = reference_kkt(prog, h_matrix(ws.cones, h), delta)
+        expect = reference_kkt(prog, w2_matrix(ws.cones, w2), delta)
         assert np.array_equal(kkt.toarray()[np.ix_(back, back)], expect.toarray())
 
     def test_refinement_targets_unregularized_system(self):
         prog = kkt_programs()["leading Free"]
         ws = _Workspace(prog)
         rng = np.random.default_rng(5)
-        x, z = interior_point(rng, prog.cones), interior_point(rng, prog.cones)
-        w_nn, soc_w, _ = ws.cones.compute_scaling(x, z)
-        h = ws.cones.h_values(w_nn, soc_w)
-        assert ws.factor(h, 1e-6)
-        rhs = rng.normal(size=prog.n_vars + prog.n_eq)
-        dx, dy = ws.solve(rhs[: prog.n_vars], rhs[prog.n_vars :])
+        s, z = interior_point(rng, prog.cones), interior_point(rng, prog.cones)
+        w_nn, soc_w, _ = ws.cones.compute_scaling(s, z)
+        w2 = ws.cones.w2_values(w_nn, soc_w)
+        assert ws.factor(w2, 1e-6)
+        n, m = prog.n_vars, prog.n_eq
+        rhs = rng.normal(size=n + m + len(prog.h))
+        dx, dy, dz = ws.solve(rhs[:n], rhs[n : n + m], rhs[n + m :])
         # one refinement step removes the delta error to first order
-        exact = reference_kkt(prog, h_matrix(ws.cones, h), 0.0)
-        res = exact @ np.concatenate([dx, dy]) - rhs
+        exact = reference_kkt(prog, w2_matrix(ws.cones, w2), 0.0)
+        res = exact @ np.concatenate([dx, dy, dz]) - rhs
         assert np.max(np.abs(res)) <= 1e-9 * np.max(np.abs(rhs))
 
     def test_ordering_computed_once_per_solve(self, monkeypatch):
         prog = seeded_programs(1, seed=3)[0]
         ws = _Workspace(prog)
-        size = prog.n_vars + prog.n_eq
+        size = prog.n_vars + prog.n_eq + len(prog.h)
         assert np.array_equal(np.sort(ws.perm), np.arange(size))
         specs = []
         splu = spla.splu
@@ -625,6 +655,27 @@ class TestKktPattern:
         assert specs.count("MMD_AT_PLUS_A") == 1
         assert specs.count("NATURAL") == sol.iterations - 1
         assert len(specs) == sol.iterations
+
+    def test_static_pivot_stall_recovers_under_partial_pivoting(self):
+        # equality rows and columns scaled over eight orders of magnitude:
+        # diagonal pivots lose accuracy, the gap collapses while the primal
+        # residual stays large, and solve_socp reruns with partial pivoting
+        rng = np.random.default_rng(320)
+        n, m = 7, 4
+        A = rng.normal(size=(m, n))
+        A *= 10 ** rng.uniform(-4, 4, size=(m, 1)) * 10 ** rng.uniform(-4, 4, size=(1, n))
+        x0 = np.array([0.5, -0.5, 1.0, 1.0, 2.0, 0.5, -0.5])
+        prog = lifted(
+            c=rng.normal(size=n), A=sp.csr_matrix(A), b=A @ x0,
+            cones=(Free(2), NonNeg(2), SecondOrder(3)),
+        )
+        with np.errstate(all="ignore"):
+            static = _ipm_loop(_Workspace(prog), 1e-8, 200)
+        assert static.status != OPTIMAL
+        sol = solve_socp(prog, tol=1e-8)
+        assert sol.status == OPTIMAL
+        assert sol.iterations > static.iterations
+        assert check_kkt(prog, sol)["dual"] <= 1e-8
 
     def test_solves_stay_independent(self):
         p = seeded_programs(1, seed=3)[0]
