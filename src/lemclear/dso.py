@@ -221,9 +221,7 @@ def assemble_branch_flow(
 
     A, b = eq.matrix(n)
     G, h = cone.matrix(n)
-    prog = ConicProgram(
-        c=c, A=A, b=b, G=G, h=h, cones=cones, q=qdiag if rho_prime > 0 else None, c0=c0
-    )
+    prog = ConicProgram(c=c, A=A, b=b, G=G, h=h, cones=cones, q=qdiag, c0=c0)
     return BranchFlowProgram(
         prog=prog,
         feeder=fd,

@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -672,27 +672,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _override_admm(scenario: Scenario, args) -> Scenario:
-    cfg = scenario.admm
     fields = {
         "rho": args.rho, "rho_prime": args.rho_prime,
         "eps1": args.eps1, "eps2": args.eps2,
         "max_outer": args.max_outer, "max_inner": args.max_inner,
     }
     overrides = {k: v for k, v in fields.items() if v is not None}
-    if not overrides:
-        return scenario
-    new_cfg = AdmmConfig(**{**asdict(cfg), **overrides})
-    return Scenario(
-        network=scenario.network,
-        prosumers=scenario.prosumers,
-        horizon=scenario.horizon,
-        dt=scenario.dt,
-        wem_price=scenario.wem_price,
-        loss_cost=scenario.loss_cost,
-        admm=new_cfg,
-        background=scenario.background,
-        bus_pf=scenario.bus_pf,
-    )
+    return replace(scenario, admm=replace(scenario.admm, **overrides))
 
 
 def _failed(args, code: int, message: str, payload: dict) -> int:

@@ -217,9 +217,6 @@ def run_clearing(
     prosumer_solver: str = "exact",
     log_messages: bool = False,
     prosumer_order: list[str] | None = None,
-    mip_gap: float = 1e-6,
-    node_limit: int = 50_000,
-    socp_tol: float = 1e-9,
 ) -> ClearingResult:
     """Clear the day-ahead market by the two-loop scheme.
 
@@ -227,7 +224,8 @@ def run_clearing(
     wholesale series as their initial price signal and no auxiliary profile
     has been published yet.  ``prosumer_order`` only permutes the solve
     order; results are merged by sorted id, so the outcome is independent of
-    scheduling.
+    scheduling.  Every cone program is solved to 1e-9, and exact prosumer
+    branch and bound stops at its default 1e-6 relative gap.
     """
     cfg = scenario.admm
     net = scenario.network
@@ -290,9 +288,6 @@ def run_clearing(
                 dt,
                 T,
                 mode=prosumer_solver,
-                mip_gap=mip_gap,
-                node_limit=node_limit,
-                tol=socp_tol,
             )
         p_net = {a: schedules[a].p_net for a in ids}
         for a in ids:
@@ -341,7 +336,7 @@ def run_clearing(
                 loss_cost=scenario.loss_cost,
                 dt=dt,
                 rho_prime=cfg.rho_prime,
-                tol=socp_tol,
+                tol=1e-9,
                 feeder=feeder,
             )
             bus.send(

@@ -6,17 +6,25 @@ on an optimal face that *contains* integral points.  The search therefore
 leans on a fix-and-resolve rounding heuristic (structure-aware when repair
 hints are present) to find incumbents early, and uses best-first search with
 most-fractional branching, ties broken toward the lowest variable index.
-Node processing is sequential and fully deterministic; the reported incumbent
-and gap do not depend on any execution schedule.
+A node pins its binaries by substituting their values into the relaxation
+(``with_fixed_variables``), so the cone program it solves has only the free
+columns and ``restore_fixed`` puts the pinned values back into x exactly.
+
+There is one search.  ``solve_mbp`` runs it to a relative gap target;
+``relax_and_repair`` runs it with the target waived, so it returns the first
+incumbent: normally the repaired rounding of the root relaxation, and when
+that pattern is infeasible, whichever node first yields one.  Node
+processing is sequential and fully deterministic; the reported incumbent,
+bound and gap do not depend on any execution schedule.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .socp import OPTIMAL, INFEASIBLE, ITER_LIMIT, ConicProgram, solve_socp
 
@@ -27,6 +35,7 @@ __all__ = [
     "solve_mbp",
     "relax_and_repair",
     "with_fixed_variables",
+    "restore_fixed",
 ]
 
 _INT_TOL = 1e-6
@@ -69,20 +78,41 @@ class BnBResult:
         return self.x_incumbent
 
 
+def _split(n: int, fixed: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the n columns not in ``fixed``, and the n-vector of fixed values (0 elsewhere)."""
+    idx = sorted(fixed)
+    values = np.zeros(n)
+    values[idx] = [fixed[i] for i in idx]
+    return np.delete(np.arange(n), idx), values
+
+
 def with_fixed_variables(prog: ConicProgram, fixed: dict[int, float]) -> ConicProgram:
-    """Append equality rows pinning the given variables."""
+    """Substitute the given variables by their values.
+
+    The result keeps every row and cone of ``prog`` and drops the fixed
+    columns; their terms move into ``b``, ``h`` and ``c0``, so objective values
+    and row duals carry over unchanged.  ``restore_fixed`` maps its x back.
+    """
     if not fixed:
         return prog
-    idx = sorted(fixed)
-    rows = sp.csr_matrix(
-        (np.ones(len(idx)), (np.arange(len(idx)), idx)),
-        shape=(len(idx), prog.n_vars),
+    keep, xf = _split(prog.n_vars, fixed)
+    return ConicProgram(
+        c=prog.c[keep],
+        A=prog.A[:, keep],
+        b=prog.b - prog.A @ xf,
+        G=prog.G[:, keep],
+        h=prog.h - prog.G @ xf,
+        cones=prog.cones,
+        q=prog.q[keep],
+        c0=prog.objective(xf),
     )
-    return replace(
-        prog,
-        A=sp.vstack([prog.A, rows], format="csr"),
-        b=np.concatenate([prog.b, np.array([fixed[i] for i in idx], dtype=float)]),
-    )
+
+
+def restore_fixed(x: np.ndarray, fixed: dict[int, float]) -> np.ndarray:
+    """The full x for a solution x of ``with_fixed_variables(prog, fixed)``."""
+    keep, out = _split(len(x) + len(fixed), fixed)
+    out[keep] = x
+    return out
 
 
 def _round_assignment(
@@ -132,104 +162,83 @@ def solve_mbp(
     """
     if mip_gap <= 0:
         raise ValueError("mip_gap must be positive")
+    return _search(prob, mip_gap, node_limit, tol)
+
+
+def relax_and_repair(prob: MixedBinaryProgram, tol: float = 1e-8) -> BnBResult:
+    """Fast path for storage/flexible-load subproblems: the first incumbent.
+
+    Runs the search of ``solve_mbp`` with the gap target waived.  The root
+    relaxation's gates are rounded and repaired (netting simultaneous
+    charge/discharge toward the larger power, trimming count budgets) and
+    the continuous variables re-solved; if that pattern is infeasible, the
+    search branches on until some node yields an incumbent.
+    """
+    return _search(prob, math.inf, 50_000, tol)
+
+
+def _search(prob: MixedBinaryProgram, mip_gap: float, node_limit: int, tol: float) -> BnBResult:
+    """The branch-and-bound loop; stops once the incumbent is within ``mip_gap``.
+
+    Nodes pin binaries by substitution.  The reported bound is the least of
+    the incumbent, the open nodes' bounds and the relaxations of the nodes
+    closed by the gap test.
+    """
     bins = tuple(sorted(prob.binary_indices))
-
-    if not bins:
-        sol = solve_socp(prob.relaxation, tol=tol)
-        ok = sol.status == OPTIMAL
-        return BnBResult(
-            status=sol.status,
-            x_incumbent=sol.x if ok else None,
-            obj_incumbent=sol.obj if ok else float("inf"),
-            gap=0.0 if ok else float("inf"),
-            nodes_explored=1,
-            bound=sol.obj if ok else float("-inf"),
-        )
-
     incumbent_x: np.ndarray | None = None
-    incumbent_obj = float("inf")
+    incumbent_obj = math.inf
+    closed = math.inf
     nodes = 0
     counter = 0
-    heap: list[tuple[float, int, dict[int, float]]] = []
+    heap: list[tuple[float, int, dict[int, float]]] = [(-math.inf, counter, {})]
 
     def rel_gap(bound: float) -> float:
         if incumbent_x is None:
-            return float("inf")
+            return math.inf
         return abs(bound - incumbent_obj) / (1.0 + abs(incumbent_obj))
 
-    def try_heuristic(x: np.ndarray, fixed: dict[int, float]) -> None:
+    def offer(assign: dict[int, float], sol=None) -> None:
+        """Take the program with ``assign`` substituted (solved as ``sol``,
+        if given) as incumbent when it improves."""
         nonlocal incumbent_x, incumbent_obj
-        assign = _round_assignment(x, prob)
-        assign.update(fixed)
-        sol = solve_socp(with_fixed_variables(prob.relaxation, assign), tol=tol)
+        if sol is None:
+            sol = solve_socp(with_fixed_variables(prob.relaxation, assign), tol=tol)
         if sol.status == OPTIMAL and sol.obj < incumbent_obj - 1e-12:
-            xi = sol.x.copy()
-            for i, v in assign.items():
-                xi[i] = v
-            incumbent_x, incumbent_obj = xi, sol.obj
+            incumbent_x, incumbent_obj = restore_fixed(sol.x, assign), sol.obj
 
-    heapq.heappush(heap, (float("-inf"), counter, {}))
-    best_bound = float("-inf")
+    def result(status: str, bound: float) -> BnBResult:
+        bound = min(bound, closed, incumbent_obj)
+        return BnBResult(status, incumbent_x, incumbent_obj, rel_gap(bound), nodes, bound)
+
     while heap:
         bound, _, fixed = heapq.heappop(heap)
-        best_bound = bound if not heap else min(bound, heap[0][0])
-        if incumbent_x is not None and rel_gap(bound) <= mip_gap:
-            return BnBResult(OPTIMAL, incumbent_x, incumbent_obj, rel_gap(bound), nodes, bound)
+        if incumbent_x is not None and rel_gap(min(bound, closed)) <= mip_gap:
+            return result(OPTIMAL, bound)
         if nodes >= node_limit:
-            status = ITER_LIMIT if incumbent_x is not None else INFEASIBLE
-            return BnBResult(status, incumbent_x, incumbent_obj, rel_gap(bound), nodes, bound)
+            return result(ITER_LIMIT if incumbent_x is not None else INFEASIBLE, bound)
         nodes += 1
         sol = solve_socp(with_fixed_variables(prob.relaxation, fixed), tol=tol)
         if sol.status != OPTIMAL:
             continue  # infeasible or diverging branch: prune
         if incumbent_x is not None and sol.obj >= incumbent_obj - 1e-12:
             continue
-        frac = [(abs(float(sol.x[i]) - 0.5), i) for i in bins if i not in fixed]
-        frac = [(d, i) for d, i in frac if abs(sol.x[i] - round(sol.x[i])) > _INT_TOL]
+        x = restore_fixed(sol.x, fixed)
+        frac = [(abs(x[i] - 0.5), i) for i in bins if abs(x[i] - round(x[i])) > _INT_TOL]
         if not frac:
-            assign = {i: float(round(sol.x[i])) for i in bins}
-            resolved = solve_socp(with_fixed_variables(prob.relaxation, assign), tol=tol)
-            if resolved.status == OPTIMAL and resolved.obj < incumbent_obj:
-                xi = resolved.x.copy()
-                for i, v in assign.items():
-                    xi[i] = v
-                incumbent_x, incumbent_obj = xi, resolved.obj
+            # integral leaf: pin the rounded binaries unless they already are
+            assign = {i: float(round(x[i])) for i in bins}
+            offer(assign, sol if assign == fixed else None)
             continue
         if incumbent_x is None or nodes % 8 == 1:
-            try_heuristic(sol.x, fixed)
+            assign = _round_assignment(x, prob)
+            assign.update(fixed)
+            offer(assign)
             if incumbent_x is not None and rel_gap(sol.obj) <= mip_gap:
+                closed = min(closed, sol.obj)
                 continue
-        _, branch_var = min(frac, key=lambda t: (t[0], t[1]))
+        _, branch_var = min(frac)
         for v in (0.0, 1.0):
-            child = dict(fixed)
-            child[branch_var] = v
             counter += 1
-            heapq.heappush(heap, (sol.obj, counter, child))
+            heapq.heappush(heap, (sol.obj, counter, {**fixed, branch_var: v}))
 
-    if incumbent_x is None:
-        return BnBResult(INFEASIBLE, None, float("inf"), float("inf"), nodes, best_bound)
-    return BnBResult(OPTIMAL, incumbent_x, incumbent_obj, 0.0, nodes, incumbent_obj)
-
-
-def relax_and_repair(prob: MixedBinaryProgram, tol: float = 1e-8) -> BnBResult:
-    """Fast path for storage/flexible-load subproblems.
-
-    Solves the continuous relaxation, rounds the gates (netting simultaneous
-    charge/discharge toward the larger power, trimming count budgets), then
-    re-solves the continuous variables with gates fixed.  Falls back to full
-    branch and bound when the repaired pattern is infeasible.
-    """
-    relax = solve_socp(prob.relaxation, tol=tol)
-    if relax.status != OPTIMAL:
-        return solve_mbp(prob, tol=tol)
-    if not prob.binary_indices:
-        return BnBResult(OPTIMAL, relax.x, relax.obj, 0.0, 1, relax.obj)
-    assign = _round_assignment(relax.x, prob)
-    fixed_sol = solve_socp(with_fixed_variables(prob.relaxation, assign), tol=tol)
-    if fixed_sol.status != OPTIMAL:
-        return solve_mbp(prob, tol=tol)
-    x = fixed_sol.x.copy()
-    for i, v in assign.items():
-        x[i] = v
-    gap = abs(fixed_sol.obj - relax.obj) / (1.0 + abs(fixed_sol.obj))
-    return BnBResult(OPTIMAL, x, fixed_sol.obj, gap, 1, relax.obj)
+    return result(OPTIMAL if incumbent_x is not None else INFEASIBLE, math.inf)

@@ -29,7 +29,7 @@ from .dso import (
     solve_dso_subproblem,
 )
 from .market import ClearingResult
-from .miqp import with_fixed_variables
+from .miqp import restore_fixed, with_fixed_variables
 from .model import Scenario
 from .prosumer import ProsumerInput, ProsumerSchedule
 from .socp import OPTIMAL, ConicProgram, SolveFailed, solve_socp
@@ -81,9 +81,7 @@ def _stack(
         G=sp.block_diag([p.G for p in programs], format="csr"),
         h=np.concatenate([p.h for p in programs]),
         cones=tuple(cb for p in programs for cb in p.cones),
-        q=np.concatenate(
-            [p.q if p.q is not None else np.zeros(p.n_vars) for p in programs]
-        ),
+        q=np.concatenate([p.q for p in programs]),
         c0=sum(p.c0 for p in programs),
     )
     return prog, list(var_off[:-1]), list(row_off[:-1])
@@ -169,13 +167,13 @@ def solve_centralized(
     elif binaries != "relaxed":
         raise ValueError("binaries must be 'relaxed' or a ClearingResult")
 
-    solve_prog = with_fixed_variables(prog, binary_fix) if binary_fix else prog
-    sol = solve_socp(solve_prog, tol=tol)
+    sol = solve_socp(with_fixed_variables(prog, binary_fix), tol=tol)
     if sol.status != OPTIMAL:
         raise SolveFailed(
             "centralized program", sol.status,
             "likely binding family: device energy floors vs network limits",
         )
+    x = restore_fixed(sol.x, binary_fix)
 
     dlmp = {n: np.zeros(T) for n in net.bus_ids()}
     p_ug = np.zeros(T)
@@ -184,17 +182,17 @@ def solve_centralized(
         bf = hourly[t]
         for n in net.bus_ids():
             dlmp[n][t] = float(sol.y[hour_roff[t] + bf.balance_rows[n]]) / dt
-        p_ug[t] = float(sol.x[hour_voff[t] + bf.p_ug])
+        p_ug[t] = float(x[hour_voff[t] + bf.p_ug])
         loss = 0.0
         for li, (_, _, r, _, _) in enumerate(feeder.oriented):
-            loss += r * float(sol.x[hour_voff[t] + bf.off_l + li])
+            loss += r * float(x[hour_voff[t] + bf.off_l + li])
         p_loss[t] = loss
 
     schedules: dict[str, ProsumerSchedule] = {}
     pros_costs: dict[str, float] = {}
     for a in ids:
         pp = pros_programs[a]
-        xs = sol.x[pros_off[a] : pros_off[a] + pp.mbp.relaxation.n_vars]
+        xs = x[pros_off[a] : pros_off[a] + pp.mbp.relaxation.n_vars]
         sched = pros_mod._extract(pp, xs, 0.0, 0.0)
         payment = float(np.sum(sched.p_net * dlmp[pros_by_id[a].bus_id]) * dt)
         sched.cost_energy = payment
@@ -272,11 +270,14 @@ def solve_selfish(
             net, inp_net, scenario.loss_cost, dt, tol=tol
         )
     except DsoInfeasible as exc:
-        violations.append(str(exc))
+        # one entry per (hour, limit); the exception's diagnosis names the
+        # first infeasible hour's limits again, so it stands in only when
+        # the scan finds none
         dso_out = solve_dso_subproblem(
             relaxed_limits(net), inp_net, scenario.loss_cost, dt, tol=tol
         )
-        violations += [f"{msg} at hour {t}" for t, msg in limit_violations(net, dso_out)]
+        scan = limit_violations(net, dso_out)
+        violations = [f"{msg} at hour {t}" for t, msg in scan] or [str(exc)]
 
     total_net = scenario.total_background().copy()
     for a in ids:

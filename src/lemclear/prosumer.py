@@ -240,7 +240,7 @@ def build_subproblem(
         G=G,
         h=h,
         cones=(NonNeg(len(h)),) if len(h) else (),
-        q=qdiag if inp.p_tilde is not None else None,
+        q=qdiag,
         c0=c0,
     )
 
@@ -354,8 +354,6 @@ def solve_subproblem_III(
     dt: float,
     horizon: int,
     mode: str = "exact",
-    mip_gap: float = 1e-6,
-    node_limit: int = 50_000,
     tol: float = 1e-9,
 ) -> ProsumerSchedule:
     """Solve the prosumer's scheduling problem and reconstruct the schedule.
@@ -371,7 +369,7 @@ def solve_subproblem_III(
         )
     pp = build_subproblem(pros, inp, cfg, dt, horizon)
     if _SOLVER_MODES[mode] == "exact":
-        res: BnBResult = solve_mbp(pp.mbp, mip_gap=mip_gap, node_limit=node_limit, tol=tol)
+        res: BnBResult = solve_mbp(pp.mbp, tol=tol)
     else:
         res = relax_and_repair(pp.mbp, tol=tol)
     if res.x_incumbent is None or res.status not in (OPTIMAL, "iter_limit"):

@@ -39,6 +39,12 @@ non-optimal is repeated with SuperLU's partial pivoting.  Either way an
 optimal answer is only returned when residuals computed from the program
 itself, not from the factorization, meet the tolerance.
 
+Every program takes this one path, including those without variables or
+without cone rows.  The barrier degree is floored at 1 so that mu stays
+defined when there are no cone rows; such a program is then an
+equality-constrained QP, which the first full Newton step solves, and its
+infeasible or unbounded cases end through the same divergence tests.
+
 Everything here is deterministic: no randomization, no threading, and the
 same inputs always produce bit-identical outputs.
 """
@@ -123,7 +129,7 @@ def _norm(*vs: np.ndarray) -> float:
 
 @dataclass
 class ConicProgram:
-    """Standard-form cone program with an optional diagonal quadratic term."""
+    """Standard-form cone program with a diagonal quadratic term (zeros when omitted)."""
 
     c: np.ndarray
     A: sp.csr_matrix
@@ -140,12 +146,11 @@ class ConicProgram:
         self.h = np.asarray(self.h, dtype=float)
         self.A, self.G = _csr(self.A), _csr(self.G)
         n = self.c.shape[0]
-        if self.q is not None:
-            self.q = np.asarray(self.q, dtype=float)
-            if np.any(self.q < 0):
-                raise ValueError("quadratic diagonal must be elementwise nonnegative")
-            if self.q.shape != self.c.shape:
-                raise ValueError("quadratic diagonal must match variable count")
+        self.q = np.zeros(n) if self.q is None else np.asarray(self.q, dtype=float)
+        if np.any(self.q < 0):
+            raise ValueError("quadratic diagonal must be elementwise nonnegative")
+        if self.q.shape != self.c.shape:
+            raise ValueError("quadratic diagonal must match variable count")
         for name, M, rhs in (("A", self.A, self.b), ("G", self.G, self.h)):
             if M.shape != (rhs.shape[0], n):
                 raise ValueError(f"{name} has shape {M.shape}, expected ({rhs.shape[0]}, {n})")
@@ -162,10 +167,7 @@ class ConicProgram:
         return self.b.shape[0]
 
     def objective(self, x: np.ndarray) -> float:
-        val = float(self.c @ x) + self.c0
-        if self.q is not None:
-            val += 0.5 * float(self.q @ (x * x))
-        return val
+        return float(self.c @ x) + self.c0 + 0.5 * float(self.q @ (x * x))
 
 
 @dataclass
@@ -475,7 +477,6 @@ class _Workspace:
         self.CT = self.C.T.tocsr()
         self.bnorm = 1.0 + _norm(prog.b, prog.h)
         self.cnorm = 1.0 + _norm(prog.c)
-        self.q = prog.q if prog.q is not None else np.zeros(n)
 
         size = n + m + p
         c = self.C.tocoo()
@@ -496,9 +497,9 @@ class _Workspace:
 
     def kkt(self, w2: np.ndarray, delta: float) -> sp.csc_matrix:
         """Refill K, the permuted KKT matrix, for W^2's entries w2."""
-        n, m, p = self.n, self.m, self.p
+        n, m, p, q = self.n, self.m, self.p, self.prog.q
         weights = np.concatenate(
-            [self.q, np.full(n, delta), self.c_data, np.full(m, -delta), -w2, np.full(p, -delta)]
+            [q, np.full(n, delta), self.c_data, np.full(m, -delta), -w2, np.full(p, -delta)]
         )
         self.K.data[:] = np.bincount(self.kkt_slots, weights=weights, minlength=len(self.K.data))
         return self.K
@@ -532,7 +533,7 @@ class _Workspace:
         prog, m = self.prog, self.m
         cx = self.C @ x
         return (
-            self.q * x + prog.c - self.CT @ np.concatenate([y, -z]),
+            prog.q * x + prog.c - self.CT @ np.concatenate([y, -z]),
             cx[:m] - prog.b,
             cx[m:] + s - prog.h,
         )
@@ -569,7 +570,7 @@ class _Workspace:
         if status == ITER_LIMIT and xs > scale:
             _, r_p, r_g = self.residuals(x, y, s, z)
             pr_ray = _norm(r_p, r_g) / xs
-            lin_ray = float(prog.c @ x + self.q @ (x * x)) / xs
+            lin_ray = float(prog.c @ x + prog.q @ (x * x)) / xs
             if pr_ray <= 1e-6 and lin_ray < -1e-8:
                 status = UNBOUNDED
         if status == ITER_LIMIT and (ys > scale or xs > scale):
@@ -587,57 +588,16 @@ def solve_socp(prog: ConicProgram, tol: float = 1e-8, max_iter: int = 200) -> Co
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    n, m = prog.n_vars, prog.n_eq
-
-    if n == 0:
-        # nothing to choose: b must vanish and s = h must lie in the cone
-        ok = _norm(prog.b) <= tol and _Cones(prog.cones).membership_violation(prog.h) <= tol
-        return ConicSolution(
-            status=OPTIMAL if ok else INFEASIBLE,
-            x=np.zeros(0),
-            y=np.zeros(m),
-            z=np.zeros(len(prog.h)),
-            s=prog.h.copy(),
-            obj=prog.c0,
-            residuals={"primal": 0.0, "dual": 0.0, "gap": 0.0},
-        )
-
     ws = _Workspace(prog)
-    run = _ipm_loop if ws.p else _solve_free
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sol = run(ws, tol, max_iter)
+        sol = _ipm_loop(ws, tol, max_iter)
         if sol.status != OPTIMAL:
             # a static pivot can shrink toward zero on nearly singular
             # systems; rerun the program under partial pivoting
             ws.pivoting = True
             first = sol.iterations
-            sol = run(ws, tol, max_iter)
+            sol = _ipm_loop(ws, tol, max_iter)
             sol.iterations += first
-    return sol
-
-
-def _solve_free(ws: _Workspace, tol: float, max_iter: int) -> ConicSolution:
-    """A program without cone rows: a single regularized KKT solve."""
-    prog, n, m = ws.prog, ws.n, ws.m
-    empty = np.zeros(0)
-    if not ws.factor(empty, 1e-10):
-        return ConicSolution(
-            status=INFEASIBLE,
-            x=np.zeros(n),
-            y=np.zeros(m),
-            z=empty,
-            s=empty,
-            obj=float("nan"),
-            residuals={"primal": float("inf"), "dual": float("inf"), "gap": 0.0},
-        )
-    x, ytil, _ = ws.solve(-prog.c, prog.b, empty, refine=2)
-    sol = ws.finish(OPTIMAL, x, -ytil, empty, empty, 1)
-    scaled_ok = (
-        sol.residuals["primal"] / ws.bnorm <= 10 * max(tol, 1e-9)
-        and sol.residuals["dual"] / ws.cnorm <= 10 * max(tol, 1e-9)
-    )
-    if not scaled_ok:
-        sol.status = INFEASIBLE
     return sol
 
 
@@ -650,7 +610,7 @@ def _ipm_loop(ws: _Workspace, tol: float, max_iter: int) -> ConicSolution:
     y = np.zeros(ws.m)
     s = e * max(1.0, math.sqrt(ws.bnorm))
     z = e * max(1.0, math.sqrt(ws.cnorm))
-    nu = cones.degree
+    nu = max(cones.degree, 1)  # keeps mu defined without cone rows
 
     best = None
     for it in range(1, max_iter + 1):
@@ -726,8 +686,7 @@ def check_kkt(prog: ConicProgram, sol: ConicSolution) -> dict[str, float]:
         raise ValueError("check_kkt expects an optimal solution")
     cones = _Cones(prog.cones)
     x, s, z = sol.x, sol.s, sol.z
-    qx = prog.q * x if prog.q is not None else 0.0
-    r_d = qx + prog.c - prog.A.T @ sol.y + prog.G.T @ z
+    r_d = prog.q * x + prog.c - prog.A.T @ sol.y + prog.G.T @ z
     return {
         "primal": _norm(prog.A @ x - prog.b, prog.G @ x + s - prog.h),
         "dual": _norm(r_d),
@@ -773,15 +732,15 @@ def dual_sensitivity_probe(
 
 def dump_program(prog: ConicProgram, path: str) -> None:
     """Write a plain-text standard-form dump (grammar in docs/formats.md)."""
-    lines = [f"VARS {prog.n_vars}", f"EQS {prog.n_eq}", f"CONST {prog.c0!r}"]
+    lines = [f"VARS {prog.n_vars}", f"EQS {prog.n_eq}", f"CONST {float(prog.c0)!r}"]
     lines.append("CONES " + " ".join(f"{cb.kind}:{cb.size}" for cb in prog.cones))
-    lines.append("C " + " ".join(repr(v) for v in prog.c))
-    if prog.q is not None:
-        lines.append("Q " + " ".join(repr(v) for v in prog.q))
+    lines.append("C " + " ".join(repr(v) for v in prog.c.tolist()))
+    if np.any(prog.q):
+        lines.append("Q " + " ".join(repr(v) for v in prog.q.tolist()))
     for tag, M, rhs_tag, rhs in (("A", prog.A, "B", prog.b), ("G", prog.G, "H", prog.h)):
         coo = M.tocoo()
-        for i, j, v in sorted(zip(coo.row, coo.col, coo.data), key=lambda t: (t[0], t[1])):
+        for i, j, v in sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())):
             lines.append(f"{tag} {i} {j} {v!r}")
-        lines.extend(f"{rhs_tag} {i} {v!r}" for i, v in enumerate(rhs))
+        lines.extend(f"{rhs_tag} {i} {v!r}" for i, v in enumerate(rhs.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -8,6 +8,7 @@ from lemclear.miqp import (
     MixedBinaryProgram,
     RepairHints,
     relax_and_repair,
+    restore_fixed,
     solve_mbp,
     with_fixed_variables,
 )
@@ -163,10 +164,50 @@ class TestRelaxAndRepair:
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
-def test_with_fixed_variables_appends_rows():
+def test_with_fixed_variables_substitutes_columns():
     prob = binary_quadratic([0.4, 0.6])
-    fixed = with_fixed_variables(prob.relaxation, {0: 1.0, 1: 0.0})
-    s = solve_socp(fixed)
+    prog = prob.relaxation
+    fixed = {0: 1.0, 1: 0.0}
+    sub = with_fixed_variables(prog, fixed)
+    assert sub.n_vars == prog.n_vars - len(fixed)
+    assert sub.n_eq == prog.n_eq and sub.G.shape[0] == prog.G.shape[0]
+    assert sub.cones == prog.cones
+    s = solve_socp(sub)
     assert s.status == OPTIMAL
-    assert s.x[0] == pytest.approx(1.0, abs=1e-8)
-    assert s.x[1] == pytest.approx(0.0, abs=1e-8)
+    x = restore_fixed(s.x, fixed)
+    assert x[0] == 1.0 and x[1] == 0.0
+    assert np.array_equal(np.delete(x, [0, 1]), s.x)
+    assert s.obj == pytest.approx(prog.objective(x), abs=1e-12)
+    assert s.obj == pytest.approx((1 - 0.4) ** 2 + 0.6**2, abs=1e-7)
+
+
+def test_gap_closed_root_reports_its_relaxation_as_bound():
+    # the root relaxation (-1.9875) is within 1% of the repaired incumbent
+    # (-1.975), so the search closes it and reports it as the bound
+    res = solve_mbp(gate_program(), mip_gap=0.01)
+    assert res.status == OPTIMAL
+    assert res.obj_incumbent == pytest.approx(-1.975, abs=1e-6)
+    assert res.bound == pytest.approx(-1.9875, abs=1e-6)
+    assert res.gap == pytest.approx(
+        abs(res.bound - res.obj_incumbent) / (1 + abs(res.obj_incumbent)), rel=1e-12
+    )
+    assert res.gap > 0
+
+
+def test_relax_and_repair_infeasible_relaxation_solves_once(monkeypatch):
+    import lemclear.miqp as miqp
+
+    calls = []
+
+    def counted(prog, **kw):
+        calls.append(prog.n_vars)
+        return solve_socp(prog, **kw)
+
+    monkeypatch.setattr(miqp, "solve_socp", counted)
+    # x0 + x1 = -1 with x >= 0
+    prog = lifted(
+        c=np.zeros(2), A=sp.csr_matrix([[1.0, 1.0]]), b=np.array([-1.0]), cones=(NonNeg(2),)
+    )
+    res = relax_and_repair(MixedBinaryProgram(prog, (0, 1)))
+    assert res.status == "infeasible" and res.x_incumbent is None
+    assert len(calls) == 1

@@ -145,6 +145,27 @@ class TestSolveBasics:
         assert s.status == OPTIMAL
         assert s.obj == 3.5
 
+    def test_cone_free_inconsistent_equalities_infeasible(self):
+        # x0 + x1 = 1 and x0 + x1 = 2, no cone rows
+        prog = ConicProgram(
+            c=np.array([1.0, 2.0]), A=sp.csr_matrix([[1.0, 1.0], [1.0, 1.0]]),
+            b=np.array([1.0, 2.0]), G=sp.csr_matrix((0, 2)), h=np.zeros(0), cones=(),
+            q=np.ones(2),
+        )
+        assert solve_socp(prog, tol=1e-9).status == INFEASIBLE
+
+    def test_cone_free_unbounded_lp(self):
+        # min x0 + 2 x1 subject to x0 + x1 = 3: x1 -> -inf
+        prog = ConicProgram(
+            c=np.array([1.0, 2.0]), A=sp.csr_matrix([[1.0, 1.0]]), b=np.array([3.0]),
+            G=sp.csr_matrix((0, 2)), h=np.zeros(0), cones=(),
+        )
+        assert solve_socp(prog, tol=1e-9).status == UNBOUNDED
+
+    def test_missing_quadratic_is_zeros(self):
+        prog = simplex_lp()
+        assert np.array_equal(prog.q, np.zeros(2))
+
     def test_deterministic(self):
         progs = seeded_programs(3, seed=5)
         for p in progs:
@@ -265,6 +286,15 @@ def test_dump_program_grammar(tmp_path):
     assert sum(1 for line in text if line.startswith("G ")) == prog.G.nnz
     assert sum(1 for line in text if line.startswith("H ")) == len(prog.h)
     assert not any(line.startswith("CONES") and "free" in line for line in text)
+
+
+def test_dump_program_q_line_only_when_nonzero(tmp_path):
+    path = tmp_path / "prog.txt"
+    prog = norm_cone_program()
+    cases = ((None, []), (np.zeros(3), []), (np.array([0.0, 0.5, 0.0]), ["Q 0.0 0.5 0.0"]))
+    for q, expected in cases:
+        dump_program(replace(prog, q=q), str(path))
+        assert [ln for ln in path.read_text().splitlines() if ln.startswith("Q ")] == expected
 
 
 # ---------------------------------------------------------------------------
