@@ -6,17 +6,29 @@ squared voltages (v).  The quadratic flow-current coupling is relaxed to a
 rotated cone written as SecondOrder(4) blocks; line capacity is a
 SecondOrder(3) block.  The dual of a bus's active-power balance, divided by
 the interval length, is that bus's energy price.
+
+All hours share one constraint matrix: ``solve_dso_subproblem`` assembles
+the program once, fills in each hour's right-hand side and objective, and
+solves the hours as one lockstep batch (``socp.solve_socp_batch``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model import Bus, Line, NetworkModel, validate_network
-from .socp import OPTIMAL, ConicProgram, NonNeg, SecondOrder, SparseRows, solve_socp
+# solve_socp stays importable here: perfbench/tracer.py wraps dso.solve_socp
+from .socp import (  # noqa: F401
+    OPTIMAL,
+    ConicProgram,
+    NonNeg,
+    SecondOrder,
+    SparseRows,
+    solve_socp,
+    solve_socp_batch,
+)
 
 __all__ = [
     "FeederIndex",
@@ -212,9 +224,8 @@ def assemble_branch_flow(
 
     c = np.zeros(n)
     qdiag = np.zeros(n)
-    c[p_loss] = loss_price - lambda_loss - rho_prime * p_loss_tilde
+    c[p_loss], c0 = _loss_terms(loss_price, lambda_loss, rho_prime, p_loss_tilde)
     qdiag[p_loss] = rho_prime
-    c0 = lambda_loss * p_loss_tilde + 0.5 * rho_prime * p_loss_tilde**2
     # vanishing pressure on squared currents keeps the cone tight even on
     # zero-resistance lines, where losses alone leave l unpinned
     c[off_l : off_l + F] += 1e-9
@@ -233,6 +244,14 @@ def assemble_branch_flow(
         q_ug=q_ug,
         p_loss=p_loss,
         balance_rows=balance_rows,
+    )
+
+
+def _loss_terms(loss_price, lambda_loss, rho_prime, p_loss_tilde) -> tuple[float, float]:
+    """The loss variable's linear cost and the objective constant of one hour."""
+    return (
+        loss_price - lambda_loss - rho_prime * p_loss_tilde,
+        lambda_loss * p_loss_tilde + 0.5 * rho_prime * p_loss_tilde**2,
     )
 
 
@@ -294,63 +313,69 @@ def solve_dso_subproblem(
 ) -> DsoOutput:
     """Solve the hourly network programs and extract prices.
 
-    Hours are independent programs; each bus's price is the dual of its
-    active balance divided by the interval length.  An infeasible hour
-    raises :class:`DsoInfeasible` naming the binding limit.
+    Hours are independent programs on one constraint matrix, solved as one
+    batch; each bus's price is the dual of its active balance divided by
+    the interval length.  The first infeasible hour raises
+    :class:`DsoInfeasible` naming the binding limit.
     """
     fd = feeder if feeder is not None else orient_feeder(net)
     T = len(inp.p_loss_tilde)
-    F = len(net.lines)
-    p_loss = np.zeros(T)
-    objective = np.zeros(T)
-    dlmp = {bid: np.zeros(T) for bid in fd.bus_ids}
-    v = {bid: np.zeros(T) for bid in fd.bus_ids}
-    flows = {li: {k: np.zeros(T) for k in ("p", "q", "l")} for li in range(F)}
-    tight = np.zeros((F, T))
-
+    N = len(fd.bus_ids)
+    bf = assemble_branch_flow(net, {}, {}, loss_price=0.0, rho_prime=rho_prime, feeder=fd)
+    # nodal injections per hour in balance-row order (PCC first), 0 where absent
+    inject = {
+        kind: np.array([np.asarray(node[b], dtype=float) if b in node else np.zeros(T)
+                        for b in fd.bus_ids]).reshape(N, T)
+        for kind, node in (("p", inp.p_net_node), ("q", inp.q_net_node))
+    }
+    progs = []
     for t in range(T):
-        p_net = {bid: float(inp.p_net_node[bid][t]) for bid in fd.bus_ids if bid in inp.p_net_node}
-        q_net = {bid: float(inp.q_net_node[bid][t]) for bid in fd.bus_ids if bid in inp.q_net_node}
-        bf = assemble_branch_flow(
-            net,
-            p_net,
-            q_net,
-            loss_price=float(loss_cost[t]) * dt,
-            lambda_loss=float(inp.lambda_loss[t]),
-            rho_prime=rho_prime,
-            p_loss_tilde=float(inp.p_loss_tilde[t]),
-            feeder=fd,
+        b = bf.prog.b.copy()
+        b[:N], b[N : 2 * N] = inject["p"][:, t], inject["q"][:, t]
+        c = bf.prog.c.copy()
+        c[bf.p_loss], c0 = _loss_terms(
+            float(loss_cost[t]) * dt,
+            float(inp.lambda_loss[t]),
+            rho_prime,
+            float(inp.p_loss_tilde[t]),
         )
-        sol = solve_socp(bf.prog, tol=tol)
+        progs.append(replace(bf.prog, b=b, c=c, c0=c0))
+    sols = solve_socp_batch(progs, tol=tol)
+    for t, sol in enumerate(sols):
         if sol.status != OPTIMAL:
-            raise DsoInfeasible(t, _diagnose(net, p_net, q_net))
-        loss_sum = 0.0
-        for li, (_, _, r, x, _) in enumerate(fd.oriented):
-            pf = float(sol.x[bf.off_p + li])
-            qf = float(sol.x[bf.off_q + li])
-            lf = float(sol.x[bf.off_l + li])
-            vfrom = float(sol.x[bf.off_v + fd.bus_pos[fd.oriented[li][0]]])
-            if r == 0.0 and x == 0.0:
-                # zero-impedance line: nothing in the program references l,
-                # so report the physical squared current directly
-                lf = (pf * pf + qf * qf) / vfrom
-            flows[li]["p"][t] = pf
-            flows[li]["q"][t] = qf
-            flows[li]["l"][t] = lf
-            tight[li, t] = vfrom * lf - (pf * pf + qf * qf)
-            loss_sum += r * lf
-        p_loss[t] = loss_sum
-        objective[t] = sol.obj
-        for i, bid in enumerate(fd.bus_ids):
-            v[bid][t] = float(sol.x[bf.off_v + i])
-            dlmp[bid][t] = float(sol.y[bf.balance_rows[bid]]) / dt
+            hour = {
+                kind: {bid: float(node[bid][t]) for bid in fd.bus_ids if bid in node}
+                for kind, node in (("p", inp.p_net_node), ("q", inp.q_net_node))
+            }
+            raise DsoInfeasible(t, _diagnose(net, hour["p"], hour["q"]))
+
+    F = len(fd.oriented)
+    X = np.array([sol.x for sol in sols]).reshape(T, bf.prog.n_vars)
+    pf = X[:, bf.off_p : bf.off_p + F]
+    qf = X[:, bf.off_q : bf.off_q + F]
+    lf = X[:, bf.off_l : bf.off_l + F].copy()
+    V = X[:, bf.off_v : bf.off_v + N]
+    vfrom = V[:, [fd.bus_pos[fb] for fb, _, _, _, _ in fd.oriented]]
+    r = np.array([o[2] for o in fd.oriented])
+    x = np.array([o[3] for o in fd.oriented])
+    s2 = pf * pf + qf * qf
+    # zero-impedance line: nothing in the program references l, so report
+    # the physical squared current directly
+    zero = (r == 0.0) & (x == 0.0)
+    lf[:, zero] = s2[:, zero] / vfrom[:, zero]
+    # losses summed line by line in feeder order
+    p_loss = np.cumsum(np.hstack([np.zeros((T, 1)), r * lf]), axis=1)[:, -1]
+    balance = [bf.balance_rows[bid] for bid in fd.bus_ids]
+    prices = np.array([sol.y[balance] for sol in sols]).reshape(T, N)
+    dlmp_rows, v_rows = (prices / dt).T.copy(), V.T.copy()
+    flow_rows = {key: a.T.copy() for key, a in (("p", pf), ("q", qf), ("l", lf))}
     return DsoOutput(
         p_loss=p_loss,
-        dlmp=dlmp,
-        v=v,
-        flows=flows,
-        tightness=tight,
-        objective=objective,
+        dlmp={bid: dlmp_rows[i] for i, bid in enumerate(fd.bus_ids)},
+        v={bid: v_rows[i] for i, bid in enumerate(fd.bus_ids)},
+        flows={li: {key: rows[li] for key, rows in flow_rows.items()} for li in range(F)},
+        tightness=(vfrom * lf - s2).T.copy(),
+        objective=np.array([sol.obj for sol in sols]),
         lines_oriented=tuple((fb, tb) for fb, tb, _, _, _ in fd.oriented),
     )
 
@@ -367,11 +392,8 @@ class TightnessReport:
 
 def check_tightness(out: DsoOutput, tol: float = 1e-6) -> TightnessReport:
     """Flag every (line, hour) where the cone relaxation is loose."""
-    flagged = []
-    F, T = out.tightness.shape
-    for li in range(F):
-        for t in range(T):
-            if out.tightness[li, t] > tol:
-                flagged.append((li, t, float(out.tightness[li, t])))
+    flagged = [
+        (int(li), int(t), float(out.tightness[li, t])) for li, t in np.argwhere(out.tightness > tol)
+    ]
     max_res = float(np.max(out.tightness)) if out.tightness.size else 0.0
     return TightnessReport(max_residual=max_res, flagged=flagged)

@@ -22,7 +22,13 @@ import numpy as np
 from . import lmo as lmo_mod
 from .dso import DsoInput, DsoOutput, orient_feeder, solve_dso_subproblem
 from .model import Scenario
-from .prosumer import ProsumerInput, ProsumerSchedule, solve_subproblem_III
+# solve_subproblem_III stays importable here: perfbench/tracer.py wraps it
+from .prosumer import (  # noqa: F401
+    ProsumerInput,
+    ProsumerSchedule,
+    solve_subproblem_III,
+    solve_subproblems,
+)
 
 __all__ = [
     "MESSAGE_SCHEMA",
@@ -222,8 +228,9 @@ def run_clearing(
 
     The first outer pass is a pure price response: prosumers see the
     wholesale series as their initial price signal and no auxiliary profile
-    has been published yet.  ``prosumer_order`` only permutes the solve
-    order; results are merged by sorted id, so the outcome is independent of
+    has been published yet.  Each outer pass solves all prosumers as one
+    lockstep batch.  ``prosumer_order`` only permutes the solve order;
+    results are merged by sorted id, so the outcome is independent of
     scheduling.  Every cone program is solved to 1e-9, and exact prosumer
     branch and bound stops at its default 1e-6 relative gap.
     """
@@ -274,21 +281,19 @@ def run_clearing(
                 },
                 outer=k,
             )
-        schedules = {}
-        for a in solve_order:
-            inp = ProsumerInput(
-                lambda_lem=lambda_lem_recv[a],
-                p_tilde=None if p_tilde_recv is None else p_tilde_recv[a],
-                lambda_p=state.lambda_p[a],
-            )
-            schedules[a] = solve_subproblem_III(
+        problems = [
+            (
                 pros_by_id[a],
-                inp,
-                cfg,
-                dt,
-                T,
-                mode=prosumer_solver,
+                ProsumerInput(
+                    lambda_lem=lambda_lem_recv[a],
+                    p_tilde=None if p_tilde_recv is None else p_tilde_recv[a],
+                    lambda_p=state.lambda_p[a],
+                ),
             )
+            for a in solve_order
+        ]
+        solved = solve_subproblems(problems, cfg, dt, T, mode=prosumer_solver)
+        schedules = dict(zip(solve_order, solved))
         p_net = {a: schedules[a].p_net for a in ids}
         for a in ids:
             bus.send(a, "lmo", "ProsumerToLmo", {"p_net": p_net[a]}, outer=k)

@@ -10,23 +10,41 @@ A node pins its binaries by substituting their values into the relaxation
 (``with_fixed_variables``), so the cone program it solves has only the free
 columns and ``restore_fixed`` puts the pinned values back into x exactly.
 
-There is one search.  ``solve_mbp`` runs it to a relative gap target;
-``relax_and_repair`` runs it with the target waived, so it returns the first
-incumbent: normally the repaired rounding of the root relaxation, and when
-that pattern is infeasible, whichever node first yields one.  Node
-processing is sequential and fully deterministic; the reported incumbent,
-bound and gap do not depend on any execution schedule.
+There is one search, written as a generator (``_search``): it yields each
+cone program it needs solved, a node's relaxation or a rounded pattern's
+re-solve, receives the solution and finally returns its ``BnBResult``.
+``mbp_search`` runs it to a relative gap target; ``repair_search`` runs it
+with the target waived, so it returns the first incumbent: normally the
+repaired rounding of the root relaxation, and when that pattern is
+infeasible, whichever node first yields one.  ``solve_searches`` drives
+several independent searches in lockstep rounds: each round takes the
+pending program of every unfinished search and solves them as one batch
+(``socp.solve_socp_batch``).  A batch member's solution does not depend on
+the other members, so each search visits exactly the nodes it would visit
+alone, and the reported incumbent, bound and gap do not depend on which
+searches run together or in what order.  ``solve_mbp`` and
+``relax_and_repair`` are the batch of one.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Generator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .socp import OPTIMAL, INFEASIBLE, ITER_LIMIT, ConicProgram, solve_socp
+# solve_socp stays importable here: perfbench/tracer.py wraps miqp.solve_socp
+from .socp import (  # noqa: F401
+    OPTIMAL,
+    INFEASIBLE,
+    ITER_LIMIT,
+    ConicProgram,
+    ConicSolution,
+    solve_socp,
+    solve_socp_batch,
+)
 
 __all__ = [
     "RepairHints",
@@ -34,6 +52,9 @@ __all__ = [
     "BnBResult",
     "solve_mbp",
     "relax_and_repair",
+    "mbp_search",
+    "repair_search",
+    "solve_searches",
     "with_fixed_variables",
     "restore_fixed",
 ]
@@ -148,13 +169,15 @@ def _round_assignment(
     return assign
 
 
-def solve_mbp(
-    prob: MixedBinaryProgram,
-    mip_gap: float = 1e-6,
-    node_limit: int = 50_000,
-    tol: float = 1e-8,
-) -> BnBResult:
-    """Best-first branch and bound with a certified optimality gap.
+# a search yields the cone programs it needs solved, is sent their solutions
+# and returns its result
+Search = Generator[ConicProgram, ConicSolution, BnBResult]
+
+
+def mbp_search(
+    prob: MixedBinaryProgram, mip_gap: float = 1e-6, node_limit: int = 50_000
+) -> Search:
+    """Best-first branch and bound with a certified optimality gap, as a search.
 
     Branches on the most fractional binary (closest to 0.5, lowest index on
     ties); hitting ``node_limit`` returns the best incumbent with an honest
@@ -162,24 +185,65 @@ def solve_mbp(
     """
     if mip_gap <= 0:
         raise ValueError("mip_gap must be positive")
-    return _search(prob, mip_gap, node_limit, tol)
+    return _search(prob, mip_gap, node_limit)
 
 
-def relax_and_repair(prob: MixedBinaryProgram, tol: float = 1e-8) -> BnBResult:
+def repair_search(prob: MixedBinaryProgram) -> Search:
     """Fast path for storage/flexible-load subproblems: the first incumbent.
 
-    Runs the search of ``solve_mbp`` with the gap target waived.  The root
+    The search of ``mbp_search`` with the gap target waived.  The root
     relaxation's gates are rounded and repaired (netting simultaneous
     charge/discharge toward the larger power, trimming count budgets) and
     the continuous variables re-solved; if that pattern is infeasible, the
     search branches on until some node yields an incumbent.
     """
-    return _search(prob, math.inf, 50_000, tol)
+    return _search(prob, math.inf, 50_000)
 
 
-def _search(prob: MixedBinaryProgram, mip_gap: float, node_limit: int, tol: float) -> BnBResult:
+def solve_searches(searches: list[Search], tol: float = 1e-8) -> list[BnBResult]:
+    """Run independent searches to completion in lockstep rounds.
+
+    Each round solves the pending program of every unfinished search as one
+    batch, in the order of ``searches``, and hands each search its solution.
+    """
+    results: list[BnBResult | None] = [None] * len(searches)
+    pending: dict[int, ConicProgram] = {}
+
+    def advance(i: int, sol: ConicSolution | None) -> None:
+        try:
+            pending[i] = next(searches[i]) if sol is None else searches[i].send(sol)
+        except StopIteration as stop:
+            results[i] = stop.value
+            pending.pop(i, None)
+
+    for i in range(len(searches)):
+        advance(i, None)
+    while pending:
+        order = sorted(pending)
+        for i, sol in zip(order, solve_socp_batch([pending[i] for i in order], tol=tol)):
+            advance(i, sol)
+    return results
+
+
+def solve_mbp(
+    prob: MixedBinaryProgram,
+    mip_gap: float = 1e-6,
+    node_limit: int = 50_000,
+    tol: float = 1e-8,
+) -> BnBResult:
+    """Best-first branch and bound to a relative gap: ``mbp_search`` run on its own."""
+    return solve_searches([mbp_search(prob, mip_gap, node_limit)], tol)[0]
+
+
+def relax_and_repair(prob: MixedBinaryProgram, tol: float = 1e-8) -> BnBResult:
+    """The first incumbent of the search: ``repair_search`` run on its own."""
+    return solve_searches([repair_search(prob)], tol)[0]
+
+
+def _search(prob: MixedBinaryProgram, mip_gap: float, node_limit: int) -> Search:
     """The branch-and-bound loop; stops once the incumbent is within ``mip_gap``.
 
+    Yields every cone program it needs solved and receives its solution.
     Nodes pin binaries by substitution.  The reported bound is the least of
     the incumbent, the open nodes' bounds and the relaxations of the nodes
     closed by the gap test.
@@ -197,12 +261,12 @@ def _search(prob: MixedBinaryProgram, mip_gap: float, node_limit: int, tol: floa
             return math.inf
         return abs(bound - incumbent_obj) / (1.0 + abs(incumbent_obj))
 
-    def offer(assign: dict[int, float], sol=None) -> None:
+    def offer(assign: dict[int, float], sol=None):
         """Take the program with ``assign`` substituted (solved as ``sol``,
         if given) as incumbent when it improves."""
         nonlocal incumbent_x, incumbent_obj
         if sol is None:
-            sol = solve_socp(with_fixed_variables(prob.relaxation, assign), tol=tol)
+            sol = yield with_fixed_variables(prob.relaxation, assign)
         if sol.status == OPTIMAL and sol.obj < incumbent_obj - 1e-12:
             incumbent_x, incumbent_obj = restore_fixed(sol.x, assign), sol.obj
 
@@ -217,7 +281,7 @@ def _search(prob: MixedBinaryProgram, mip_gap: float, node_limit: int, tol: floa
         if nodes >= node_limit:
             return result(ITER_LIMIT if incumbent_x is not None else INFEASIBLE, bound)
         nodes += 1
-        sol = solve_socp(with_fixed_variables(prob.relaxation, fixed), tol=tol)
+        sol = yield with_fixed_variables(prob.relaxation, fixed)
         if sol.status != OPTIMAL:
             continue  # infeasible or diverging branch: prune
         if incumbent_x is not None and sol.obj >= incumbent_obj - 1e-12:
@@ -227,12 +291,12 @@ def _search(prob: MixedBinaryProgram, mip_gap: float, node_limit: int, tol: floa
         if not frac:
             # integral leaf: pin the rounded binaries unless they already are
             assign = {i: float(round(x[i])) for i in bins}
-            offer(assign, sol if assign == fixed else None)
+            yield from offer(assign, sol if assign == fixed else None)
             continue
         if incumbent_x is None or nodes % 8 == 1:
             assign = _round_assignment(x, prob)
             assign.update(fixed)
-            offer(assign)
+            yield from offer(assign)
             if incumbent_x is not None and rel_gap(sol.obj) <= mip_gap:
                 closed = min(closed, sol.obj)
                 continue

@@ -237,22 +237,15 @@ def solve_selfish(
     dt = scenario.dt
     ids = sorted(p.id for p in scenario.prosumers)
     pros_by_id = {p.id: p for p in scenario.prosumers}
-    schedules: dict[str, ProsumerSchedule] = {}
-    for a in ids:
-        inp = ProsumerInput(
-            lambda_lem=scenario.wem_price.copy(),
-            p_tilde=None,
-            lambda_p=np.zeros(T),
-        )
-        schedules[a] = pros_mod.solve_subproblem_III(
-            pros_by_id[a],
-            inp,
-            scenario.admm,
-            dt,
-            T,
-            mode=prosumer_solver,
-            tol=tol,
-        )
+    problems = [
+        (pros_by_id[a], ProsumerInput(lambda_lem=scenario.wem_price.copy(), p_tilde=None,
+                                      lambda_p=np.zeros(T)))
+        for a in ids
+    ]
+    solved = pros_mod.solve_subproblems(
+        problems, scenario.admm, dt, T, mode=prosumer_solver, tol=tol
+    )
+    schedules: dict[str, ProsumerSchedule] = dict(zip(ids, solved))
 
     p_node = {n: scenario.background_at(n).copy() for n in net.bus_ids()}
     for a in ids:

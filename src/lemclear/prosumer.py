@@ -15,8 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .miqp import BnBResult, MixedBinaryProgram, RepairHints, relax_and_repair, solve_mbp
+# solve_mbp and relax_and_repair stay importable here: perfbench/tracer.py wraps them
+from .miqp import (  # noqa: F401
+    MixedBinaryProgram,
+    RepairHints,
+    mbp_search,
+    relax_and_repair,
+    repair_search,
+    solve_mbp,
+    solve_searches,
+)
 from .model import AdmmConfig, Prosumer, StorageDevice, reactive_from_pf
 from .socp import OPTIMAL, ConicProgram, NonNeg, SolveFailed, SparseRows
 
@@ -28,6 +38,7 @@ __all__ = [
     "FlSchedule",
     "build_subproblem",
     "solve_subproblem_III",
+    "solve_subproblems",
     "soc_step",
     "validate_schedule",
 ]
@@ -181,9 +192,8 @@ def build_subproblem(
             )
 
     # --- inequality rows a'x <= rhs, one NonNeg block ---------------------
+    # it opens with -x_j <= 0 for every variable after n_signed (see below)
     le = SparseRows()
-    for j in range(n_signed, n):
-        le.add([(j, -1.0)], 0.0)
     for u, unit in enumerate(pros.pvs):
         for t in range(T):
             le.add([(pv_off[u] + t, 1.0)], unit.cap(t))
@@ -232,7 +242,17 @@ def build_subproblem(
             c[fl_neg[li] + t] += fl.discomfort_cost * dt
 
     A, b = eq.matrix(n)
-    G, h = le.matrix(n)
+    G_dev, h_dev = le.matrix(n)
+    k = n - n_signed
+    G = sp.csr_matrix(
+        (
+            np.concatenate([np.full(k, -1.0), G_dev.data]),
+            np.concatenate([np.arange(n_signed, n, dtype=G_dev.indices.dtype), G_dev.indices]),
+            np.concatenate([np.arange(k, dtype=G_dev.indptr.dtype), G_dev.indptr + k]),
+        ),
+        shape=(k + G_dev.shape[0], n),
+    )
+    h = np.concatenate([np.zeros(k), h_dev])
     prog = ConicProgram(
         c=c,
         A=A,
@@ -362,19 +382,40 @@ def solve_subproblem_III(
     relax-and-repair fast path (``"relax_repair"``, or ``"relax-repair"`` as
     the command line spells it); any other value raises ValueError.  A solve
     without a usable schedule raises :class:`SolveFailed` naming the prosumer.
+    This is ``solve_subproblems`` on one prosumer.
+    """
+    return solve_subproblems([(pros, inp)], cfg, dt, horizon, mode, tol)[0]
+
+
+def solve_subproblems(
+    problems: list[tuple[Prosumer, ProsumerInput]],
+    cfg: AdmmConfig,
+    dt: float,
+    horizon: int,
+    mode: str = "exact",
+    tol: float = 1e-9,
+) -> list[ProsumerSchedule]:
+    """Solve several prosumers' scheduling problems, one schedule per problem.
+
+    The prosumers' searches run together (``miqp.solve_searches``), so each
+    round of cone solves is one batch; every schedule is exactly the one
+    ``solve_subproblem_III`` gives for that prosumer alone.  ``mode`` is as
+    there; the first prosumer in ``problems`` without a usable schedule
+    raises :class:`SolveFailed`.
     """
     if mode not in _SOLVER_MODES:
         raise ValueError(
             f"unknown prosumer solver {mode!r}; expected one of {sorted(_SOLVER_MODES)}"
         )
-    pp = build_subproblem(pros, inp, cfg, dt, horizon)
-    if _SOLVER_MODES[mode] == "exact":
-        res: BnBResult = solve_mbp(pp.mbp, tol=tol)
-    else:
-        res = relax_and_repair(pp.mbp, tol=tol)
-    if res.x_incumbent is None or res.status not in (OPTIMAL, "iter_limit"):
-        raise SolveFailed(f"prosumer {pros.id}", res.status)
-    return _extract(pp, res.x_incumbent, res.obj_incumbent, res.gap)
+    search = mbp_search if _SOLVER_MODES[mode] == "exact" else repair_search
+    pps = [build_subproblem(pros, inp, cfg, dt, horizon) for pros, inp in problems]
+    results = solve_searches([search(pp.mbp) for pp in pps], tol=tol)
+    for pp, res in zip(pps, results):
+        if res.x_incumbent is None or res.status not in (OPTIMAL, "iter_limit"):
+            raise SolveFailed(f"prosumer {pp.pros.id}", res.status)
+    return [
+        _extract(pp, res.x_incumbent, res.obj_incumbent, res.gap) for pp, res in zip(pps, results)
+    ]
 
 
 def validate_schedule(

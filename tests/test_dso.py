@@ -143,6 +143,48 @@ class TestSolve:
         with pytest.raises(DsoInfeasible, match="network equations unsolvable"):
             solve_dso_subproblem(net, one_hour_input(5.0, 3.0), np.array([10.0]), 1.0)
 
+    def test_infeasible_hour_named_among_batched_hours(self):
+        # four hours solved as one batch; only hour 2 overloads the line
+        net = two_bus(smax=1.5 * math.hypot(P2, Q2))
+        scale = np.array([1.0, 0.5, 2.0, 1.2])
+        inp = DsoInput(
+            p_net_node={1: np.zeros(4), 2: scale * P2},
+            q_net_node={1: np.zeros(4), 2: scale * Q2},
+            p_loss_tilde=np.zeros(4),
+            lambda_loss=np.zeros(4),
+        )
+        with pytest.raises(DsoInfeasible, match="capacity") as err:
+            solve_dso_subproblem(net, inp, np.full(4, 10.0), 1.0)
+        assert err.value.hour == 2
+
+    def test_batched_hours_match_separate_solves(self):
+        net = two_bus()
+        scale = np.array([1.0, 0.5, 2.0, 0.0])
+        inp = DsoInput(
+            p_net_node={1: np.zeros(4), 2: scale * P2},
+            q_net_node={1: np.zeros(4), 2: scale * Q2},
+            p_loss_tilde=np.array([0.0, 1e-4, 2e-4, 0.0]),
+            lambda_loss=np.array([0.0, 1.0, -1.0, 0.5]),
+        )
+        loss_cost = np.array([10.0, 20.0, 30.0, 40.0])
+        out = solve_dso_subproblem(net, inp, loss_cost, 1.0, rho_prime=2.0)
+        for t in range(4):
+            hour = DsoInput(
+                p_net_node={b: a[t : t + 1] for b, a in inp.p_net_node.items()},
+                q_net_node={b: a[t : t + 1] for b, a in inp.q_net_node.items()},
+                p_loss_tilde=inp.p_loss_tilde[t : t + 1],
+                lambda_loss=inp.lambda_loss[t : t + 1],
+            )
+            one = solve_dso_subproblem(net, hour, loss_cost[t : t + 1], 1.0, rho_prime=2.0)
+            assert out.p_loss[t] == one.p_loss[0]
+            assert out.objective[t] == one.objective[0]
+            assert out.tightness[0, t] == one.tightness[0, 0]
+            for bid in (1, 2):
+                assert out.dlmp[bid][t] == one.dlmp[bid][0]
+                assert out.v[bid][t] == one.v[bid][0]
+            for key in ("p", "q", "l"):
+                assert out.flows[0][key][t] == one.flows[0][key][0]
+
     def test_monotone_loss_in_load(self):
         base = solve_dso_subproblem(
             two_bus(), one_hour_input(P2, Q2), np.array([10.0]), 1.0

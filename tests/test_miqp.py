@@ -12,7 +12,7 @@ from lemclear.miqp import (
     solve_mbp,
     with_fixed_variables,
 )
-from lemclear.socp import NonNeg, OPTIMAL, solve_socp
+from lemclear.socp import NonNeg, OPTIMAL, solve_socp, solve_socp_batch
 from lifted import lifted
 
 
@@ -199,11 +199,11 @@ def test_relax_and_repair_infeasible_relaxation_solves_once(monkeypatch):
 
     calls = []
 
-    def counted(prog, **kw):
-        calls.append(prog.n_vars)
-        return solve_socp(prog, **kw)
+    def counted(progs, **kw):
+        calls.extend(prog.n_vars for prog in progs)
+        return solve_socp_batch(progs, **kw)
 
-    monkeypatch.setattr(miqp, "solve_socp", counted)
+    monkeypatch.setattr(miqp, "solve_socp_batch", counted)
     # x0 + x1 = -1 with x >= 0
     prog = lifted(
         c=np.zeros(2), A=sp.csr_matrix([[1.0, 1.0]]), b=np.array([-1.0]), cones=(NonNeg(2),)

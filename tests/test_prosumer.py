@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lemclear.miqp import mbp_search, solve_mbp, solve_searches
 from lemclear.model import AdmmConfig, FlexibleLoad, Prosumer, PvUnit, StorageDevice
 from lemclear.prosumer import (
     ProsumerInput,
@@ -12,6 +13,7 @@ from lemclear.prosumer import (
     solve_subproblem_III,
     validate_schedule,
 )
+from lemclear.socp import OPTIMAL
 
 T = 24
 CFG = AdmmConfig()
@@ -242,3 +244,89 @@ class TestValidateSchedule:
         sched.storages[0].soc[:] = 0.0
         bad = validate_schedule(pros, sched, 1.0)
         assert any("departure floor" in v for v in bad)
+
+
+# ---------------------------------------------------------------------------
+# Independent MILP oracle.  A first-pass program (p_tilde=None) has no
+# quadratic term and only NonNeg rows, so it is a mixed-binary LP that HiGHS
+# (scipy.optimize.milp) solves on its own; branch and bound must reach the
+# same optimum, alone and with other prosumers' searches in one batch.
+# ---------------------------------------------------------------------------
+
+H4 = 4
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def storages(draw, name):
+    soc_max = draw(st.floats(min_value=0.02, max_value=0.2))
+    e0 = draw(unit) * soc_max
+    p_ch = draw(st.floats(min_value=0.01, max_value=0.1))
+    eta_ch = draw(st.floats(min_value=0.8, max_value=1.0))
+    t0 = draw(st.integers(0, H4 - 1))
+    t1 = draw(st.integers(t0, H4 - 1))
+    reach = min(soc_max, e0 + eta_ch * p_ch * (t1 - t0 + 1))
+    return StorageDevice(
+        name=name, p_ch_max=p_ch, p_dch_max=draw(st.floats(min_value=0.01, max_value=0.1)),
+        eta_ch=eta_ch, eta_dch=draw(st.floats(min_value=0.8, max_value=1.0)),
+        e0=e0, soc_min=draw(unit) * e0, soc_max=soc_max, window=(t0, t1),
+        e_trip=draw(unit) * reach, throughput_cost=draw(st.floats(0.0, 5.0)),
+    )
+
+
+@st.composite
+def fleets(draw, index):
+    load = np.array(draw(st.lists(st.floats(0.0, 0.2), min_size=H4, max_size=H4)))
+    pvs = tuple(
+        PvUnit(p_forecast=np.array(draw(st.lists(st.floats(0.0, 0.1), min_size=H4, max_size=H4))),
+               s_inv=draw(st.floats(0.02, 0.2)))
+        for _ in range(draw(st.integers(0, 1)))
+    )
+    fls = tuple(
+        FlexibleLoad(
+            p_fl_max=np.array(draw(st.lists(st.floats(0.0, 0.05), min_size=H4, max_size=H4))),
+            t_max=draw(st.integers(0, H4)), e_min=draw(unit) * float(np.sum(load)),
+            discomfort_cost=draw(st.floats(0.0, 20.0)),
+        )
+        for _ in range(draw(st.integers(0, 1)))
+    )
+    stores = tuple(draw(storages(f"s{k}")) for k in range(draw(st.integers(0, 2))))
+    pros = Prosumer(id=f"p{index}", bus_id=2, baseline_load=load, pvs=pvs, storages=stores, fls=fls)
+    prices = np.array(draw(st.lists(st.floats(10.0, 100.0), min_size=H4, max_size=H4)))
+    return pros, ProsumerInput(lambda_lem=prices, p_tilde=None, lambda_p=np.zeros(H4))
+
+
+def highs_optimum(mbp) -> float:
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    prog = mbp.relaxation
+    assert not np.any(prog.q) and all(cb.kind == "nonneg" for cb in prog.cones)
+    integrality = np.zeros(prog.n_vars)
+    integrality[list(mbp.binary_indices)] = 1
+    res = milp(
+        prog.c,
+        constraints=[LinearConstraint(prog.A, prog.b, prog.b),
+                     LinearConstraint(prog.G, -np.inf, prog.h)],
+        integrality=integrality,
+        bounds=Bounds(-np.inf, np.inf),
+        # HiGHS's presolve drops bounds near its 1e-7 feasibility tolerance
+        options={"mip_rel_gap": 1e-10, "presolve": False},
+    )
+    assert res.status == 0, res.message
+    return float(res.fun) + prog.c0
+
+
+class TestMilpOracle:
+    @settings(max_examples=20, deadline=None)
+    @given(problems=st.integers(1, 3).flatmap(lambda k: st.tuples(*(fleets(i) for i in range(k)))))
+    def test_branch_and_bound_matches_highs(self, problems):
+        mbps = [build_subproblem(pros, inp, CFG, 1.0, H4).mbp for pros, inp in problems]
+        together = solve_searches([mbp_search(mbp) for mbp in mbps], tol=1e-9)
+        for mbp, batched in zip(mbps, together):
+            alone = solve_mbp(mbp, tol=1e-9)
+            expect = highs_optimum(mbp)
+            assert alone.status == OPTIMAL
+            assert abs(alone.obj_incumbent - expect) <= 1e-6 * (1.0 + abs(expect))
+            assert batched.obj_incumbent == alone.obj_incumbent
+            assert batched.nodes_explored == alone.nodes_explored
+            assert np.array_equal(batched.x_incumbent, alone.x_incumbent)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from lemclear.socp import (
     INFEASIBLE,
@@ -15,12 +16,14 @@ from lemclear.socp import (
     SecondOrder,
     _Cones,
     _soc_step,
+    _Stack,
     _Workspace,
     check_kkt,
     dual_sensitivity_probe,
     dump_program,
     _ipm_loop,
     solve_socp,
+    solve_socp_batch,
 )
 from lifted import Free, lifted
 
@@ -642,7 +645,7 @@ class TestKktPattern:
         s, z = interior_point(rng, prog.cones), interior_point(rng, prog.cones)
         w_nn, soc_w, _ = ws.cones.compute_scaling(s, z)
         w2 = ws.cones.w2_values(w_nn, soc_w)
-        kkt = ws.kkt(w2, delta)
+        kkt = _Stack([ws]).kkt(w2, np.array([delta]))
         assert kkt.format == "csc" and kkt.has_canonical_format
         # K is stored under the workspace's ordering: K = K0[perm][:, perm]
         back = np.argsort(ws.perm)
@@ -656,10 +659,11 @@ class TestKktPattern:
         s, z = interior_point(rng, prog.cones), interior_point(rng, prog.cones)
         w_nn, soc_w, _ = ws.cones.compute_scaling(s, z)
         w2 = ws.cones.w2_values(w_nn, soc_w)
-        assert ws.factor(w2, 1e-6)
+        stack = _Stack([ws])
+        assert stack.factor(w2, np.array([1e-6]))
         n, m = prog.n_vars, prog.n_eq
         rhs = rng.normal(size=n + m + len(prog.h))
-        dx, dy, dz = ws.solve(rhs[:n], rhs[n : n + m], rhs[n + m :])
+        dx, dy, dz = stack.solve(rhs[:n], rhs[n : n + m], rhs[n + m :])
         # one refinement step removes the delta error to first order
         exact = reference_kkt(prog, w2_matrix(ws.cones, w2), 0.0)
         res = exact @ np.concatenate([dx, dy, dz]) - rhs
@@ -716,3 +720,166 @@ class TestKktPattern:
         assert first.iterations == again.iterations
         for attr in ("x", "y", "z"):
             assert np.array_equal(getattr(first, attr), getattr(again, attr))
+
+
+# ---------------------------------------------------------------------------
+# Lockstep batches: every member must come out exactly as it does alone.
+# ---------------------------------------------------------------------------
+
+
+def infeasible_program():
+    # x0 + x1 = -1 with x >= 0
+    return lifted(
+        c=np.array([1.0, 1.0]), A=sp.csr_matrix([[1.0, 1.0]]), b=np.array([-1.0]),
+        cones=(NonNeg(2),),
+    )
+
+
+def unbounded_program():
+    # min -x0 subject to x0 = x1, x >= 0
+    return lifted(
+        c=np.array([-1.0, 0.0]), A=sp.csr_matrix([[1.0, -1.0]]), b=np.array([0.0]),
+        cones=(NonNeg(2),),
+    )
+
+
+def static_pivot_stall_program():
+    # the program of test_static_pivot_stall_recovers_under_partial_pivoting
+    rng = np.random.default_rng(320)
+    n, m = 7, 4
+    A = rng.normal(size=(m, n))
+    A *= 10 ** rng.uniform(-4, 4, size=(m, 1)) * 10 ** rng.uniform(-4, 4, size=(1, n))
+    x0 = np.array([0.5, -0.5, 1.0, 1.0, 2.0, 0.5, -0.5])
+    return lifted(
+        c=rng.normal(size=n), A=sp.csr_matrix(A), b=A @ x0,
+        cones=(Free(2), NonNeg(2), SecondOrder(3)),
+    )
+
+
+BATCH_POOL = seeded_programs(12, seed=11) + [
+    infeasible_program(), unbounded_program(), static_pivot_stall_program()
+]
+SOLO: dict[int, object] = {}
+
+
+def solo(i):
+    if i not in SOLO:
+        SOLO[i] = solve_socp(BATCH_POOL[i], tol=1e-8)
+    return SOLO[i]
+
+
+def assert_same_solution(got, alone):
+    assert got.status == alone.status
+    assert got.iterations == alone.iterations
+    for attr in ("x", "y", "s", "z"):
+        assert np.array_equal(getattr(got, attr), getattr(alone, attr))
+    assert got.obj == alone.obj or (math.isnan(got.obj) and math.isnan(alone.obj))
+    assert got.residuals == alone.residuals
+
+
+class TestLockstepBatch:
+    def test_pool_covers_every_ending(self):
+        statuses = [solo(i).status for i in range(len(BATCH_POOL))]
+        assert statuses[:12] == [OPTIMAL] * 12
+        assert statuses[12:14] == [INFEASIBLE, UNBOUNDED]
+        # the stalled program only reaches optimality in its pivoted rerun
+        with np.errstate(all="ignore"):
+            static = _ipm_loop(_Workspace(BATCH_POOL[14]), 1e-8, 200)
+        assert static.status != OPTIMAL and statuses[14] == OPTIMAL
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        picks=st.lists(st.integers(0, 11), max_size=6),
+        rnd=st.randoms(use_true_random=False),
+    )
+    def test_members_match_their_solo_solves(self, picks, rnd):
+        members = picks + [12, 13, 14]
+        rnd.shuffle(members)
+        sols = solve_socp_batch([BATCH_POOL[i] for i in members], tol=1e-8)
+        assert len(sols) == len(members)
+        for i, sol in zip(members, sols):
+            assert_same_solution(sol, solo(i))
+
+    def test_empty_batch(self):
+        assert solve_socp_batch([]) == []
+
+    def test_shared_pattern_ordered_once(self, monkeypatch):
+        # three programs on one pattern, one on another: two orderings, and
+        # one static factorization per round that did not finish every member
+        base = seeded_programs(1, seed=3)[0]
+        same = [replace(base, b=f * base.b, c=base.c + f) for f in (0.5, 1.0, 2.0)]
+        progs = same + seeded_programs(1, seed=4)
+        specs = []
+        splu = spla.splu
+
+        def spy(A, **kwargs):
+            specs.append(kwargs.get("permc_spec"))
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", spy)
+        sols = solve_socp_batch(progs, tol=1e-8)
+        assert [s.status for s in sols] == [OPTIMAL] * 4
+        assert specs.count("MMD_AT_PLUS_A") == 2
+        assert specs.count("NATURAL") == max(s.iterations for s in sols) - 1
+        assert len(specs) == max(s.iterations for s in sols) + 1
+
+
+    @pytest.mark.parametrize("singular_at", [(-1e-9,), (-1e-9, -1e-6)])
+    def test_singular_block_settled_as_alone(self, monkeypatch, singular_at):
+        # SuperLU is made to fail on any matrix holding a y-block diagonal
+        # of -delta for the listed deltas: only the member with equality
+        # rows has one, so in a batch only its block is singular
+        splu = spla.splu
+
+        def fake(A, **kwargs):
+            if np.isin(A.diagonal(), singular_at).any():
+                raise RuntimeError("Factor is exactly singular")
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", fake)
+        bound = ConicProgram(
+            c=np.array([1.0]), A=sp.csr_matrix((0, 1)), b=np.zeros(0),
+            G=sp.csr_matrix([[-1.0]]), h=np.array([-1.0]), cones=(NonNeg(1),),
+        )
+        alone = {"bound": solve_socp(bound, tol=1e-8), "lp": solve_socp(simplex_lp(), tol=1e-8)}
+        assert alone["bound"].status == OPTIMAL
+        assert (alone["lp"].status == OPTIMAL) == (len(singular_at) == 1)
+        together = solve_socp_batch([simplex_lp(), bound, simplex_lp()], tol=1e-8)
+        for got, name in zip(together, ("lp", "bound", "lp")):
+            assert_same_solution(got, alone[name])
+
+
+class TestCertifiedVerdicts:
+    @pytest.mark.parametrize(
+        "make, status", [(infeasible_program, INFEASIBLE), (unbounded_program, UNBOUNDED)]
+    )
+    def test_certified_verdict_makes_one_ipm_run(self, monkeypatch, make, status):
+        import lemclear.socp as socp
+
+        runs = []
+        loop = socp._ipm_loop
+
+        def spy(members, *args, **kwargs):
+            runs.append(kwargs.get("pivoting", False))
+            return loop(members, *args, **kwargs)
+
+        monkeypatch.setattr(socp, "_ipm_loop", spy)
+        sol = solve_socp(make(), tol=1e-8)
+        assert sol.status == status
+        assert runs == [False]
+
+    def test_uncertified_ending_is_rerun_alone(self, monkeypatch):
+        import lemclear.socp as socp
+
+        runs = []
+        loop = socp._ipm_loop
+
+        def spy(members, *args, **kwargs):
+            runs.append((len(members), kwargs.get("pivoting", False)))
+            return loop(members, *args, **kwargs)
+
+        monkeypatch.setattr(socp, "_ipm_loop", spy)
+        progs = [static_pivot_stall_program(), infeasible_program(), norm_cone_program()]
+        sols = solve_socp_batch(progs, tol=1e-8)
+        assert [s.status for s in sols] == [OPTIMAL, INFEASIBLE, OPTIMAL]
+        assert runs == [(3, False), (1, True)]
