@@ -285,7 +285,8 @@ def fleets(draw, index):
     fls = tuple(
         FlexibleLoad(
             p_fl_max=np.array(draw(st.lists(st.floats(0.0, 0.05), min_size=H4, max_size=H4))),
-            t_max=draw(st.integers(0, H4)), e_min=draw(unit) * float(np.sum(load)),
+            t_max=draw(st.integers(0, H4)),
+            e_min=draw(st.floats(0.5, 1.0)) * float(np.sum(load)),
             discomfort_cost=draw(st.floats(0.0, 20.0)),
         )
         for _ in range(draw(st.integers(0, 1)))

@@ -804,11 +804,18 @@ class TestLockstepBatch:
         assert solve_socp_batch([]) == []
 
     def test_shared_pattern_ordered_once(self, monkeypatch):
-        # three programs on one pattern, one on another: two orderings, and
+        # three programs on one pattern and two on others, one of them with
+        # base's sizes and cones but an entry less in A: three orderings, and
         # one static factorization per round that did not finish every member
         base = seeded_programs(1, seed=3)[0]
         same = [replace(base, b=f * base.b, c=base.c + f) for f in (0.5, 1.0, 2.0)]
-        progs = same + seeded_programs(1, seed=4)
+        A = base.A.tolil()
+        A[0, 0] = 0.0
+        A = A.tocsr()
+        A.eliminate_zeros()
+        sparser = replace(base, A=A, b=A @ solve_socp(base, tol=1e-8).x)
+        progs = same + [sparser] + seeded_programs(1, seed=4)
+        alone = [solve_socp(p, tol=1e-8) for p in progs]
         specs = []
         splu = spla.splu
 
@@ -818,10 +825,12 @@ class TestLockstepBatch:
 
         monkeypatch.setattr(spla, "splu", spy)
         sols = solve_socp_batch(progs, tol=1e-8)
-        assert [s.status for s in sols] == [OPTIMAL] * 4
-        assert specs.count("MMD_AT_PLUS_A") == 2
+        assert [s.status for s in sols] == [OPTIMAL] * 5
+        for got, ref in zip(sols, alone):
+            assert_same_solution(got, ref)
+        assert specs.count("MMD_AT_PLUS_A") == 3
         assert specs.count("NATURAL") == max(s.iterations for s in sols) - 1
-        assert len(specs) == max(s.iterations for s in sols) + 1
+        assert len(specs) == 3 + max(s.iterations for s in sols) - 1
 
 
     @pytest.mark.parametrize("singular_at", [(-1e-9,), (-1e-9, -1e-6)])
