@@ -802,12 +802,9 @@ class _Stack:
         sx, sy, sz = self.slices["x"][k], self.slices["y"][k], self.slices["z"][k]
         return x[sx], y[sy], s[sz], z[sz]
 
-    def select(self, keep: list[int], *vectors):
-        """The stack of the members at positions ``keep``, and their parts
-        of each (vector, kind)."""
-        out = _Stack([self.members[k] for k in keep], self.pivoting)
-        parts = [np.concatenate([v[self.slices[kind][k]] for k in keep]) for v, kind in vectors]
-        return out, parts
+    def gather(self, keep: list[int], *vectors) -> list[np.ndarray]:
+        """The parts of the members at positions ``keep`` of each (vector, kind)."""
+        return [np.concatenate([v[self.slices[kind][k]] for k in keep]) for v, kind in vectors]
 
     def residuals(self, x, y, s, z):
         return _residuals(self, self.CT, x, y, s, z)
@@ -823,6 +820,7 @@ class _Stack:
     def factor(self, w2: np.ndarray, deltas: np.ndarray) -> bool:
         """Factor the KKT matrix for W^2's entries w2; False if SuperLU fails."""
         K = self.kkt(w2, deltas)
+        self.lu = None  # free the previous factor before making the next
         try:
             self.lu = (
                 spla.splu(K) if self.pivoting
@@ -924,7 +922,10 @@ def _ipm_loop(members, tol: float, max_iter: int, pivoting: bool = False):
         live = [live[k] for k in keep]
         if not live:
             return [None] * len(vectors)
-        st, (e, *parts) = st.select(keep, (e, "z"), *vectors)
+        e, *parts = st.gather(keep, (e, "z"), *vectors)
+        kept = [st.members[k] for k in keep]
+        st = None  # free the old stack and its factor before building the new one
+        st = _Stack(kept, pivoting)
         return parts
 
     for it in range(1, max_iter + 1):
@@ -946,74 +947,28 @@ def _ipm_loop(members, tol: float, max_iter: int, pivoting: bool = False):
                 continue
             score = rel_p[k] + rel_d[k] + rel_g
             if best[i] is None or score < best[i][0]:
-                best[i] = (score, *part)  # views: iterates are never updated in place
+                best[i] = (score, *(v.copy() for v in part))
             if big_p[k] or big_d[k]:
                 verdict = ws.classify(*part, it)
                 if verdict.status != ITER_LIMIT:
                     done[i] = verdict
                     ended.append(k)
-        if ended:
-            x, y, s, z, r_d, r_p, r_g, mu = drop(
-                ended, *zip((x, y, s, z, r_d, r_p, r_g, mu), "xyzzxyzk")
-            )
-            if not live:
-                return done
-
-        w_nn, soc_w, lam, deltas = _scale_and_factor(st, s, z)
-        failed = [k for k, d in enumerate(deltas) if d is None]
-        if failed:
-            # a member's block is singular at both regularizations
-            for k in failed:
+        state = [x, y, s, z, r_d, r_p, r_g, mu]
+        while True:
+            if ended:
+                state = drop(ended, *zip(state, "xyzzxyzk"))
+                if not live:
+                    return done
+            x, y, s, z, r_d, r_p, r_g, mu = state
+            singular, stalled = _newton_step(st, x, y, s, z, (r_d, r_p, r_g), mu, e)
+            if not singular:
+                break
+            # a member whose KKT block factors at neither regularization ends here
+            for k in singular:
                 done[live[k]] = st.members[k].classify(*st.part(k, x, y, s, z), it)
-            x, y, s, z, r_d, r_p, r_g, mu = drop(
-                failed, *zip((x, y, s, z, r_d, r_p, r_g, mu), "xyzzxyzk")
-            )
-            if not live:
-                return done
-            w_nn, soc_w, lam, _ = _scale_and_factor(st, s, z)
-        cones = st.cones
-        lam_lam = cones.jprod_all(lam, lam)
-        mu = mu.tolist()
-        nu = st.nu.tolist()
-
-        def direction(d_target):
-            # linearized complementarity lam o (W^-1 ds + W dz) = d_target
-            # gives ds = W g - W^2 dz with g = lam \ d_target
-            g = cones.jdiv_all(lam, d_target)
-            wg = cones.apply_w(w_nn, soc_w, g, inverse=False)
-            dx, dyt, dz = st.solve(-r_d, -r_p, -r_g - wg)
-            ds = cones.apply_w(
-                w_nn, soc_w, g - cones.apply_w(w_nn, soc_w, dz, inverse=False), inverse=False
-            )
-            return dx, -dyt, ds, dz
-
-        # predictor
-        dx_a, dy_a, ds_a, dz_a = direction(-lam_lam)
-        steps = zip(cones.max_step(s, ds_a).tolist(), cones.max_step(z, dz_a).tolist())
-        a_aff = st.spread([min(1.0, a_s, a_z) for a_s, a_z in steps], "z")
-        aff_gap = st.dots(s + a_aff * ds_a, z + a_aff * dz_a, "z")
-        sigma = [
-            min(1.0, max(0.0, (g / nu_k / mu_k) ** 3)) if mu_k > 0 else 0.0
-            for g, nu_k, mu_k in zip(aff_gap, nu, mu)
-        ]
-
-        # corrector
-        wds = cones.apply_w(w_nn, soc_w, ds_a, inverse=True)
-        wdz = cones.apply_w(w_nn, soc_w, dz_a, inverse=False)
-        sigma_mu = st.spread([sg * mu_k for sg, mu_k in zip(sigma, mu)], "z")
-        d_cor = sigma_mu * e - lam_lam - cones.jprod_all(wds, wdz)
-        dx, dy, ds, dz = direction(d_cor)
-
-        steps = zip(cones.max_step(s, ds).tolist(), cones.max_step(z, dz).tolist())
-        alpha = [min(1.0, 0.99 * a_s, 0.99 * a_z) for a_s, a_z in steps]
-        stalled = [k for k, a in enumerate(alpha) if not math.isfinite(a) or a <= 1e-14]
+            ended = singular
         for k in stalled:
             done[live[k]] = st.members[k].classify(*st.part(k, x, y, s, z), it, scale=1e5)
-            alpha[k] = 0.0
-        x = x + st.spread(alpha, "x") * dx
-        y = y + st.spread(alpha, "y") * dy
-        s = s + st.spread(alpha, "z") * ds
-        z = z + st.spread(alpha, "z") * dz
         if stalled:
             x, y, s, z = drop(stalled, (x, "x"), (y, "y"), (s, "z"), (z, "z"))
             if not live:
@@ -1024,6 +979,69 @@ def _ipm_loop(members, tol: float, max_iter: int, pivoting: bool = False):
         part = best[i][1:] if best[i] is not None else st.part(k, x, y, s, z)
         done[i] = members[i].finish(ITER_LIMIT, *part, max_iter)
     return done
+
+
+def _newton_step(st: _Stack, x, y, s, z, r, mu: np.ndarray, e: np.ndarray):
+    """One predictor-corrector step of every member of the stack, in place.
+
+    Returns the stack positions of the members whose KKT block factors at
+    neither regularization (then nothing has changed) and of those whose
+    step length collapsed (those are left where they were).  Everything
+    the step allocates, the factorization included, is freed on return,
+    before the next round allocates again: SuperLU reserves about thirty
+    times the stored entries of the matrix, and space handed back early is
+    reused rather than left behind as fragments.
+    """
+    r_d, r_p, r_g = r
+    w_nn, soc_w, lam, deltas = _scale_and_factor(st, s, z)
+    failed = [k for k, d in enumerate(deltas) if d is None]
+    if failed:
+        return failed, []
+    cones = st.cones
+    lam_lam = cones.jprod_all(lam, lam)
+    mu, nu = mu.tolist(), st.nu.tolist()
+
+    def direction(d_target):
+        # linearized complementarity lam o (W^-1 ds + W dz) = d_target
+        # gives ds = W g - W^2 dz with g = lam \ d_target
+        g = cones.jdiv_all(lam, d_target)
+        wg = cones.apply_w(w_nn, soc_w, g, inverse=False)
+        dx, dyt, dz = st.solve(-r_d, -r_p, -r_g - wg)
+        ds = cones.apply_w(
+            w_nn, soc_w, g - cones.apply_w(w_nn, soc_w, dz, inverse=False), inverse=False
+        )
+        return dx, -dyt, ds, dz
+
+    # predictor
+    dx_a, dy_a, ds_a, dz_a = direction(-lam_lam)
+    steps = zip(cones.max_step(s, ds_a).tolist(), cones.max_step(z, dz_a).tolist())
+    a_aff = st.spread([min(1.0, a_s, a_z) for a_s, a_z in steps], "z")
+    aff_gap = st.dots(s + a_aff * ds_a, z + a_aff * dz_a, "z")
+    sigma = [
+        min(1.0, max(0.0, (g / nu_k / mu_k) ** 3)) if mu_k > 0 else 0.0
+        for g, nu_k, mu_k in zip(aff_gap, nu, mu)
+    ]
+
+    # corrector
+    wds = cones.apply_w(w_nn, soc_w, ds_a, inverse=True)
+    wdz = cones.apply_w(w_nn, soc_w, dz_a, inverse=False)
+    sigma_mu = st.spread([sg * mu_k for sg, mu_k in zip(sigma, mu)], "z")
+    dx, dy, ds, dz = direction(sigma_mu * e - lam_lam - cones.jprod_all(wds, wdz))
+    st.lu = None
+
+    steps = zip(cones.max_step(s, ds).tolist(), cones.max_step(z, dz).tolist())
+    alpha = [min(1.0, 0.99 * a_s, 0.99 * a_z) for a_s, a_z in steps]
+    stalled = [k for k, a in enumerate(alpha) if not math.isfinite(a) or a <= 1e-14]
+    moving = np.ones(len(alpha), dtype=bool)
+    moving[stalled] = False
+    for v, dv, kind in ((x, dx, "x"), (y, dy, "y"), (s, ds, "z"), (z, dz, "z")):
+        step = st.spread(alpha, kind) * dv
+        if stalled:
+            rows = st.spread(moving, kind)
+            v[rows] += step[rows]
+        else:
+            v += step
+    return [], stalled
 
 
 def _scale_and_factor(st: _Stack, s: np.ndarray, z: np.ndarray):
