@@ -229,10 +229,11 @@ def run_clearing(
     The first outer pass is a pure price response: prosumers see the
     wholesale series as their initial price signal and no auxiliary profile
     has been published yet.  Each outer pass solves all prosumers as one
-    lockstep batch.  ``prosumer_order`` only permutes the solve order;
-    results are merged by sorted id, so the outcome is independent of
-    scheduling.  Every cone program is solved to 1e-9, and exact prosumer
-    branch and bound stops at its default 1e-6 relative gap.
+    lockstep batch, each prosumer's search starting from its root
+    relaxation of the previous pass.  ``prosumer_order`` only permutes the
+    solve order; results are merged by sorted id, so the outcome is
+    independent of scheduling.  Every cone program is solved to 1e-9, and
+    exact prosumer branch and bound stops at its default 1e-6 relative gap.
     """
     cfg = scenario.admm
     net = scenario.network
@@ -266,6 +267,9 @@ def run_clearing(
     sp1 = None
     inner_counts: list[int] = []
     k_done = 0
+    # each prosumer's last root relaxation, the start of its next search;
+    # solver state of this clearing only, never sent or traced
+    warm: dict = {}
 
     for k in range(1, cfg.max_outer + 1):
         t_outer = time.perf_counter()
@@ -292,7 +296,7 @@ def run_clearing(
             )
             for a in solve_order
         ]
-        solved = solve_subproblems(problems, cfg, dt, T, mode=prosumer_solver)
+        solved = solve_subproblems(problems, cfg, dt, T, mode=prosumer_solver, starts=warm)
         schedules = dict(zip(solve_order, solved))
         p_net = {a: schedules[a].p_net for a in ids}
         for a in ids:

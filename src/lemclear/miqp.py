@@ -10,9 +10,17 @@ A node pins its binaries by substituting their values into the relaxation
 (``with_fixed_variables``), so the cone program it solves has only the free
 columns and ``restore_fixed`` puts the pinned values back into x exactly.
 
-There is one search, written as a generator (``_search``): it yields each
-cone program it needs solved, a node's relaxation or a rounded pattern's
-re-solve, receives the solution and finally returns its ``BnBResult``.
+There is one search, written as a generator (``_search``): it yields a
+``(program, start)`` pair for each cone program it needs solved, a node's
+relaxation or a rounded pattern's re-solve, receives the solution and
+finally returns its ``BnBResult``.  The start is a solution the search
+already holds, restricted to the program's columns: a rounded re-solve or an
+integral leaf's pinned re-solve starts from its node's relaxation, a child
+node from its parent's, and the root from the start the caller passes (the
+root relaxation of an earlier, similar search, which ``BnBResult.root``
+returns), or cold without one.  A start only shortens a solve: a warm
+solve that fails is redone cold (see ``socp``).
+
 ``mbp_search`` runs it to a relative gap target; ``repair_search`` runs it
 with the target waived, so it returns the first incumbent: normally the
 repaired rounding of the root relaxation, and when that pattern is
@@ -34,6 +42,7 @@ from collections.abc import Generator
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 # solve_socp stays importable here: perfbench/tracer.py wraps miqp.solve_socp
 from .socp import (  # noqa: F401
@@ -42,6 +51,7 @@ from .socp import (  # noqa: F401
     ITER_LIMIT,
     ConicProgram,
     ConicSolution,
+    Start,
     solve_socp,
     solve_socp_batch,
 )
@@ -91,6 +101,8 @@ class BnBResult:
     gap: float
     nodes_explored: int
     bound: float = float("-inf")
+    # the root relaxation's (x, y, s, z), x over all columns; None unless optimal
+    root: Start | None = None
 
     @property
     def solution(self) -> np.ndarray:
@@ -107,6 +119,20 @@ def _split(n: int, fixed: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
     return np.delete(np.arange(n), idx), values
 
 
+def _drop_columns(M: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
+    """``M[:, keep]`` for increasing ``keep``: the kept columns' entries in stored order."""
+    colmap = np.full(M.shape[1], -1, dtype=M.indices.dtype)
+    colmap[keep] = np.arange(len(keep), dtype=M.indices.dtype)
+    new_col = colmap[M.indices[: M.nnz]]
+    kept = new_col >= 0
+    # kept entries before each stored position, so before each row's start
+    before = np.zeros(M.nnz + 1, dtype=M.indptr.dtype)
+    np.cumsum(kept, out=before[1:])
+    return sp.csr_matrix(
+        (M.data[: M.nnz][kept], new_col[kept], before[M.indptr]), shape=(M.shape[0], len(keep))
+    )
+
+
 def with_fixed_variables(prog: ConicProgram, fixed: dict[int, float]) -> ConicProgram:
     """Substitute the given variables by their values.
 
@@ -119,9 +145,9 @@ def with_fixed_variables(prog: ConicProgram, fixed: dict[int, float]) -> ConicPr
     keep, xf = _split(prog.n_vars, fixed)
     return ConicProgram(
         c=prog.c[keep],
-        A=prog.A[:, keep],
+        A=_drop_columns(prog.A, keep),
         b=prog.b - prog.A @ xf,
-        G=prog.G[:, keep],
+        G=_drop_columns(prog.G, keep),
         h=prog.h - prog.G @ xf,
         cones=prog.cones,
         q=prog.q[keep],
@@ -169,45 +195,51 @@ def _round_assignment(
     return assign
 
 
-# a search yields the cone programs it needs solved, is sent their solutions
-# and returns its result
-Search = Generator[ConicProgram, ConicSolution, BnBResult]
+# a search yields the cone programs it needs solved, each with its start, is
+# sent their solutions and returns its result
+Search = Generator[tuple[ConicProgram, Start | None], ConicSolution, BnBResult]
 
 
 def mbp_search(
-    prob: MixedBinaryProgram, mip_gap: float = 1e-6, node_limit: int = 50_000
+    prob: MixedBinaryProgram,
+    mip_gap: float = 1e-6,
+    node_limit: int = 50_000,
+    start: Start | None = None,
 ) -> Search:
     """Best-first branch and bound with a certified optimality gap, as a search.
 
     Branches on the most fractional binary (closest to 0.5, lowest index on
     ties); hitting ``node_limit`` returns the best incumbent with an honest
-    gap and status iter_limit.
+    gap and status iter_limit.  The root relaxation starts from ``start``
+    (x over all columns), or cold.
     """
     if mip_gap <= 0:
         raise ValueError("mip_gap must be positive")
-    return _search(prob, mip_gap, node_limit)
+    return _search(prob, mip_gap, node_limit, start)
 
 
-def repair_search(prob: MixedBinaryProgram) -> Search:
+def repair_search(prob: MixedBinaryProgram, start: Start | None = None) -> Search:
     """Fast path for storage/flexible-load subproblems: the first incumbent.
 
     The search of ``mbp_search`` with the gap target waived.  The root
     relaxation's gates are rounded and repaired (netting simultaneous
     charge/discharge toward the larger power, trimming count budgets) and
     the continuous variables re-solved; if that pattern is infeasible, the
-    search branches on until some node yields an incumbent.
+    search branches on until some node yields an incumbent.  The root
+    relaxation starts from ``start``, as in ``mbp_search``.
     """
-    return _search(prob, math.inf, 50_000)
+    return _search(prob, math.inf, 50_000, start)
 
 
 def solve_searches(searches: list[Search], tol: float = 1e-8) -> list[BnBResult]:
     """Run independent searches to completion in lockstep rounds.
 
     Each round solves the pending program of every unfinished search as one
-    batch, in the order of ``searches``, and hands each search its solution.
+    batch, in the order of ``searches``, each from the start its search
+    gave, and hands each search its solution.
     """
     results: list[BnBResult | None] = [None] * len(searches)
-    pending: dict[int, ConicProgram] = {}
+    pending: dict[int, tuple[ConicProgram, Start | None]] = {}
 
     def advance(i: int, sol: ConicSolution | None) -> None:
         try:
@@ -220,7 +252,8 @@ def solve_searches(searches: list[Search], tol: float = 1e-8) -> list[BnBResult]
         advance(i, None)
     while pending:
         order = sorted(pending)
-        for i, sol in zip(order, solve_socp_batch([pending[i] for i in order], tol=tol)):
+        progs, starts = zip(*(pending[i] for i in order))
+        for i, sol in zip(order, solve_socp_batch(list(progs), tol=tol, starts=list(starts))):
             advance(i, sol)
     return results
 
@@ -240,13 +273,24 @@ def relax_and_repair(prob: MixedBinaryProgram, tol: float = 1e-8) -> BnBResult:
     return solve_searches([repair_search(prob)], tol)[0]
 
 
-def _search(prob: MixedBinaryProgram, mip_gap: float, node_limit: int) -> Search:
+def _restrict(start: Start | None, fixed: dict[int, float]) -> Start | None:
+    """A start over all columns, restricted to those ``with_fixed_variables`` keeps."""
+    if start is None or not fixed:
+        return start
+    x, y, s, z = start
+    keep, _ = _split(len(x), fixed)
+    return x[keep], y, s, z
+
+
+def _search(
+    prob: MixedBinaryProgram, mip_gap: float, node_limit: int, root_start: Start | None
+) -> Search:
     """The branch-and-bound loop; stops once the incumbent is within ``mip_gap``.
 
-    Yields every cone program it needs solved and receives its solution.
-    Nodes pin binaries by substitution.  The reported bound is the least of
-    the incumbent, the open nodes' bounds and the relaxations of the nodes
-    closed by the gap test.
+    Yields every cone program it needs solved, with its start, and receives
+    its solution.  Nodes pin binaries by substitution.  The reported bound is
+    the least of the incumbent, the open nodes' bounds and the relaxations of
+    the nodes closed by the gap test.
     """
     bins = tuple(sorted(prob.binary_indices))
     incumbent_x: np.ndarray | None = None
@@ -254,55 +298,62 @@ def _search(prob: MixedBinaryProgram, mip_gap: float, node_limit: int) -> Search
     closed = math.inf
     nodes = 0
     counter = 0
-    heap: list[tuple[float, int, dict[int, float]]] = [(-math.inf, counter, {})]
+    root: Start | None = None
+    # open nodes: (bound, tie-breaker, pinned binaries, start over all columns)
+    heap: list[tuple[float, int, dict[int, float], Start | None]] = [
+        (-math.inf, counter, {}, root_start)
+    ]
 
     def rel_gap(bound: float) -> float:
         if incumbent_x is None:
             return math.inf
         return abs(bound - incumbent_obj) / (1.0 + abs(incumbent_obj))
 
-    def offer(assign: dict[int, float], sol=None):
-        """Take the program with ``assign`` substituted (solved as ``sol``,
-        if given) as incumbent when it improves."""
+    def offer(assign: dict[int, float], start: Start, sol=None):
+        """Take the program with ``assign`` substituted (solved as ``sol``, if
+        given, else from ``start``) as incumbent when it improves."""
         nonlocal incumbent_x, incumbent_obj
         if sol is None:
-            sol = yield with_fixed_variables(prob.relaxation, assign)
+            sol = yield with_fixed_variables(prob.relaxation, assign), _restrict(start, assign)
         if sol.status == OPTIMAL and sol.obj < incumbent_obj - 1e-12:
             incumbent_x, incumbent_obj = restore_fixed(sol.x, assign), sol.obj
 
     def result(status: str, bound: float) -> BnBResult:
         bound = min(bound, closed, incumbent_obj)
-        return BnBResult(status, incumbent_x, incumbent_obj, rel_gap(bound), nodes, bound)
+        return BnBResult(status, incumbent_x, incumbent_obj, rel_gap(bound), nodes, bound, root)
 
     while heap:
-        bound, _, fixed = heapq.heappop(heap)
+        bound, _, fixed, start = heapq.heappop(heap)
         if incumbent_x is not None and rel_gap(min(bound, closed)) <= mip_gap:
             return result(OPTIMAL, bound)
         if nodes >= node_limit:
             return result(ITER_LIMIT if incumbent_x is not None else INFEASIBLE, bound)
         nodes += 1
-        sol = yield with_fixed_variables(prob.relaxation, fixed)
+        sol = yield with_fixed_variables(prob.relaxation, fixed), _restrict(start, fixed)
         if sol.status != OPTIMAL:
             continue  # infeasible or diverging branch: prune
+        x = restore_fixed(sol.x, fixed)
+        relaxed = (x, sol.y, sol.s, sol.z)
+        if nodes == 1:
+            root = relaxed
         if incumbent_x is not None and sol.obj >= incumbent_obj - 1e-12:
             continue
-        x = restore_fixed(sol.x, fixed)
         frac = [(abs(x[i] - 0.5), i) for i in bins if abs(x[i] - round(x[i])) > _INT_TOL]
         if not frac:
             # integral leaf: pin the rounded binaries unless they already are
             assign = {i: float(round(x[i])) for i in bins}
-            yield from offer(assign, sol if assign == fixed else None)
+            yield from offer(assign, relaxed, sol if assign == fixed else None)
             continue
         if incumbent_x is None or nodes % 8 == 1:
             assign = _round_assignment(x, prob)
             assign.update(fixed)
-            yield from offer(assign)
+            yield from offer(assign, relaxed)
             if incumbent_x is not None and rel_gap(sol.obj) <= mip_gap:
                 closed = min(closed, sol.obj)
                 continue
         _, branch_var = min(frac)
         for v in (0.0, 1.0):
             counter += 1
-            heapq.heappush(heap, (sol.obj, counter, {**fixed, branch_var: v}))
+            heapq.heappush(heap, (sol.obj, counter, {**fixed, branch_var: v}, relaxed))
 
     return result(OPTIMAL if incumbent_x is not None else INFEASIBLE, math.inf)

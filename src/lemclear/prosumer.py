@@ -28,7 +28,7 @@ from .miqp import (  # noqa: F401
     solve_searches,
 )
 from .model import AdmmConfig, Prosumer, StorageDevice, reactive_from_pf
-from .socp import OPTIMAL, ConicProgram, NonNeg, SolveFailed, SparseRows
+from .socp import OPTIMAL, ConicProgram, NonNeg, SolveFailed, SparseRows, Start
 
 __all__ = [
     "ProsumerInput",
@@ -394,25 +394,35 @@ def solve_subproblems(
     horizon: int,
     mode: str = "exact",
     tol: float = 1e-9,
+    starts: dict[str, Start] | None = None,
 ) -> list[ProsumerSchedule]:
     """Solve several prosumers' scheduling problems, one schedule per problem.
 
     The prosumers' searches run together (``miqp.solve_searches``), so each
     round of cone solves is one batch; every schedule is exactly the one
-    ``solve_subproblem_III`` gives for that prosumer alone.  ``mode`` is as
-    there; the first prosumer in ``problems`` without a usable schedule
-    raises :class:`SolveFailed`.
+    ``solve_subproblems`` gives for that prosumer alone from the same start.
+    ``mode`` is as for ``solve_subproblem_III``; the first prosumer in
+    ``problems`` without a usable schedule raises :class:`SolveFailed`.
+
+    ``starts``, if given, maps prosumer ids to the root relaxation their
+    search starts from, and receives each prosumer's new root relaxation:
+    an earlier solve of the same prosumers (a previous outer pass, which
+    only changes prices and the proximal target) warm-starts the next.
     """
     if mode not in _SOLVER_MODES:
         raise ValueError(
             f"unknown prosumer solver {mode!r}; expected one of {sorted(_SOLVER_MODES)}"
         )
     search = mbp_search if _SOLVER_MODES[mode] == "exact" else repair_search
+    held = {} if starts is None else starts
     pps = [build_subproblem(pros, inp, cfg, dt, horizon) for pros, inp in problems]
-    results = solve_searches([search(pp.mbp) for pp in pps], tol=tol)
+    results = solve_searches(
+        [search(pp.mbp, start=held.get(pp.pros.id)) for pp in pps], tol=tol
+    )
     for pp, res in zip(pps, results):
         if res.x_incumbent is None or res.status not in (OPTIMAL, "iter_limit"):
             raise SolveFailed(f"prosumer {pp.pros.id}", res.status)
+        held[pp.pros.id] = res.root
     return [
         _extract(pp, res.x_incumbent, res.obj_incumbent, res.gap) for pp, res in zip(pps, results)
     ]

@@ -53,6 +53,19 @@ its own, with SuperLU's partial pivoting.  Either way an optimal answer is
 only returned when residuals computed from the program itself, not from
 the factorization, meet the tolerance.
 
+A program may be given a start: the (x, y, s, z) of a solution with its
+columns, rows and cones, typically of a similar program solved just before
+(a relaxation whose binaries are now pinned, or the same scheduling
+problem at new prices).  It then begins at 0.99 times the start plus 0.01
+times the cold point, whose share keeps (s, z) strictly inside the cone
+(Skajaa, Andersen and Ye, Math. Prog. Comp. 2013, blend a warm point with
+the cold one the same way); everything after the first iterate is
+unchanged.  A warm program that ends non-optimal without a certificate is
+run again from the cold point before the pivoting rule above applies, so
+its verdict is never worse than a cold solve's.  The start enters only the
+program's own first iterate, so its answer is bit for bit the same alone or
+in any batch given the same start.
+
 Every program takes this one path, including those without variables or
 without cone rows.  The barrier degree is floored at 1 so that mu stays
 defined when there are no cone rows; such a program is then an
@@ -89,6 +102,7 @@ __all__ = [
     "check_kkt",
     "dual_sensitivity_probe",
     "ProbeResult",
+    "Start",
     "dump_program",
 ]
 
@@ -195,6 +209,10 @@ class ConicSolution:
     obj: float
     residuals: dict[str, float] = field(default_factory=dict)
     iterations: int = 0
+
+
+# a warm start: the (x, y, s, z) of a solution, x mapped to the program's columns
+Start = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class SparseRows:
@@ -843,6 +861,22 @@ class _Stack:
         return out[:n], out[n : n + m], out[n + m :]
 
 
+# weight of a warm start against the cold point in a member's first iterate;
+# the cold point's share keeps (s, z) strictly inside the cone
+_WARM = 0.99
+
+
+def _checked_start(ws: _Workspace, start: Start) -> Start:
+    """``start`` as arrays, after checking its (x, y, s, z) sizes against ws's program."""
+    parts = tuple(np.asarray(v, dtype=float) for v in start)
+    if [v.shape for v in parts] != [(ws.n,), (ws.m,), (ws.p,), (ws.p,)]:
+        raise ValueError(
+            f"start of sizes {[v.shape for v in parts]} for a program with "
+            f"{ws.n} columns, {ws.m} equality rows and {ws.p} cone rows"
+        )
+    return parts
+
+
 def _delta_alone(ws: _Workspace, s: np.ndarray, z: np.ndarray, pivoting: bool) -> float | None:
     """The regularization at which ws's KKT matrix factors on its own at (s, z), if any."""
     alone = _Stack([ws], pivoting)
@@ -865,21 +899,41 @@ def solve_socp(prog: ConicProgram, tol: float = 1e-8, max_iter: int = 200) -> Co
 
 
 def solve_socp_batch(
-    progs: list[ConicProgram], tol: float = 1e-8, max_iter: int = 200
+    progs: list[ConicProgram],
+    tol: float = 1e-8,
+    max_iter: int = 200,
+    starts: list[Start | None] | None = None,
 ) -> list[ConicSolution]:
     """Solve independent cone programs in lockstep, one solution per program.
 
-    Each program's solution is bit for bit the one ``solve_socp`` returns for
-    it alone, whatever else is in the batch and in whatever order.
+    ``starts``, if given, holds one entry per program: None for the cold
+    start, or the (x, y, s, z) of a solution with that program's columns,
+    rows and cones, which the program then begins from (blended with the
+    cold point, see the module docstring).  Each program's solution is bit
+    for bit the one it gets alone from the same start, whatever else is in
+    the batch and in whatever order.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if not progs:
         return []
+    starts = [None] * len(progs) if starts is None else list(starts)
+    if len(starts) != len(progs):
+        raise ValueError(f"{len(starts)} starts for {len(progs)} programs")
     patterns: dict = {}
     members = [_Workspace(prog, patterns) for prog in progs]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sols = _ipm_loop(members, tol, max_iter)
+        sols = _ipm_loop(members, tol, max_iter, starts=starts)
+        # a warm start that ends without an answer or a certificate is
+        # given up: such programs run again from the cold point
+        cold = [
+            i for i, (ws, sol) in enumerate(zip(members, sols))
+            if starts[i] is not None and sol.status != OPTIMAL and not ws.certified
+        ]
+        if cold:
+            for i, again in zip(cold, _ipm_loop([members[i] for i in cold], tol, max_iter)):
+                again.iterations += sols[i].iterations
+                sols[i] = again
         for i, (ws, sol) in enumerate(zip(members, sols)):
             if sol.status != OPTIMAL and not ws.certified:
                 # a static pivot can shrink toward zero on nearly singular
@@ -890,15 +944,16 @@ def solve_socp_batch(
     return sols
 
 
-def _ipm_loop(members, tol: float, max_iter: int, pivoting: bool = False):
+def _ipm_loop(members, tol: float, max_iter: int, pivoting: bool = False, starts=None):
     """Mehrotra predictor-corrector on the programs of ``members`` in lockstep.
 
     Every round takes one iteration of each live member.  Members share the
     factorization of the block-diagonal KKT matrix and the vectorized cone
     algebra; step lengths, centering, the stop and divergence tests, the
     best iterate and the iteration count stay each member's own.  A member
-    that finishes leaves the stack.  Returns one solution per member; a
-    single workspace is a batch of one and gets its solution back unwrapped.
+    that finishes leaves the stack.  ``starts`` holds each member's warm
+    start or None (all cold when omitted).  Returns one solution per member;
+    a single workspace is a batch of one and gets its solution back unwrapped.
     """
     if isinstance(members, _Workspace):
         return _ipm_loop([members], tol, max_iter, pivoting)[0]
@@ -907,12 +962,17 @@ def _ipm_loop(members, tol: float, max_iter: int, pivoting: bool = False):
     live = list(range(len(members)))  # the member at each position of the stack
     st = _Stack(members, pivoting)
 
-    # interior starting point for (s, z); x and y start at zero
+    # cold point: x and y at zero, (s, z) on the central ray of the cone
     e = st.cones.identity()
     x = np.zeros(st.n)
     y = np.zeros(st.m)
     s = e * st.spread(np.maximum(1.0, np.sqrt(st.bnorm)), "z")
     z = e * st.spread(np.maximum(1.0, np.sqrt(st.cnorm)), "z")
+    for k, start in enumerate(starts or ()):
+        if start is not None:
+            for v, part in zip(st.part(k, x, y, s, z), _checked_start(members[k], start)):
+                v *= 1.0 - _WARM
+                v += _WARM * part
 
     def drop(ended: list[int], *vectors):
         """Take the members at stack positions ``ended`` out of the stack;

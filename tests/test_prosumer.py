@@ -2,18 +2,19 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from lemclear.miqp import mbp_search, solve_mbp, solve_searches
+from lemclear.miqp import _round_assignment, mbp_search, solve_searches, with_fixed_variables
 from lemclear.model import AdmmConfig, FlexibleLoad, Prosumer, PvUnit, StorageDevice
 from lemclear.prosumer import (
     ProsumerInput,
     build_subproblem,
     soc_step,
     solve_subproblem_III,
+    solve_subproblems,
     validate_schedule,
 )
-from lemclear.socp import OPTIMAL
+from lemclear.socp import OPTIMAL, check_kkt, solve_socp, solve_socp_batch
 
 T = 24
 CFG = AdmmConfig()
@@ -246,15 +247,88 @@ class TestValidateSchedule:
         assert any("departure floor" in v for v in bad)
 
 
+class TestWarmStarts:
+    def test_rounded_resolve_from_its_root_takes_fewer_iterations(self, ieee69):
+        # the repaired rounding of each bundled prosumer's root relaxation,
+        # re-solved cold and from the root restricted to the kept columns
+        T = ieee69.horizon
+        inp = ProsumerInput(lambda_lem=ieee69.wem_price, p_tilde=None, lambda_p=np.zeros(T))
+        for pros in ieee69.prosumers:
+            pp = build_subproblem(pros, inp, ieee69.admm, ieee69.dt, T)
+            prog = pp.mbp.relaxation
+            root = solve_socp(prog, tol=1e-9)
+            assign = _round_assignment(root.x, pp.mbp)
+            sub = with_fixed_variables(prog, assign)
+            keep = np.delete(np.arange(prog.n_vars), sorted(assign))
+            cold = solve_socp(sub, tol=1e-9)
+            (warm,) = solve_socp_batch(
+                [sub], tol=1e-9, starts=[(root.x[keep], root.y, root.s, root.z)]
+            )
+            assert cold.status == warm.status == OPTIMAL
+            assert warm.iterations < cold.iterations, pros.id
+            assert warm.obj == pytest.approx(cold.obj, rel=1e-8, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "scenario, mode",
+        [("six_bus", "exact"), ("six_bus", "relax_repair"), ("ieee69", "relax_repair")],
+    )
+    def test_carried_starts_keep_the_schedules(self, request, monkeypatch, scenario, mode):
+        # a second pass (new prices, a proximal target) from the first
+        # pass's roots, against the same two passes solved cold
+        import lemclear.miqp as miqp
+
+        sc = request.getfixturevalue(scenario)
+        T, cfg, dt = sc.horizon, sc.admm, sc.dt
+        first = [
+            (p, ProsumerInput(lambda_lem=sc.wem_price, p_tilde=None, lambda_p=np.zeros(T)))
+            for p in sc.prosumers
+        ]
+        held: dict = {}
+        pass1 = solve_subproblems(first, cfg, dt, T, mode, starts=held)
+        assert sorted(held) == sorted(p.id for p in sc.prosumers)
+        second = [
+            (p, ProsumerInput(lambda_lem=1.2 * sc.wem_price, p_tilde=s.p_net + 0.01,
+                              lambda_p=np.full(T, -5.0)))
+            for (p, _), s in zip(first, pass1)
+        ]
+        iterations = []
+        batch = miqp.solve_socp_batch
+
+        def counted(progs, **kwargs):
+            sols = batch(progs, **kwargs)
+            iterations[-1] += sum(sol.iterations for sol in sols)
+            return sols
+
+        monkeypatch.setattr(miqp, "solve_socp_batch", counted)
+        solved = []
+        for starts in (held, None):
+            iterations.append(0)
+            solved.append(solve_subproblems(second, cfg, dt, T, mode, starts=starts))
+        assert iterations[0] < iterations[1]
+        for warm, cold in zip(*solved):
+            for a, b in zip(warm.storages, cold.storages):
+                assert np.array_equal(np.round(a.x_ch), np.round(b.x_ch))
+                assert np.array_equal(np.round(a.x_dch), np.round(b.x_dch))
+            for a, b in zip(warm.fls, cold.fls):
+                assert np.array_equal(np.round(a.y_fl), np.round(b.y_fl))
+            assert np.max(np.abs(warm.p_net - cold.p_net)) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # Independent MILP oracle.  A first-pass program (p_tilde=None) has no
 # quadratic term and only NonNeg rows, so it is a mixed-binary LP that HiGHS
 # (scipy.optimize.milp) solves on its own; branch and bound must reach the
-# same optimum, alone and with other prosumers' searches in one batch.
+# same optimum, alone and with other prosumers' searches in one batch.  The
+# flexible load's energy floor and hour budget both bind, so most relaxations
+# spread a fractional budget over several hours and the search branches.
 # ---------------------------------------------------------------------------
 
 H4 = 4
 unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+def hourly(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=H4, max_size=H4).map(np.array)
 
 
 @st.composite
@@ -275,29 +349,40 @@ def storages(draw, name):
 
 
 @st.composite
+def binding_flexible_loads(draw, load):
+    # curtailing pays at any price drawn below, up to an energy floor that
+    # leaves between half and all of what the t_max largest hours could shed
+    p_fl_max = draw(hourly(0.01, 0.05))
+    t_max = draw(st.integers(1, H4 - 1))
+    shed = draw(st.floats(0.5, 1.0)) * float(np.sum(np.sort(p_fl_max)[-t_max:]))
+    return FlexibleLoad(
+        p_fl_max=p_fl_max, t_max=t_max, e_min=float(np.sum(load)) - shed,
+        discomfort_cost=draw(st.floats(0.0, 5.0)),
+    )
+
+
+@st.composite
 def fleets(draw, index):
-    load = np.array(draw(st.lists(st.floats(0.0, 0.2), min_size=H4, max_size=H4)))
+    """A prosumer, its first-pass input, and the prices of an earlier pass."""
+    load = draw(hourly(0.05, 0.2))
     pvs = tuple(
-        PvUnit(p_forecast=np.array(draw(st.lists(st.floats(0.0, 0.1), min_size=H4, max_size=H4))),
-               s_inv=draw(st.floats(0.02, 0.2)))
+        PvUnit(p_forecast=draw(hourly(0.0, 0.1)), s_inv=draw(st.floats(0.02, 0.2)))
         for _ in range(draw(st.integers(0, 1)))
     )
-    fls = tuple(
-        FlexibleLoad(
-            p_fl_max=np.array(draw(st.lists(st.floats(0.0, 0.05), min_size=H4, max_size=H4))),
-            t_max=draw(st.integers(0, H4)),
-            e_min=draw(st.floats(0.5, 1.0)) * float(np.sum(load)),
-            discomfort_cost=draw(st.floats(0.0, 20.0)),
-        )
-        for _ in range(draw(st.integers(0, 1)))
-    )
-    stores = tuple(draw(storages(f"s{k}")) for k in range(draw(st.integers(0, 2))))
+    fls = (draw(binding_flexible_loads(load)),)
+    stores = tuple(draw(storages(f"s{k}")) for k in range(draw(st.integers(0, 1))))
     pros = Prosumer(id=f"p{index}", bus_id=2, baseline_load=load, pvs=pvs, storages=stores, fls=fls)
-    prices = np.array(draw(st.lists(st.floats(10.0, 100.0), min_size=H4, max_size=H4)))
-    return pros, ProsumerInput(lambda_lem=prices, p_tilde=None, lambda_p=np.zeros(H4))
+    inp = ProsumerInput(lambda_lem=draw(hourly(10.0, 100.0)), p_tilde=None, lambda_p=np.zeros(H4))
+    return pros, inp, draw(hourly(10.0, 100.0))
 
 
 def highs_optimum(mbp) -> float:
+    """The optimum of the binary pattern HiGHS finds, re-solved exactly.
+
+    HiGHS accepts rows violated by up to its 1e-7 feasibility tolerance; on an
+    energy floor priced near 100 that alone moved its objective by 3.6e-5.
+    Pinning its binaries and solving the rest to 1e-9 removes that slack.
+    """
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     prog = mbp.relaxation
@@ -314,20 +399,38 @@ def highs_optimum(mbp) -> float:
         options={"mip_rel_gap": 1e-10, "presolve": False},
     )
     assert res.status == 0, res.message
-    return float(res.fun) + prog.c0
+    pattern = {i: float(round(res.x[i])) for i in mbp.binary_indices}
+    sub = with_fixed_variables(prog, pattern)
+    sol = solve_socp(sub, tol=1e-9)
+    assert sol.status == OPTIMAL
+    assert max(check_kkt(sub, sol).values()) <= 1e-8 * (1.0 + abs(sol.obj))
+    return sol.obj
+
+
+def root_start(pros, prices):
+    """The root relaxation of pros at other prices: what an earlier pass leaves."""
+    earlier = ProsumerInput(lambda_lem=prices, p_tilde=None, lambda_p=np.zeros(H4))
+    sol = solve_socp(build_subproblem(pros, earlier, CFG, 1.0, H4).mbp.relaxation, tol=1e-9)
+    return (sol.x, sol.y, sol.s, sol.z) if sol.status == OPTIMAL else None
 
 
 class TestMilpOracle:
     @settings(max_examples=20, deadline=None)
     @given(problems=st.integers(1, 3).flatmap(lambda k: st.tuples(*(fleets(i) for i in range(k)))))
     def test_branch_and_bound_matches_highs(self, problems):
-        mbps = [build_subproblem(pros, inp, CFG, 1.0, H4).mbp for pros, inp in problems]
-        together = solve_searches([mbp_search(mbp) for mbp in mbps], tol=1e-9)
-        for mbp, batched in zip(mbps, together):
-            alone = solve_mbp(mbp, tol=1e-9)
+        mbps = [build_subproblem(pros, inp, CFG, 1.0, H4).mbp for pros, inp, _ in problems]
+        starts = [root_start(pros, prices) for pros, _, prices in problems]
+        together = solve_searches(
+            [mbp_search(mbp, start=start) for mbp, start in zip(mbps, starts)], tol=1e-9
+        )
+        for mbp, start, batched in zip(mbps, starts, together):
+            (alone,) = solve_searches([mbp_search(mbp, start=start)], tol=1e-9)
             expect = highs_optimum(mbp)
-            assert alone.status == OPTIMAL
+            assert alone.status == OPTIMAL and alone.gap <= 1e-6
             assert abs(alone.obj_incumbent - expect) <= 1e-6 * (1.0 + abs(expect))
             assert batched.obj_incumbent == alone.obj_incumbent
             assert batched.nodes_explored == alone.nodes_explored
             assert np.array_equal(batched.x_incumbent, alone.x_incumbent)
+        # shown by --hypothesis-show-statistics
+        event("a search branched" if any(r.nodes_explored > 1 for r in together)
+              else "every search ended at its root")

@@ -892,3 +892,113 @@ class TestCertifiedVerdicts:
         sols = solve_socp_batch(progs, tol=1e-8)
         assert [s.status for s in sols] == [OPTIMAL, INFEASIBLE, OPTIMAL]
         assert runs == [(3, False), (1, True)]
+
+
+# ---------------------------------------------------------------------------
+# Warm starts: a member given a start begins at a blend of it and the cold
+# point, and is still bit for bit the same alone or in any batch.
+# ---------------------------------------------------------------------------
+
+
+def scaled_start(i, factor):
+    """Program i's own cold solution scaled by factor (None: no start)."""
+    if factor is None:
+        return None
+    sol = solo(i)
+    return tuple(factor * v for v in (sol.x, sol.y, sol.s, sol.z))
+
+
+WARM_SOLO: dict[tuple, object] = {}
+
+
+def warm_solo(i, factor):
+    if (i, factor) not in WARM_SOLO:
+        (WARM_SOLO[i, factor],) = solve_socp_batch(
+            [BATCH_POOL[i]], tol=1e-8, starts=[scaled_start(i, factor)]
+        )
+    return WARM_SOLO[i, factor]
+
+
+def spy_runs(monkeypatch):
+    """Record (members, pivoting, warm) for every _ipm_loop run."""
+    import lemclear.socp as socp
+
+    runs = []
+    loop = socp._ipm_loop
+
+    def spy(members, *args, **kwargs):
+        warm = any(s is not None for s in kwargs.get("starts") or ())
+        runs.append((len(members), kwargs.get("pivoting", False), warm))
+        return loop(members, *args, **kwargs)
+
+    monkeypatch.setattr(socp, "_ipm_loop", spy)
+    return runs
+
+
+class TestWarmStart:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        picks=st.lists(
+            st.tuples(st.integers(0, 13), st.sampled_from([None, 0.5, 1.0, 2.0])),
+            min_size=1, max_size=6,
+        ),
+        rnd=st.randoms(use_true_random=False),
+    )
+    def test_member_with_start_matches_its_solo_solve(self, picks, rnd):
+        members = picks + [(14, None)]
+        rnd.shuffle(members)
+        sols = solve_socp_batch(
+            [BATCH_POOL[i] for i, _ in members], tol=1e-8,
+            starts=[scaled_start(i, f) for i, f in members],
+        )
+        for (i, factor), sol in zip(members, sols):
+            assert_same_solution(sol, warm_solo(i, factor))
+
+    def test_start_from_the_solution_saves_iterations(self):
+        for i in range(12):
+            assert warm_solo(i, 1.0).status == OPTIMAL
+            assert warm_solo(i, 1.0).iterations < solo(i).iterations
+
+    def test_failed_warm_start_is_rerun_cold(self, monkeypatch):
+        # s far outside the cone: the warm run ends at once without a
+        # certificate, and the cold rerun gives exactly the cold answer
+        cold = solo(0)
+        x, y, s, z = scaled_start(0, 1.0)
+        solo(1)
+        runs = spy_runs(monkeypatch)
+        warm, other = solve_socp_batch(
+            [BATCH_POOL[0], BATCH_POOL[1]], tol=1e-8, starts=[(x, y, -10.0 * s - 1.0, z), None]
+        )
+        assert runs == [(2, False, True), (1, False, False)]
+        assert warm.status == cold.status == OPTIMAL
+        for attr in ("x", "y", "s", "z"):
+            assert np.array_equal(getattr(warm, attr), getattr(cold, attr))
+        assert warm.iterations > cold.iterations
+        assert_same_solution(other, solo(1))
+
+    def test_cold_rerun_precedes_the_pivoted_rerun(self, monkeypatch):
+        # the stalled program fails warm, then cold under static pivots, and
+        # is settled by the pivoted rerun as it is without a start
+        stall, cold = BATCH_POOL[14], solo(14)
+        start = (np.full(stall.n_vars, 1e12), *scaled_start(14, 1.0)[1:])
+        runs = spy_runs(monkeypatch)
+        (warm,) = solve_socp_batch([stall], tol=1e-8, starts=[start])
+        assert runs == [(1, False, True), (1, False, False), (1, True, False)]
+        assert warm.status == cold.status == OPTIMAL
+        for attr in ("x", "y", "s", "z"):
+            assert np.array_equal(getattr(warm, attr), getattr(cold, attr))
+
+    def test_certified_warm_verdict_is_kept(self, monkeypatch):
+        start = scaled_start(12, 1.0)
+        runs = spy_runs(monkeypatch)
+        (sol,) = solve_socp_batch([BATCH_POOL[12]], tol=1e-8, starts=[start])
+        assert sol.status == INFEASIBLE
+        assert runs == [(1, False, True)]
+
+    def test_start_sizes_checked(self):
+        prog = BATCH_POOL[0]
+        x, y, s, z = scaled_start(0, 1.0)
+        with pytest.raises(ValueError, match="start of sizes"):
+            solve_socp_batch([prog], starts=[(x[:-1], y, s, z)])
+        with pytest.raises(ValueError, match="1 starts for 2 programs"):
+            solve_socp_batch([prog, prog], starts=[None])
