@@ -42,7 +42,6 @@ from collections.abc import Generator
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 # solve_socp stays importable here: perfbench/tracer.py wraps miqp.solve_socp
 from .socp import (  # noqa: F401
@@ -119,20 +118,6 @@ def _split(n: int, fixed: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
     return np.delete(np.arange(n), idx), values
 
 
-def _drop_columns(M: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
-    """``M[:, keep]`` for increasing ``keep``: the kept columns' entries in stored order."""
-    colmap = np.full(M.shape[1], -1, dtype=M.indices.dtype)
-    colmap[keep] = np.arange(len(keep), dtype=M.indices.dtype)
-    new_col = colmap[M.indices[: M.nnz]]
-    kept = new_col >= 0
-    # kept entries before each stored position, so before each row's start
-    before = np.zeros(M.nnz + 1, dtype=M.indptr.dtype)
-    np.cumsum(kept, out=before[1:])
-    return sp.csr_matrix(
-        (M.data[: M.nnz][kept], new_col[kept], before[M.indptr]), shape=(M.shape[0], len(keep))
-    )
-
-
 def with_fixed_variables(prog: ConicProgram, fixed: dict[int, float]) -> ConicProgram:
     """Substitute the given variables by their values.
 
@@ -145,9 +130,9 @@ def with_fixed_variables(prog: ConicProgram, fixed: dict[int, float]) -> ConicPr
     keep, xf = _split(prog.n_vars, fixed)
     return ConicProgram(
         c=prog.c[keep],
-        A=_drop_columns(prog.A, keep),
+        A=prog.A[:, keep],
         b=prog.b - prog.A @ xf,
-        G=_drop_columns(prog.G, keep),
+        G=prog.G[:, keep],
         h=prog.h - prog.G @ xf,
         cones=prog.cones,
         q=prog.q[keep],

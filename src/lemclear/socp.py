@@ -60,11 +60,14 @@ problem at new prices).  It then begins at 0.99 times the start plus 0.01
 times the cold point, whose share keeps (s, z) strictly inside the cone
 (Skajaa, Andersen and Ye, Math. Prog. Comp. 2013, blend a warm point with
 the cold one the same way); everything after the first iterate is
-unchanged.  A warm program that ends non-optimal without a certificate is
-run again from the cold point before the pivoting rule above applies, so
-its verdict is never worse than a cold solve's.  The start enters only the
-program's own first iterate, so its answer is bit for bit the same alone or
-in any batch given the same start.
+unchanged but the iteration cap: a warm program stops after 50 iterations
+(``_WARM_MAX_ITER``, about two and a half cold prosumer solves) rather than
+``max_iter``.  A warm program that ends non-optimal without a certificate,
+at that cap or earlier, is run again from the cold point before the
+pivoting rule above applies, so its verdict is never worse than a cold
+solve's and a bad start costs at most 50 iterations more than no start.
+The start enters only the program's own first iterate, so its answer is
+bit for bit the same alone or in any batch given the same start.
 
 Every program takes this one path, including those without variables or
 without cone rows.  The barrier degree is floored at 1 so that mu stays
@@ -864,6 +867,9 @@ class _Stack:
 # weight of a warm start against the cold point in a member's first iterate;
 # the cold point's share keeps (s, z) strictly inside the cone
 _WARM = 0.99
+# iterations a warm member may take before it is given up and run cold: about
+# two and a half times a cold prosumer solve (17-21), five times a warm one
+_WARM_MAX_ITER = 50
 
 
 def _checked_start(ws: _Workspace, start: Start) -> Start:
@@ -952,8 +958,10 @@ def _ipm_loop(members, tol: float, max_iter: int, pivoting: bool = False, starts
     algebra; step lengths, centering, the stop and divergence tests, the
     best iterate and the iteration count stay each member's own.  A member
     that finishes leaves the stack.  ``starts`` holds each member's warm
-    start or None (all cold when omitted).  Returns one solution per member;
-    a single workspace is a batch of one and gets its solution back unwrapped.
+    start or None (all cold when omitted); a warm member stops after
+    ``_WARM_MAX_ITER`` iterations when that is below ``max_iter``.  Returns
+    one solution per member; a single workspace is a batch of one and gets
+    its solution back unwrapped.
     """
     if isinstance(members, _Workspace):
         return _ipm_loop([members], tol, max_iter, pivoting)[0]
@@ -961,6 +969,8 @@ def _ipm_loop(members, tol: float, max_iter: int, pivoting: bool = False, starts
     best: list[tuple | None] = [None] * len(members)
     live = list(range(len(members)))  # the member at each position of the stack
     st = _Stack(members, pivoting)
+    starts = starts or [None] * len(members)
+    limits = [max_iter if start is None else min(max_iter, _WARM_MAX_ITER) for start in starts]
 
     # cold point: x and y at zero, (s, z) on the central ray of the cone
     e = st.cones.identity()
@@ -968,7 +978,7 @@ def _ipm_loop(members, tol: float, max_iter: int, pivoting: bool = False, starts
     y = np.zeros(st.m)
     s = e * st.spread(np.maximum(1.0, np.sqrt(st.bnorm)), "z")
     z = e * st.spread(np.maximum(1.0, np.sqrt(st.cnorm)), "z")
-    for k, start in enumerate(starts or ()):
+    for k, start in enumerate(starts):
         if start is not None:
             for v, part in zip(st.part(k, x, y, s, z), _checked_start(members[k], start)):
                 v *= 1.0 - _WARM
@@ -988,7 +998,7 @@ def _ipm_loop(members, tol: float, max_iter: int, pivoting: bool = False, starts
         st = _Stack(kept, pivoting)
         return parts
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, max(limits) + 1):
         r_d, r_p, r_g = st.residuals(x, y, s, z)
         gap = st.dots(s, z, "z")
         mu = np.array(gap) / st.nu
@@ -1029,15 +1039,20 @@ def _ipm_loop(members, tol: float, max_iter: int, pivoting: bool = False, starts
             ended = singular
         for k in stalled:
             done[live[k]] = st.members[k].classify(*st.part(k, x, y, s, z), it, scale=1e5)
-        if stalled:
-            x, y, s, z = drop(stalled, (x, "x"), (y, "y"), (s, "z"), (z, "z"))
+        # iteration cap: a member at its limit reports the best iterate seen
+        capped = [k for k, i in enumerate(live) if limits[i] == it and k not in stalled]
+        for k in capped:
+            i = live[k]
+            part = best[i][1:] if best[i] is not None else st.part(k, x, y, s, z)
+            done[i] = members[i].finish(ITER_LIMIT, *part, it)
+        if stalled or capped:
+            ended = sorted(set(stalled) | set(capped))
+            x, y, s, z = drop(ended, (x, "x"), (y, "y"), (s, "z"), (z, "z"))
             if not live:
                 return done
-
-    # iteration cap: report the best iterate seen
+    # left only when max_iter < 1: no iteration was taken
     for k, i in enumerate(live):
-        part = best[i][1:] if best[i] is not None else st.part(k, x, y, s, z)
-        done[i] = members[i].finish(ITER_LIMIT, *part, max_iter)
+        done[i] = members[i].finish(ITER_LIMIT, *st.part(k, x, y, s, z), 0)
     return done
 
 

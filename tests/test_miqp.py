@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
 
 from lemclear.miqp import (
     MixedBinaryProgram,
@@ -13,8 +12,7 @@ from lemclear.miqp import (
     solve_mbp,
     with_fixed_variables,
 )
-from lemclear.prosumer import ProsumerInput, build_subproblem
-from lemclear.socp import ConicProgram, NonNeg, OPTIMAL, solve_socp, solve_socp_batch
+from lemclear.socp import NonNeg, OPTIMAL, solve_socp, solve_socp_batch
 from lifted import lifted
 
 
@@ -181,45 +179,6 @@ def test_with_fixed_variables_substitutes_columns():
     assert np.array_equal(np.delete(x, [0, 1]), s.x)
     assert s.obj == pytest.approx(prog.objective(x), abs=1e-12)
     assert s.obj == pytest.approx((1 - 0.4) ** 2 + 0.6**2, abs=1e-7)
-
-
-def assert_same_csr(got, expect):
-    assert got.shape == expect.shape
-    for attr in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(got, attr), getattr(expect, attr)), attr
-
-
-def test_substituted_columns_equal_scipy_column_slices(ieee69):
-    # every bundled prosumer's program with its binaries pinned, and every
-    # binary pinned on its own
-    T = ieee69.horizon
-    inp = ProsumerInput(lambda_lem=ieee69.wem_price, p_tilde=None, lambda_p=np.zeros(T))
-    for pros in ieee69.prosumers:
-        mbp = build_subproblem(pros, inp, ieee69.admm, ieee69.dt, T).mbp
-        prog = mbp.relaxation
-        pins = [{i: 1.0 for i in mbp.binary_indices}] + [{i: 0.0} for i in mbp.binary_indices]
-        for fixed in pins:
-            keep = np.delete(np.arange(prog.n_vars), sorted(fixed))
-            sub = with_fixed_variables(prog, fixed)
-            assert_same_csr(sub.A, prog.A[:, keep])
-            assert_same_csr(sub.G, prog.G[:, keep])
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    rows=st.integers(0, 12), cols=st.integers(1, 12), density=st.floats(0.0, 1.0),
-    seed=st.integers(0, 2**32 - 1), data=st.data(),
-)
-def test_dropped_columns_equal_scipy_column_slices(rows, cols, density, seed, data):
-    M = sp.random(rows, cols, density=density, format="csr", random_state=seed)
-    fixed = data.draw(st.sets(st.integers(0, cols - 1)))
-    keep = np.delete(np.arange(cols), sorted(fixed))
-    sub = with_fixed_variables(
-        ConicProgram(c=np.zeros(cols), A=M, b=np.zeros(rows), G=sp.csr_matrix((0, cols)),
-                     h=np.zeros(0), cones=()),
-        {i: 1.0 for i in fixed},
-    )
-    assert_same_csr(sub.A, M[:, keep])
 
 
 def test_gap_closed_root_reports_its_relaxation_as_bound():

@@ -14,7 +14,7 @@ from lemclear.prosumer import (
     solve_subproblems,
     validate_schedule,
 )
-from lemclear.socp import OPTIMAL, check_kkt, solve_socp, solve_socp_batch
+from lemclear.socp import ITER_LIMIT, OPTIMAL, check_kkt, solve_socp, solve_socp_batch
 
 T = 24
 CFG = AdmmConfig()
@@ -318,12 +318,17 @@ class TestWarmStarts:
 # Independent MILP oracle.  A first-pass program (p_tilde=None) has no
 # quadratic term and only NonNeg rows, so it is a mixed-binary LP that HiGHS
 # (scipy.optimize.milp) solves on its own; branch and bound must reach the
-# same optimum, alone and with other prosumers' searches in one batch.  The
-# flexible load's energy floor and hour budget both bind, so most relaxations
-# spread a fractional budget over several hours and the search branches.
+# same optimum, cold and from an earlier pass's root, alone and with other
+# prosumers' searches in one batch.  Two fleets in three have a flexible
+# load whose energy floor and hour budget both bind, so their relaxations
+# spread a fractional budget over several hours and the search branches;
+# the others draw devices freely, and most of their searches end at the root.
 # ---------------------------------------------------------------------------
 
 H4 = 4
+# two storages and a binding flexible load can take hundreds of nodes; a
+# search stopped here must still bracket the optimum between bound and incumbent
+NODE_LIMIT = 40
 unit = st.floats(min_value=0.0, max_value=1.0)
 
 
@@ -349,6 +354,16 @@ def storages(draw, name):
 
 
 @st.composite
+def flexible_loads(draw, load):
+    return FlexibleLoad(
+        p_fl_max=draw(hourly(0.0, 0.05)),
+        t_max=draw(st.integers(0, H4)),
+        e_min=draw(st.floats(0.5, 1.0)) * float(np.sum(load)),
+        discomfort_cost=draw(st.floats(0.0, 20.0)),
+    )
+
+
+@st.composite
 def binding_flexible_loads(draw, load):
     # curtailing pays at any price drawn below, up to an energy floor that
     # leaves between half and all of what the t_max largest hours could shed
@@ -364,20 +379,24 @@ def binding_flexible_loads(draw, load):
 @st.composite
 def fleets(draw, index):
     """A prosumer, its first-pass input, and the prices of an earlier pass."""
-    load = draw(hourly(0.05, 0.2))
+    binding = draw(st.integers(0, 2)) > 0
+    load = draw(hourly(0.05, 0.2) if binding else hourly(0.0, 0.2))
     pvs = tuple(
         PvUnit(p_forecast=draw(hourly(0.0, 0.1)), s_inv=draw(st.floats(0.02, 0.2)))
         for _ in range(draw(st.integers(0, 1)))
     )
-    fls = (draw(binding_flexible_loads(load)),)
-    stores = tuple(draw(storages(f"s{k}")) for k in range(draw(st.integers(0, 1))))
+    if binding:
+        fls = (draw(binding_flexible_loads(load)),)
+    else:
+        fls = tuple(draw(flexible_loads(load)) for _ in range(draw(st.integers(0, 1))))
+    stores = tuple(draw(storages(f"s{k}")) for k in range(draw(st.integers(0, 2))))
     pros = Prosumer(id=f"p{index}", bus_id=2, baseline_load=load, pvs=pvs, storages=stores, fls=fls)
     inp = ProsumerInput(lambda_lem=draw(hourly(10.0, 100.0)), p_tilde=None, lambda_p=np.zeros(H4))
     return pros, inp, draw(hourly(10.0, 100.0))
 
 
-def highs_optimum(mbp) -> float:
-    """The optimum of the binary pattern HiGHS finds, re-solved exactly.
+def highs_optimum(mbp) -> tuple[float, float]:
+    """HiGHS's optimum, and that of its binary pattern re-solved exactly.
 
     HiGHS accepts rows violated by up to its 1e-7 feasibility tolerance; on an
     energy floor priced near 100 that alone moved its objective by 3.6e-5.
@@ -404,7 +423,7 @@ def highs_optimum(mbp) -> float:
     sol = solve_socp(sub, tol=1e-9)
     assert sol.status == OPTIMAL
     assert max(check_kkt(sub, sol).values()) <= 1e-8 * (1.0 + abs(sol.obj))
-    return sol.obj
+    return float(res.fun) + prog.c0, sol.obj
 
 
 def root_start(pros, prices):
@@ -414,23 +433,47 @@ def root_start(pros, prices):
     return (sol.x, sol.y, sol.s, sol.z) if sol.status == OPTIMAL else None
 
 
+def assert_matches_highs(result, raw, exact):
+    tol = 1e-6 * (1.0 + abs(exact))
+    # HiGHS's own optimum relaxes each row by at most 1e-7, so it may lie a
+    # little below the exact one but the search can never beat it
+    assert exact - 1e-4 * (1.0 + abs(raw)) <= raw <= exact + tol
+    assert result.obj_incumbent >= raw - tol
+    if result.status == OPTIMAL:
+        assert result.gap <= 1e-6
+        assert abs(result.obj_incumbent - exact) <= tol
+    else:
+        # stopped at the node limit, short of the gap target: bound and
+        # incumbent bracket the optimum
+        assert result.status == ITER_LIMIT and result.nodes_explored == NODE_LIMIT
+        assert result.gap > 1e-6
+        assert result.bound - tol <= exact <= result.obj_incumbent + tol
+
+
 class TestMilpOracle:
     @settings(max_examples=20, deadline=None)
     @given(problems=st.integers(1, 3).flatmap(lambda k: st.tuples(*(fleets(i) for i in range(k)))))
     def test_branch_and_bound_matches_highs(self, problems):
         mbps = [build_subproblem(pros, inp, CFG, 1.0, H4).mbp for pros, inp, _ in problems]
-        starts = [root_start(pros, prices) for pros, _, prices in problems]
-        together = solve_searches(
-            [mbp_search(mbp, start=start) for mbp, start in zip(mbps, starts)], tol=1e-9
-        )
-        for mbp, start, batched in zip(mbps, starts, together):
-            (alone,) = solve_searches([mbp_search(mbp, start=start)], tol=1e-9)
-            expect = highs_optimum(mbp)
-            assert alone.status == OPTIMAL and alone.gap <= 1e-6
-            assert abs(alone.obj_incumbent - expect) <= 1e-6 * (1.0 + abs(expect))
-            assert batched.obj_incumbent == alone.obj_incumbent
-            assert batched.nodes_explored == alone.nodes_explored
-            assert np.array_equal(batched.x_incumbent, alone.x_incumbent)
-        # shown by --hypothesis-show-statistics
-        event("a search branched" if any(r.nodes_explored > 1 for r in together)
-              else "every search ended at its root")
+        optima = [highs_optimum(mbp) for mbp in mbps]
+        warm = [root_start(pros, prices) for pros, _, prices in problems]
+        for starts in ([None] * len(mbps), warm):
+            together = solve_searches(
+                [mbp_search(mbp, node_limit=NODE_LIMIT, start=s) for mbp, s in zip(mbps, starts)],
+                tol=1e-9,
+            )
+            for mbp, start, (raw, exact), batched in zip(mbps, starts, optima, together):
+                (alone,) = solve_searches(
+                    [mbp_search(mbp, node_limit=NODE_LIMIT, start=start)], tol=1e-9
+                )
+                assert_matches_highs(alone, raw, exact)
+                assert batched.status == alone.status
+                assert batched.obj_incumbent == alone.obj_incumbent
+                assert batched.nodes_explored == alone.nodes_explored
+                assert np.array_equal(batched.x_incumbent, alone.x_incumbent)
+            # shown by --hypothesis-show-statistics
+            kind = "warm" if starts is warm else "cold"
+            event(f"{kind}: a search branched" if any(r.nodes_explored > 1 for r in together)
+                  else f"{kind}: every search ended at its root")
+            if any(r.status != OPTIMAL for r in together):
+                event(f"{kind}: a search stopped at the node limit")

@@ -939,7 +939,7 @@ class TestWarmStart:
     @settings(max_examples=25, deadline=None)
     @given(
         picks=st.lists(
-            st.tuples(st.integers(0, 13), st.sampled_from([None, 0.5, 1.0, 2.0])),
+            st.tuples(st.integers(0, 14), st.sampled_from([None, 0.5, 1.0, 2.0])),
             min_size=1, max_size=6,
         ),
         rnd=st.randoms(use_true_random=False),
@@ -987,6 +987,19 @@ class TestWarmStart:
         assert warm.status == cold.status == OPTIMAL
         for attr in ("x", "y", "s", "z"):
             assert np.array_equal(getattr(warm, attr), getattr(cold, attr))
+
+    def test_warm_run_is_capped(self, monkeypatch):
+        # from its own solution the stalled program neither converges nor
+        # stalls under static pivots; the warm run stops at its cap and the
+        # cold runs settle it as they do without a start
+        cold = solo(14)
+        runs = spy_runs(monkeypatch)
+        (warm,) = solve_socp_batch([BATCH_POOL[14]], tol=1e-8, starts=[scaled_start(14, 1.0)])
+        assert runs == [(1, False, True), (1, False, False), (1, True, False)]
+        assert warm.status == cold.status == OPTIMAL
+        for attr in ("x", "y", "s", "z"):
+            assert np.array_equal(getattr(warm, attr), getattr(cold, attr))
+        assert warm.iterations == 50 + cold.iterations
 
     def test_certified_warm_verdict_is_kept(self, monkeypatch):
         start = scaled_start(12, 1.0)
