@@ -170,6 +170,9 @@ class ClearingResult:
     lambda_loss: np.ndarray | None = None
     p_tilde: dict[str, np.ndarray] = field(default_factory=dict)
     p_loss_tilde: np.ndarray | None = None
+    # seconds from the run_clearing call to its return; a timing, so not in
+    # the trace's digest
+    wall_seconds: float = 0.0
 
 
 def check_stop(residuals: np.ndarray, eps: float) -> bool:
@@ -235,6 +238,7 @@ def run_clearing(
     independent of scheduling.  Every cone program is solved to 1e-9, and
     exact prosumer branch and bound stops at its default 1e-6 relative gap.
     """
+    t_start = time.perf_counter()
     cfg = scenario.admm
     net = scenario.network
     feeder = orient_feeder(net)
@@ -456,4 +460,5 @@ def run_clearing(
         lambda_loss=state.lambda_loss,
         p_tilde=state.p_tilde,
         p_loss_tilde=state.p_loss_tilde,
+        wall_seconds=time.perf_counter() - t_start,
     )

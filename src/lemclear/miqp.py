@@ -194,9 +194,10 @@ def mbp_search(
     """Best-first branch and bound with a certified optimality gap, as a search.
 
     Branches on the most fractional binary (closest to 0.5, lowest index on
-    ties); hitting ``node_limit`` returns the best incumbent with an honest
-    gap and status iter_limit.  The root relaxation starts from ``start``
-    (x over all columns), or cold.
+    ties); hitting ``node_limit`` returns the best incumbent, if any, with an
+    honest gap and status iter_limit; only a search that runs out of open
+    nodes without an incumbent reports infeasible.  The root relaxation
+    starts from ``start`` (x over all columns), or cold.
     """
     if mip_gap <= 0:
         raise ValueError("mip_gap must be positive")
@@ -312,7 +313,8 @@ def _search(
         if incumbent_x is not None and rel_gap(min(bound, closed)) <= mip_gap:
             return result(OPTIMAL, bound)
         if nodes >= node_limit:
-            return result(ITER_LIMIT if incumbent_x is not None else INFEASIBLE, bound)
+            # stopped, not exhausted: without an incumbent nothing is proven
+            return result(ITER_LIMIT, bound)
         nodes += 1
         sol = yield with_fixed_variables(prob.relaxation, fixed), _restrict(start, fixed)
         if sol.status != OPTIMAL:

@@ -13,10 +13,14 @@ with Nesterov-Todd scaling of (s, z); equality duals are reported with the
 convention  d(obj)/d(b_i) = y_i,  which is what lets a nodal-balance dual be
 read directly as a marginal price.
 
-Each program of a solve gets one workspace (``_Workspace``) that lives for
-that solve only.  Its cone layout groups the second-order blocks by size
-into (n_blocks, k) index arrays, so the Jordan algebra and the NT scaling
-run as one numpy call per size group rather than a Python loop over blocks.
+What a solve derives from a program's sparsity pattern alone (``_Pattern``:
+the cone layout, the index arrays of C = [A; G] and C', the KKT ordering
+and its slots) is built once per distinct pattern among the solve's
+programs and shared by all of them; each program's own workspace
+(``_Workspace``) holds only its data.  Both live for that solve only.  The
+cone layout groups the second-order blocks by size into (n_blocks, k)
+index arrays, so the Jordan algebra and the NT scaling run as one numpy
+call per size group rather than a Python loop over blocks.
 
 The regularized KKT matrix
 
@@ -27,31 +31,34 @@ The regularized KKT matrix
 is symmetric quasi-definite, so it can be factored under any symmetric
 ordering without pivoting (Vanderbei, SIAM J. Optim. 1995); ECOS pairs this
 with static regularization and iterative refinement (Domahidi, Chu and Boyd,
-ECC 2013).  Its pattern does not change between iterations.  The workspace
-therefore holds one minimum-degree ordering, the matrix's pattern already
-permuted and a map from each source entry to its slot, so each iteration
-only refills the data and factors it with diagonal pivots.  Programs of one
-solve that share a sparsity pattern (the hours of a network pass) share one
-ordering.  Solves and one refinement step against the unregularized matrix
-stay in the permuted coordinates; outside the KKT matrix W is applied
-through the NT scaling rather than as a matrix.
+ECC 2013).  Its pattern does not change between iterations.  A program's
+pattern part therefore holds one minimum-degree ordering, the matrix's
+pattern already permuted and a map from each source entry to its slot, so
+each iteration only refills the data and factors it with diagonal pivots;
+programs that share a sparsity pattern (the hours of a network pass,
+prosumers with the same devices) share one ordering.  Solves and one
+refinement step against the unregularized matrix stay in the permuted
+coordinates; outside the KKT matrix W is applied through the NT scaling
+rather than as a matrix.
 
 ``solve_socp_batch`` runs independent programs in lockstep rounds, one
 Mehrotra iteration of every live program per round (``_ipm_loop``).  The
 round stacks the programs' vectors and cone layouts, so the cone algebra,
 the residual products and the KKT refill run once per round, and factors
 the block-diagonal KKT matrix once: each block in its own program's
-ordering, so no elimination crosses blocks.  Step lengths, centering, the
-stop and divergence tests, the best iterate, the status and the iteration
-count stay each program's own, and a program that finishes leaves the
-stack.  No arithmetic mixes two programs, so a program's answer is bit for
-bit the same alone or in any batch, in any order; ``solve_socp`` is the
-batch of one.  Diagonal pivots can shrink toward zero on nearly singular
-programs and stall the iteration, so a program that ends non-optimal
-without a certificate of infeasibility or unboundedness is run again, on
-its own, with SuperLU's partial pivoting.  Either way an optimal answer is
-only returned when residuals computed from the program itself, not from
-the factorization, meet the tolerance.
+ordering, so no elimination crosses blocks.  The stack's index arrays are
+built once per run of consecutive programs on one pattern, each by one
+numpy call that shifts the pattern's array for all of the run's programs.
+Step lengths, centering, the stop and divergence tests, the best iterate,
+the status and the iteration count stay each program's own, and a program
+that finishes leaves the stack.  No arithmetic mixes two programs, so a
+program's answer is bit for bit the same alone or in any batch, in any
+order; ``solve_socp`` is the batch of one.  Diagonal pivots can shrink
+toward zero on nearly singular programs and stall the iteration, so a
+program that ends non-optimal without a certificate of infeasibility or
+unboundedness is run again, on its own, with SuperLU's partial pivoting.
+Either way an optimal answer is only returned when residuals computed from
+the program itself, not from the factorization, meet the tolerance.
 
 A program may be given a start: the (x, y, s, z) of a solution with its
 columns, rows and cones, typically of a similar program solved just before
@@ -83,6 +90,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -390,7 +398,20 @@ def _symmetric_ordering(rows: np.ndarray, cols: np.ndarray, sign: np.ndarray) ->
 
 def _offsets(lengths) -> np.ndarray:
     """Start of each of the consecutive parts of the given lengths, then the total."""
-    return np.cumsum([0, *lengths], dtype=int)
+    out = np.zeros(len(lengths) + 1, dtype=int)
+    np.cumsum(lengths, out=out[1:])
+    return out
+
+
+def _shifted(base: np.ndarray, shifts: np.ndarray, part: np.ndarray | None = None) -> np.ndarray:
+    """One copy of ``base`` per row of ``shifts``, one after the other, flattened.
+
+    Entry j of copy i is base[j] + shifts[i], or base[j] + shifts[i, part[j]]
+    when ``part`` says which column of the 2-D ``shifts`` applies to it.
+    """
+    if part is None:
+        return (base + shifts.reshape((-1,) + (1,) * base.ndim)).ravel()
+    return (base + shifts[:, part]).ravel()
 
 
 def _segments(lengths) -> tuple[np.ndarray, np.ndarray]:
@@ -419,7 +440,9 @@ class _Cones:
 
     A layout may stack the slack rows of several programs (``stack``); each
     member's NonNeg rows, and its blocks within each size group, are then
-    contiguous, and ``max_step`` returns one step per member.
+    contiguous, and ``max_step`` returns one step per member.  A stacked
+    layout has no W^2 positions of its own: a stacked KKT matrix places
+    W^2's entries through each member's pattern.
     """
 
     def __init__(self, cones: tuple[ConeBlock, ...]):
@@ -443,21 +466,25 @@ class _Cones:
         self._place_w2()
 
     @classmethod
-    def stack(cls, layouts: list[_Cones]) -> _Cones:
-        """The layouts of several programs, one after the other."""
+    def stack(cls, runs: list[tuple[_Cones, np.ndarray]]) -> _Cones:
+        """The layouts of several programs, one after the other.
+
+        ``runs`` holds (layout, starts) pairs: the layout of consecutive
+        programs that share it and the first stacked row of each of them.
+        """
         out = cls.__new__(cls)
-        offs = _offsets([c.n for c in layouts])
-        out.n = int(offs[-1])
-        out.members = len(layouts)
-        out.nonneg_idx = _cat([c.nonneg_idx + o for c, o in zip(layouts, offs)])
-        out.nonneg_seg = _segments([len(c.nonneg_idx) for c in layouts])
+        counts = [len(starts) for _, starts in runs]
+        out.n = sum(c.n * k for (c, _), k in zip(runs, counts))
+        out.members = sum(counts)
+        out.nonneg_idx = _cat([_shifted(c.nonneg_idx, starts) for c, starts in runs])
+        out.nonneg_seg = _segments(np.repeat([len(c.nonneg_idx) for c, _ in runs], counts))
         out.soc_groups, out.soc_seg = [], []
-        for k in sorted({g.shape[1] for c in layouts for g in c.soc_groups}):
-            parts = [c.group(k) for c in layouts]
-            out.soc_groups.append(np.concatenate([g + o for g, o in zip(parts, offs) if len(g)]))
-            out.soc_seg.append(_segments([len(g) for g in parts]))
-        out.degree = sum(c.degree for c in layouts)
-        out._place_w2()
+        for k in sorted({g.shape[1] for c, _ in runs for g in c.soc_groups}):
+            parts = [(c.group(k), starts) for c, starts in runs]
+            out.soc_groups.append(
+                np.concatenate([_shifted(g, starts).reshape(-1, k) for g, starts in parts if len(g)])
+            )
+            out.soc_seg.append(_segments(np.repeat([len(g) for g, _ in parts], counts)))
         return out
 
     def group(self, k: int) -> np.ndarray:
@@ -567,8 +594,10 @@ def _pattern_key(prog: ConicProgram) -> tuple:
     )
 
 
-def _kkt_pattern(A: sp.csr_matrix, G: sp.csr_matrix, cones: _Cones):
-    """Ordering and permuted pattern of the KKT matrix of a program with rows A and G.
+def _kkt_pattern(n: int, m: int, c_row: np.ndarray, c_col: np.ndarray, cones: _Cones):
+    """Ordering and permuted pattern of the KKT matrix of a program with n
+    columns, m equality rows, C = [A; G] stored entries at (c_row, c_col) and
+    cone layout ``cones``.
 
     Returns the ordering ``perm`` (original index at each new position), the
     diagonal signs in the new order, the CSC ``indices``/``indptr`` of the
@@ -577,19 +606,63 @@ def _kkt_pattern(A: sp.csr_matrix, G: sp.csr_matrix, cones: _Cones):
     y block, the -W^2 entries and the -delta diagonal of the z block, in that
     order; C = [A; G] in stored order).
     """
-    n, m, p = A.shape[1], A.shape[0], G.shape[0]
-    size = n + m + p
-    c_row = np.repeat(np.arange(m + p), np.diff(np.concatenate([A.indptr, G.indptr[1:] + A.nnz])))
-    c_col = np.concatenate([A.indices[: A.nnz], G.indices[: G.nnz]])
+    size = n + m + cones.n
     dx, dy, dz = np.arange(n), np.arange(n, n + m), np.arange(n + m, size)
     rows = np.concatenate([dx, dx, c_col, c_row + n, dy, cones.w2_rows + n + m, dz])
     cols = np.concatenate([dx, dx, c_row + n, c_col, dy, cones.w2_cols + n + m, dz])
-    sign = np.concatenate([np.ones(n), -np.ones(m + p)])
+    sign = np.concatenate([np.ones(n), -np.ones(size - n)])
     perm = _symmetric_ordering(rows, cols, sign)
     new = np.empty(size, dtype=int)
     new[perm] = np.arange(size)
     indices, indptr, slots = _pattern(new[cols], new[rows], size)
     return perm, sign[perm], indices, indptr, slots
+
+
+class _Pattern:
+    """What the programs of a solve that share a sparsity pattern compute once.
+
+    Holds the sizes (``n`` columns, ``m`` equality rows, ``p`` cone rows),
+    the cone layout, the index arrays of A and G, those of C' for
+    C = [A; G] with ``ct_order``, the place in C of each stored entry of C'
+    as ``C.T.tocsr()`` orders them, and the symbolic part of the KKT
+    matrix over (x, y, z): a fill-reducing symmetric ordering ``perm``, the
+    diagonal signs in that order, the pattern of the matrix stored already
+    permuted, and ``slot_kinds``, the slot there of each source entry (see
+    ``_kkt_pattern``) split by the kind of weight.  ``ct_part`` and
+    ``perm_part`` say which of y and z (0, 1) each column of C' falls in,
+    and which of x, y and z (0, 1, 2) each entry of ``perm``, which is what
+    ``_Stack`` needs to shift them into a stack.  Nothing here depends on
+    the programs' values.
+    """
+
+    def __init__(self, prog: ConicProgram):
+        A, G = prog.A, prog.G
+        n, m, p = self.n, self.m, self.p = prog.n_vars, prog.n_eq, len(prog.h)
+        self.cones = _Cones(prog.cones)
+        self.a_cols, self.g_cols = A.indices[: A.nnz], G.indices[: G.nnz]
+        self.a_counts, self.g_counts = np.diff(A.indptr), np.diff(G.indptr)
+        # C's stored entries, A's then G's, by row and column
+        c_counts = np.concatenate([self.a_counts, self.g_counts])
+        c_row = np.repeat(np.arange(m + p), c_counts)
+        c_col = np.concatenate([self.a_cols, self.g_cols])
+        # C' as scipy transposes C, C's entries numbered by their place in C
+        C = sp.csr_matrix((np.arange(len(c_col)), c_col, _offsets(c_counts)), shape=(m + p, n))
+        CT = C.T.tocsr()
+        self.ct_order, self.ct_indices, self.ct_indptr = CT.data, CT.indices, CT.indptr
+        self.ct_counts = np.diff(CT.indptr)
+        self.ct_part = (CT.indices >= m).astype(int)
+        self.perm, self.sign, self.kkt_indices, self.kkt_indptr, slots = _kkt_pattern(
+            n, m, c_row, c_col, self.cones
+        )
+        self.perm_part = np.searchsorted([n, n + m], self.perm, side="right")
+        # slots split by the kind of weight, W^2's entries by cone part
+        # (NonNeg as size 0, then each SOC size)
+        w2_sizes = [0] + [g.shape[1] for g in self.cones.soc_groups]
+        lengths = [n, n, 2 * len(c_col), m, len(self.cones.nonneg_idx)]
+        lengths += [g.size * g.shape[1] for g in self.cones.soc_groups]
+        keys = ["q", "dx", "C", "dy"] + [("w2", k) for k in w2_sizes] + ["dz"]
+        bounds = _offsets(lengths + [p])
+        self.slot_kinds = {key: slots[a:b] for key, a, b in zip(keys, bounds[:-1], bounds[1:])}
 
 
 def _residuals(prog, CT: sp.csr_matrix, x, y, s, z):
@@ -606,59 +679,51 @@ def _residuals(prog, CT: sp.csr_matrix, x, y, s, z):
 
 
 class _Workspace:
-    """What one program of a solve computes once and reuses.
+    """One program of a solve: its pattern, shared, and its own data.
 
-    Holds the program, its cone layout, C' for C = [A; G] (so one product
-    serves both row sets of the dual residual), the residual norms of its
-    data, and the symbolic part of its KKT matrix over (x, y, z): a
-    fill-reducing symmetric ordering ``perm``, the pattern of the matrix
-    stored already permuted, and ``kkt_slots``, which sends each source
-    entry (see ``_kkt_pattern``) to its slot there.  Programs of one solve
-    that share a pattern share these arrays through ``patterns``, so the
-    ordering is computed once per pattern.  ``certified`` records whether
-    the last ``classify`` verdict passed a certificate test.  A workspace
-    belongs to one solve; nothing is cached between solves.
+    ``pattern`` is the ``_Pattern`` of every program of the solve with this
+    program's sparsity pattern, found in or added to ``patterns``, so what
+    depends on the pattern alone is computed once per pattern.  The
+    workspace itself holds the program, C's stored entries ``c_data`` for
+    C = [A; G] and C''s ``ct_data`` (so one product serves both row sets
+    of the dual residual), the residual norms of its data, and
+    ``certified``, which records whether the last ``classify`` verdict
+    passed a certificate test.  A workspace belongs to one solve; nothing
+    is cached between solves.
     """
 
     def __init__(self, prog: ConicProgram, patterns: dict | None = None):
         self.prog = prog
-        self.n, self.m, self.p = prog.n_vars, prog.n_eq, len(prog.h)
-        self.cones = _Cones(prog.cones)
-        A, G = prog.A, prog.G
-        c_data = np.concatenate([A.data[: A.nnz], G.data[: G.nnz]])
-        self.c_data = np.concatenate([c_data, c_data])
-        C = sp.csr_matrix(
-            (c_data, np.concatenate([A.indices[: A.nnz], G.indices[: G.nnz]]),
-             np.concatenate([A.indptr, G.indptr[1:] + A.nnz])),
-            shape=(self.m + self.p, self.n),
-        )
-        self.CT = C.T.tocsr()
-        self.bnorm = 1.0 + _norm(prog.b, prog.h)
-        self.cnorm = 1.0 + _norm(prog.c)
         patterns = {} if patterns is None else patterns
         key = _pattern_key(prog)
         if key not in patterns:
-            patterns[key] = _kkt_pattern(A, G, self.cones)
-        self.perm, self.sign, self.kkt_indices, self.kkt_indptr, self.kkt_slots = patterns[key]
-        # kkt_slots split by the kind of weight, W^2's entries by cone part
-        # (NonNeg as size 0, then each SOC size)
-        w2_sizes = [0] + [g.shape[1] for g in self.cones.soc_groups]
-        lengths = [self.n, self.n, len(self.c_data), self.m]
-        lengths += [len(self.cones.nonneg_idx)]
-        lengths += [g.size * g.shape[1] for g in self.cones.soc_groups]
-        keys = ["q", "dx", "C", "dy"] + [("w2", k) for k in w2_sizes] + ["dz"]
-        bounds = _offsets(lengths + [self.p])
-        self.slot_kinds = {
-            key: self.kkt_slots[a:b] for key, a, b in zip(keys, bounds[:-1], bounds[1:])
-        }
+            patterns[key] = _Pattern(prog)
+        pat = self.pattern = patterns[key]
+        self.n, self.m, self.p, self.cones = pat.n, pat.m, pat.p, pat.cones
+        A, G = prog.A, prog.G
+        self.c_data = np.concatenate([A.data[: A.nnz], G.data[: G.nnz]])
+        self.ct_data = self.c_data[pat.ct_order]
+        self.bnorm = 1.0 + _norm(prog.b, prog.h)
+        self.cnorm = 1.0 + _norm(prog.c)
         self.certified = False
+
+    @cached_property
+    def CT(self) -> sp.csr_matrix:
+        """C' of the program, built on first use: a program that ends optimal
+        takes its residuals from the stack and never needs it."""
+        pat = self.pattern
+        return sp.csr_matrix(
+            (self.ct_data, pat.ct_indices, pat.ct_indptr), shape=(self.n, self.m + self.p)
+        )
 
     def residuals(self, x, y, s, z):
         return _residuals(self.prog, self.CT, x, y, s, z)
 
-    def finish(self, status, x, y, s, z, iters) -> ConicSolution:
+    def finish(self, status, x, y, s, z, iters, residuals=None) -> ConicSolution:
+        """The solution at (x, y, s, z); ``residuals`` are the program's
+        residuals there when a stack has computed them already."""
         x, y, s, z = x.copy(), y.copy(), s.copy(), z.copy()
-        r_d, r_p, r_g = self.residuals(x, y, s, z)
+        r_d, r_p, r_g = self.residuals(x, y, s, z) if residuals is None else residuals
         return ConicSolution(
             status=status,
             x=x,
@@ -701,20 +766,16 @@ class _Workspace:
         return self.finish(status, x, y, s, z, iters)
 
 
-def _block_rows(mats: list[sp.csr_matrix], colmaps: list[np.ndarray], n_cols: int) -> sp.csr_matrix:
-    """The rows of ``mats`` one after the other, local column j of mats[i] moved to colmaps[i][j].
+def _rows(data: list[np.ndarray], cols: list[np.ndarray], counts: list[np.ndarray], n_cols: int):
+    """CSR matrix of rows given in parts: the parts' stored entries and
+    their columns, and the entries of each row, one part after the other.
 
-    Entries keep their stored order, so each row's products sum as in its
-    own matrix.
+    Entries keep their stored order, so each row's products sum as in the
+    matrix it came from.
     """
-    counts = _cat([np.diff(M.indptr) for M in mats])
+    counts = _cat(counts)
     return sp.csr_matrix(
-        (
-            np.concatenate([M.data[: M.nnz] for M in mats]),
-            _cat([cm[M.indices[: M.nnz]] for M, cm in zip(mats, colmaps)]),
-            np.cumsum(np.concatenate([[0], counts])),
-        ),
-        shape=(len(counts), n_cols),
+        (np.concatenate(data), _cat(cols), _offsets(counts)), shape=(len(counts), n_cols)
     )
 
 
@@ -733,14 +794,34 @@ class _Stack:
     selects SuperLU's partial pivoting over static diagonal pivots; it is
     only used for single members, since its column ordering spans the whole
     matrix.
+
+    Consecutive members on one pattern form a run.  Every index array (A's,
+    G's and C''s columns, K's pattern, the ordering, the slots and the cone
+    groups) is built once per run, by shifting its pattern's array for all
+    of the run's members at once; the data vectors are one concatenation
+    over the members each.
     """
 
     def __init__(self, members: list[_Workspace], pivoting: bool = False):
         self.members = members
         self.pivoting = pivoting
-        ns, ms, ps = ([getattr(ws, a) for ws in members] for a in "nmp")
+        runs: list[list] = []  # [pattern, members] per run
+        for ws in members:
+            if runs and runs[-1][0] is ws.pattern:
+                runs[-1][1] += 1
+            else:
+                runs.append([ws.pattern, 1])
+        pats, counts = [pt for pt, _ in runs], [k for _, k in runs]
+
+        def each(values: list) -> np.ndarray:
+            """Per-pattern values, repeated for each member of its run."""
+            return np.repeat(values, counts)
+
         # entries per member of x, y, s and z, and of per-member values
-        self.lengths = {"x": ns, "y": ms, "z": ps, "k": [1] * len(members)}
+        self.lengths = {
+            "x": each([pt.n for pt in pats]), "y": each([pt.m for pt in pats]),
+            "z": each([pt.p for pt in pats]), "k": np.ones(len(members), dtype=int),
+        }
         offs = {kind: _offsets(ls) for kind, ls in self.lengths.items()}
         self.slices = {
             kind: [slice(a, b) for a, b in zip(o[:-1].tolist(), o[1:].tolist())]
@@ -748,7 +829,18 @@ class _Stack:
         }
         self.segments = {kind: _segments(ls) for kind, ls in self.lengths.items()}
         n, m, p = self.n, self.m, self.p = [int(offs[kind][-1]) for kind in "xyz"]
-        self.cones = _Cones.stack([ws.cones for ws in members])
+        # rows of the block-diagonal KKT matrix and its stored entries, per member
+        self.sizes = self.lengths["x"] + self.lengths["y"] + self.lengths["z"]
+        offs["K"] = _offsets(self.sizes)
+        offs["nnz"] = _offsets(each([len(pt.kkt_indices) for pt in pats]))
+        # each run's pattern, its member count and its members' offsets by kind
+        bounds = _offsets(counts)
+        at = [
+            (pt, b - a, {kind: o[a:b] for kind, o in offs.items()})
+            for pt, a, b in zip(pats, bounds[:-1].tolist(), bounds[1:].tolist())
+        ]
+
+        self.cones = _Cones.stack([(pt.cones, o["z"]) for pt, k, o in at])
         progs = [ws.prog for ws in members]
         self.q, self.c, self.b, self.h = (
             np.concatenate([getattr(pr, a) for pr in progs]) for a in ("q", "c", "b", "h")
@@ -756,48 +848,58 @@ class _Stack:
         self.bnorm = np.array([ws.bnorm for ws in members])
         self.cnorm = np.array([ws.cnorm for ws in members])
         # barrier degrees, floored at 1 so mu stays defined without cone rows
-        self.nu = np.array([max(ws.cones.degree, 1) for ws in members])
+        self.nu = each([max(pt.cones.degree, 1) for pt in pats])
 
-        xmaps = [np.arange(ws.n) + o for ws, o in zip(members, offs["x"])]
-        self.A = _block_rows([pr.A for pr in progs], xmaps, n)
-        self.G = _block_rows([pr.G for pr in progs], xmaps, n)
-        self.CT = _block_rows(
-            [ws.CT for ws in members],
+        # C's stored entries are A's, then G's
+        self.A = _rows(
+            [ws.c_data[: len(ws.pattern.a_cols)] for ws in members],
+            [_shifted(pt.a_cols, o["x"]) for pt, k, o in at],
+            [np.tile(pt.a_counts, k) for pt, k, o in at],
+            n,
+        )
+        self.G = _rows(
+            [ws.c_data[len(ws.pattern.a_cols) :] for ws in members],
+            [_shifted(pt.g_cols, o["x"]) for pt, k, o in at],
+            [np.tile(pt.g_counts, k) for pt, k, o in at],
+            n,
+        )
+        # C''s columns are the stack's (y, z): a member's y, and its z after all y
+        self.CT = _rows(
+            [ws.ct_data for ws in members],
             [
-                np.concatenate([np.arange(ws.m) + oy, np.arange(ws.p) + m + oz])
-                for ws, oy, oz in zip(members, offs["y"], offs["z"])
+                _shifted(pt.ct_indices, np.column_stack([o["y"], m - pt.m + o["z"]]), pt.ct_part)
+                for pt, k, o in at
             ],
+            [np.tile(pt.ct_counts, k) for pt, k, o in at],
             m + p,
         )
 
         # the block-diagonal KKT matrix and the slots of the weights by kind
-        self.sizes = [a + b + c for a, b, c in zip(ns, ms, ps)]
-        k_off = _offsets(self.sizes)
-        nnz_off = _offsets([len(ws.kkt_indices) for ws in members])
         self.K = sp.csc_matrix(
             (
-                np.zeros(int(nnz_off[-1])),
-                _cat([ws.kkt_indices + o for ws, o in zip(members, k_off)]),
-                np.concatenate([ws.kkt_indptr[:-1] + o for ws, o in zip(members, nnz_off)]
-                               + [nnz_off[-1:]]),
+                np.zeros(int(offs["nnz"][-1])),
+                _cat([_shifted(pt.kkt_indices, o["K"]) for pt, k, o in at]),
+                _cat([_shifted(pt.kkt_indptr[:-1], o["nnz"]) for pt, k, o in at] + [offs["nnz"][-1:]]),
             ),
-            shape=(int(k_off[-1]),) * 2,
+            shape=(int(offs["K"][-1]),) * 2,
         )
-        self.sign = _cat([ws.sign for ws in members])
-        self.c_data = _cat([ws.c_data for ws in members])
+        self.sign = np.concatenate([np.tile(pt.sign, k) for pt, k, o in at])
+        self.c_data = np.concatenate([d for ws in members for d in (ws.c_data, ws.c_data)])
         # global position in (x, y, z) of each row of the permuted matrix
         self.perm = _cat([
-            np.where(ws.perm < ws.n, ws.perm + ox,
-                     np.where(ws.perm < ws.n + ws.m, ws.perm - ws.n + n + oy,
-                              ws.perm - ws.n - ws.m + n + m + oz))
-            for ws, ox, oy, oz in zip(members, offs["x"], offs["y"], offs["z"])
+            _shifted(
+                pt.perm,
+                np.column_stack([o["x"], n - pt.n + o["y"], n + m - pt.n - pt.m + o["z"]]),
+                pt.perm_part,
+            )
+            for pt, k, o in at
         ])
-        # the weights' slots, kind by kind (see _Workspace.slot_kinds)
+        # the weights' slots, kind by kind (see _Pattern.slot_kinds)
         kinds = ["q", "dx", "C", "dy", ("w2", 0)]
         kinds += [("w2", g.shape[1]) for g in self.cones.soc_groups] + ["dz"]
         self.slots = _cat([
-            ws.slot_kinds[kind] + o
-            for kind in kinds for ws, o in zip(members, nnz_off) if kind in ws.slot_kinds
+            _shifted(pt.slot_kinds[kind], o["nnz"])
+            for kind in kinds for pt, k, o in at if kind in pt.slot_kinds
         ])
         self.lu = None
         self.delta = None
@@ -825,7 +927,10 @@ class _Stack:
 
     def gather(self, keep: list[int], *vectors) -> list[np.ndarray]:
         """The parts of the members at positions ``keep`` of each (vector, kind)."""
-        return [np.concatenate([v[self.slices[kind][k]] for k in keep]) for v, kind in vectors]
+        kept = np.zeros(len(self.members), dtype=bool)
+        kept[keep] = True
+        masks = {kind: self.spread(kept, kind) for kind in {kind for _, kind in vectors}}
+        return [v[masks[kind]] for v, kind in vectors]
 
     def residuals(self, x, y, s, z):
         return _residuals(self, self.CT, x, y, s, z)
@@ -1012,7 +1117,8 @@ def _ipm_loop(members, tol: float, max_iter: int, pivoting: bool = False, starts
             part = st.part(k, x, y, s, z)
             rel_g = abs(gap[k]) / (1.0 + abs(ws.prog.objective(part[0])))
             if rel_p[k] <= tol and rel_d[k] <= tol and rel_g <= tol:
-                done[i] = ws.finish(OPTIMAL, *part, it)
+                sx, sy, sz = (st.slices[kind][k] for kind in "xyz")
+                done[i] = ws.finish(OPTIMAL, *part, it, (r_d[sx], r_p[sy], r_g[sz]))
                 ended.append(k)
                 continue
             score = rel_p[k] + rel_d[k] + rel_g

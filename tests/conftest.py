@@ -3,7 +3,6 @@ computed once per session and reused by unit and acceptance tests."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 
 import pytest
@@ -22,10 +21,7 @@ def six_bus():
 
 @pytest.fixture(scope="session")
 def six_bus_run(six_bus):
-    t0 = time.perf_counter()
-    res = run_clearing(six_bus, prosumer_solver="exact", log_messages=True)
-    res.wall_seconds = time.perf_counter() - t0
-    return res
+    return run_clearing(six_bus, prosumer_solver="exact", log_messages=True)
 
 
 @pytest.fixture(scope="session")
@@ -35,10 +31,7 @@ def ieee69():
 
 @pytest.fixture(scope="session")
 def ieee69_run(ieee69):
-    t0 = time.perf_counter()
-    res = run_clearing(ieee69, prosumer_solver="relax_repair")
-    res.wall_seconds = time.perf_counter() - t0
-    return res
+    return run_clearing(ieee69, prosumer_solver="relax_repair")
 
 
 @pytest.fixture(scope="session")

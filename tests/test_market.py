@@ -87,6 +87,28 @@ class TestRunClearing:
         assert np.max(np.abs(res.schedules["a"].p_net)) <= 1e-8
         assert all(np.max(np.abs(v)) <= 1e-8 for v in res.lambda_p.values())
 
+    def test_wall_seconds_is_timed_outside_the_digest(self, monkeypatch):
+        # the same clearing under a clock that runs twice as fast: same
+        # digest, twice the wall time
+        import lemclear.market as market
+
+        class Clock:
+            def __init__(self, step):
+                self.now, self.step = 0.0, step
+
+            def perf_counter(self):
+                self.now += self.step
+                return self.now
+
+        sc = small_scenario()
+        runs = []
+        for step in (1.0, 2.0):
+            monkeypatch.setattr(market, "time", Clock(step))
+            runs.append(run_clearing(sc))
+        slow, fast = runs
+        assert slow.trace.digest() == fast.trace.digest()
+        assert fast.wall_seconds == 2.0 * slow.wall_seconds > 0.0
+
     def test_converges_within_envelope(self):
         res = run_clearing(small_scenario(), prosumer_solver="exact")
         assert res.status == "converged"

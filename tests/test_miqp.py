@@ -7,9 +7,11 @@ import scipy.sparse as sp
 from lemclear.miqp import (
     MixedBinaryProgram,
     RepairHints,
+    mbp_search,
     relax_and_repair,
     restore_fixed,
     solve_mbp,
+    solve_searches,
     with_fixed_variables,
 )
 from lemclear.socp import NonNeg, OPTIMAL, solve_socp, solve_socp_batch
@@ -109,6 +111,21 @@ class TestSolveMbp:
         assert res.status in ("iter_limit", OPTIMAL)
         if res.status == "iter_limit":
             assert np.isfinite(res.gap)
+
+    def test_search_stopped_before_an_incumbent_is_not_infeasible(self):
+        # a node limit reached with no incumbent proves nothing about the program
+        (res,) = solve_searches([mbp_search(gate_program(), node_limit=0)])
+        assert res.status == "iter_limit"
+        assert res.x_incumbent is None and res.nodes_explored == 0
+
+    def test_exhausted_search_without_incumbent_is_infeasible(self):
+        # x0 + x1 = -1 with x >= 0: the root is infeasible, no node stays open
+        prog = lifted(
+            c=np.zeros(2), A=sp.csr_matrix([[1.0, 1.0]]), b=np.array([-1.0]), cones=(NonNeg(2),)
+        )
+        (res,) = solve_searches([mbp_search(MixedBinaryProgram(prog, (0, 1)))])
+        assert res.status == "infeasible"
+        assert res.x_incumbent is None and res.nodes_explored == 1
 
     def test_bound_below_incumbent(self):
         rng = np.random.default_rng(9)

@@ -15,6 +15,7 @@ from lemclear.socp import (
     NonNeg,
     SecondOrder,
     _Cones,
+    _pattern_key,
     _soc_step,
     _Stack,
     _Workspace,
@@ -648,7 +649,7 @@ class TestKktPattern:
         kkt = _Stack([ws]).kkt(w2, np.array([delta]))
         assert kkt.format == "csc" and kkt.has_canonical_format
         # K is stored under the workspace's ordering: K = K0[perm][:, perm]
-        back = np.argsort(ws.perm)
+        back = np.argsort(ws.pattern.perm)
         expect = reference_kkt(prog, w2_matrix(ws.cones, w2), delta)
         assert np.array_equal(kkt.toarray()[np.ix_(back, back)], expect.toarray())
 
@@ -673,7 +674,7 @@ class TestKktPattern:
         prog = seeded_programs(1, seed=3)[0]
         ws = _Workspace(prog)
         size = prog.n_vars + prog.n_eq + len(prog.h)
-        assert np.array_equal(np.sort(ws.perm), np.arange(size))
+        assert np.array_equal(np.sort(ws.pattern.perm), np.arange(size))
         specs = []
         splu = spla.splu
 
@@ -768,6 +769,98 @@ def solo(i):
     return SOLO[i]
 
 
+def same_pattern_variants(base, k, seed):
+    """k programs on base's sparsity pattern, each with its own A and G
+    entries, b, c and h, and its own copies of the index arrays; b and h are
+    set so that base's solution is feasible with s in the cone's interior."""
+    x = solve_socp(base, tol=1e-8).x
+    e = _Cones(base.cones).identity()
+    rng = np.random.default_rng(seed)
+
+    def rescaled(M):
+        data = M.data * rng.uniform(0.5, 2.0, M.nnz)
+        return sp.csr_matrix((data, M.indices.copy(), M.indptr.copy()), shape=M.shape)
+
+    out = []
+    for _ in range(k):
+        A, G = rescaled(base.A), rescaled(base.G)
+        out.append(replace(
+            base, A=A, G=G, b=A @ x, h=G @ x + rng.uniform(0.5, 2.0) * e,
+            c=base.c + rng.normal(size=base.n_vars),
+        ))
+    return out
+
+
+VARIANTS: list = []
+VARIANT_SOLO: dict[int, object] = {}
+
+
+def variant(j):
+    """The j-th of four programs on BATCH_POOL[0]'s pattern, with their own data."""
+    if not VARIANTS:
+        VARIANTS.extend(same_pattern_variants(BATCH_POOL[0], 4, seed=5))
+    return VARIANTS[j]
+
+
+def variant_solo(j):
+    if j not in VARIANT_SOLO:
+        VARIANT_SOLO[j] = solve_socp(variant(j), tol=1e-8)
+    return VARIANT_SOLO[j]
+
+
+def stack_member_by_member(members):
+    """The arrays of ``_Stack(members)`` built one member at a time: the
+    loop that the stack's per-pattern broadcasting replaced, kept as its
+    reference.  C' comes from scipy's own transpose of each member's C."""
+    sizes = {kind: [getattr(ws, kind) for ws in members] for kind in "nmp"}
+    ox, oy, oz = (np.cumsum([0] + sizes[kind]) for kind in "nmp")
+    n, m = ox[-1], oy[-1]
+    k_off = np.cumsum([0] + [ws.n + ws.m + ws.p for ws in members])
+    nnz_off = np.cumsum([0] + [len(ws.pattern.kkt_indices) for ws in members])
+    ref = {}
+    for name in ("A", "G"):
+        mats = [getattr(ws.prog, name) for ws in members]
+        ref[name] = (
+            np.concatenate([M.data for M in mats]),
+            np.concatenate([M.indices + o for M, o in zip(mats, ox)]),
+            np.cumsum(np.concatenate([[0]] + [np.diff(M.indptr) for M in mats])),
+        )
+    cts = [sp.vstack([ws.prog.A, ws.prog.G], format="csr").T.tocsr() for ws in members]
+    colmaps = [
+        np.concatenate([np.arange(ws.m) + a, np.arange(ws.p) + m + b])
+        for ws, a, b in zip(members, oy, oz)
+    ]
+    ref["CT"] = (
+        np.concatenate([CT.data for CT in cts]),
+        np.concatenate([cm[CT.indices] for CT, cm in zip(cts, colmaps)]),
+        np.cumsum(np.concatenate([[0]] + [np.diff(CT.indptr) for CT in cts])),
+    )
+    pats = [ws.pattern for ws in members]
+    ref["K"] = (
+        np.concatenate([pt.kkt_indices + o for pt, o in zip(pats, k_off)]),
+        np.concatenate([pt.kkt_indptr[:-1] + o for pt, o in zip(pats, nnz_off)] + [nnz_off[-1:]]),
+    )
+    ref["perm"] = np.concatenate([
+        np.where(pt.perm < ws.n, pt.perm + a,
+                 np.where(pt.perm < ws.n + ws.m, pt.perm - ws.n + n + b,
+                          pt.perm - ws.n - ws.m + n + m + c))
+        for ws, pt, a, b, c in zip(members, pats, ox, oy, oz)
+    ])
+    sizes_soc = sorted({g.shape[1] for ws in members for g in ws.cones.soc_groups})
+    kinds = ["q", "dx", "C", "dy", ("w2", 0)] + [("w2", k) for k in sizes_soc] + ["dz"]
+    ref["slots"] = np.concatenate([
+        pt.slot_kinds[kind] + o for kind in kinds for pt, o in zip(pats, nnz_off)
+        if kind in pt.slot_kinds
+    ])
+    ref["sign"] = np.concatenate([pt.sign for pt in pats])
+    ref["c_data"] = np.concatenate([np.tile(ws.c_data, 2) for ws in members])
+    ref["nonneg"] = np.concatenate([ws.cones.nonneg_idx + o for ws, o in zip(members, oz)])
+    ref["soc"] = [
+        np.concatenate([ws.cones.group(k) + o for ws, o in zip(members, oz)]) for k in sizes_soc
+    ]
+    return ref
+
+
 def assert_same_solution(got, alone):
     assert got.status == alone.status
     assert got.iterations == alone.iterations
@@ -832,6 +925,78 @@ class TestLockstepBatch:
         assert specs.count("NATURAL") == max(s.iterations for s in sols) - 1
         assert len(specs) == 3 + max(s.iterations for s in sols) - 1
 
+    @settings(max_examples=15, deadline=None)
+    @given(
+        picks=st.lists(st.integers(0, 11), max_size=4),
+        rnd=st.randoms(use_true_random=False),
+    )
+    def test_shared_pattern_shares_no_data(self, picks, rnd):
+        # members on one pattern, each with its own A and G entries, b, c
+        # and h, shuffled among members on other patterns: each is bit for
+        # bit its solo solve, so nothing but the pattern passes between them
+        variants = [variant(j) for j in range(4)]
+        assert len({_pattern_key(prog) for prog in variants + [BATCH_POOL[0]]}) == 1
+        members = [("variant", j) for j in range(4)] + [("pool", i) for i in picks]
+        rnd.shuffle(members)
+        sols = solve_socp_batch(
+            [variant(j) if kind == "variant" else BATCH_POOL[j] for kind, j in members], tol=1e-8
+        )
+        for (kind, j), sol in zip(members, sols):
+            assert_same_solution(sol, variant_solo(j) if kind == "variant" else solo(j))
+        xs = {variant_solo(j).x.tobytes() for j in range(4)}
+        assert len(xs) == 4 and all(variant_solo(j).status == OPTIMAL for j in range(4))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        picks=st.lists(st.integers(0, 14), min_size=1, max_size=6),
+        n_variants=st.integers(0, 4),
+        rnd=st.randoms(use_true_random=False),
+    )
+    def test_stack_matches_member_by_member_build(self, picks, n_variants, rnd):
+        progs = [BATCH_POOL[i] for i in picks] + [variant(j) for j in range(n_variants)]
+        rnd.shuffle(progs)
+        patterns: dict = {}
+        members = [_Workspace(prog, patterns) for prog in progs]
+        stack, ref = _Stack(members), stack_member_by_member(members)
+        for name in ("A", "G", "CT"):
+            M = getattr(stack, name)
+            for got, want in zip((M.data, M.indices, M.indptr), ref[name]):
+                assert np.array_equal(got, want), name
+        assert np.array_equal(stack.K.indices, ref["K"][0])
+        assert np.array_equal(stack.K.indptr, ref["K"][1])
+        for name in ("perm", "slots", "sign", "c_data"):
+            assert np.array_equal(getattr(stack, name), ref[name]), name
+        assert np.array_equal(stack.cones.nonneg_idx, ref["nonneg"])
+        assert len(stack.cones.soc_groups) == len(ref["soc"])
+        for got, want in zip(stack.cones.soc_groups, ref["soc"]):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_pattern_work_done_once_per_pattern(self, monkeypatch, k):
+        # k members on one pattern and one on another, leaving the stack in
+        # different rounds: one cone layout and one KKT ordering per
+        # pattern, and none built again when members leave
+        import lemclear.socp as socp
+
+        progs = same_pattern_variants(BATCH_POOL[0], k, seed=k)
+        progs.insert(k // 2, BATCH_POOL[1])
+        built = {"layouts": 0, "orderings": 0, "stacks": 0}
+
+        def counting(name, fn):
+            def spy(*args, **kwargs):
+                built[name] += 1
+                return fn(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(socp._Cones, "__init__", counting("layouts", socp._Cones.__init__))
+        monkeypatch.setattr(socp, "_kkt_pattern", counting("orderings", socp._kkt_pattern))
+        monkeypatch.setattr(socp._Stack, "__init__", counting("stacks", socp._Stack.__init__))
+        sols = solve_socp_batch(progs, tol=1e-8)
+        assert [s.status for s in sols] == [OPTIMAL] * (k + 1)
+        assert built["layouts"] == built["orderings"] == 2
+        # the first stack, then one more for each round that some members left
+        rounds_left = len({s.iterations for s in sols})
+        assert built["stacks"] == rounds_left > 1
 
     @pytest.mark.parametrize("singular_at", [(-1e-9,), (-1e-9, -1e-6)])
     def test_singular_block_settled_as_alone(self, monkeypatch, singular_at):
