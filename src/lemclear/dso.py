@@ -7,9 +7,11 @@ rotated cone written as SecondOrder(4) blocks; line capacity is a
 SecondOrder(3) block.  The dual of a bus's active-power balance, divided by
 the interval length, is that bus's energy price.
 
-All hours share one constraint matrix: ``solve_dso_subproblem`` assembles
-the program once, fills in each hour's right-hand side and objective, and
-solves the hours as one lockstep batch (``socp.solve_socp_batch``).
+All hours share one constraint matrix, built once by ``assemble_branch_flow``.
+Hours are posed by ``hour_programs`` (injections and loss terms) and read by
+``read_hours`` (losses, prices, voltages, flows), both for the network
+operator, which solves its hours as one lockstep batch, and for the
+centralized oracle, which stacks them into one joint program.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ __all__ = [
     "DsoOutput",
     "DsoInfeasible",
     "assemble_branch_flow",
+    "hour_programs",
+    "read_hours",
     "solve_dso_subproblem",
     "check_tightness",
     "TightnessReport",
@@ -105,7 +109,7 @@ def orient_feeder(net: NetworkModel) -> FeederIndex:
 
 @dataclass
 class BranchFlowProgram:
-    """One hour's cone program plus the variable map needed to read it back.
+    """The hourly cone program's structure plus the variable map needed to read it back.
 
     The variables are exactly the physical unknowns: flows p and q, squared
     currents l and squared voltages v per line and bus, the grid import and
@@ -149,21 +153,11 @@ class DsoOutput:
     lines_oriented: tuple[tuple[int, int], ...]
 
 
-def assemble_branch_flow(
-    net: NetworkModel,
-    p_net: dict[int, float],
-    q_net: dict[int, float],
-    loss_price: float,
-    lambda_loss: float = 0.0,
-    rho_prime: float = 0.0,
-    p_loss_tilde: float = 0.0,
-    feeder: FeederIndex | None = None,
-) -> BranchFlowProgram:
-    """Build the hourly network program for given nodal net consumptions.
+def assemble_branch_flow(net: NetworkModel, feeder: FeederIndex | None = None) -> BranchFlowProgram:
+    """Build the hourly network program's structure, shared by every hour.
 
-    ``loss_price`` is the loss cost coefficient for this hour already
-    multiplied by the interval length; the consensus terms (lambda_loss,
-    rho_prime, p_loss_tilde) may be zero for a plain minimum-loss solve.
+    Injections and the loss terms are zero; ``hour_programs`` writes each
+    hour's into a copy.
     """
     fd = feeder if feeder is not None else orient_feeder(net)
     F = len(net.lines)
@@ -181,7 +175,7 @@ def assemble_branch_flow(
     # active balance per bus (rows 0..N-1, bus order: PCC first), then
     # reactive; a line's loss term is r*l on the active side and x*l on the
     # reactive side (k picks r or x out of fd.oriented)
-    for off, grid, injections, k in ((off_p, p_ug, p_net, 2), (off_q, q_ug, q_net, 3)):
+    for off, grid, k in ((off_p, p_ug, 2), (off_q, q_ug, 3)):
         for bid in fd.bus_ids:
             if bid == fd.pcc:
                 entries = [(grid, 1.0)]
@@ -189,7 +183,7 @@ def assemble_branch_flow(
                 li = fd.in_line[bid]
                 entries = [(off + li, 1.0), (off_l + li, -fd.oriented[li][k])]
             entries += [(off + lo, -1.0) for lo in fd.out_lines[bid]]
-            eq.add(entries, injections.get(bid, 0.0))
+            eq.add(entries, 0.0)
     balance_rows = {bid: i for i, bid in enumerate(fd.bus_ids)}
     # voltage drop per line
     for li, (fb, tb, r, x, _) in enumerate(fd.oriented):
@@ -223,16 +217,13 @@ def assemble_branch_flow(
     cones = (NonNeg(2 * (N - 1)),) + (SecondOrder(4), SecondOrder(3)) * F
 
     c = np.zeros(n)
-    qdiag = np.zeros(n)
-    c[p_loss], c0 = _loss_terms(loss_price, lambda_loss, rho_prime, p_loss_tilde)
-    qdiag[p_loss] = rho_prime
     # vanishing pressure on squared currents keeps the cone tight even on
     # zero-resistance lines, where losses alone leave l unpinned
-    c[off_l : off_l + F] += 1e-9
+    c[off_l : off_l + F] = 1e-9
 
     A, b = eq.matrix(n)
     G, h = cone.matrix(n)
-    prog = ConicProgram(c=c, A=A, b=b, G=G, h=h, cones=cones, q=qdiag, c0=c0)
+    prog = ConicProgram(c=c, A=A, b=b, G=G, h=h, cones=cones)
     return BranchFlowProgram(
         prog=prog,
         feeder=fd,
@@ -247,11 +238,76 @@ def assemble_branch_flow(
     )
 
 
-def _loss_terms(loss_price, lambda_loss, rho_prime, p_loss_tilde) -> tuple[float, float]:
-    """The loss variable's linear cost and the objective constant of one hour."""
-    return (
-        loss_price - lambda_loss - rho_prime * p_loss_tilde,
-        lambda_loss * p_loss_tilde + 0.5 * rho_prime * p_loss_tilde**2,
+def hour_programs(
+    bf: BranchFlowProgram, inp: DsoInput, loss_price: np.ndarray, rho_prime: float
+) -> list[ConicProgram]:
+    """One program per hour on bf's structure with the hour's injections and loss terms.
+
+    The balance rows of b take the nodal net consumptions (0 where absent);
+    the total loss P costs loss_price*P + lambda_loss*(p_loss_tilde - P) +
+    rho_prime/2*(P - p_loss_tilde)^2, ``loss_price`` being the hour's loss
+    cost times the interval length.
+    """
+    fd = bf.feeder
+    T = len(inp.p_loss_tilde)
+    N = len(fd.bus_ids)
+    # nodal injections per hour in balance-row order (PCC first), 0 where absent
+    inject = {
+        kind: np.array([np.asarray(node[b], dtype=float) if b in node else np.zeros(T)
+                        for b in fd.bus_ids]).reshape(N, T)
+        for kind, node in (("p", inp.p_net_node), ("q", inp.q_net_node))
+    }
+    q = bf.prog.q.copy()
+    q[bf.p_loss] = rho_prime
+    progs = []
+    for t in range(T):
+        b = bf.prog.b.copy()
+        b[:N], b[N : 2 * N] = inject["p"][:, t], inject["q"][:, t]
+        c = bf.prog.c.copy()
+        lam, tilde = float(inp.lambda_loss[t]), float(inp.p_loss_tilde[t])
+        c[bf.p_loss] = float(loss_price[t]) - lam - rho_prime * tilde
+        c0 = lam * tilde + 0.5 * rho_prime * tilde**2
+        progs.append(replace(bf.prog, b=b, c=c, q=q, c0=c0))
+    return progs
+
+
+def read_hours(
+    bf: BranchFlowProgram, progs: list[ConicProgram], X: np.ndarray, Y: np.ndarray, dt: float
+) -> DsoOutput:
+    """Losses, prices, voltages, flows and objectives of the solved hours ``progs``.
+
+    Row t of X and Y is hour t's primal point and equality duals.  A bus's
+    price is the dual of its active balance divided by the interval length.
+    """
+    fd = bf.feeder
+    T = len(progs)
+    N = len(fd.bus_ids)
+    F = len(fd.oriented)
+    pf = X[:, bf.off_p : bf.off_p + F]
+    qf = X[:, bf.off_q : bf.off_q + F]
+    lf = X[:, bf.off_l : bf.off_l + F].copy()
+    V = X[:, bf.off_v : bf.off_v + N]
+    vfrom = V[:, [fd.bus_pos[fb] for fb, _, _, _, _ in fd.oriented]]
+    r = np.array([o[2] for o in fd.oriented])
+    x = np.array([o[3] for o in fd.oriented])
+    s2 = pf * pf + qf * qf
+    # zero-impedance line: nothing in the program references l, so report
+    # the physical squared current directly
+    zero = (r == 0.0) & (x == 0.0)
+    lf[:, zero] = s2[:, zero] / vfrom[:, zero]
+    # losses summed line by line in feeder order
+    p_loss = np.cumsum(np.hstack([np.zeros((T, 1)), r * lf]), axis=1)[:, -1]
+    prices = Y[:, [bf.balance_rows[bid] for bid in fd.bus_ids]]
+    dlmp_rows, v_rows = (prices / dt).T.copy(), V.T.copy()
+    flow_rows = {key: a.T.copy() for key, a in (("p", pf), ("q", qf), ("l", lf))}
+    return DsoOutput(
+        p_loss=p_loss,
+        dlmp={bid: dlmp_rows[i] for i, bid in enumerate(fd.bus_ids)},
+        v={bid: v_rows[i] for i, bid in enumerate(fd.bus_ids)},
+        flows={li: {key: rows[li] for key, rows in flow_rows.items()} for li in range(F)},
+        tightness=(vfrom * lf - s2).T.copy(),
+        objective=np.array([prog.objective(xt) for prog, xt in zip(progs, X)]),
+        lines_oriented=tuple((fb, tb) for fb, tb, _, _, _ in fd.oriented),
     )
 
 
@@ -282,15 +338,15 @@ def limit_violations(net: NetworkModel, out: DsoOutput) -> list[tuple[int, str]]
     return sorted(found, key=lambda tm: tm[0])
 
 
-def _diagnose(net: NetworkModel, p_net, q_net) -> str:
-    """Re-solve one hour without caps or voltage bounds and name violated limits."""
+def _diagnose(net: NetworkModel, inp: DsoInput, t: int) -> str:
+    """Re-solve hour t without caps or voltage bounds and name violated limits."""
     relaxed = relaxed_limits(net)
     if relaxed == net:
         # already relaxed: the solve below would only fail the same way
         return "network equations unsolvable at these injections"
     hour = DsoInput(
-        p_net_node={b: np.array([v]) for b, v in p_net.items()},
-        q_net_node={b: np.array([v]) for b, v in q_net.items()},
+        p_net_node={b: np.asarray(v, dtype=float)[t : t + 1] for b, v in inp.p_net_node.items()},
+        q_net_node={b: np.asarray(v, dtype=float)[t : t + 1] for b, v in inp.q_net_node.items()},
         p_loss_tilde=np.zeros(1),
         lambda_loss=np.zeros(1),
     )
@@ -313,71 +369,20 @@ def solve_dso_subproblem(
 ) -> DsoOutput:
     """Solve the hourly network programs and extract prices.
 
-    Hours are independent programs on one constraint matrix, solved as one
-    batch; each bus's price is the dual of its active balance divided by
-    the interval length.  The first infeasible hour raises
+    The hours (``hour_programs``) are solved as one batch and read back by
+    ``read_hours``.  The first infeasible hour raises
     :class:`DsoInfeasible` naming the binding limit.
     """
-    fd = feeder if feeder is not None else orient_feeder(net)
-    T = len(inp.p_loss_tilde)
-    N = len(fd.bus_ids)
-    bf = assemble_branch_flow(net, {}, {}, loss_price=0.0, rho_prime=rho_prime, feeder=fd)
-    # nodal injections per hour in balance-row order (PCC first), 0 where absent
-    inject = {
-        kind: np.array([np.asarray(node[b], dtype=float) if b in node else np.zeros(T)
-                        for b in fd.bus_ids]).reshape(N, T)
-        for kind, node in (("p", inp.p_net_node), ("q", inp.q_net_node))
-    }
-    progs = []
-    for t in range(T):
-        b = bf.prog.b.copy()
-        b[:N], b[N : 2 * N] = inject["p"][:, t], inject["q"][:, t]
-        c = bf.prog.c.copy()
-        c[bf.p_loss], c0 = _loss_terms(
-            float(loss_cost[t]) * dt,
-            float(inp.lambda_loss[t]),
-            rho_prime,
-            float(inp.p_loss_tilde[t]),
-        )
-        progs.append(replace(bf.prog, b=b, c=c, c0=c0))
+    bf = assemble_branch_flow(net, feeder)
+    progs = hour_programs(bf, inp, np.asarray(loss_cost, dtype=float) * dt, rho_prime)
     sols = solve_socp_batch(progs, tol=tol)
     for t, sol in enumerate(sols):
         if sol.status != OPTIMAL:
-            hour = {
-                kind: {bid: float(node[bid][t]) for bid in fd.bus_ids if bid in node}
-                for kind, node in (("p", inp.p_net_node), ("q", inp.q_net_node))
-            }
-            raise DsoInfeasible(t, _diagnose(net, hour["p"], hour["q"]))
-
-    F = len(fd.oriented)
-    X = np.array([sol.x for sol in sols]).reshape(T, bf.prog.n_vars)
-    pf = X[:, bf.off_p : bf.off_p + F]
-    qf = X[:, bf.off_q : bf.off_q + F]
-    lf = X[:, bf.off_l : bf.off_l + F].copy()
-    V = X[:, bf.off_v : bf.off_v + N]
-    vfrom = V[:, [fd.bus_pos[fb] for fb, _, _, _, _ in fd.oriented]]
-    r = np.array([o[2] for o in fd.oriented])
-    x = np.array([o[3] for o in fd.oriented])
-    s2 = pf * pf + qf * qf
-    # zero-impedance line: nothing in the program references l, so report
-    # the physical squared current directly
-    zero = (r == 0.0) & (x == 0.0)
-    lf[:, zero] = s2[:, zero] / vfrom[:, zero]
-    # losses summed line by line in feeder order
-    p_loss = np.cumsum(np.hstack([np.zeros((T, 1)), r * lf]), axis=1)[:, -1]
-    balance = [bf.balance_rows[bid] for bid in fd.bus_ids]
-    prices = np.array([sol.y[balance] for sol in sols]).reshape(T, N)
-    dlmp_rows, v_rows = (prices / dt).T.copy(), V.T.copy()
-    flow_rows = {key: a.T.copy() for key, a in (("p", pf), ("q", qf), ("l", lf))}
-    return DsoOutput(
-        p_loss=p_loss,
-        dlmp={bid: dlmp_rows[i] for i, bid in enumerate(fd.bus_ids)},
-        v={bid: v_rows[i] for i, bid in enumerate(fd.bus_ids)},
-        flows={li: {key: rows[li] for key, rows in flow_rows.items()} for li in range(F)},
-        tightness=(vfrom * lf - s2).T.copy(),
-        objective=np.array([sol.obj for sol in sols]),
-        lines_oriented=tuple((fb, tb) for fb, tb, _, _, _ in fd.oriented),
-    )
+            raise DsoInfeasible(t, _diagnose(net, inp, t))
+    T, n, m = len(progs), bf.prog.n_vars, bf.prog.n_eq
+    X = np.array([sol.x for sol in sols]).reshape(T, n)
+    Y = np.array([sol.y for sol in sols]).reshape(T, m)
+    return read_hours(bf, progs, X, Y, dt)
 
 
 @dataclass

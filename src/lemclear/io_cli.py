@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +59,27 @@ class ScenarioFormatError(ValueError):
     def __init__(self, issues: list[str]):
         super().__init__("; ".join(issues))
         self.issues = issues
+
+
+# JSON values a dataclass field of each annotated type accepts (bool excluded)
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _keywords(cls, data, where: str) -> dict:
+    """``data`` as keyword arguments of the dataclass ``cls``: a JSON object
+    whose keys are fields of ``cls`` and whose values have their types."""
+    if not isinstance(data, dict):
+        raise ScenarioFormatError([f"{where}: expected a JSON object, got {type(data).__name__}"])
+    types = {f.name: f.type for f in fields(cls)}
+    issues = []
+    for key, value in data.items():
+        if key not in types:
+            issues.append(f"{where}: unknown key {key!r}")
+        elif isinstance(value, bool) or not isinstance(value, _JSON_TYPES[types[key]]):
+            issues.append(f"{where}: {key!r} must be {types[key]}, got {value!r}")
+    if issues:
+        raise ScenarioFormatError(issues)
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +354,7 @@ def assemble_scenario(tables: ScenarioTables) -> Scenario:
         if sum(w for w, _ in rows) > 0
     }
 
-    admm_kwargs = dict(man.get("admm", {}))
+    admm_kwargs = _keywords(AdmmConfig, man.get("admm", {}), "manifest.json admm")
     raw = RawScenario(
         scenario=Scenario(
             network=net,
@@ -711,7 +732,7 @@ def cli_main(argv: list[str] | None = None) -> int:
 
         if args.command == "generate":
             spec_data = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-            spec = GeneratorSpec(**spec_data)
+            spec = GeneratorSpec(**_keywords(GeneratorSpec, spec_data, args.spec))
             tables = generate_tables(spec)
             write_tables(tables, args.out)
             print(f"wrote scenario to {args.out}")

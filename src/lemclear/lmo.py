@@ -38,19 +38,13 @@ class LmoState:
     p_tilde: dict[str, np.ndarray] | None
     p_loss_tilde: np.ndarray
     psi: dict[str, int]
-    psi_prime: dict[int, tuple[str, ...]] = field(default_factory=dict)
+    psi_prime: dict[int, tuple[str, ...]] = field(init=False)
 
     def __post_init__(self):
-        if not self.psi_prime:
-            inv: dict[int, list[str]] = {}
-            for a, n in self.psi.items():
-                inv.setdefault(n, []).append(a)
-            self.psi_prime = {n: tuple(sorted(v)) for n, v in inv.items()}
-        else:
-            for n, agents in self.psi_prime.items():
-                for a in agents:
-                    if self.psi.get(a) != n:
-                        raise ValueError("psi_prime is not the transpose of psi")
+        inv: dict[int, list[str]] = {}
+        for a, n in self.psi.items():
+            inv.setdefault(n, []).append(a)
+        self.psi_prime = {n: tuple(sorted(v)) for n, v in inv.items()}
 
 
 @dataclass
@@ -120,15 +114,12 @@ def subproblem_I_objective(
     cfg: AdmmConfig,
     p_tilde: dict[str, np.ndarray],
     p_loss_tilde: np.ndarray,
-    background_total: np.ndarray | None = None,
 ) -> float:
     """Evaluate the coordinator objective at an arbitrary candidate point
     (used by tests to certify the closed form against a numerical solve)."""
     p_ug = p_loss_tilde.copy()
     for a in sorted(p_tilde):
         p_ug = p_ug + p_tilde[a]
-    if background_total is not None:
-        p_ug = p_ug + background_total
     return _objective(
         state, wem_price, dt, p_net_star, p_loss_star, cfg, p_tilde, p_loss_tilde, p_ug
     )

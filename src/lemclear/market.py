@@ -24,6 +24,7 @@ from .dso import DsoInput, DsoOutput, orient_feeder, solve_dso_subproblem
 from .model import Scenario
 # solve_subproblem_III stays importable here: perfbench/tracer.py wraps it
 from .prosumer import (  # noqa: F401
+    _CLEARING_TOL,
     ProsumerInput,
     ProsumerSchedule,
     solve_subproblem_III,
@@ -235,8 +236,9 @@ def run_clearing(
     lockstep batch, each prosumer's search starting from its root
     relaxation of the previous pass.  ``prosumer_order`` only permutes the
     solve order; results are merged by sorted id, so the outcome is
-    independent of scheduling.  Every cone program is solved to 1e-9, and
-    exact prosumer branch and bound stops at its default 1e-6 relative gap.
+    independent of scheduling.  Every cone program is solved to 1e-9
+    (``prosumer._CLEARING_TOL``), and exact prosumer branch and bound stops
+    at its default 1e-6 relative gap.
     """
     t_start = time.perf_counter()
     cfg = scenario.admm
@@ -349,7 +351,7 @@ def run_clearing(
                 loss_cost=scenario.loss_cost,
                 dt=dt,
                 rho_prime=cfg.rho_prime,
-                tol=1e-9,
+                tol=_CLEARING_TOL,
                 feeder=feeder,
             )
             bus.send(

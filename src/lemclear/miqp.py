@@ -248,15 +248,14 @@ def solve_mbp(
     prob: MixedBinaryProgram,
     mip_gap: float = 1e-6,
     node_limit: int = 50_000,
-    tol: float = 1e-8,
 ) -> BnBResult:
     """Best-first branch and bound to a relative gap: ``mbp_search`` run on its own."""
-    return solve_searches([mbp_search(prob, mip_gap, node_limit)], tol)[0]
+    return solve_searches([mbp_search(prob, mip_gap, node_limit)])[0]
 
 
-def relax_and_repair(prob: MixedBinaryProgram, tol: float = 1e-8) -> BnBResult:
+def relax_and_repair(prob: MixedBinaryProgram) -> BnBResult:
     """The first incumbent of the search: ``repair_search`` run on its own."""
-    return solve_searches([repair_search(prob)], tol)[0]
+    return solve_searches([repair_search(prob)])[0]
 
 
 def _restrict(start: Start | None, fixed: dict[int, float]) -> Start | None:

@@ -4,7 +4,10 @@ selfish scheduling.
 The centralized solve stacks every prosumer's constraint block and every
 hour's network block into one cone program whose objective is the wholesale
 bill plus loss cost plus device costs (market payments are internal
-transfers and do not appear).  The selfish mode lets each prosumer respond
+transfers and do not appear).  The network hours are posed by
+``dso.hour_programs`` and read back by ``dso.read_hours``, exactly as the
+network operator poses and reads its own; only the wholesale cost on the
+grid import is added here.  The selfish mode lets each prosumer respond
 to the wholesale series alone, then evaluates, without optimizing, what the
 network does under those injections; limit violations are reported as a
 congestion diagnostic rather than a failure.
@@ -23,15 +26,16 @@ from .dso import (
     DsoInput,
     DsoOutput,
     assemble_branch_flow,
+    hour_programs,
     limit_violations,
-    orient_feeder,
+    read_hours,
     relaxed_limits,
     solve_dso_subproblem,
 )
 from .market import ClearingResult
 from .miqp import restore_fixed, with_fixed_variables
 from .model import Scenario
-from .prosumer import ProsumerInput, ProsumerSchedule
+from .prosumer import _CLEARING_TOL, ProsumerInput, ProsumerSchedule
 from .socp import OPTIMAL, ConicProgram, SolveFailed, solve_socp
 
 __all__ = ["OracleResult", "solve_centralized", "solve_selfish"]
@@ -90,7 +94,6 @@ def _stack(
 def solve_centralized(
     scenario: Scenario,
     binaries: str | ClearingResult = "relaxed",
-    tol: float = 1e-9,
 ) -> OracleResult:
     """One monolithic cone program over all hours, prosumers and the feeder.
 
@@ -100,34 +103,31 @@ def solve_centralized(
     the substation.
     """
     net = scenario.network
-    feeder = orient_feeder(net)
     T = scenario.horizon
     dt = scenario.dt
     ids = sorted(p.id for p in scenario.prosumers)
     pros_by_id = {p.id: p for p in scenario.prosumers}
 
-    zero_inp = ProsumerInput(
-        lambda_lem=np.zeros(T), p_tilde=None, lambda_p=np.zeros(T)
-    )
+    zero_inp = ProsumerInput(lambda_lem=np.zeros(T), p_tilde=None, lambda_p=np.zeros(T))
     pros_programs = {
         a: pros_mod.build_subproblem(pros_by_id[a], zero_inp, scenario.admm, dt, T)
         for a in ids
     }
-    hourly = []
-    for t in range(T):
-        bf = assemble_branch_flow(
-            net,
-            p_net={n: float(scenario.background_at(n)[t]) for n in net.bus_ids()},
-            q_net={
-                n: float(scenario.background_at(n)[t])
-                * float(np.tan(np.arccos(scenario.pf_at(n))))
-                for n in net.bus_ids()
-            },
-            loss_price=float(scenario.loss_cost[t]) * dt,
-            feeder=feeder,
-        )
-        bf.prog.c[bf.p_ug] = float(scenario.wem_price[t]) * dt
-        hourly.append(bf)
+    # the network hours at the background load, with the wholesale bill on
+    # the grid import
+    bf = assemble_branch_flow(net)
+    background = {n: scenario.background_at(n) for n in net.bus_ids()}
+    background_q = {
+        n: p * np.tan(np.arccos(scenario.pf_at(n))) for n, p in background.items()
+    }
+    hours = hour_programs(
+        bf,
+        DsoInput(background, background_q, p_loss_tilde=np.zeros(T), lambda_loss=np.zeros(T)),
+        scenario.loss_cost * dt,
+        0.0,
+    )
+    for t, prog in enumerate(hours):
+        prog.c[bf.p_ug] = float(scenario.wem_price[t]) * dt
 
     # couple prosumer net powers into the nodal balances of their bus; the
     # reactive rows follow the active rows
@@ -135,12 +135,12 @@ def solve_centralized(
     for i, a in enumerate(ids):
         bus_id = pros_by_id[a].bus_id
         tanphi = float(np.tan(np.arccos(scenario.pf_at(bus_id))))
-        for t, bf in enumerate(hourly):
-            p_row = bf.balance_rows[bus_id]
+        p_row = bf.balance_rows[bus_id]
+        for t in range(T):
             col = pros_programs[a].p_net + t
             coupling.append((len(ids) + t, p_row, i, col, -1.0))
             coupling.append((len(ids) + t, p_row + len(net.buses), i, col, -tanphi))
-    blocks = [pros_programs[a].mbp.relaxation for a in ids] + [bf.prog for bf in hourly]
+    blocks = [pros_programs[a].mbp.relaxation for a in ids] + hours
     prog, var_off, row_off = _stack(blocks, coupling)
     pros_off = {a: var_off[i] for i, a in enumerate(ids)}
     hour_voff = var_off[len(ids):]
@@ -149,44 +149,31 @@ def solve_centralized(
     binary_fix: dict[int, float] = {}
     if isinstance(binaries, ClearingResult):
         for a in ids:
-            pp = pros_programs[a]
+            pp, off = pros_programs[a], pros_off[a]
             sched = binaries.schedules[a]
             for di, d in enumerate(pros_by_id[a].storages):
                 for k, t in enumerate(d.hours()):
-                    binary_fix[pros_off[a] + pp.st_xch[di] + k] = float(
-                        round(sched.storages[di].x_ch[t])
-                    )
-                    binary_fix[pros_off[a] + pp.st_xdch[di] + k] = float(
-                        round(sched.storages[di].x_dch[t])
-                    )
+                    binary_fix[off + pp.st_xch[di] + k] = float(round(sched.storages[di].x_ch[t]))
+                    binary_fix[off + pp.st_xdch[di] + k] = float(round(sched.storages[di].x_dch[t]))
             for li in range(len(pros_by_id[a].fls)):
                 for t in range(T):
-                    binary_fix[pros_off[a] + pp.fl_y[li] + t] = float(
-                        round(sched.fls[li].y_fl[t])
-                    )
+                    binary_fix[off + pp.fl_y[li] + t] = float(round(sched.fls[li].y_fl[t]))
     elif binaries != "relaxed":
         raise ValueError("binaries must be 'relaxed' or a ClearingResult")
 
-    sol = solve_socp(with_fixed_variables(prog, binary_fix), tol=tol)
+    sol = solve_socp(with_fixed_variables(prog, binary_fix), tol=_CLEARING_TOL)
     if sol.status != OPTIMAL:
         raise SolveFailed(
             "centralized program", sol.status,
             "likely binding family: device energy floors vs network limits",
         )
     x = restore_fixed(sol.x, binary_fix)
-
-    dlmp = {n: np.zeros(T) for n in net.bus_ids()}
-    p_ug = np.zeros(T)
-    p_loss = np.zeros(T)
-    for t in range(T):
-        bf = hourly[t]
-        for n in net.bus_ids():
-            dlmp[n][t] = float(sol.y[hour_roff[t] + bf.balance_rows[n]]) / dt
-        p_ug[t] = float(x[hour_voff[t] + bf.p_ug])
-        loss = 0.0
-        for li, (_, _, r, _, _) in enumerate(feeder.oriented):
-            loss += r * float(x[hour_voff[t] + bf.off_l + li])
-        p_loss[t] = loss
+    X = np.array([x[off : off + bf.prog.n_vars] for off in hour_voff])
+    Y = np.array([sol.y[off : off + bf.prog.n_eq] for off in hour_roff])
+    network = read_hours(bf, hours, X, Y, dt)
+    dlmp = {n: network.dlmp[n] for n in net.bus_ids()}
+    p_ug = X[:, bf.p_ug]
+    p_loss = network.p_loss
 
     schedules: dict[str, ProsumerSchedule] = {}
     pros_costs: dict[str, float] = {}
@@ -223,7 +210,6 @@ def solve_centralized(
 def solve_selfish(
     scenario: Scenario,
     prosumer_solver: str = "exact",
-    tol: float = 1e-9,
 ) -> OracleResult:
     """Uncoordinated baseline: prosumers face the wholesale series directly.
 
@@ -242,32 +228,25 @@ def solve_selfish(
                                       lambda_p=np.zeros(T)))
         for a in ids
     ]
-    solved = pros_mod.solve_subproblems(
-        problems, scenario.admm, dt, T, mode=prosumer_solver, tol=tol
-    )
+    solved = pros_mod.solve_subproblems(problems, scenario.admm, dt, T, mode=prosumer_solver)
     schedules: dict[str, ProsumerSchedule] = dict(zip(ids, solved))
 
     p_node = {n: scenario.background_at(n).copy() for n in net.bus_ids()}
     for a in ids:
         p_node[pros_by_id[a].bus_id] = p_node[pros_by_id[a].bus_id] + schedules[a].p_net
     q_node = {n: p_node[n] * np.tan(np.arccos(scenario.pf_at(n))) for n in p_node}
-    inp_net = DsoInput(
-        p_net_node=p_node,
-        q_net_node=q_node,
-        p_loss_tilde=np.zeros(T),
-        lambda_loss=np.zeros(T),
-    )
+    inp_net = DsoInput(p_node, q_node, p_loss_tilde=np.zeros(T), lambda_loss=np.zeros(T))
     violations: list[str] = []
     try:
         dso_out: DsoOutput = solve_dso_subproblem(
-            net, inp_net, scenario.loss_cost, dt, tol=tol
+            net, inp_net, scenario.loss_cost, dt, tol=_CLEARING_TOL
         )
     except DsoInfeasible as exc:
         # one entry per (hour, limit); the exception's diagnosis names the
         # first infeasible hour's limits again, so it stands in only when
         # the scan finds none
         dso_out = solve_dso_subproblem(
-            relaxed_limits(net), inp_net, scenario.loss_cost, dt, tol=tol
+            relaxed_limits(net), inp_net, scenario.loss_cost, dt, tol=_CLEARING_TOL
         )
         scan = limit_violations(net, dso_out)
         violations = [f"{msg} at hour {t}" for t, msg in scan] or [str(exc)]

@@ -365,6 +365,9 @@ def _extract(pp: ProsumerProgram, x: np.ndarray, obj: float, gap: float) -> Pros
 
 
 _SOLVER_MODES = {"exact": "exact", "relax_repair": "relax_repair", "relax-repair": "relax_repair"}
+# the tolerance every cone program of a clearing and of its baselines is
+# solved to: the prosumers' here, the network hours' in market and oracle
+_CLEARING_TOL = 1e-9
 
 
 def solve_subproblem_III(
@@ -374,7 +377,6 @@ def solve_subproblem_III(
     dt: float,
     horizon: int,
     mode: str = "exact",
-    tol: float = 1e-9,
 ) -> ProsumerSchedule:
     """Solve the prosumer's scheduling problem and reconstruct the schedule.
 
@@ -384,7 +386,7 @@ def solve_subproblem_III(
     without a usable schedule raises :class:`SolveFailed` naming the prosumer.
     This is ``solve_subproblems`` on one prosumer.
     """
-    return solve_subproblems([(pros, inp)], cfg, dt, horizon, mode, tol)[0]
+    return solve_subproblems([(pros, inp)], cfg, dt, horizon, mode)[0]
 
 
 def solve_subproblems(
@@ -393,7 +395,6 @@ def solve_subproblems(
     dt: float,
     horizon: int,
     mode: str = "exact",
-    tol: float = 1e-9,
     starts: dict[str, Start] | None = None,
 ) -> list[ProsumerSchedule]:
     """Solve several prosumers' scheduling problems, one schedule per problem.
@@ -417,7 +418,7 @@ def solve_subproblems(
     held = {} if starts is None else starts
     pps = [build_subproblem(pros, inp, cfg, dt, horizon) for pros, inp in problems]
     results = solve_searches(
-        [search(pp.mbp, start=held.get(pp.pros.id)) for pp in pps], tol=tol
+        [search(pp.mbp, start=held.get(pp.pros.id)) for pp in pps], tol=_CLEARING_TOL
     )
     for pp, res in zip(pps, results):
         if res.x_incumbent is None or res.status not in (OPTIMAL, "iter_limit"):

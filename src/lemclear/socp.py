@@ -69,9 +69,9 @@ times the cold point, whose share keeps (s, z) strictly inside the cone
 the cold one the same way); everything after the first iterate is
 unchanged but the iteration cap: a warm program stops after 50 iterations
 (``_WARM_MAX_ITER``, about two and a half cold prosumer solves) rather than
-``max_iter``.  A warm program that ends non-optimal without a certificate,
-at that cap or earlier, is run again from the cold point before the
-pivoting rule above applies, so its verdict is never worse than a cold
+200 (``_MAX_ITER``).  A warm program that ends non-optimal without a
+certificate, at that cap or earlier, is run again from the cold point before
+the pivoting rule above applies, so its verdict is never worse than a cold
 solve's and a bad start costs at most 50 iterations more than no start.
 The start enters only the program's own first iterate, so its answer is
 bit for bit the same alone or in any batch given the same start.
@@ -957,13 +957,13 @@ class _Stack:
         self.delta = np.repeat(deltas, self.sizes)
         return True
 
-    def solve(self, rx, ry, rz, refine: int = 1):
-        """Solve with the current factor, refined against the unregularized system."""
+    def solve(self, rx, ry, rz):
+        """Solve with the current factor and one refinement step against the
+        unregularized system."""
         n, m = self.n, self.m
         r = np.concatenate([rx, ry, rz])[self.perm]
         sol = self.lu.solve(r)
-        for _ in range(refine):
-            sol = sol + self.lu.solve(r - (self.K @ sol - self.delta * self.sign * sol))
+        sol = sol + self.lu.solve(r - (self.K @ sol - self.delta * self.sign * sol))
         out = np.empty_like(sol)
         out[self.perm] = sol
         return out[:n], out[n : n + m], out[n + m :]
@@ -972,6 +972,8 @@ class _Stack:
 # weight of a warm start against the cold point in a member's first iterate;
 # the cold point's share keeps (s, z) strictly inside the cone
 _WARM = 0.99
+# iterations a cold member may take before it reports its best iterate
+_MAX_ITER = 200
 # iterations a warm member may take before it is given up and run cold: about
 # two and a half times a cold prosumer solve (17-21), five times a warm one
 _WARM_MAX_ITER = 50
@@ -999,20 +1001,19 @@ def _delta_alone(ws: _Workspace, s: np.ndarray, z: np.ndarray, pivoting: bool) -
     return None
 
 
-def solve_socp(prog: ConicProgram, tol: float = 1e-8, max_iter: int = 200) -> ConicSolution:
+def solve_socp(prog: ConicProgram, tol: float = 1e-8) -> ConicSolution:
     """Solve a standard-form cone program to the requested tolerance.
 
     Returns a point whose primal, dual and complementarity-gap residuals are
     all below ``tol``, or a non-optimal status (never raises on singular or
     diverging systems).  This is ``solve_socp_batch`` on one program.
     """
-    return solve_socp_batch([prog], tol, max_iter)[0]
+    return solve_socp_batch([prog], tol)[0]
 
 
 def solve_socp_batch(
     progs: list[ConicProgram],
     tol: float = 1e-8,
-    max_iter: int = 200,
     starts: list[Start | None] | None = None,
 ) -> list[ConicSolution]:
     """Solve independent cone programs in lockstep, one solution per program.
@@ -1034,7 +1035,7 @@ def solve_socp_batch(
     patterns: dict = {}
     members = [_Workspace(prog, patterns) for prog in progs]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sols = _ipm_loop(members, tol, max_iter, starts=starts)
+        sols = _ipm_loop(members, tol, starts=starts)
         # a warm start that ends without an answer or a certificate is
         # given up: such programs run again from the cold point
         cold = [
@@ -1042,20 +1043,20 @@ def solve_socp_batch(
             if starts[i] is not None and sol.status != OPTIMAL and not ws.certified
         ]
         if cold:
-            for i, again in zip(cold, _ipm_loop([members[i] for i in cold], tol, max_iter)):
+            for i, again in zip(cold, _ipm_loop([members[i] for i in cold], tol)):
                 again.iterations += sols[i].iterations
                 sols[i] = again
         for i, (ws, sol) in enumerate(zip(members, sols)):
             if sol.status != OPTIMAL and not ws.certified:
                 # a static pivot can shrink toward zero on nearly singular
                 # systems; rerun the program alone under partial pivoting
-                (again,) = _ipm_loop([ws], tol, max_iter, pivoting=True)
+                (again,) = _ipm_loop([ws], tol, pivoting=True)
                 again.iterations += sol.iterations
                 sols[i] = again
     return sols
 
 
-def _ipm_loop(members, tol: float, max_iter: int, pivoting: bool = False, starts=None):
+def _ipm_loop(members: list[_Workspace], tol: float, pivoting: bool = False, starts=None):
     """Mehrotra predictor-corrector on the programs of ``members`` in lockstep.
 
     Every round takes one iteration of each live member.  Members share the
@@ -1063,19 +1064,16 @@ def _ipm_loop(members, tol: float, max_iter: int, pivoting: bool = False, starts
     algebra; step lengths, centering, the stop and divergence tests, the
     best iterate and the iteration count stay each member's own.  A member
     that finishes leaves the stack.  ``starts`` holds each member's warm
-    start or None (all cold when omitted); a warm member stops after
-    ``_WARM_MAX_ITER`` iterations when that is below ``max_iter``.  Returns
-    one solution per member; a single workspace is a batch of one and gets
-    its solution back unwrapped.
+    start or None (all cold when omitted); a cold member stops after
+    ``_MAX_ITER`` iterations, a warm one after ``_WARM_MAX_ITER``.  Returns
+    one solution per member.
     """
-    if isinstance(members, _Workspace):
-        return _ipm_loop([members], tol, max_iter, pivoting)[0]
     done: list[ConicSolution | None] = [None] * len(members)
     best: list[tuple | None] = [None] * len(members)
     live = list(range(len(members)))  # the member at each position of the stack
     st = _Stack(members, pivoting)
     starts = starts or [None] * len(members)
-    limits = [max_iter if start is None else min(max_iter, _WARM_MAX_ITER) for start in starts]
+    limits = [_MAX_ITER if start is None else _WARM_MAX_ITER for start in starts]
 
     # cold point: x and y at zero, (s, z) on the central ray of the cone
     e = st.cones.identity()
@@ -1103,6 +1101,7 @@ def _ipm_loop(members, tol: float, max_iter: int, pivoting: bool = False, starts
         st = _Stack(kept, pivoting)
         return parts
 
+    # every member ends at its limit at the latest, so the last round returns
     for it in range(1, max(limits) + 1):
         r_d, r_p, r_g = st.residuals(x, y, s, z)
         gap = st.dots(s, z, "z")
@@ -1156,10 +1155,6 @@ def _ipm_loop(members, tol: float, max_iter: int, pivoting: bool = False, starts
             x, y, s, z = drop(ended, (x, "x"), (y, "y"), (s, "z"), (z, "z"))
             if not live:
                 return done
-    # left only when max_iter < 1: no iteration was taken
-    for k, i in enumerate(live):
-        done[i] = members[i].finish(ITER_LIMIT, *st.part(k, x, y, s, z), 0)
-    return done
 
 
 def _newton_step(st: _Stack, x, y, s, z, r, mu: np.ndarray, e: np.ndarray):

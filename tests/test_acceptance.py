@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import scipy.sparse as sp
 
-from lemclear.dso import assemble_branch_flow, orient_feeder
+from lemclear.dso import DsoInput, assemble_branch_flow, hour_programs
 from lemclear.io_cli import GeneratorSpec, generate_scenario
 from lemclear.market import ConvergenceTrace, audit_privacy, run_clearing
 from lemclear.miqp import MixedBinaryProgram, solve_mbp
@@ -68,26 +68,24 @@ def test_02_convergence_envelope(ieee69_run):
 def test_03_dlmp_validity(six_bus, six_bus_run):
     res = six_bus_run
     sc = six_bus
-    feeder = orient_feeder(sc.network)
     p_node = {n: sc.background_at(n).copy() for n in sc.network.bus_ids()}
     for p in sc.prosumers:
         p_node[p.bus_id] = p_node[p.bus_id] + res.schedules[p.id].p_net
+    q_node = {n: p_node[n] * np.tan(np.arccos(sc.pf_at(n))) for n in p_node}
+    bf = assemble_branch_flow(sc.network)
+    hours = hour_programs(
+        bf,
+        DsoInput(p_node, q_node, res.p_loss_tilde, res.lambda_loss),
+        sc.loss_cost * sc.dt,
+        sc.admm.rho_prime,
+    )
     pairs = [(b, t) for b in (2, 3, 4, 5, 6) for t in (8, 18)]
+    sols = {t: solve_socp(hours[t], tol=1e-10) for t in (8, 18)}
     worst = 0.0
     for bus, t in pairs:
-        bf = assemble_branch_flow(
-            sc.network,
-            {n: float(p_node[n][t]) for n in p_node},
-            {n: float(p_node[n][t]) * float(np.tan(np.arccos(sc.pf_at(n)))) for n in p_node},
-            loss_price=float(sc.loss_cost[t]) * sc.dt,
-            lambda_loss=float(res.lambda_loss[t]),
-            rho_prime=sc.admm.rho_prime,
-            p_loss_tilde=float(res.p_loss_tilde[t]),
-            feeder=feeder,
-        )
-        sol = solve_socp(bf.prog, tol=1e-10)
+        sol = sols[t]
         assert sol.status == OPTIMAL
-        probe = dual_sensitivity_probe(bf.prog, sol, bf.balance_rows[bus], delta=1e-4, tol=1e-10)
+        probe = dual_sensitivity_probe(hours[t], sol, bf.balance_rows[bus], delta=1e-4, tol=1e-10)
         assert probe.conclusive, f"probe inconclusive at bus {bus} hour {t}"
         reported = res.dlmp[bus][t] * sc.dt
         rel = abs(probe.estimate - reported) / max(abs(reported), 1e-12)

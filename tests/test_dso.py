@@ -8,6 +8,7 @@ from lemclear.dso import (
     DsoInput,
     assemble_branch_flow,
     check_tightness,
+    hour_programs,
     orient_feeder,
     solve_dso_subproblem,
 )
@@ -62,17 +63,56 @@ class TestAssembly:
         # variables p, q, l per line, v per bus, p_ug, q_ug, p_loss; rows:
         # two balances per bus, a voltage drop per line, loss, reference
         # voltage; cone rows: two voltage bounds per non-PCC bus, 4 + 3 per line
-        bf = assemble_branch_flow(two_bus(), {2: P2}, {2: Q2}, loss_price=10.0)
+        bf = assemble_branch_flow(two_bus())
         assert bf.prog.n_vars == 3 * 1 + 2 + 3
         assert bf.prog.n_eq == 2 * 2 + 1 + 2
         assert bf.prog.G.shape == (2 * 1 + 7 * 1, bf.prog.n_vars)
 
     def test_counts_69_bus(self):
         sc = load_scenario(bundled_scenario_dir("ieee69"))
-        bf = assemble_branch_flow(sc.network, {}, {}, loss_price=10.0)
+        bf = assemble_branch_flow(sc.network)
         assert bf.prog.n_vars == 3 * 68 + 69 + 3 == 276
         assert bf.prog.n_eq == 2 * 69 + 68 + 2 == 208
         assert bf.prog.G.shape[0] == 2 * 68 + 7 * 68 == 612
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_hour_programs_state_the_paper_hour(self, seed):
+        # written out from the paper, independently of hour_programs: the
+        # hour's objective in its total loss P and squared currents l, and
+        # nodal injections on the balance rows, 0 where a bus has none
+        rng = np.random.default_rng(seed)
+        net = NetworkModel(
+            buses=(Bus(1, 1.0, 1.0, True), Bus(2), Bus(3), Bus(4)),
+            lines=(Line(1, 2, 0.02, 0.04, 1.0), Line(2, 3, 0.03, 0.06, 1.0),
+                   Line(2, 4, 0.01, 0.05, 1.0)),
+        )
+        T = 3
+        present = [b for b in (1, 2, 3, 4) if rng.random() < 0.6]
+        inp = DsoInput(
+            p_net_node={b: rng.normal(size=T) for b in present},
+            q_net_node={b: rng.normal(size=T) for b in present},
+            p_loss_tilde=rng.uniform(0.0, 0.1, T),
+            lambda_loss=rng.normal(size=T),
+        )
+        loss_price = rng.uniform(0.0, 50.0, T)
+        rho_prime = float(rng.uniform(0.0, 10.0))
+        bf = assemble_branch_flow(net)
+        progs = hour_programs(bf, inp, loss_price, rho_prime)
+        assert len(progs) == T
+        N, F = len(net.buses), len(net.lines)
+        for t, prog in enumerate(progs):
+            x = rng.normal(size=prog.n_vars)
+            P, l = x[bf.p_loss], x[bf.off_l : bf.off_l + F]
+            lam, tilde = inp.lambda_loss[t], inp.p_loss_tilde[t]
+            expect = (loss_price[t] * P + lam * (tilde - P)
+                      + rho_prime / 2 * (P - tilde) ** 2 + 1e-9 * l.sum())
+            assert prog.objective(x) == pytest.approx(expect, rel=1e-12, abs=1e-12)
+            for bus in (1, 2, 3, 4):
+                row = bf.balance_rows[bus]
+                p = inp.p_net_node[bus][t] if bus in present else 0.0
+                q = inp.q_net_node[bus][t] if bus in present else 0.0
+                assert prog.b[row] == p and prog.b[row + N] == q
+            assert np.array_equal(prog.b[2 * N :], bf.prog.b[2 * N :])
 
     def test_unvalidated_network_rejected(self):
         bad = NetworkModel(
@@ -117,12 +157,10 @@ class TestSolve:
         out = solve_dso_subproblem(net, inp, np.array([10.0]), 1.0)
         assert out.dlmp[3][0] > out.dlmp[2][0] > out.dlmp[1][0] - 1e-9
         # certify the deepest price by finite differences
-        fd = orient_feeder(net)
-        bf = assemble_branch_flow(
-            net, {2: 0.1, 3: 0.15}, {2: Q2, 3: 0.09}, loss_price=10.0, feeder=fd
-        )
-        sol = solve_socp(bf.prog, tol=1e-10)
-        pr = dual_sensitivity_probe(bf.prog, sol, bf.balance_rows[3], delta=1e-5, tol=1e-10)
+        bf = assemble_branch_flow(net)
+        (prog,) = hour_programs(bf, inp, np.array([10.0]), 0.0)
+        sol = solve_socp(prog, tol=1e-10)
+        pr = dual_sensitivity_probe(prog, sol, bf.balance_rows[3], delta=1e-5, tol=1e-10)
         assert pr.conclusive
         assert pr.estimate == pytest.approx(out.dlmp[3][0], rel=1e-3)
 

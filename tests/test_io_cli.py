@@ -193,6 +193,28 @@ class TestCli:
         assert cli_main(["generate", "--spec", str(spec), "--out", str(out)]) == 0
         assert cli_main(["validate", "--scenario", str(out)]) == 0
 
+    @pytest.mark.parametrize("spec_data, named", [
+        ({"seed": 7, "penetration": 0.6, "colour": 1}, "'colour'"),
+        ({"seed": 7, "penetration": "0.6"}, "'penetration'"),
+        ([{"seed": 7, "penetration": 0.6}], "JSON object"),
+    ])
+    def test_bad_spec_file_exits_2(self, tmp_path, capsys, spec_data, named):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(spec_data))
+        assert cli_main(["generate", "--spec", str(spec), "--out", str(tmp_path / "scen")]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and named in err
+
+    def test_unknown_admm_key_exits_2(self, tmp_path, capsys):
+        scen = tmp_path / "scen"
+        shutil.copytree(bundled_scenario_dir("six_bus"), scen)
+        manifest = json.loads((scen / "manifest.json").read_text())
+        manifest["admm"] = {"rhoo": 1}
+        (scen / "manifest.json").write_text(json.dumps(manifest))
+        assert cli_main(["validate", "--scenario", str(scen)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "'rhoo'" in err
+
     def test_clear_distributed_six_bus(self, tmp_path):
         rc = cli_main([
             "clear", "--scenario", str(bundled_scenario_dir("six_bus")),

@@ -705,7 +705,7 @@ class TestKktPattern:
             cones=(Free(2), NonNeg(2), SecondOrder(3)),
         )
         with np.errstate(all="ignore"):
-            static = _ipm_loop(_Workspace(prog), 1e-8, 200)
+            static = _ipm_loop([_Workspace(prog)], 1e-8)[0]
         assert static.status != OPTIMAL
         sol = solve_socp(prog, tol=1e-8)
         assert sol.status == OPTIMAL
@@ -877,7 +877,7 @@ class TestLockstepBatch:
         assert statuses[12:14] == [INFEASIBLE, UNBOUNDED]
         # the stalled program only reaches optimality in its pivoted rerun
         with np.errstate(all="ignore"):
-            static = _ipm_loop(_Workspace(BATCH_POOL[14]), 1e-8, 200)
+            static = _ipm_loop([_Workspace(BATCH_POOL[14])], 1e-8)[0]
         assert static.status != OPTIMAL and statuses[14] == OPTIMAL
 
     @settings(max_examples=25, deadline=None)
