@@ -5,7 +5,9 @@ independent cone program in line flows (p, q), squared currents (l) and
 squared voltages (v).  The quadratic flow-current coupling is relaxed to a
 rotated cone written as SecondOrder(4) blocks; line capacity is a
 SecondOrder(3) block.  The dual of a bus's active-power balance, divided by
-the interval length, is that bus's energy price.
+the interval length, is that bus's energy price.  The operator receives net
+active consumption per bus only; each bus's reactive consumption is its
+active consumption times tan(arccos(pf)) at the bus's static power factor.
 
 All hours share one constraint matrix, built once by ``assemble_branch_flow``.
 Hours are posed by ``hour_programs`` (injections and loss terms) and read by
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import Bus, Line, NetworkModel, validate_network
+from .model import Line, NetworkModel, validate_network
 # solve_socp stays importable here: perfbench/tracer.py wraps dso.solve_socp
 from .socp import (  # noqa: F401
     OPTIMAL,
@@ -113,7 +115,8 @@ class BranchFlowProgram:
 
     The variables are exactly the physical unknowns: flows p and q, squared
     currents l and squared voltages v per line and bus, the grid import and
-    export pair and the total loss.
+    export pair and the total loss.  ``tan_phi`` holds, per balance row, the
+    reactive consumption of a unit of the bus's active consumption.
     """
 
     prog: ConicProgram
@@ -126,18 +129,18 @@ class BranchFlowProgram:
     q_ug: int
     p_loss: int
     balance_rows: dict[int, int]
+    tan_phi: np.ndarray
 
 
 @dataclass(frozen=True)
 class DsoInput:
-    """Signals the network operator needs for one clearing pass.
+    """The coordinator's message to the network operator for one pass.
 
-    Reactive consumption is derived operator-side from static per-bus power
-    factors; only active net consumption crosses the agent boundary.
+    Only active net consumption crosses the agent boundary; the operator
+    derives reactive consumption from its buses' power factors.
     """
 
     p_net_node: dict[int, np.ndarray]
-    q_net_node: dict[int, np.ndarray]
     p_loss_tilde: np.ndarray
     lambda_loss: np.ndarray
 
@@ -235,6 +238,7 @@ def assemble_branch_flow(net: NetworkModel, feeder: FeederIndex | None = None) -
         q_ug=q_ug,
         p_loss=p_loss,
         balance_rows=balance_rows,
+        tan_phi=np.array([float(np.tan(np.arccos(net.bus(bid).pf))) for bid in fd.bus_ids]),
     )
 
 
@@ -243,8 +247,9 @@ def hour_programs(
 ) -> list[ConicProgram]:
     """One program per hour on bf's structure with the hour's injections and loss terms.
 
-    The balance rows of b take the nodal net consumptions (0 where absent);
-    the total loss P costs loss_price*P + lambda_loss*(p_loss_tilde - P) +
+    The active balance rows of b take the nodal net consumptions (0 where
+    absent) and the reactive rows the same times ``bf.tan_phi``; the total
+    loss P costs loss_price*P + lambda_loss*(p_loss_tilde - P) +
     rho_prime/2*(P - p_loss_tilde)^2, ``loss_price`` being the hour's loss
     cost times the interval length.
     """
@@ -252,17 +257,15 @@ def hour_programs(
     T = len(inp.p_loss_tilde)
     N = len(fd.bus_ids)
     # nodal injections per hour in balance-row order (PCC first), 0 where absent
-    inject = {
-        kind: np.array([np.asarray(node[b], dtype=float) if b in node else np.zeros(T)
-                        for b in fd.bus_ids]).reshape(N, T)
-        for kind, node in (("p", inp.p_net_node), ("q", inp.q_net_node))
-    }
+    node = inp.p_net_node
+    inject = np.array([np.asarray(node[b], dtype=float) if b in node else np.zeros(T)
+                       for b in fd.bus_ids]).reshape(N, T)
     q = bf.prog.q.copy()
     q[bf.p_loss] = rho_prime
     progs = []
     for t in range(T):
         b = bf.prog.b.copy()
-        b[:N], b[N : 2 * N] = inject["p"][:, t], inject["q"][:, t]
+        b[:N], b[N : 2 * N] = inject[:, t], inject[:, t] * bf.tan_phi
         c = bf.prog.c.copy()
         lam, tilde = float(inp.lambda_loss[t]), float(inp.p_loss_tilde[t])
         c[bf.p_loss] = float(loss_price[t]) - lam - rho_prime * tilde
@@ -314,7 +317,7 @@ def read_hours(
 def relaxed_limits(net: NetworkModel) -> NetworkModel:
     """The same feeder with line capacities and voltage bounds made non-binding."""
     return NetworkModel(
-        buses=tuple(Bus(b.id, 0.1, 4.0, b.is_pcc) for b in net.buses),
+        buses=tuple(replace(b, vmin=0.1, vmax=4.0) for b in net.buses),
         lines=tuple(Line(ln.from_bus, ln.to_bus, ln.r, ln.x, 1e3) for ln in net.lines),
         base_mva=net.base_mva,
         base_kv=net.base_kv,
@@ -346,7 +349,6 @@ def _diagnose(net: NetworkModel, inp: DsoInput, t: int) -> str:
         return "network equations unsolvable at these injections"
     hour = DsoInput(
         p_net_node={b: np.asarray(v, dtype=float)[t : t + 1] for b, v in inp.p_net_node.items()},
-        q_net_node={b: np.asarray(v, dtype=float)[t : t + 1] for b, v in inp.q_net_node.items()},
         p_loss_tilde=np.zeros(1),
         lambda_loss=np.zeros(1),
     )

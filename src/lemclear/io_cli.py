@@ -262,6 +262,9 @@ def assemble_scenario(tables: ScenarioTables) -> Scenario:
     for i, row in enumerate(tables.prosumers, start=2):
         if row["bus"] not in bus_ids:
             issues.append(f"unknown bus {row['bus']} at prosumers.csv:{i}")
+        # checked row by row: a bus's mean power factor can hide a bad row
+        if not 0.0 < row["pf"] <= 1.0:
+            issues.append(f"power factor {row['pf']} outside (0, 1] at prosumers.csv:{i}")
     pros_ids = {row["id"] for row in tables.prosumers if row["active"]}
     for name in ("pv", "storage", "fl"):
         for i, row in enumerate(getattr(tables, name), start=2):
@@ -280,9 +283,18 @@ def assemble_scenario(tables: ScenarioTables) -> Scenario:
     load_scale = np.array([r["load_scale"] for r in prof])
     pv_cf = np.array([r["pv_cf"] for r in prof])
 
+    # a bus's power factor is the peak-load-weighted mean of its rows
+    pf_weight: dict[int, list[tuple[float, float]]] = {}
+    for r in sorted(tables.prosumers, key=lambda r: str(r["id"])):
+        pf_weight.setdefault(r["bus"], []).append((r["peak_load"], r["pf"]))
+    bus_pf = {
+        b: sum(w * p for w, p in rows) / sum(w for w, _ in rows)
+        for b, rows in pf_weight.items()
+        if sum(w for w, _ in rows) > 0
+    }
     net = NetworkModel(
         buses=tuple(
-            Bus(r["id"], r["vmin"], r["vmax"], bool(r["is_pcc"]))
+            Bus(r["id"], r["vmin"], r["vmax"], bool(r["is_pcc"]), bus_pf.get(r["id"], 0.85))
             for r in sorted(tables.buses, key=lambda r: r["id"])
         ),
         lines=tuple(
@@ -317,13 +329,11 @@ def assemble_scenario(tables: ScenarioTables) -> Scenario:
 
     prosumers: list[Prosumer] = []
     background: dict[int, np.ndarray] = {}
-    pf_weight: dict[int, list[tuple[float, float]]] = {}
     fl_rows_by_pros: dict[str, list[dict]] = {}
     for r in tables.fl:
         fl_rows_by_pros.setdefault(r["prosumer"], []).append(r)
     for r in sorted(tables.prosumers, key=lambda r: str(r["id"])):
         baseline = r["peak_load"] * load_scale
-        pf_weight.setdefault(r["bus"], []).append((r["peak_load"], r["pf"]))
         if not r["active"]:
             background[r["bus"]] = background.get(r["bus"], np.zeros(T)) + baseline
             continue
@@ -341,18 +351,11 @@ def assemble_scenario(tables: ScenarioTables) -> Scenario:
                 id=str(r["id"]),
                 bus_id=r["bus"],
                 baseline_load=baseline,
-                pf_load=r["pf"],
                 pvs=tuple(pv_by_pros.get(r["id"], [])),
                 storages=tuple(st_by_pros.get(r["id"], [])),
                 fls=fls,
             )
         )
-
-    bus_pf = {
-        b: (sum(w * p for w, p in rows) / sum(w for w, _ in rows)) if rows else 0.85
-        for b, rows in pf_weight.items()
-        if sum(w for w, _ in rows) > 0
-    }
 
     admm_kwargs = _keywords(AdmmConfig, man.get("admm", {}), "manifest.json admm")
     raw = RawScenario(
@@ -365,7 +368,6 @@ def assemble_scenario(tables: ScenarioTables) -> Scenario:
             loss_cost=loss_cost,
             admm=AdmmConfig(**admm_kwargs),
             background=background,
-            bus_pf=bus_pf,
         ),
         units=str(man["units"]),
     )
@@ -741,10 +743,11 @@ def cli_main(argv: list[str] | None = None) -> int:
         if args.command == "clear":
             scenario = _override_admm(load_scenario(args.scenario), args)
             out = Path(args.out)
+            solver = args.prosumer_solver.replace("-", "_")
             if args.mode == "distributed":
                 result = run_clearing(
                     scenario,
-                    prosumer_solver=args.prosumer_solver,
+                    prosumer_solver=solver,
                     log_messages=args.log_messages,
                 )
                 emit_results(result, out, scenario)
@@ -759,7 +762,7 @@ def cli_main(argv: list[str] | None = None) -> int:
             else:
                 res = solve_selfish(
                     scenario,
-                    prosumer_solver=args.prosumer_solver,
+                    prosumer_solver=solver,
                 )
             payload = {
                 "mode": res.mode,

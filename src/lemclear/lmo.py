@@ -19,6 +19,7 @@ from .model import AdmmConfig, Scenario
 __all__ = [
     "LmoState",
     "SubproblemIResult",
+    "auxiliary_power",
     "solve_subproblem_I",
     "aggregate_to_nodes",
     "map_dlmp_to_prosumers",
@@ -55,6 +56,15 @@ class SubproblemIResult:
     objective: float
 
 
+def auxiliary_power(
+    p_net: np.ndarray, lambda_p: np.ndarray, wem_price: np.ndarray, dt: float, rho: float
+) -> np.ndarray:
+    """The coordinator's closed-form auxiliary copy of a net power profile,
+    ``p_net - (wem*dt + lambda_p) / rho``, for a prosumer's net consumption
+    (weight rho) and for the network loss (weight rho') alike."""
+    return p_net - (np.asarray(wem_price, dtype=float) * dt + lambda_p) / rho
+
+
 def solve_subproblem_I(
     state: LmoState,
     wem_price: np.ndarray,
@@ -67,7 +77,8 @@ def solve_subproblem_I(
     """Closed-form coordinator update.
 
     With the grid exchange eliminated through the market balance, the
-    stationarity conditions give, per prosumer and hour,
+    stationarity conditions give, per prosumer and hour, the auxiliaries of
+    ``auxiliary_power``
 
         p_tilde = p_star - (wem*dt + lambda_p) / rho
         p_loss_tilde = p_loss_star - (wem*dt + lambda_loss) / rho'
@@ -77,12 +88,11 @@ def solve_subproblem_I(
     """
     if cfg.rho <= 0 or cfg.rho_prime <= 0:
         raise ValueError("penalty weights must be positive")
-    w = np.asarray(wem_price, dtype=float) * dt
     p_tilde = {
-        a: p_net_star[a] - (w + state.lambda_p[a]) / cfg.rho
+        a: auxiliary_power(p_net_star[a], state.lambda_p[a], wem_price, dt, cfg.rho)
         for a in sorted(p_net_star)
     }
-    p_loss_tilde = p_loss_star - (w + state.lambda_loss) / cfg.rho_prime
+    p_loss_tilde = auxiliary_power(p_loss_star, state.lambda_loss, wem_price, dt, cfg.rho_prime)
     p_ug = p_loss_tilde.copy()
     for a in sorted(p_tilde):
         p_ug = p_ug + p_tilde[a]

@@ -4,7 +4,10 @@ The outer loop alternates prosumer schedule responses with coordinator
 auxiliary/multiplier updates; the inner loop alternates network solves with
 loss-consensus updates.  Messages crossing agent boundaries come from a
 closed four-variant vocabulary, so privacy holds structurally: a device
-parameter or internal state simply has no field to travel in.
+parameter or internal state simply has no field to travel in.  An agent's
+input type is its message: the coordinator builds one ``ProsumerInput`` per
+prosumer per outer pass and one ``DsoInput`` per inner pass, sends its fields
+and hands the same object to the agent's solve.
 
 Convergence is declared when the power multipliers stop moving (infinity
 norm at or below eps1, tested jointly over prosumers and hours) with the
@@ -40,6 +43,7 @@ __all__ = [
     "ClearingResult",
     "PrivacyReport",
     "run_clearing",
+    "operator_costs",
     "check_stop",
     "audit_privacy",
 ]
@@ -80,7 +84,7 @@ class MessageBus:
             if isinstance(v, np.ndarray):
                 clean[k] = [float(x) for x in v]
             elif isinstance(v, dict):
-                clean[k] = {str(kk): [float(x) for x in vv] for kk, vv in v.items()}
+                clean[k] = {str(kk): [float(x) for x in v[kk]] for kk in sorted(v)}
             elif v is None:
                 clean[k] = None
             else:
@@ -122,9 +126,7 @@ class IterationIO:
     """Recorded inputs/outputs of one outer pass, for replay checks."""
 
     k: int
-    lambda_lem: dict[str, np.ndarray]
-    p_tilde: dict[str, np.ndarray] | None
-    lambda_p: dict[str, np.ndarray]
+    inputs: dict[str, ProsumerInput]
     p_net: dict[str, np.ndarray]
 
 
@@ -174,6 +176,14 @@ class ClearingResult:
     # seconds from the run_clearing call to its return; a timing, so not in
     # the trace's digest
     wall_seconds: float = 0.0
+
+
+def operator_costs(scenario: Scenario, p_ug: np.ndarray, p_loss: np.ndarray) -> dict[str, float]:
+    """The coordinator's wholesale bill and the network operator's loss bill."""
+    return {
+        "lmo": float(np.sum(p_ug * scenario.wem_price) * scenario.dt),
+        "dso": float(np.sum(p_loss * scenario.loss_cost) * scenario.dt),
+    }
 
 
 def check_stop(residuals: np.ndarray, eps: float) -> bool:
@@ -256,8 +266,9 @@ def run_clearing(
         p_loss_tilde=np.zeros(T),
         psi=psi,
     )
-    lambda_lem_recv: dict[str, np.ndarray] = {a: scenario.wem_price.copy() for a in ids}
-    p_tilde_recv: dict[str, np.ndarray] | None = None
+    # the price signal of the next outer pass; after the last, the prices of
+    # the last network pass
+    prices: dict[str, np.ndarray] = {a: scenario.wem_price.copy() for a in ids}
     background_total = scenario.total_background()
 
     bus = MessageBus(log=log_messages)
@@ -279,75 +290,37 @@ def run_clearing(
 
     for k in range(1, cfg.max_outer + 1):
         t_outer = time.perf_counter()
+        inputs = {
+            a: ProsumerInput(
+                lambda_lem=prices[a],
+                p_tilde=None if state.p_tilde is None else state.p_tilde[a],
+                lambda_p=state.lambda_p[a],
+            )
+            for a in ids
+        }
         for a in ids:
-            bus.send(
-                "lmo",
-                a,
-                "LmoToProsumer",
-                {
-                    "lambda_lem": lambda_lem_recv[a],
-                    "p_tilde": None if p_tilde_recv is None else p_tilde_recv[a],
-                    "lambda_p": state.lambda_p[a],
-                },
-                outer=k,
-            )
-        problems = [
-            (
-                pros_by_id[a],
-                ProsumerInput(
-                    lambda_lem=lambda_lem_recv[a],
-                    p_tilde=None if p_tilde_recv is None else p_tilde_recv[a],
-                    lambda_p=state.lambda_p[a],
-                ),
-            )
-            for a in solve_order
-        ]
-        solved = solve_subproblems(problems, cfg, dt, T, mode=prosumer_solver, starts=warm)
+            bus.send("lmo", a, "LmoToProsumer", vars(inputs[a]), outer=k)
+        solved = solve_subproblems(
+            [(pros_by_id[a], inputs[a]) for a in solve_order], cfg, dt, T,
+            mode=prosumer_solver, starts=warm,
+        )
         schedules = dict(zip(solve_order, solved))
         p_net = {a: schedules[a].p_net for a in ids}
         for a in ids:
             bus.send(a, "lmo", "ProsumerToLmo", {"p_net": p_net[a]}, outer=k)
-        trace.replay.append(
-            IterationIO(
-                k=k,
-                lambda_lem={a: lambda_lem_recv[a].copy() for a in ids},
-                p_tilde=None
-                if p_tilde_recv is None
-                else {a: p_tilde_recv[a].copy() for a in ids},
-                lambda_p={a: state.lambda_p[a].copy() for a in ids},
-                p_net={a: p_net[a].copy() for a in ids},
-            )
-        )
+        trace.replay.append(IterationIO(k, inputs, {a: p_net[a].copy() for a in ids}))
 
         p_node = lmo_mod.aggregate_to_nodes(psi, p_net, scenario)
-        q_node = {
-            n: p_node[n] * np.tan(np.arccos(scenario.pf_at(n))) for n in p_node
-        }
 
         n_inner = 0
         for kp in range(1, cfg.max_inner + 1):
             t_inner = time.perf_counter()
             n_inner = kp
-            bus.send(
-                "lmo",
-                "dso",
-                "LmoToDso",
-                {
-                    "p_net_node": {n: p_node[n] for n in sorted(p_node)},
-                    "p_loss_tilde": state.p_loss_tilde,
-                    "lambda_loss": state.lambda_loss,
-                },
-                outer=k,
-                inner=kp,
-            )
+            dso_in = DsoInput(p_node, state.p_loss_tilde, state.lambda_loss)
+            bus.send("lmo", "dso", "LmoToDso", vars(dso_in), outer=k, inner=kp)
             dso_out = solve_dso_subproblem(
                 net,
-                DsoInput(
-                    p_net_node=p_node,
-                    q_net_node=q_node,
-                    p_loss_tilde=state.p_loss_tilde,
-                    lambda_loss=state.lambda_loss,
-                ),
+                dso_in,
                 loss_cost=scenario.loss_cost,
                 dt=dt,
                 rho_prime=cfg.rho_prime,
@@ -355,15 +328,8 @@ def run_clearing(
                 feeder=feeder,
             )
             bus.send(
-                "dso",
-                "lmo",
-                "DsoToLmo",
-                {
-                    "p_loss": dso_out.p_loss,
-                    "dlmp": {n: dso_out.dlmp[n] for n in sorted(dso_out.dlmp)},
-                },
-                outer=k,
-                inner=kp,
+                "dso", "lmo", "DsoToLmo", {"p_loss": dso_out.p_loss, "dlmp": dso_out.dlmp},
+                outer=k, inner=kp,
             )
             sp1 = lmo_mod.solve_subproblem_I(
                 state,
@@ -396,7 +362,7 @@ def run_clearing(
                 break
         inner_counts.append(n_inner)
 
-        lambda_lem_recv = lmo_mod.map_dlmp_to_prosumers(state.psi_prime, dso_out.dlmp)
+        prices = lmo_mod.map_dlmp_to_prosumers(state.psi_prime, dso_out.dlmp)
         new_lp = lmo_mod.update_power_dual(state, sp1.p_tilde, p_net, cfg)
         outer_step = np.concatenate(
             [np.abs(new_lp[a] - state.lambda_p[a]) for a in ids]
@@ -412,9 +378,10 @@ def run_clearing(
         # its solution under the updated multiplier is immediate); an
         # inconsistent pair would transiently double the wholesale component
         # of the price signal the prosumers respond to
-        w_dt = scenario.wem_price * dt
-        p_tilde_recv = {a: p_net[a] - (w_dt + new_lp[a]) / cfg.rho for a in ids}
-        state.p_tilde = p_tilde_recv
+        state.p_tilde = {
+            a: lmo_mod.auxiliary_power(p_net[a], new_lp[a], scenario.wem_price, dt, cfg.rho)
+            for a in ids
+        }
         trace.outer.append(
             OuterRecord(
                 k=k,
@@ -433,17 +400,13 @@ def run_clearing(
     trace.messages = bus.log
     assert dso_out is not None and sp1 is not None
     p_ug = sp1.p_ug
-    lmo_cost = float(np.sum(p_ug * scenario.wem_price) * dt)
-    dso_cost = float(np.sum(dso_out.p_loss * scenario.loss_cost) * dt)
-    final_prices = lmo_mod.map_dlmp_to_prosumers(state.psi_prime, dso_out.dlmp)
     pros_costs = {
-        a: float(np.sum(schedules[a].p_net * final_prices[a]) * dt)
+        a: float(np.sum(schedules[a].p_net * prices[a]) * dt)
         + schedules[a].cost_devices
         for a in ids
     }
     costs = {
-        "lmo": lmo_cost,
-        "dso": dso_cost,
+        **operator_costs(scenario, p_ug, dso_out.p_loss),
         "prosumers": pros_costs,
         "prosumers_avg": (sum(pros_costs.values()) / len(pros_costs)) if pros_costs else 0.0,
     }

@@ -3,7 +3,8 @@
 All electrical quantities are stored per-unit on the scenario power base;
 currency amounts are scenario currency per per-unit-hour of energy.  Types are
 frozen dataclasses: immutable after construction and safe to share across
-concurrent workers.
+concurrent workers.  Each bus carries the static power factor from which the
+network operator derives reactive from net active consumption.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ class Bus:
     vmin: float = 0.90
     vmax: float = 1.10
     is_pcc: bool = False
+    pf: float = 0.85
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,6 @@ class Prosumer:
     id: str
     bus_id: int
     baseline_load: np.ndarray   # per-unit
-    pf_load: float = 0.85
     pvs: tuple[PvUnit, ...] = ()
     storages: tuple[StorageDevice, ...] = ()
     fls: tuple[FlexibleLoad, ...] = ()
@@ -169,8 +170,6 @@ class Prosumer:
         object.__setattr__(self, "baseline_load", _arr(self.baseline_load))
         if np.any(self.baseline_load < 0):
             raise ValueError(f"prosumer {self.id}: baseline load must be nonnegative")
-        if not (0.0 < self.pf_load <= 1.0):
-            raise ValueError(f"prosumer {self.id}: load power factor must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -197,9 +196,7 @@ class AdmmConfig:
 class Scenario:
     """A complete per-unit market instance.
 
-    ``background`` holds non-participating load per bus (zeros when absent);
-    ``bus_pf`` is the static per-bus power factor the network operator uses to
-    derive reactive from net active consumption.
+    ``background`` holds non-participating load per bus (zeros when absent).
     """
 
     network: NetworkModel
@@ -210,7 +207,6 @@ class Scenario:
     loss_cost: np.ndarray          # currency per per-unit-hour
     admm: AdmmConfig = field(default_factory=AdmmConfig)
     background: dict[int, np.ndarray] = field(default_factory=dict)
-    bus_pf: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "wem_price", _arr(self.wem_price))
@@ -235,9 +231,6 @@ class Scenario:
 
     def background_at(self, bus_id: int) -> np.ndarray:
         return self.background.get(bus_id, np.zeros(self.horizon))
-
-    def pf_at(self, bus_id: int) -> float:
-        return self.bus_pf.get(bus_id, 0.85)
 
     def total_background(self) -> np.ndarray:
         tot = np.zeros(self.horizon)
@@ -309,6 +302,8 @@ def validate_network(net: NetworkModel) -> ValidationReport:
         f"bus {b.id}" for b in net.buses if not (0.0 < b.vmin <= b.vmax)
     ]
     rep.record("voltage bounds", not bad_v, "bad voltage bounds at " + ", ".join(bad_v))
+    bad_pf = [f"bus {b.id}" for b in net.buses if not (0.0 < b.pf <= 1.0)]
+    rep.record("power factors", not bad_pf, "power factor outside (0, 1] at " + ", ".join(bad_pf))
 
     count_ok = len(net.lines) == len(net.buses) - 1
     rep.record(
@@ -406,7 +401,6 @@ def _scale_scenario(sc: Scenario, p_scale: float, z_scale: float, price_scale: f
         loss_cost=sc.loss_cost * price_scale,
         admm=sc.admm,
         background={n: v * p_scale for n, v in sc.background.items()},
-        bus_pf=dict(sc.bus_pf),
     )
 
 

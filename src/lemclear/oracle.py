@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from . import lmo as lmo_mod
 from . import prosumer as pros_mod
 from .dso import (
     DsoInfeasible,
@@ -32,7 +33,7 @@ from .dso import (
     relaxed_limits,
     solve_dso_subproblem,
 )
-from .market import ClearingResult
+from .market import ClearingResult, operator_costs
 from .miqp import restore_fixed, with_fixed_variables
 from .model import Scenario
 from .prosumer import _CLEARING_TOL, ProsumerInput, ProsumerSchedule
@@ -117,12 +118,9 @@ def solve_centralized(
     # the grid import
     bf = assemble_branch_flow(net)
     background = {n: scenario.background_at(n) for n in net.bus_ids()}
-    background_q = {
-        n: p * np.tan(np.arccos(scenario.pf_at(n))) for n, p in background.items()
-    }
     hours = hour_programs(
         bf,
-        DsoInput(background, background_q, p_loss_tilde=np.zeros(T), lambda_loss=np.zeros(T)),
+        DsoInput(background, p_loss_tilde=np.zeros(T), lambda_loss=np.zeros(T)),
         scenario.loss_cost * dt,
         0.0,
     )
@@ -130,16 +128,14 @@ def solve_centralized(
         prog.c[bf.p_ug] = float(scenario.wem_price[t]) * dt
 
     # couple prosumer net powers into the nodal balances of their bus; the
-    # reactive rows follow the active rows
+    # reactive rows follow the active rows at the bus's tan(phi)
     coupling = []
     for i, a in enumerate(ids):
-        bus_id = pros_by_id[a].bus_id
-        tanphi = float(np.tan(np.arccos(scenario.pf_at(bus_id))))
-        p_row = bf.balance_rows[bus_id]
+        p_row = bf.balance_rows[pros_by_id[a].bus_id]
         for t in range(T):
             col = pros_programs[a].p_net + t
             coupling.append((len(ids) + t, p_row, i, col, -1.0))
-            coupling.append((len(ids) + t, p_row + len(net.buses), i, col, -tanphi))
+            coupling.append((len(ids) + t, p_row + len(net.buses), i, col, -bf.tan_phi[p_row]))
     blocks = [pros_programs[a].mbp.relaxation for a in ids] + hours
     prog, var_off, row_off = _stack(blocks, coupling)
     pros_off = {a: var_off[i] for i, a in enumerate(ids)}
@@ -187,16 +183,13 @@ def solve_centralized(
         schedules[a] = sched
         pros_costs[a] = sched.objective
 
-    lmo_cost = float(np.sum(p_ug * scenario.wem_price) * dt)
-    dso_cost = float(np.sum(p_loss * scenario.loss_cost) * dt)
     device_cost = sum(schedules[a].cost_devices for a in ids)
     return OracleResult(
         mode="centralized",
         objective=sol.obj,
         schedules=schedules,
         costs={
-            "lmo": lmo_cost,
-            "dso": dso_cost,
+            **operator_costs(scenario, p_ug, p_loss),
             "prosumers": pros_costs,
             "devices_total": device_cost,
         },
@@ -231,11 +224,10 @@ def solve_selfish(
     solved = pros_mod.solve_subproblems(problems, scenario.admm, dt, T, mode=prosumer_solver)
     schedules: dict[str, ProsumerSchedule] = dict(zip(ids, solved))
 
-    p_node = {n: scenario.background_at(n).copy() for n in net.bus_ids()}
-    for a in ids:
-        p_node[pros_by_id[a].bus_id] = p_node[pros_by_id[a].bus_id] + schedules[a].p_net
-    q_node = {n: p_node[n] * np.tan(np.arccos(scenario.pf_at(n))) for n in p_node}
-    inp_net = DsoInput(p_node, q_node, p_loss_tilde=np.zeros(T), lambda_loss=np.zeros(T))
+    p_node = lmo_mod.aggregate_to_nodes(
+        {a: pros_by_id[a].bus_id for a in ids}, {a: schedules[a].p_net for a in ids}, scenario
+    )
+    inp_net = DsoInput(p_node, p_loss_tilde=np.zeros(T), lambda_loss=np.zeros(T))
     violations: list[str] = []
     try:
         dso_out: DsoOutput = solve_dso_subproblem(
@@ -255,17 +247,16 @@ def solve_selfish(
     for a in ids:
         total_net = total_net + schedules[a].p_net
     p_ug = total_net + dso_out.p_loss
-    lmo_cost = float(np.sum(p_ug * scenario.wem_price) * dt)
-    dso_cost = float(np.sum(dso_out.p_loss * scenario.loss_cost) * dt)
+    bills = operator_costs(scenario, p_ug, dso_out.p_loss)
     pros_costs = {
         a: schedules[a].cost_energy + schedules[a].cost_devices for a in ids
     }
-    objective = lmo_cost + dso_cost + sum(s.cost_devices for s in schedules.values())
+    objective = bills["lmo"] + bills["dso"] + sum(s.cost_devices for s in schedules.values())
     return OracleResult(
         mode="selfish",
         objective=objective,
         schedules=schedules,
-        costs={"lmo": lmo_cost, "dso": dso_cost, "prosumers": pros_costs},
+        costs={**bills, "prosumers": pros_costs},
         p_ug=p_ug,
         p_loss=dso_out.p_loss,
         violations=violations,

@@ -46,7 +46,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProsumerInput:
-    """Signals received from the coordinator for one solve.
+    """The coordinator's message to a prosumer for one outer pass, and the
+    input of the prosumer's solve.
 
     ``p_tilde`` is None on the very first pass, before any auxiliary profile
     has been published; the consensus terms are then absent from the
@@ -364,7 +365,7 @@ def _extract(pp: ProsumerProgram, x: np.ndarray, obj: float, gap: float) -> Pros
     )
 
 
-_SOLVER_MODES = {"exact": "exact", "relax_repair": "relax_repair", "relax-repair": "relax_repair"}
+_SOLVER_MODES = ("exact", "relax_repair")
 # the tolerance every cone program of a clearing and of its baselines is
 # solved to: the prosumers' here, the network hours' in market and oracle
 _CLEARING_TOL = 1e-9
@@ -381,10 +382,9 @@ def solve_subproblem_III(
     """Solve the prosumer's scheduling problem and reconstruct the schedule.
 
     ``mode`` selects exact branch and bound (``"exact"``) or the
-    relax-and-repair fast path (``"relax_repair"``, or ``"relax-repair"`` as
-    the command line spells it); any other value raises ValueError.  A solve
-    without a usable schedule raises :class:`SolveFailed` naming the prosumer.
-    This is ``solve_subproblems`` on one prosumer.
+    relax-and-repair fast path (``"relax_repair"``); any other value raises
+    ValueError.  A solve without a usable schedule raises :class:`SolveFailed`
+    naming the prosumer.  This is ``solve_subproblems`` on one prosumer.
     """
     return solve_subproblems([(pros, inp)], cfg, dt, horizon, mode)[0]
 
@@ -412,9 +412,9 @@ def solve_subproblems(
     """
     if mode not in _SOLVER_MODES:
         raise ValueError(
-            f"unknown prosumer solver {mode!r}; expected one of {sorted(_SOLVER_MODES)}"
+            f"unknown prosumer solver {mode!r}; expected one of {list(_SOLVER_MODES)}"
         )
-    search = mbp_search if _SOLVER_MODES[mode] == "exact" else repair_search
+    search = mbp_search if mode == "exact" else repair_search
     held = {} if starts is None else starts
     pps = [build_subproblem(pros, inp, cfg, dt, horizon) for pros, inp in problems]
     results = solve_searches(

@@ -71,11 +71,10 @@ def test_03_dlmp_validity(six_bus, six_bus_run):
     p_node = {n: sc.background_at(n).copy() for n in sc.network.bus_ids()}
     for p in sc.prosumers:
         p_node[p.bus_id] = p_node[p.bus_id] + res.schedules[p.id].p_net
-    q_node = {n: p_node[n] * np.tan(np.arccos(sc.pf_at(n))) for n in p_node}
     bf = assemble_branch_flow(sc.network)
     hours = hour_programs(
         bf,
-        DsoInput(p_node, q_node, res.p_loss_tilde, res.lambda_loss),
+        DsoInput(p_node, res.p_loss_tilde, res.lambda_loss),
         sc.loss_cost * sc.dt,
         sc.admm.rho_prime,
     )

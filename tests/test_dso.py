@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from lemclear.dso import (
     check_tightness,
     hour_programs,
     orient_feeder,
+    relaxed_limits,
     solve_dso_subproblem,
 )
 from lemclear.io_cli import bundled_scenario_dir, load_scenario
@@ -40,13 +42,14 @@ def loadflow_2bus(p_load, q_load, r, x):
     return l, r * l, v_child
 
 
+# bus 2's load at the default power factor 0.85, from which the operator
+# derives its reactive consumption Q2
 P2, Q2 = 0.1, reactive_from_pf(0.1, 0.85)
 
 
-def one_hour_input(p, q):
+def one_hour_input(p):
     return DsoInput(
         p_net_node={1: np.zeros(1), 2: np.array([p])},
-        q_net_node={1: np.zeros(1), 2: np.array([q])},
         p_loss_tilde=np.zeros(1),
         lambda_loss=np.zeros(1),
     )
@@ -55,7 +58,7 @@ def one_hour_input(p, q):
 class TestAssembly:
     def test_zero_impedance_reduces_to_balance(self):
         net = two_bus(r=0.0, x=0.0)
-        out = solve_dso_subproblem(net, one_hour_input(P2, Q2), np.array([10.0]), 1.0)
+        out = solve_dso_subproblem(net, one_hour_input(P2), np.array([10.0]), 1.0)
         assert out.p_loss[0] == pytest.approx(0.0, abs=1e-9)
         assert out.flows[0]["p"][0] == pytest.approx(P2, abs=1e-7)
 
@@ -79,10 +82,13 @@ class TestAssembly:
     def test_hour_programs_state_the_paper_hour(self, seed):
         # written out from the paper, independently of hour_programs: the
         # hour's objective in its total loss P and squared currents l, and
-        # nodal injections on the balance rows, 0 where a bus has none
+        # nodal injections on the balance rows, 0 where a bus has none, the
+        # reactive ones p*tan(acos(pf)) at the bus's power factor
         rng = np.random.default_rng(seed)
+        pf = dict(zip((1, 2, 3, 4), rng.uniform(0.5, 1.0, 4)))
         net = NetworkModel(
-            buses=(Bus(1, 1.0, 1.0, True), Bus(2), Bus(3), Bus(4)),
+            buses=(Bus(1, 1.0, 1.0, True, pf[1]), Bus(2, pf=pf[2]), Bus(3, pf=pf[3]),
+                   Bus(4, pf=pf[4])),
             lines=(Line(1, 2, 0.02, 0.04, 1.0), Line(2, 3, 0.03, 0.06, 1.0),
                    Line(2, 4, 0.01, 0.05, 1.0)),
         )
@@ -90,7 +96,6 @@ class TestAssembly:
         present = [b for b in (1, 2, 3, 4) if rng.random() < 0.6]
         inp = DsoInput(
             p_net_node={b: rng.normal(size=T) for b in present},
-            q_net_node={b: rng.normal(size=T) for b in present},
             p_loss_tilde=rng.uniform(0.0, 0.1, T),
             lambda_loss=rng.normal(size=T),
         )
@@ -110,9 +115,26 @@ class TestAssembly:
             for bus in (1, 2, 3, 4):
                 row = bf.balance_rows[bus]
                 p = inp.p_net_node[bus][t] if bus in present else 0.0
-                q = inp.q_net_node[bus][t] if bus in present else 0.0
-                assert prog.b[row] == p and prog.b[row + N] == q
+                assert prog.b[row] == p
+                assert prog.b[row + N] == pytest.approx(
+                    p * math.tan(math.acos(pf[bus])), rel=1e-14, abs=0.0)
             assert np.array_equal(prog.b[2 * N :], bf.prog.b[2 * N :])
+
+    def test_relaxed_limits_keep_power_factors(self):
+        net = NetworkModel(
+            buses=(Bus(1, 1.0, 1.0, True, 0.9), Bus(2, 0.95, 1.05, pf=0.7)),
+            lines=(Line(1, 2, 0.01, 0.02, 0.1),),
+        )
+        relaxed = relaxed_limits(net)
+        assert [b.pf for b in relaxed.buses] == [0.9, 0.7]
+        assert [(b.vmin, b.vmax) for b in relaxed.buses] == [(0.1, 4.0)] * 2
+        assert np.array_equal(assemble_branch_flow(relaxed).tan_phi,
+                              assemble_branch_flow(net).tan_phi)
+
+    def test_bad_bus_power_factor_rejected(self):
+        net = replace(two_bus(), buses=(Bus(1, 1.0, 1.0, True), Bus(2, pf=1.5)))
+        with pytest.raises(ValueError, match="power factor outside"):
+            orient_feeder(net)
 
     def test_unvalidated_network_rejected(self):
         bad = NetworkModel(
@@ -126,7 +148,7 @@ class TestAssembly:
 class TestSolve:
     def test_zero_net_consumption(self):
         out = solve_dso_subproblem(
-            two_bus(), one_hour_input(0.0, 0.0), np.array([10.0]), 1.0
+            two_bus(), one_hour_input(0.0), np.array([10.0]), 1.0
         )
         assert out.p_loss[0] == pytest.approx(0.0, abs=1e-8)
         assert out.v[2][0] == pytest.approx(out.v[1][0], abs=1e-7)
@@ -136,7 +158,7 @@ class TestSolve:
     def test_against_loadflow_oracle(self):
         l_star, loss_star, v_star = loadflow_2bus(P2, Q2, 0.01, 0.02)
         out = solve_dso_subproblem(
-            two_bus(), one_hour_input(P2, Q2), np.array([10.0]), 1.0
+            two_bus(), one_hour_input(P2), np.array([10.0]), 1.0
         )
         assert out.flows[0]["l"][0] == pytest.approx(l_star, rel=1e-6)
         assert out.p_loss[0] == pytest.approx(loss_star, rel=1e-6)
@@ -150,7 +172,6 @@ class TestSolve:
         )
         inp = DsoInput(
             p_net_node={1: np.zeros(1), 2: np.array([0.1]), 3: np.array([0.15])},
-            q_net_node={1: np.zeros(1), 2: np.array([Q2]), 3: np.array([0.09])},
             p_loss_tilde=np.zeros(1),
             lambda_loss=np.zeros(1),
         )
@@ -167,19 +188,19 @@ class TestSolve:
     def test_overload_raises_naming_capacity(self):
         net = two_bus(smax=0.9 * math.hypot(P2, Q2))
         with pytest.raises(DsoInfeasible, match="capacity"):
-            solve_dso_subproblem(net, one_hour_input(P2, Q2), np.array([10.0]), 1.0)
+            solve_dso_subproblem(net, one_hour_input(P2), np.array([10.0]), 1.0)
 
     def test_voltage_collapse_raises_naming_bound(self):
         net = two_bus(vmin=0.999)
         with pytest.raises(DsoInfeasible, match="hour 0"):
-            solve_dso_subproblem(net, one_hour_input(P2, Q2), np.array([10.0]), 1.0)
+            solve_dso_subproblem(net, one_hour_input(P2), np.array([10.0]), 1.0)
 
     def test_load_beyond_relaxed_limits_named_unsolvable(self):
         # even without caps and with voltage bounds 0.1-4 pu the feeder
         # cannot carry this load; the diagnosis says so instead of recursing
         net = two_bus(r=0.3, x=0.6)
         with pytest.raises(DsoInfeasible, match="network equations unsolvable"):
-            solve_dso_subproblem(net, one_hour_input(5.0, 3.0), np.array([10.0]), 1.0)
+            solve_dso_subproblem(net, one_hour_input(5.0), np.array([10.0]), 1.0)
 
     def test_infeasible_hour_named_among_batched_hours(self):
         # four hours solved as one batch; only hour 2 overloads the line
@@ -187,7 +208,6 @@ class TestSolve:
         scale = np.array([1.0, 0.5, 2.0, 1.2])
         inp = DsoInput(
             p_net_node={1: np.zeros(4), 2: scale * P2},
-            q_net_node={1: np.zeros(4), 2: scale * Q2},
             p_loss_tilde=np.zeros(4),
             lambda_loss=np.zeros(4),
         )
@@ -200,7 +220,6 @@ class TestSolve:
         scale = np.array([1.0, 0.5, 2.0, 0.0])
         inp = DsoInput(
             p_net_node={1: np.zeros(4), 2: scale * P2},
-            q_net_node={1: np.zeros(4), 2: scale * Q2},
             p_loss_tilde=np.array([0.0, 1e-4, 2e-4, 0.0]),
             lambda_loss=np.array([0.0, 1.0, -1.0, 0.5]),
         )
@@ -209,7 +228,6 @@ class TestSolve:
         for t in range(4):
             hour = DsoInput(
                 p_net_node={b: a[t : t + 1] for b, a in inp.p_net_node.items()},
-                q_net_node={b: a[t : t + 1] for b, a in inp.q_net_node.items()},
                 p_loss_tilde=inp.p_loss_tilde[t : t + 1],
                 lambda_loss=inp.lambda_loss[t : t + 1],
             )
@@ -225,16 +243,16 @@ class TestSolve:
 
     def test_monotone_loss_in_load(self):
         base = solve_dso_subproblem(
-            two_bus(), one_hour_input(P2, Q2), np.array([10.0]), 1.0
+            two_bus(), one_hour_input(P2), np.array([10.0]), 1.0
         )
         up = solve_dso_subproblem(
-            two_bus(), one_hour_input(1.2 * P2, 1.2 * Q2), np.array([10.0]), 1.0
+            two_bus(), one_hour_input(1.2 * P2), np.array([10.0]), 1.0
         )
         assert up.p_loss[0] >= base.p_loss[0] - 1e-12
 
     def test_voltage_within_bounds(self):
         out = solve_dso_subproblem(
-            two_bus(), one_hour_input(P2, Q2), np.array([10.0]), 1.0
+            two_bus(), one_hour_input(P2), np.array([10.0]), 1.0
         )
         net = two_bus()
         for bid in (1, 2):
@@ -244,7 +262,7 @@ class TestSolve:
 
     def test_loss_reported_exactly_from_currents(self):
         out = solve_dso_subproblem(
-            two_bus(), one_hour_input(P2, Q2), np.array([10.0]), 1.0
+            two_bus(), one_hour_input(P2), np.array([10.0]), 1.0
         )
         assert out.p_loss[0] == 0.01 * out.flows[0]["l"][0]
 
@@ -252,7 +270,7 @@ class TestSolve:
 class TestTightness:
     def test_uncongested_radial_tight(self):
         out = solve_dso_subproblem(
-            two_bus(), one_hour_input(P2, Q2), np.array([10.0]), 1.0
+            two_bus(), one_hour_input(P2), np.array([10.0]), 1.0
         )
         rep = check_tightness(out, tol=1e-6)
         assert rep.ok
@@ -260,13 +278,13 @@ class TestTightness:
 
     def test_lossless_no_load_residual_zero(self):
         out = solve_dso_subproblem(
-            two_bus(r=0.0, x=0.0), one_hour_input(0.0, 0.0), np.array([10.0]), 1.0
+            two_bus(r=0.0, x=0.0), one_hour_input(0.0), np.array([10.0]), 1.0
         )
         assert check_tightness(out, tol=1e-6).max_residual <= 1e-9
 
     def test_injected_slack_flagged(self):
         out = solve_dso_subproblem(
-            two_bus(), one_hour_input(P2, Q2), np.array([10.0]), 1.0
+            two_bus(), one_hour_input(P2), np.array([10.0]), 1.0
         )
         out.tightness[0, 0] += 0.1
         rep = check_tightness(out, tol=1e-6)
@@ -281,7 +299,6 @@ def test_lossless_uniform_prices_multi_bus():
     )
     inp = DsoInput(
         p_net_node={1: np.zeros(1), 2: np.array([0.1]), 3: np.array([0.2])},
-        q_net_node={1: np.zeros(1), 2: np.array([0.06]), 3: np.array([0.12])},
         p_loss_tilde=np.zeros(1),
         lambda_loss=np.zeros(1),
     )

@@ -215,6 +215,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert "input error" in err and "'rhoo'" in err
 
+    @pytest.mark.parametrize("command", ["validate", "clear"])
+    def test_bad_background_power_factor_exits_2(self, tmp_path, capsys, command):
+        # a passive row's power factor only enters its bus's mean, which
+        # would carry it into the network program as a NaN reactive load
+        scen = tmp_path / "scen"
+        shutil.copytree(bundled_scenario_dir("six_bus"), scen)
+        rows = (scen / "prosumers.csv").read_text().splitlines()
+        assert rows[2].startswith("bg3,")
+        rows[2] = "bg3,3,0.06,1.5,0"
+        (scen / "prosumers.csv").write_text("\n".join(rows) + "\n")
+        argv = [command, "--scenario", str(scen)]
+        if command == "clear":
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "prosumers.csv:3" in err
+
     def test_clear_distributed_six_bus(self, tmp_path):
         rc = cli_main([
             "clear", "--scenario", str(bundled_scenario_dir("six_bus")),

@@ -1,8 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lemclear.dso import DsoInput
 from lemclear.market import (
+    MESSAGE_SCHEMA,
     ConvergenceTrace,
     MessageBus,
     audit_privacy,
@@ -42,7 +46,7 @@ def small_scenario(eps=1e-6):
         network=net, prosumers=(p1, p2), horizon=T, dt=1.0,
         wem_price=prices, loss_cost=np.full(T, 15.0),
         admm=AdmmConfig(eps1=eps, eps2=eps),
-        background={3: np.full(T, 0.02)}, bus_pf={2: 0.85, 3: 0.85},
+        background={3: np.full(T, 0.02)},
     )
 
 
@@ -167,12 +171,7 @@ class TestRunClearing:
         pros = {p.id: p for p in sc.prosumers}
         for io in res.trace.replay:
             for a, pn in io.p_net.items():
-                inp = ProsumerInput(
-                    lambda_lem=io.lambda_lem[a],
-                    p_tilde=None if io.p_tilde is None else io.p_tilde[a],
-                    lambda_p=io.lambda_p[a],
-                )
-                redo = solve_subproblem_III(pros[a], inp, sc.admm, sc.dt, T, mode="exact")
+                redo = solve_subproblem_III(pros[a], io.inputs[a], sc.admm, sc.dt, T, mode="exact")
                 assert np.max(np.abs(redo.p_net - pn)) <= 1e-9
 
     def test_all_schedules_feasible(self):
@@ -186,7 +185,7 @@ class TestRunClearing:
         empty = Scenario(
             network=sc.network, prosumers=(), horizon=T, dt=1.0,
             wem_price=sc.wem_price, loss_cost=sc.loss_cost, admm=sc.admm,
-            background=sc.background, bus_pf=sc.bus_pf,
+            background=sc.background,
         )
         res = run_clearing(empty)
         assert res.status == "converged"
@@ -195,6 +194,12 @@ class TestRunClearing:
 
 
 class TestPrivacy:
+    @pytest.mark.parametrize("cls, mtype", [(ProsumerInput, "LmoToProsumer"),
+                                            (DsoInput, "LmoToDso")])
+    def test_agent_input_is_its_message(self, cls, mtype):
+        # an agent's solve sees exactly the fields its message may carry
+        assert {f.name for f in fields(cls)} == MESSAGE_SCHEMA[mtype]
+
     def test_standard_run_passes(self):
         res = run_clearing(small_scenario(), prosumer_solver="exact", log_messages=True)
         rep = audit_privacy(res.trace)

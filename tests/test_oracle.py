@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,6 @@ def zero_device_scenario():
         prosumers=(Prosumer(id="a", bus_id=2, baseline_load=np.full(T, 0.1)),),
         horizon=T, dt=1.0, wem_price=prices, loss_cost=np.full(T, 15.0),
         admm=AdmmConfig(eps1=1e-6, eps2=1e-6),
-        bus_pf={2: 0.85},
     )
 
 
@@ -41,7 +42,6 @@ def storage_scenario():
     return Scenario(
         network=sc.network, prosumers=(pros,), horizon=T, dt=1.0,
         wem_price=sc.wem_price, loss_cost=sc.loss_cost, admm=sc.admm,
-        bus_pf={2: 0.85},
     )
 
 
@@ -51,10 +51,8 @@ class TestCentralized:
         res = solve_centralized(sc)
         # compose the expected objective from a plain minimum-loss network
         # evaluation at the fixed load
-        q = 0.1 * np.tan(np.arccos(0.85))
         inp = DsoInput(
             p_net_node={1: np.zeros(T), 2: np.full(T, 0.1)},
-            q_net_node={1: np.zeros(T), 2: np.full(T, q)},
             p_loss_tilde=np.zeros(T),
             lambda_loss=np.zeros(T),
         )
@@ -73,7 +71,6 @@ class TestCentralized:
             ),
             prosumers=sc.prosumers, horizon=T, dt=1.0,
             wem_price=sc.wem_price, loss_cost=sc.loss_cost, admm=sc.admm,
-            bus_pf={2: 0.85},
         )
         res = solve_centralized(lossless)
         for n in (1, 2):
@@ -118,15 +115,31 @@ class TestSelfish:
         assert st_.p_ch[0] > 1e-6
         assert st_.p_ch[20] == pytest.approx(0.0, abs=1e-7)
 
-    @pytest.mark.parametrize("solver", ["exact", "relax_repair", "relax-repair"])
+    @pytest.mark.parametrize("solver", ["exact", "relax_repair"])
     def test_solver_spellings_accepted(self, solver):
         res = solve_selfish(zero_device_scenario(), prosumer_solver=solver)
         assert np.allclose(res.schedules["a"].p_net, 0.1, atol=1e-7)
 
-    def test_unknown_solver_rejected(self):
-        # a misspelling must not fall through to relax-and-repair
-        with pytest.raises(ValueError, match="exat"):
-            solve_selfish(zero_device_scenario(), prosumer_solver="exat")
+    @pytest.mark.parametrize("solver", ["exat", "relax-repair"])
+    def test_unknown_solver_rejected(self, solver):
+        # a misspelling must not fall through to relax-and-repair; the
+        # command line's hyphenated spelling is not a library name
+        with pytest.raises(ValueError, match=solver):
+            solve_selfish(zero_device_scenario(), prosumer_solver=solver)
+
+    def test_losses_follow_the_bus_power_factor(self):
+        # the network evaluation derives bus 2's reactive load from its own
+        # power factor, as the network operator does when solved directly
+        sc = zero_device_scenario()
+        net = replace(sc.network, buses=(sc.network.buses[0], replace(sc.network.buses[1], pf=0.6)))
+        res = solve_selfish(replace(sc, network=net))
+        dso = solve_dso_subproblem(
+            net,
+            DsoInput({1: np.zeros(T), 2: np.full(T, 0.1)}, np.zeros(T), np.zeros(T)),
+            sc.loss_cost, sc.dt,
+        )
+        assert np.allclose(res.p_loss, dso.p_loss, rtol=1e-7, atol=1e-12)
+        assert not np.allclose(res.p_loss, solve_selfish(sc).p_loss, rtol=1e-3)
 
     def test_congestion_reported_not_raised(self):
         sc = storage_scenario()
@@ -137,7 +150,6 @@ class TestSelfish:
             ),
             prosumers=sc.prosumers, horizon=T, dt=1.0,
             wem_price=sc.wem_price, loss_cost=sc.loss_cost, admm=sc.admm,
-            bus_pf={2: 0.85},
         )
         res = solve_selfish(tight)
         assert res.violations  # loaded hours exceed the 0.10 pu rating
@@ -155,7 +167,7 @@ class TestSelfish:
             ),
             prosumers=(Prosumer(id="a", bus_id=2, baseline_load=np.zeros(T), pvs=(pv,)),),
             horizon=T, dt=1.0, wem_price=np.linspace(20, 90, T),
-            loss_cost=np.full(T, 15.0), bus_pf={2: 0.85},
+            loss_cost=np.full(T, 15.0),
         )
         res = solve_selfish(sc)
         assert any("capacity" in v for v in res.violations)
