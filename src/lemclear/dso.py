@@ -367,15 +367,17 @@ def solve_dso_subproblem(
     dt: float,
     rho_prime: float = 0.0,
     tol: float = 1e-8,
-    feeder: FeederIndex | None = None,
+    bf: BranchFlowProgram | None = None,
 ) -> DsoOutput:
     """Solve the hourly network programs and extract prices.
 
-    The hours (``hour_programs``) are solved as one batch and read back by
+    ``bf`` is net's structure from ``assemble_branch_flow``, built here when
+    not given; a clearing builds it once and passes it to every pass.  The
+    hours (``hour_programs``) are solved as one batch and read back by
     ``read_hours``.  The first infeasible hour raises
     :class:`DsoInfeasible` naming the binding limit.
     """
-    bf = assemble_branch_flow(net, feeder)
+    bf = assemble_branch_flow(net) if bf is None else bf
     progs = hour_programs(bf, inp, np.asarray(loss_cost, dtype=float) * dt, rho_prime)
     sols = solve_socp_batch(progs, tol=tol)
     for t, sol in enumerate(sols):

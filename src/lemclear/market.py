@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dso as dso_mod
 from . import lmo as lmo_mod
-from .dso import DsoInput, DsoOutput, orient_feeder, solve_dso_subproblem
+from .dso import DsoInput, DsoOutput, solve_dso_subproblem
 from .model import Scenario
 # solve_subproblem_III stays importable here: perfbench/tracer.py wraps it
 from .prosumer import (  # noqa: F401
@@ -253,7 +254,9 @@ def run_clearing(
     t_start = time.perf_counter()
     cfg = scenario.admm
     net = scenario.network
-    feeder = orient_feeder(net)
+    # the network program's structure, shared by every inner pass (called
+    # through the module, where a tracer can wrap it)
+    bf = dso_mod.assemble_branch_flow(net)
     T = scenario.horizon
     dt = scenario.dt
     ids = sorted(p.id for p in scenario.prosumers)
@@ -325,7 +328,7 @@ def run_clearing(
                 dt=dt,
                 rho_prime=cfg.rho_prime,
                 tol=_CLEARING_TOL,
-                feeder=feeder,
+                bf=bf,
             )
             bus.send(
                 "dso", "lmo", "DsoToLmo", {"p_loss": dso_out.p_loss, "dlmp": dso_out.dlmp},

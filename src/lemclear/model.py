@@ -184,6 +184,9 @@ class AdmmConfig:
     lambda_loss_init: float = 0.0
 
     def __post_init__(self):
+        for name in ("rho", "rho_prime", "eps1", "eps2", "lambda_p_init", "lambda_loss_init"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"ADMM setting {name} must be finite, got {getattr(self, name)!r}")
         if self.rho <= 0 or self.rho_prime <= 0:
             raise ValueError("penalty weights must be positive")
         if self.eps1 <= 0 or self.eps2 <= 0:

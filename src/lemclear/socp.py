@@ -46,7 +46,20 @@ Mehrotra iteration of every live program per round (``_ipm_loop``).  The
 round stacks the programs' vectors and cone layouts, so the cone algebra,
 the residual products and the KKT refill run once per round, and factors
 the block-diagonal KKT matrix once: each block in its own program's
-ordering, so no elimination crosses blocks.  The stack's index arrays are
+ordering, so no elimination crosses blocks.
+
+A round (``_newton_step``) does its cone work once, in this order.  It
+computes the NT scaling (``_Scaling``): s and z gathered into blocks, per
+block w, sqrt(w), sqrt(w)^-1 and lambda with their determinants, which
+every later product with W, W^-1, W^2 or lambda reads instead of
+recomputing.  It refills the KKT data by adding the round's delta and -W^2
+onto the constant weights (Q, C' and C), which the stack summed once.
+The predictor and the corrector then each solve once and search one step
+over s and z together; the corrector reuses the predictor's W dz, and the
+round's intermediates stay blocks, written out as vectors on the slack
+rows only for the linear solve, the gap and the step.  Every entry is
+computed by the same operations as with none of this sharing, so the
+round's result does not depend on it.  The stack's index arrays are
 built once per run of consecutive programs on one pattern, each by one
 numpy call that shifts the pattern's array for all of the run's programs.
 Step lengths, centering, the stop and divergence tests, the best iterate,
@@ -275,7 +288,8 @@ class SparseRows:
 # closed form:  w = P(sqrt(x)) (P(sqrt(x)) z)^(-1/2)  satisfies P(w) z = x.
 #
 # Every helper takes (n_blocks, k) arrays holding one cone block of size k
-# per row, and works row by row.
+# per row, and works row by row.  Those that need det(u) of their first
+# argument take it as ``det`` when the caller already holds it.
 # ---------------------------------------------------------------------------
 
 
@@ -287,16 +301,16 @@ def _jdet(u: np.ndarray) -> np.ndarray:
     return u[:, 0] * u[:, 0] - _rowdot(u[:, 1:], u[:, 1:])
 
 
-def _jsqrt(u: np.ndarray) -> np.ndarray:
-    root = np.sqrt(np.maximum(_jdet(u), 0.0))
+def _jsqrt(u: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
+    root = np.sqrt(np.maximum(_jdet(u) if det is None else det, 0.0))
     s = np.sqrt(np.maximum((u[:, 0] + root) / 2.0, 1e-300))
     out = u / (2.0 * s)[:, None]
     out[:, 0] = s
     return out
 
 
-def _jinv(u: np.ndarray) -> np.ndarray:
-    det = _jdet(u)
+def _jinv(u: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
+    det = _jdet(u) if det is None else det
     out = -u / det[:, None]
     out[:, 0] = u[:, 0] / det
     return out
@@ -308,27 +322,28 @@ def _jprod(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jdiv(lam: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _jdiv(lam: np.ndarray, d: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
     """Solve lam o u = d for u."""
     out = np.empty_like(d)
-    out[:, 0] = (lam[:, 0] * d[:, 0] - _rowdot(lam[:, 1:], d[:, 1:])) / _jdet(lam)
+    det = _jdet(lam) if det is None else det
+    out[:, 0] = (lam[:, 0] * d[:, 0] - _rowdot(lam[:, 1:], d[:, 1:])) / det
     out[:, 1:] = (d[:, 1:] - out[:, :1] * lam[:, 1:]) / lam[:, :1]
     return out
 
 
-def _papply(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _papply(u: np.ndarray, v: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
     """Quadratic representation P(u) applied to v."""
-    det = _jdet(u)[:, None]
+    det = (_jdet(u) if det is None else det)[:, None]
     out = 2.0 * _rowdot(u, v)[:, None] * u
     out[:, :1] -= det * v[:, :1]
     out[:, 1:] += det * v[:, 1:]
     return out
 
 
-def _pmat(u: np.ndarray) -> np.ndarray:
+def _pmat(u: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
     """P(u) as a stack of dense k x k matrices, 2uu' - det(u) R."""
     k = u.shape[1]
-    det = _jdet(u)[:, None, None]
+    det = (_jdet(u) if det is None else det)[:, None, None]
     m = 2.0 * (u[:, :, None] * u[:, None, :])
     m[:, :1, :1] -= det
     m[:, 1:, 1:] += det * np.eye(k - 1)
@@ -422,11 +437,19 @@ def _segments(lengths) -> tuple[np.ndarray, np.ndarray]:
     return (np.cumsum(lengths) - lengths)[nonempty], nonempty
 
 
+def _paired(segments, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_segments`` over two halves of ``total`` entries each, cut alike."""
+    starts, owners = segments
+    return np.concatenate([starts, starts + total]), owners
+
+
 def _segmin(values: np.ndarray, segments, out: np.ndarray) -> None:
-    """Lower out[i] to the least of values over segment i, ignoring segments that hold a NaN."""
+    """Lower out[i] to the least of values over the segments of owner i in
+    both halves (see ``_paired``), ignoring segments that hold a NaN."""
     starts, owners = segments
     if len(owners):
-        out[owners] = np.fmin(out[owners], np.minimum.reduceat(values, starts))
+        low = np.minimum.reduceat(values, starts).reshape(2, -1)
+        out[owners] = np.fmin(out[owners], np.fmin(low[0], low[1]))
 
 
 class _Cones:
@@ -437,6 +460,9 @@ class _Cones:
     squared NT scaling W^2 has fixed nonzero positions (the NonNeg diagonal
     plus one dense k x k square per SOC block), stored once as
     ``w2_rows``/``w2_cols``; each iteration computes only their values.
+
+    Vectors on the slack rows are worked on as blocks (``blocks``): the
+    NonNeg entries, then one (n_blocks, k) array per SOC size group.
 
     A layout may stack the slack rows of several programs (``stack``); each
     member's NonNeg rows, and its blocks within each size group, are then
@@ -461,8 +487,8 @@ class _Cones:
         self.soc_groups = [np.array(socs[k]) for k in sorted(socs)]
         self.degree = len(self.nonneg_idx) + sum(len(g) for g in self.soc_groups)
         self.members = 1
-        self.nonneg_seg = _segments([len(self.nonneg_idx)])
-        self.soc_seg = [_segments([len(g)]) for g in self.soc_groups]
+        self.nonneg_seg = _paired(_segments([len(self.nonneg_idx)]), len(self.nonneg_idx))
+        self.soc_seg = [_paired(_segments([len(g)]), len(g)) for g in self.soc_groups]
         self._place_w2()
 
     @classmethod
@@ -477,14 +503,19 @@ class _Cones:
         out.n = sum(c.n * k for (c, _), k in zip(runs, counts))
         out.members = sum(counts)
         out.nonneg_idx = _cat([_shifted(c.nonneg_idx, starts) for c, starts in runs])
-        out.nonneg_seg = _segments(np.repeat([len(c.nonneg_idx) for c, _ in runs], counts))
+        out.nonneg_seg = _paired(
+            _segments(np.repeat([len(c.nonneg_idx) for c, _ in runs], counts)), len(out.nonneg_idx)
+        )
         out.soc_groups, out.soc_seg = [], []
         for k in sorted({g.shape[1] for c, _ in runs for g in c.soc_groups}):
             parts = [(c.group(k), starts) for c, starts in runs]
-            out.soc_groups.append(
-                np.concatenate([_shifted(g, starts).reshape(-1, k) for g, starts in parts if len(g)])
+            group = np.concatenate(
+                [_shifted(g, starts).reshape(-1, k) for g, starts in parts if len(g)]
             )
-            out.soc_seg.append(_segments(np.repeat([len(g) for g, _ in parts], counts)))
+            out.soc_groups.append(group)
+            out.soc_seg.append(
+                _paired(_segments(np.repeat([len(g) for g, _ in parts], counts)), len(group))
+            )
         return out
 
     def group(self, k: int) -> np.ndarray:
@@ -521,68 +552,92 @@ class _Cones:
             worst = max(worst, float(np.max(tail - blk[:, 0])))
         return worst
 
-    # -- NT scaling -------------------------------------------------------
+    def blocks(self, u: np.ndarray) -> list[np.ndarray]:
+        """u's entries as blocks: the NonNeg entries, then each SOC size group's."""
+        return [u[self.nonneg_idx]] + [u[g] for g in self.soc_groups]
 
-    def compute_scaling(self, s: np.ndarray, z: np.ndarray):
-        """NT scaling: NonNeg weights, per-group (w, sqrt(w), sqrt(w)^-1), lambda."""
-        nn = self.nonneg_idx
-        w_nn = np.sqrt(s[nn] / z[nn])
-        lam = np.zeros(self.n)
-        lam[nn] = np.sqrt(s[nn] * z[nn])
-        soc_w = []
-        for g in self.soc_groups:
-            sb, zb = s[g], z[g]
-            t = _jsqrt(sb)
-            u = _papply(t, zb)
-            w = _papply(t, _jinv(_jsqrt(u)))
-            wh = _jsqrt(w)
-            whi = _jinv(wh)
-            soc_w.append((w, wh, whi))
-            lam[g] = _papply(whi, sb)
-        return w_nn, soc_w, lam
-
-    def w2_values(self, w_nn: np.ndarray, soc_w) -> np.ndarray:
-        """Entries of W^2 at (w2_rows, w2_cols): s/z on NonNeg, P(w) on SOC."""
-        return np.concatenate([w_nn * w_nn] + [_pmat(w).ravel() for w, _, _ in soc_w])
-
-    def apply_w(self, w_nn, soc_w, u: np.ndarray, inverse: bool) -> np.ndarray:
-        """Apply W (inverse=False) or W^{-1} (inverse=True)."""
-        out = np.empty_like(u)
-        nn = self.nonneg_idx
-        out[nn] = u[nn] / w_nn if inverse else u[nn] * w_nn
-        for g, (_, wh, whi) in zip(self.soc_groups, soc_w):
-            out[g] = _papply(whi if inverse else wh, u[g])
+    def flat(self, blocks: list[np.ndarray]) -> np.ndarray:
+        """The vector whose blocks (see ``blocks``) are the given ones."""
+        out = np.empty(self.n)
+        out[self.nonneg_idx] = blocks[0]
+        for g, b in zip(self.soc_groups, blocks[1:]):
+            out[g] = b
         return out
 
-    def jprod_all(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n)
-        nn = self.nonneg_idx
-        out[nn] = u[nn] * v[nn]
-        for g in self.soc_groups:
-            out[g] = _jprod(u[g], v[g])
-        return out
+    def max_step(self, u, du, v, dv) -> np.ndarray:
+        """Per member, the largest a with u + a*du and v + a*dv both in the
+        cone (inf if unbounded), all four given as blocks.
 
-    def jdiv_all(self, lam: np.ndarray, d: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n)
-        nn = self.nonneg_idx
-        out[nn] = d[nn] / lam[nn]
-        for g in self.soc_groups:
-            out[g] = _jdiv(lam[g], d[g])
-        return out
-
-    def max_step(self, u: np.ndarray, du: np.ndarray) -> np.ndarray:
-        """Per member, the largest a with u + a*du in the cone (inf if unbounded)."""
+        One pass searches both pairs, each block of u next to its block of
+        v; a member's segments of u and of v keep their own minima, so a
+        NaN in one of them is ignored as it would be in a search of that
+        pair alone.
+        """
         alpha = np.full(self.members, math.inf)
-        nn = self.nonneg_idx
-        if len(nn):
-            un, dn = u[nn], du[nn]
+        if len(u[0]):
+            un, dn = np.concatenate([u[0], v[0]]), np.concatenate([du[0], dv[0]])
             neg = dn < 0
-            ratio = np.full(len(nn), math.inf)
+            ratio = np.full(len(un), math.inf)
             ratio[neg] = -un[neg] / dn[neg]
             _segmin(ratio, self.nonneg_seg, alpha)
-        for g, seg in zip(self.soc_groups, self.soc_seg):
-            _segmin(_soc_step(u[g], du[g]), seg, alpha)
+        for seg, ub, dub, vb, dvb in zip(self.soc_seg, u[1:], du[1:], v[1:], dv[1:]):
+            _segmin(_soc_step(np.concatenate([ub, vb]), np.concatenate([dub, dvb])), seg, alpha)
         return alpha
+
+
+class _Scaling:
+    """The NT scaling of a layout at (s, z), with what each product with it reuses.
+
+    Everything is held as blocks (see ``_Cones.blocks``): s and z, the
+    NonNeg weights sqrt(s / z), and per SOC size group w, sqrt(w) and
+    sqrt(w)^-1 with their determinants, and lambda = W^-1 s = W z with its
+    determinants.  A round of the interior point computes it once, and every
+    product with W, W^-1, W^2 or lambda in the round reads it.
+    """
+
+    def __init__(self, cones: _Cones, s: np.ndarray, z: np.ndarray):
+        self.s, self.z = cones.blocks(s), cones.blocks(z)
+        s_nn, z_nn = self.s[0], self.z[0]
+        self.w_nn = np.sqrt(s_nn / z_nn)
+        self.lam = [np.sqrt(s_nn * z_nn)]
+        self.soc = []  # per group (w, det w, sqrt w, its det, sqrt(w)^-1, its det)
+        for sb, zb in zip(self.s[1:], self.z[1:]):
+            t = _jsqrt(sb)
+            det_t = _jdet(t)
+            w = _papply(t, _jinv(_jsqrt(_papply(t, zb, det_t))), det_t)
+            det_w = _jdet(w)
+            wh = _jsqrt(w, det_w)
+            det_wh = _jdet(wh)
+            whi = _jinv(wh, det_wh)
+            det_whi = _jdet(whi)
+            self.soc.append((w, det_w, wh, det_wh, whi, det_whi))
+            self.lam.append(_papply(whi, sb, det_whi))
+        self.det_lam = [_jdet(lam) for lam in self.lam[1:]]
+
+    def w2_values(self) -> np.ndarray:
+        """Entries of W^2 at the layout's (w2_rows, w2_cols): s/z on NonNeg, P(w) on SOC."""
+        return np.concatenate(
+            [self.w_nn * self.w_nn] + [_pmat(w, det_w).ravel() for w, det_w, *_ in self.soc]
+        )
+
+    def apply(self, u: list[np.ndarray], inverse: bool = False) -> list[np.ndarray]:
+        """W (inverse=False) or W^-1 (inverse=True) applied to the blocks u."""
+        out = [u[0] / self.w_nn if inverse else u[0] * self.w_nn]
+        for (_, _, wh, det_wh, whi, det_whi), ub in zip(self.soc, u[1:]):
+            out.append(_papply(whi, ub, det_whi) if inverse else _papply(wh, ub, det_wh))
+        return out
+
+    def lam_div(self, d: list[np.ndarray]) -> list[np.ndarray]:
+        """The blocks u with lambda o u = d."""
+        out = [d[0] / self.lam[0]]
+        for lam, det, db in zip(self.lam[1:], self.det_lam, d[1:]):
+            out.append(_jdiv(lam, db, det))
+        return out
+
+
+def _jprods(u: list[np.ndarray], v: list[np.ndarray]) -> list[np.ndarray]:
+    """The Jordan product u o v of two vectors given as blocks."""
+    return [u[0] * v[0]] + [_jprod(ub, vb) for ub, vb in zip(u[1:], v[1:])]
 
 
 def _pattern_key(prog: ConicProgram) -> tuple:
@@ -789,8 +844,11 @@ class _Stack:
     permuted matrix, so the factorization eliminates each block in that
     block's own ordering and every member's factor, solves and residuals
     come out exactly as they would for the member alone.  The weights of the
-    KKT data are summed kind by kind (Q, delta, C', C, ...), which keeps
-    each slot's summation order that of the member alone.  ``pivoting``
+    KKT data are summed kind by kind, which keeps each slot's summation
+    order that of the member alone: the constant ones (Q, C' and C) once
+    per stack into ``fixed``, and each round's (delta and -W^2) onto them.
+    Only the x diagonal takes both kinds, and there (0 + q) + delta is
+    q + delta whichever sum comes first.  ``pivoting``
     selects SuperLU's partial pivoting over static diagonal pivots; it is
     only used for single members, since its column ordering spans the whole
     matrix.
@@ -884,7 +942,6 @@ class _Stack:
             shape=(int(offs["K"][-1]),) * 2,
         )
         self.sign = np.concatenate([np.tile(pt.sign, k) for pt, k, o in at])
-        self.c_data = np.concatenate([d for ws in members for d in (ws.c_data, ws.c_data)])
         # global position in (x, y, z) of each row of the permuted matrix
         self.perm = _cat([
             _shifted(
@@ -894,13 +951,20 @@ class _Stack:
             )
             for pt, k, o in at
         ])
-        # the weights' slots, kind by kind (see _Pattern.slot_kinds)
-        kinds = ["q", "dx", "C", "dy", ("w2", 0)]
-        kinds += [("w2", g.shape[1]) for g in self.cones.soc_groups] + ["dz"]
-        self.slots = _cat([
-            _shifted(pt.slot_kinds[kind], o["nnz"])
-            for kind in kinds for pt, k, o in at if kind in pt.slot_kinds
-        ])
+        # the weights' slots, kind by kind (see _Pattern.slot_kinds): the
+        # constant weights are summed here, each round's added in kkt()
+        def slots(kinds: list) -> np.ndarray:
+            return _cat([
+                _shifted(pt.slot_kinds[kind], o["nnz"])
+                for kind in kinds for pt, k, o in at if kind in pt.slot_kinds
+            ])
+
+        c_data = [d for ws in members for d in (ws.c_data, ws.c_data)]
+        self.fixed = np.bincount(
+            slots(["q", "C"]), weights=np.concatenate([self.q] + c_data), minlength=len(self.K.data)
+        )
+        w2_kinds = [("w2", 0)] + [("w2", g.shape[1]) for g in self.cones.soc_groups]
+        self.slots = slots(["dx", "dy"] + w2_kinds + ["dz"])
         self.lu = None
         self.delta = None
 
@@ -939,8 +1003,11 @@ class _Stack:
         """Refill K, the block-diagonal permuted KKT matrix, for W^2's entries
         w2 and each member's regularization deltas[k]."""
         dx, dy, dz = (self.spread(deltas, kind) for kind in "xyz")
-        weights = np.concatenate([self.q, dx, self.c_data, -dy, -w2, -dz])
-        self.K.data[:] = np.bincount(self.slots, weights=weights, minlength=len(self.K.data))
+        weights = np.concatenate([dx, -dy, -w2, -dz])
+        np.add(
+            self.fixed, np.bincount(self.slots, weights=weights, minlength=len(self.K.data)),
+            out=self.K.data,
+        )
         return self.K
 
     def factor(self, w2: np.ndarray, deltas: np.ndarray) -> bool:
@@ -993,8 +1060,7 @@ def _checked_start(ws: _Workspace, start: Start) -> Start:
 def _delta_alone(ws: _Workspace, s: np.ndarray, z: np.ndarray, pivoting: bool) -> float | None:
     """The regularization at which ws's KKT matrix factors on its own at (s, z), if any."""
     alone = _Stack([ws], pivoting)
-    w_nn, soc_w, _ = ws.cones.compute_scaling(s, z)
-    w2 = ws.cones.w2_values(w_nn, soc_w)
+    w2 = _Scaling(ws.cones, s, z).w2_values()
     for delta in (1e-9, 1e-6):
         if alone.factor(w2, np.array([delta])):
             return delta
@@ -1166,51 +1232,65 @@ def _newton_step(st: _Stack, x, y, s, z, r, mu: np.ndarray, e: np.ndarray):
     the step allocates, the factorization included, is freed on return,
     before the next round allocates again: SuperLU reserves about thirty
     times the stored entries of the matrix, and space handed back early is
-    reused rather than left behind as fragments.
+    reused rather than left behind as fragments.  For the same reason the
+    predictor's temporaries are freed before the corrector allocates, and
+    the factor right after the last solve: arrays that outlive the factor
+    sit above it on the heap and push the next round's factor onto fresh
+    pages, which raised the peak RSS of the dense-clear benchmark.
+
+    The round's cone quantities stay blocks (see ``_Cones.blocks``): the
+    scaling is computed once, and only what the linear solve, the gap and
+    the step take is written out as a vector on the slack rows.
     """
     r_d, r_p, r_g = r
-    w_nn, soc_w, lam, deltas = _scale_and_factor(st, s, z)
+    sc, deltas = _scale_and_factor(st, s, z)
     failed = [k for k, d in enumerate(deltas) if d is None]
     if failed:
         return failed, []
     cones = st.cones
-    lam_lam = cones.jprod_all(lam, lam)
+    lam_lam = _jprods(sc.lam, sc.lam)
     mu, nu = mu.tolist(), st.nu.tolist()
 
-    def direction(d_target):
+    def solve(d_target):
         # linearized complementarity lam o (W^-1 ds + W dz) = d_target
         # gives ds = W g - W^2 dz with g = lam \ d_target
-        g = cones.jdiv_all(lam, d_target)
-        wg = cones.apply_w(w_nn, soc_w, g, inverse=False)
-        dx, dyt, dz = st.solve(-r_d, -r_p, -r_g - wg)
-        ds = cones.apply_w(
-            w_nn, soc_w, g - cones.apply_w(w_nn, soc_w, dz, inverse=False), inverse=False
-        )
-        return dx, -dyt, ds, dz
+        g = sc.lam_div(d_target)
+        dx, dyt, dz = st.solve(-r_d, -r_p, -r_g - cones.flat(sc.apply(g)))
+        return g, dx, -dyt, dz
 
-    # predictor
-    dx_a, dy_a, ds_a, dz_a = direction(-lam_lam)
-    steps = zip(cones.max_step(s, ds_a).tolist(), cones.max_step(z, dz_a).tolist())
-    a_aff = st.spread([min(1.0, a_s, a_z) for a_s, a_z in steps], "z")
-    aff_gap = st.dots(s + a_aff * ds_a, z + a_aff * dz_a, "z")
-    sigma = [
-        min(1.0, max(0.0, (g / nu_k / mu_k) ** 3)) if mu_k > 0 else 0.0
-        for g, nu_k, mu_k in zip(aff_gap, nu, mu)
-    ]
+    def slack_parts(g, dz):
+        # ds, dz and W dz as blocks
+        dz_b = cones.blocks(dz)
+        wdz = sc.apply(dz_b)
+        return sc.apply([gb - wb for gb, wb in zip(g, wdz)]), dz_b, wdz
 
-    # corrector
-    wds = cones.apply_w(w_nn, soc_w, ds_a, inverse=True)
-    wdz = cones.apply_w(w_nn, soc_w, dz_a, inverse=False)
+    def predictor():
+        # the centering of each member and the second-order term
+        # W^-1 ds o W dz of the affine direction
+        g, _, _, dz = solve([-v for v in lam_lam])
+        ds_b, dz_b, wdz = slack_parts(g, dz)
+        steps = cones.max_step(sc.s, ds_b, sc.z, dz_b).tolist()
+        a_aff = st.spread([min(1.0, a) for a in steps], "z")
+        aff_gap = st.dots(s + a_aff * cones.flat(ds_b), z + a_aff * dz, "z")
+        sigma = [
+            min(1.0, max(0.0, (gap / nu_k / mu_k) ** 3)) if mu_k > 0 else 0.0
+            for gap, nu_k, mu_k in zip(aff_gap, nu, mu)
+        ]
+        return sigma, _jprods(sc.apply(ds_b, inverse=True), wdz)
+
+    sigma, second = predictor()
     sigma_mu = st.spread([sg * mu_k for sg, mu_k in zip(sigma, mu)], "z")
-    dx, dy, ds, dz = direction(sigma_mu * e - lam_lam - cones.jprod_all(wds, wdz))
+    g, dx, dy, dz = solve(
+        [c - ll - so for c, ll, so in zip(cones.blocks(sigma_mu * e), lam_lam, second)]
+    )
     st.lu = None
+    ds_b, dz_b, _ = slack_parts(g, dz)
 
-    steps = zip(cones.max_step(s, ds).tolist(), cones.max_step(z, dz).tolist())
-    alpha = [min(1.0, 0.99 * a_s, 0.99 * a_z) for a_s, a_z in steps]
+    alpha = [min(1.0, 0.99 * a) for a in cones.max_step(sc.s, ds_b, sc.z, dz_b).tolist()]
     stalled = [k for k, a in enumerate(alpha) if not math.isfinite(a) or a <= 1e-14]
     moving = np.ones(len(alpha), dtype=bool)
     moving[stalled] = False
-    for v, dv, kind in ((x, dx, "x"), (y, dy, "y"), (s, ds, "z"), (z, dz, "z")):
+    for v, dv, kind in ((x, dx, "x"), (y, dy, "y"), (s, cones.flat(ds_b), "z"), (z, dz, "z")):
         step = st.spread(alpha, kind) * dv
         if stalled:
             rows = st.spread(moving, kind)
@@ -1228,8 +1308,8 @@ def _scale_and_factor(st: _Stack, s: np.ndarray, z: np.ndarray):
     Returns the scaling and each member's regularization, None for a member
     whose block factors at neither; the stack is then left unfactored.
     """
-    w_nn, soc_w, lam = st.cones.compute_scaling(s, z)
-    w2 = st.cones.w2_values(w_nn, soc_w)
+    sc = _Scaling(st.cones, s, z)
+    w2 = sc.w2_values()
     deltas = [1e-9] * len(st.members)
     if not st.factor(w2, np.array(deltas)):
         deltas = [
@@ -1238,7 +1318,7 @@ def _scale_and_factor(st: _Stack, s: np.ndarray, z: np.ndarray):
         ]
         if None not in deltas and not st.factor(w2, np.array(deltas)):
             raise RuntimeError("the stacked KKT matrix failed to factor where its blocks did")
-    return w_nn, soc_w, lam, deltas
+    return sc, deltas
 
 
 def check_kkt(prog: ConicProgram, sol: ConicSolution) -> dict[str, float]:

@@ -215,6 +215,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert "input error" in err and "'rhoo'" in err
 
+    @pytest.mark.parametrize("key", [
+        "rho", "rho_prime", "eps1", "eps2", "lambda_p_init", "lambda_loss_init",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_admm_setting_in_manifest_exits_2(self, tmp_path, capsys, key, value):
+        # json.loads reads NaN and Infinity, so they reach AdmmConfig
+        scen = tmp_path / "scen"
+        shutil.copytree(bundled_scenario_dir("six_bus"), scen)
+        manifest = json.loads((scen / "manifest.json").read_text())
+        manifest["admm"] = {key: value}
+        (scen / "manifest.json").write_text(json.dumps(manifest))
+        assert cli_main(["validate", "--scenario", str(scen)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and f"ADMM setting {key} must be finite" in err
+
+    @pytest.mark.parametrize("flag", ["--rho", "--rho-prime", "--eps1", "--eps2"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_admm_flag_exits_2(self, tmp_path, capsys, flag, value):
+        rc = cli_main([
+            "clear", "--scenario", str(bundled_scenario_dir("six_bus")),
+            "--out", str(tmp_path / "out"), f"{flag}={value}",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "must be finite" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["validate", "clear"])
     def test_bad_background_power_factor_exits_2(self, tmp_path, capsys, command):
         # a passive row's power factor only enters its bus's mean, which

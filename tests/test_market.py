@@ -113,6 +113,32 @@ class TestRunClearing:
         assert slow.trace.digest() == fast.trace.digest()
         assert fast.wall_seconds == 2.0 * slow.wall_seconds > 0.0
 
+    def test_network_assembled_once_per_clearing(self, monkeypatch):
+        # every inner pass solves on the structure the clearing built once,
+        # and gets what it gets when each pass builds its own
+        import lemclear.dso as dso
+        import lemclear.market as market
+
+        sc = small_scenario()
+        built = []
+        assemble, solve = dso.assemble_branch_flow, market.solve_dso_subproblem
+
+        def spy(*args, **kwargs):
+            built.append(args)
+            return assemble(*args, **kwargs)
+
+        def own_structure(*args, bf=None, **kwargs):
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(dso, "assemble_branch_flow", spy)
+        shared = run_clearing(sc)
+        passes = sum(shared.inner_iterations_per_outer)
+        assert len(built) == 1 and passes > 1
+        monkeypatch.setattr(market, "solve_dso_subproblem", own_structure)
+        apart = run_clearing(sc)
+        assert len(built) == 2 + passes
+        assert shared.trace.digest() == apart.trace.digest()
+
     def test_converges_within_envelope(self):
         res = run_clearing(small_scenario(), prosumer_solver="exact")
         assert res.status == "converged"

@@ -15,7 +15,17 @@ from lemclear.socp import (
     NonNeg,
     SecondOrder,
     _Cones,
+    _DIAGONAL_PIVOTS,
+    _jdiv,
+    _jinv,
+    _jprod,
+    _jprods,
+    _jsqrt,
+    _newton_step,
+    _papply,
     _pattern_key,
+    _pmat,
+    _Scaling,
     _soc_step,
     _Stack,
     _Workspace,
@@ -552,29 +562,32 @@ class TestBatchedConeAlgebra:
         layout = random_layout(rng)
         cones, ref = _Cones(layout), ReferenceCones(layout)
         x, z = interior_point(rng, layout), interior_point(rng, layout)
-        w_nn, soc_w, lam = cones.compute_scaling(x, z)
+        sc = _Scaling(cones, x, z)
         rw_nn, rsoc_w, rlam = ref.compute_scaling(x, z)
-        assert_rel(w_nn, rw_nn)
-        assert_rel(lam, rlam)
-        for part in range(3):  # w, sqrt(w), sqrt(w)^-1
+        assert_rel(sc.w_nn, rw_nn)
+        assert_rel(cones.flat(sc.lam), rlam)
+        for part, ours in enumerate((0, 2, 4)):  # w, sqrt(w), sqrt(w)^-1
             assert_rel(
-                spread(cones, [t[part] for t in soc_w]),
+                spread(cones, [t[ours] for t in sc.soc]),
                 spread_ref(ref, [t[part] for t in rsoc_w]),
             )
         W2 = ref.w2_matrix(rw_nn, rsoc_w)
-        assert_rel(w2_matrix(cones, cones.w2_values(w_nn, soc_w)).toarray(), W2.toarray())
+        assert_rel(w2_matrix(cones, sc.w2_values()).toarray(), W2.toarray())
         v = rng.normal(size=cones.n)
-        w_twice = cones.apply_w(w_nn, soc_w, cones.apply_w(w_nn, soc_w, v, False), False)
-        assert_rel(w_twice, W2 @ v)
+        vb = cones.blocks(v)
+        assert_rel(cones.flat(sc.apply(sc.apply(vb))), W2 @ v)
         for inverse in (False, True):
             assert_rel(
-                cones.apply_w(w_nn, soc_w, v, inverse), ref.apply_w(rw_nn, rsoc_w, v, inverse)
+                cones.flat(sc.apply(vb, inverse)), ref.apply_w(rw_nn, rsoc_w, v, inverse)
             )
-        assert_rel(cones.jprod_all(x, v), ref.jprod_all(x, v))
-        assert_rel(cones.jdiv_all(lam, v), ref.jdiv_all(lam, v))
+        assert_rel(cones.flat(_jprods(cones.blocks(x), vb)), ref.jprod_all(x, v))
+        assert_rel(cones.flat(sc.lam_div(vb)), ref.jdiv_all(rlam, v))
         for scale in (0.1, 1.0, 10.0):
-            du = scale * rng.normal(size=cones.n)
-            assert_rel(cones.max_step(x, du), ref.max_step(x, du))
+            du, dz = scale * rng.normal(size=cones.n), scale * rng.normal(size=cones.n)
+            assert_rel(
+                cones.max_step(*(cones.blocks(u) for u in (x, du, z, dz))),
+                min(ref.max_step(x, du), ref.max_step(z, dz)),
+            )
             for g in cones.soc_groups:
                 steps = _soc_step(x[g], du[g])
                 assert_rel(steps, [ref_soc_step(x[row], du[row]) for row in g])
@@ -644,8 +657,7 @@ class TestKktPattern:
         ws = _Workspace(prog)
         rng = np.random.default_rng(3)
         s, z = interior_point(rng, prog.cones), interior_point(rng, prog.cones)
-        w_nn, soc_w, _ = ws.cones.compute_scaling(s, z)
-        w2 = ws.cones.w2_values(w_nn, soc_w)
+        w2 = _Scaling(ws.cones, s, z).w2_values()
         kkt = _Stack([ws]).kkt(w2, np.array([delta]))
         assert kkt.format == "csc" and kkt.has_canonical_format
         # K is stored under the workspace's ordering: K = K0[perm][:, perm]
@@ -658,8 +670,7 @@ class TestKktPattern:
         ws = _Workspace(prog)
         rng = np.random.default_rng(5)
         s, z = interior_point(rng, prog.cones), interior_point(rng, prog.cones)
-        w_nn, soc_w, _ = ws.cones.compute_scaling(s, z)
-        w2 = ws.cones.w2_values(w_nn, soc_w)
+        w2 = _Scaling(ws.cones, s, z).w2_values()
         stack = _Stack([ws])
         assert stack.factor(w2, np.array([1e-6]))
         n, m = prog.n_vars, prog.n_eq
@@ -847,13 +858,21 @@ def stack_member_by_member(members):
         for ws, pt, a, b, c in zip(members, pats, ox, oy, oz)
     ])
     sizes_soc = sorted({g.shape[1] for ws in members for g in ws.cones.soc_groups})
-    kinds = ["q", "dx", "C", "dy", ("w2", 0)] + [("w2", k) for k in sizes_soc] + ["dz"]
+    kinds = ["dx", "dy", ("w2", 0)] + [("w2", k) for k in sizes_soc] + ["dz"]
     ref["slots"] = np.concatenate([
         pt.slot_kinds[kind] + o for kind in kinds for pt, o in zip(pats, nnz_off)
         if kind in pt.slot_kinds
     ])
     ref["sign"] = np.concatenate([pt.sign for pt in pats])
-    ref["c_data"] = np.concatenate([np.tile(ws.c_data, 2) for ws in members])
+    # the constant weights: each member's permuted KKT matrix without delta
+    # and W^2, read at its stored entries
+    fixed = []
+    for ws, pt in zip(members, pats):
+        K0 = reference_kkt(ws.prog, sp.csr_matrix((ws.p, ws.p)), 0.0).toarray()
+        K0 = K0[np.ix_(pt.perm, pt.perm)]
+        cols = np.repeat(np.arange(len(pt.kkt_indptr) - 1), np.diff(pt.kkt_indptr))
+        fixed.append(K0[pt.kkt_indices, cols])
+    ref["fixed"] = np.concatenate(fixed)
     ref["nonneg"] = np.concatenate([ws.cones.nonneg_idx + o for ws, o in zip(members, oz)])
     ref["soc"] = [
         np.concatenate([ws.cones.group(k) + o for ws, o in zip(members, oz)]) for k in sizes_soc
@@ -964,7 +983,7 @@ class TestLockstepBatch:
                 assert np.array_equal(got, want), name
         assert np.array_equal(stack.K.indices, ref["K"][0])
         assert np.array_equal(stack.K.indptr, ref["K"][1])
-        for name in ("perm", "slots", "sign", "c_data"):
+        for name in ("perm", "slots", "sign", "fixed"):
             assert np.array_equal(getattr(stack, name), ref[name]), name
         assert np.array_equal(stack.cones.nonneg_idx, ref["nonneg"])
         assert len(stack.cones.soc_groups) == len(ref["soc"])
@@ -1180,3 +1199,277 @@ class TestWarmStart:
             solve_socp_batch([prog], starts=[(x[:-1], y, s, z)])
         with pytest.raises(ValueError, match="1 starts for 2 programs"):
             solve_socp_batch([prog, prog], starts=[None])
+
+
+# ---------------------------------------------------------------------------
+# One interior-point round against a flat round: the same Newton step on
+# vectors over all slack rows, with every product with W recomputing its
+# determinants, separate step searches for s and z, and the KKT data summed
+# from all of its weights in every round.  The round computes each entry by
+# the same operations, so the two must agree exactly.
+# ---------------------------------------------------------------------------
+
+
+def flat_scaling(cones, s, z):
+    nn = cones.nonneg_idx
+    w_nn = np.sqrt(s[nn] / z[nn])
+    lam = np.zeros(cones.n)
+    lam[nn] = np.sqrt(s[nn] * z[nn])
+    soc_w = []
+    for g in cones.soc_groups:
+        sb, zb = s[g], z[g]
+        t = _jsqrt(sb)
+        u = _papply(t, zb)
+        w = _papply(t, _jinv(_jsqrt(u)))
+        wh = _jsqrt(w)
+        whi = _jinv(wh)
+        soc_w.append((w, wh, whi))
+        lam[g] = _papply(whi, sb)
+    return w_nn, soc_w, lam
+
+
+def flat_w2_values(w_nn, soc_w):
+    return np.concatenate([w_nn * w_nn] + [_pmat(w).ravel() for w, _, _ in soc_w])
+
+
+def flat_apply_w(cones, w_nn, soc_w, u, inverse):
+    out = np.empty_like(u)
+    nn = cones.nonneg_idx
+    out[nn] = u[nn] / w_nn if inverse else u[nn] * w_nn
+    for g, (_, wh, whi) in zip(cones.soc_groups, soc_w):
+        out[g] = _papply(whi if inverse else wh, u[g])
+    return out
+
+
+def flat_jprod_all(cones, u, v):
+    out = np.zeros(cones.n)
+    nn = cones.nonneg_idx
+    out[nn] = u[nn] * v[nn]
+    for g in cones.soc_groups:
+        out[g] = _jprod(u[g], v[g])
+    return out
+
+
+def flat_jdiv_all(cones, lam, d):
+    out = np.zeros(cones.n)
+    nn = cones.nonneg_idx
+    out[nn] = d[nn] / lam[nn]
+    for g in cones.soc_groups:
+        out[g] = _jdiv(lam[g], d[g])
+    return out
+
+
+def flat_max_step(cones, u, du):
+    """Per member, the step of one pair alone, over the first half of each paired segment."""
+
+    def segmin(values, segments, out):
+        starts, owners = segments
+        if len(owners):
+            starts = starts[: len(owners)]  # the first of the two halves
+            out[owners] = np.fmin(out[owners], np.minimum.reduceat(values, starts))
+
+    alpha = np.full(cones.members, math.inf)
+    nn = cones.nonneg_idx
+    if len(nn):
+        un, dn = u[nn], du[nn]
+        neg = dn < 0
+        ratio = np.full(len(nn), math.inf)
+        ratio[neg] = -un[neg] / dn[neg]
+        segmin(ratio, cones.nonneg_seg, alpha)
+    for g, seg in zip(cones.soc_groups, cones.soc_seg):
+        segmin(_soc_step(u[g], du[g]), seg, alpha)
+    return alpha
+
+
+def flat_factor(st, w2, deltas):
+    """Refill st.K from every weight in one sum, slots kind by kind, and factor it."""
+    offs = np.cumsum([0] + [len(ws.pattern.kkt_indices) for ws in st.members])
+    soc_sizes = [g.shape[1] for g in st.cones.soc_groups]
+    kinds = ["q", "dx", "C", "dy", ("w2", 0)] + [("w2", k) for k in soc_sizes] + ["dz"]
+    slots = np.concatenate([
+        ws.pattern.slot_kinds[kind] + o for kind in kinds for ws, o in zip(st.members, offs)
+        if kind in ws.pattern.slot_kinds
+    ])
+    c_data = np.concatenate([np.tile(ws.c_data, 2) for ws in st.members])
+    dx, dy, dz = (st.spread(deltas, kind) for kind in "xyz")
+    weights = np.concatenate([st.q, dx, c_data, -dy, -w2, -dz])
+    st.K.data[:] = np.bincount(slots, weights=weights, minlength=len(st.K.data))
+    st.lu = None
+    try:
+        st.lu = spla.splu(st.K, permc_spec="NATURAL", **_DIAGONAL_PIVOTS)
+    except (RuntimeError, ValueError):
+        return False
+    st.delta = np.repeat(deltas, st.sizes)
+    return True
+
+
+def flat_scale_and_factor(st, s, z):
+    w_nn, soc_w, lam = flat_scaling(st.cones, s, z)
+    w2 = flat_w2_values(w_nn, soc_w)
+    deltas = [1e-9] * len(st.members)
+    if not flat_factor(st, w2, np.array(deltas)):
+        deltas = []
+        for ws, sl in zip(st.members, st.slices["z"]):
+            alone = _Stack([ws])
+            a_nn, a_soc, _ = flat_scaling(ws.cones, s[sl], z[sl])
+            a_w2 = flat_w2_values(a_nn, a_soc)
+            deltas.append(next(
+                (d for d in (1e-9, 1e-6) if flat_factor(alone, a_w2, np.array([d]))), None
+            ))
+        if None not in deltas:
+            assert flat_factor(st, w2, np.array(deltas))
+    return w_nn, soc_w, lam, deltas
+
+
+def flat_newton_step(st, x, y, s, z, r, mu, e):
+    r_d, r_p, r_g = r
+    w_nn, soc_w, lam, deltas = flat_scale_and_factor(st, s, z)
+    failed = [k for k, d in enumerate(deltas) if d is None]
+    if failed:
+        return failed, []
+    cones = st.cones
+    lam_lam = flat_jprod_all(cones, lam, lam)
+    mu, nu = mu.tolist(), st.nu.tolist()
+
+    def direction(d_target):
+        g = flat_jdiv_all(cones, lam, d_target)
+        wg = flat_apply_w(cones, w_nn, soc_w, g, False)
+        dx, dyt, dz = st.solve(-r_d, -r_p, -r_g - wg)
+        wdz = flat_apply_w(cones, w_nn, soc_w, dz, False)
+        ds = flat_apply_w(cones, w_nn, soc_w, g - wdz, False)
+        return dx, -dyt, ds, dz
+
+    dx_a, dy_a, ds_a, dz_a = direction(-lam_lam)
+    steps = zip(flat_max_step(cones, s, ds_a).tolist(), flat_max_step(cones, z, dz_a).tolist())
+    a_aff = st.spread([min(1.0, a_s, a_z) for a_s, a_z in steps], "z")
+    aff_gap = st.dots(s + a_aff * ds_a, z + a_aff * dz_a, "z")
+    sigma = [
+        min(1.0, max(0.0, (g / nu_k / mu_k) ** 3)) if mu_k > 0 else 0.0
+        for g, nu_k, mu_k in zip(aff_gap, nu, mu)
+    ]
+    wds = flat_apply_w(cones, w_nn, soc_w, ds_a, True)
+    wdz = flat_apply_w(cones, w_nn, soc_w, dz_a, False)
+    sigma_mu = st.spread([sg * mu_k for sg, mu_k in zip(sigma, mu)], "z")
+    dx, dy, ds, dz = direction(sigma_mu * e - lam_lam - flat_jprod_all(cones, wds, wdz))
+    st.lu = None
+    steps = zip(flat_max_step(cones, s, ds).tolist(), flat_max_step(cones, z, dz).tolist())
+    alpha = [min(1.0, 0.99 * a_s, 0.99 * a_z) for a_s, a_z in steps]
+    stalled = [k for k, a in enumerate(alpha) if not math.isfinite(a) or a <= 1e-14]
+    moving = np.ones(len(alpha), dtype=bool)
+    moving[stalled] = False
+    for v, dv, kind in ((x, dx, "x"), (y, dy, "y"), (s, ds, "z"), (z, dz, "z")):
+        step = st.spread(alpha, kind) * dv
+        if stalled:
+            rows = st.spread(moving, kind)
+            v[rows] += step[rows]
+        else:
+            v += step
+    return [], stalled
+
+
+def layout_program(rng, cones, m):
+    """A program with the given cones, m equality rows and random data."""
+    p = sum(cb.size for cb in cones)
+    n = int(rng.integers(3, 7))
+    G = sp.random(p, n, density=0.6, random_state=rng, format="csr") + sp.eye(p, n, format="csr")
+    A = sp.random(m, n, density=0.6, random_state=rng, format="csr") + sp.eye(m, n, format="csr")
+    return ConicProgram(
+        c=rng.normal(size=n), A=A, b=rng.normal(size=m), G=G, h=rng.normal(size=p),
+        cones=cones, q=rng.uniform(0.0, 1.0, size=n),
+    )
+
+
+def with_new_data(rng, prog):
+    """prog's sparsity pattern with new data."""
+    def rescaled(M):
+        return sp.csr_matrix(
+            (M.data * rng.uniform(0.5, 2.0, M.nnz), M.indices.copy(), M.indptr.copy()),
+            shape=M.shape,
+        )
+
+    return replace(
+        prog, A=rescaled(prog.A), G=rescaled(prog.G), c=rng.normal(size=prog.n_vars),
+        b=rng.normal(size=prog.n_eq), h=rng.normal(size=len(prog.h)),
+        q=rng.uniform(0.0, 1.0, size=prog.n_vars),
+    )
+
+
+def round_stack(seed):
+    """Four members on two random_layout patterns: three without equality
+    rows and, second, one with them.  Returns the stack and a state in the
+    cone's interior with its residuals; member 2's cone residual is scaled
+    by 1e30, so its step collapses."""
+    rng = np.random.default_rng(seed)
+    first = layout_program(rng, random_layout(rng), 0)
+    progs = [first, layout_program(rng, random_layout(rng), 2)]
+    progs += [with_new_data(rng, first) for _ in range(2)]
+    patterns: dict = {}
+    st = _Stack([_Workspace(prog, patterns) for prog in progs])
+    assert len(patterns) == 2
+    x, y = rng.normal(size=st.n), rng.normal(size=st.m)
+    s = np.concatenate([interior_point(rng, prog.cones) for prog in progs])
+    z = np.concatenate([interior_point(rng, prog.cones) for prog in progs])
+    r_d, r_p, r_g = st.residuals(x, y, s, z)
+    r_g[st.slices["z"][2]] *= 1e30
+    mu = np.array(st.dots(s, z, "z")) / st.nu
+    return st, (x, y, s, z), (r_d, r_p, r_g), mu, st.cones.identity()
+
+
+class TestRoundAgainstFlatRound:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "singular_at, expect",
+        [((), ([], [2])), ((-1e-9,), ([], [2])), ((-1e-9, -1e-6), ([1], []))],
+        ids=["delta 1e-9", "member 1 at 1e-6", "member 1 singular"],
+    )
+    def test_round_is_bit_identical(self, monkeypatch, seed, singular_at, expect):
+        # SuperLU fails on a matrix whose diagonal holds -delta for the
+        # listed deltas: only member 1 has equality rows, so only its block
+        # has that diagonal, and it settles at 1e-6 or at neither
+        splu = spla.splu
+        factored = []
+
+        def fake(A, **kwargs):
+            if np.isin(A.diagonal(), singular_at).any():
+                raise RuntimeError("Factor is exactly singular")
+            factored.append(A.shape[0])
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", fake)
+        st, state, r, mu, e = round_stack(seed)
+        ours, theirs = [v.copy() for v in state], [v.copy() for v in state]
+        with np.errstate(all="ignore"):
+            got = _newton_step(st, *ours, r, mu, e)
+            want = flat_newton_step(st, *theirs, r, mu, e)
+        assert got == want == expect
+        assert factored and all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+        if not expect[0]:
+            member_1 = np.split(st.delta, np.cumsum(st.sizes)[:-1])[1]
+            assert set(member_1) == {1e-6 if singular_at else 1e-9}
+        moved = [not np.array_equal(a, b) for a, b in zip(ours, state)]
+        assert moved == [not expect[0]] * 4
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fused_step_search_equals_two_searches(self, seed):
+        st, (x, y, s, z), *_ = round_stack(seed)
+        cones = st.cones
+        rng = np.random.default_rng(100 + seed)
+        ds, dz = rng.normal(size=cones.n), rng.normal(size=cones.n)
+        # member 0 moves along its own point in both (an infinite step),
+        # member 3 only in s; at one NonNeg row of member 1, s is NaN, which
+        # the search of s alone ignores, and z falls fast enough to make it
+        # member 1's least step
+        for k, both in ((0, True), (3, False)):
+            sl = st.slices["z"][k]
+            ds[sl] = s[sl]
+            if both:
+                dz[sl] = z[sl]
+        sl = st.slices["z"][1]
+        row = next(i for i in cones.nonneg_idx if sl.start <= i < sl.stop)
+        s[row], ds[row], dz[row] = np.nan, -1.0, -1e3
+        with np.errstate(invalid="ignore"):
+            fused = cones.max_step(*(cones.blocks(u) for u in (s, ds, z, dz)))
+            apart = np.minimum(flat_max_step(cones, s, ds), flat_max_step(cones, z, dz))
+        assert np.array_equal(fused, apart)
+        assert fused[0] == math.inf and math.isfinite(fused[3])
+        assert fused[1] == z[row] / 1e3
