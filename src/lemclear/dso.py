@@ -156,13 +156,13 @@ class DsoOutput:
     lines_oriented: tuple[tuple[int, int], ...]
 
 
-def assemble_branch_flow(net: NetworkModel, feeder: FeederIndex | None = None) -> BranchFlowProgram:
+def assemble_branch_flow(net: NetworkModel) -> BranchFlowProgram:
     """Build the hourly network program's structure, shared by every hour.
 
     Injections and the loss terms are zero; ``hour_programs`` writes each
     hour's into a copy.
     """
-    fd = feeder if feeder is not None else orient_feeder(net)
+    fd = orient_feeder(net)
     F = len(net.lines)
     N = len(net.buses)
 

@@ -63,6 +63,24 @@ class ScenarioFormatError(ValueError):
 
 # JSON values a dataclass field of each annotated type accepts (bool excluded)
 _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+# the manifest's top-level settings and their types; its floats must be finite
+_MANIFEST_TYPES = {"base_mva": "float", "base_kv": "float", "horizon": "int", "dt": "float",
+                   "units": "str"}
+
+
+def _type_issues(data: dict, types: dict[str, str], where: str, finite: bool = False) -> list[str]:
+    """What is wrong with the values of ``data`` under the keys of ``types``:
+    each must be a JSON value of its type and, with ``finite``, a float finite."""
+    issues = []
+    for key, kind in types.items():
+        if key not in data:
+            continue
+        value = data[key]
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+            issues.append(f"{where}: {key!r} must be {kind}, got {value!r}")
+        elif finite and kind == "float" and not math.isfinite(value):
+            issues.append(f"{where}: {key!r} must be finite, got {value!r}")
+    return issues
 
 
 def _keywords(cls, data, where: str) -> dict:
@@ -71,12 +89,8 @@ def _keywords(cls, data, where: str) -> dict:
     if not isinstance(data, dict):
         raise ScenarioFormatError([f"{where}: expected a JSON object, got {type(data).__name__}"])
     types = {f.name: f.type for f in fields(cls)}
-    issues = []
-    for key, value in data.items():
-        if key not in types:
-            issues.append(f"{where}: unknown key {key!r}")
-        elif isinstance(value, bool) or not isinstance(value, _JSON_TYPES[types[key]]):
-            issues.append(f"{where}: {key!r} must be {types[key]}, got {value!r}")
+    issues = [f"{where}: unknown key {key!r}" for key in data if key not in types]
+    issues += _type_issues(data, types, where)
     if issues:
         raise ScenarioFormatError(issues)
     return data
@@ -220,8 +234,10 @@ def read_tables(scen_dir: str | Path) -> ScenarioTables:
             for lineno, raw in enumerate(reader, start=2):
                 row: dict = {}
                 for col in _COLUMNS[name]:
-                    cell = raw[col]
+                    cell = raw[col]  # None when the row ends before this column
                     try:
+                        if cell is None:
+                            raise ValueError
                         if col in ("id", "bus", "from", "to", "t", "t_arrive",
                                    "t_depart", "t_max", "active", "is_pcc") and name != "prosumers":
                             row[col] = int(cell)
@@ -233,8 +249,12 @@ def read_tables(scen_dir: str | Path) -> ScenarioTables:
                             row[col] = cell
                         else:
                             row[col] = float(cell)
+                            if not math.isfinite(row[col]):
+                                raise ValueError
                     except ValueError:
-                        issues.append(f"malformed value {cell!r} at {name}.csv:{lineno}")
+                        issues.append(
+                            f"malformed value {cell!r} for {col!r} at {name}.csv:{lineno}"
+                        )
                         row[col] = 0.0
                 rows.append(row)
             parts[name] = rows
@@ -245,14 +265,12 @@ def read_tables(scen_dir: str | Path) -> ScenarioTables:
 
 def assemble_scenario(tables: ScenarioTables) -> Scenario:
     """Cross-validate the tables and build a per-unit scenario."""
-    issues: list[str] = []
     man = tables.manifest
-    for key in ("base_mva", "base_kv", "horizon", "dt", "units"):
-        if key not in man:
-            issues.append(f"manifest.json: missing key {key!r}")
+    issues = [f"manifest.json: missing key {key!r}" for key in _MANIFEST_TYPES if key not in man]
+    issues += _type_issues(man, _MANIFEST_TYPES, "manifest.json", finite=True)
     if issues:
         raise ScenarioFormatError(issues)
-    T = int(man["horizon"])
+    T = man["horizon"]
 
     bus_ids = {row["id"] for row in tables.buses}
     for i, row in enumerate(tables.lines, start=2):

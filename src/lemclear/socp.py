@@ -16,11 +16,12 @@ read directly as a marginal price.
 What a solve derives from a program's sparsity pattern alone (``_Pattern``:
 the cone layout, the index arrays of C = [A; G] and C', the KKT ordering
 and its slots) is built once per distinct pattern among the solve's
-programs and shared by all of them; each program's own workspace
-(``_Workspace``) holds only its data.  Both live for that solve only.  The
-cone layout groups the second-order blocks by size into (n_blocks, k)
-index arrays, so the Jordan algebra and the NT scaling run as one numpy
-call per size group rather than a Python loop over blocks.
+programs and shared by all of them, for that solve only; a program of the
+solve is its (program, pattern) pair, and its data is read where it is
+stacked (``_Stack``).  The cone layout groups the second-order blocks by
+size into (n_blocks, k) index arrays, so the Jordan algebra and the NT
+scaling run as one numpy call per size group rather than a Python loop
+over blocks.
 
 The regularized KKT matrix
 
@@ -71,7 +72,11 @@ toward zero on nearly singular programs and stall the iteration, so a
 program that ends non-optimal without a certificate of infeasibility or
 unboundedness is run again, on its own, with SuperLU's partial pivoting.
 Either way an optimal answer is only returned when residuals computed from
-the program itself, not from the factorization, meet the tolerance.
+the program itself, not from the factorization, meet the tolerance.  Each
+round evaluates the residuals once, and every ending reports them: a
+program that converges, diverges, stalls or cannot be factored those of
+the round it ends in, a program stopped at its iteration cap those of its
+best iterate.
 
 A program may be given a start: the (x, y, s, z) of a solution with its
 columns, rows and cones, typically of a similar program solved just before
@@ -103,7 +108,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -720,105 +724,61 @@ class _Pattern:
         self.slot_kinds = {key: slots[a:b] for key, a, b in zip(keys, bounds[:-1], bounds[1:])}
 
 
-def _residuals(prog, CT: sp.csr_matrix, x, y, s, z):
-    """Dual residual Qx + c - A'y + G'z and primal residuals Ax - b, Gx + s - h.
-
-    ``prog`` is a program or a stack of programs (anything with q, c, A, b,
-    G and h), ``CT`` the transpose of its [A; G].
-    """
-    return (
-        prog.q * x + prog.c - CT @ np.concatenate([y, -z]),
-        prog.A @ x - prog.b,
-        prog.G @ x + s - prog.h,
+def _solution(prog: ConicProgram, status: str, point, iters: int, norms) -> ConicSolution:
+    """The solution at copies of the point (x, y, s, z); ``norms`` starts with
+    the primal and dual residual norms there."""
+    x, y, s, z = (v.copy() for v in point)
+    return ConicSolution(
+        status=status,
+        x=x,
+        y=y,
+        z=z,
+        s=s,
+        obj=prog.objective(x),
+        residuals={"primal": float(norms[0]), "dual": float(norms[1]), "gap": abs(float(s @ z))},
+        iterations=iters,
     )
 
 
-class _Workspace:
-    """One program of a solve: its pattern, shared, and its own data.
+def _classify(prog: ConicProgram, point, norms, iters: int, scale: float = 1e8):
+    """Divergence heuristics at the point (x, y, s, z); ties favor infeasible.
 
-    ``pattern`` is the ``_Pattern`` of every program of the solve with this
-    program's sparsity pattern, found in or added to ``patterns``, so what
-    depends on the pattern alone is computed once per pattern.  The
-    workspace itself holds the program, C's stored entries ``c_data`` for
-    C = [A; G] and C''s ``ct_data`` (so one product serves both row sets
-    of the dual residual), the residual norms of its data, and
-    ``certified``, which records whether the last ``classify`` verdict
-    passed a certificate test.  A workspace belongs to one solve; nothing
-    is cached between solves.
+    ``norms`` holds the primal and dual residual norms at the point and the
+    norm of C'(y, -z) for C = [A; G].  Primal infeasibility shows as a
+    diverging dual ray with positive b'y - h'z and vanishing homogeneous
+    residual C'(y, -z); unboundedness as a diverging primal ray that stays
+    feasible in both row sets with negative linear objective along the ray.
+    Returns the verdict and whether one of these certificates backs it; the
+    fallback for iterates that diverged with both certificates weak has none.
     """
+    x, y, s, z = point
+    primal, _, hom = norms
+    xs = _norm(x, s)
+    ys = _norm(y) + _norm(z)
+    status = ITER_LIMIT
+    if ys > scale:
+        if float(prog.b @ y - prog.h @ z) > 1e-8 * ys and hom / ys <= 1e-6:
+            status = INFEASIBLE
+    if status == ITER_LIMIT and xs > scale:
+        lin_ray = float(prog.c @ x + prog.q @ (x * x)) / xs
+        if primal / xs <= 1e-6 and lin_ray < -1e-8:
+            status = UNBOUNDED
+    certified = status != ITER_LIMIT
+    if not certified and (ys > scale or xs > scale):
+        # both certificates weak but iterates clearly diverged
+        status = INFEASIBLE if ys >= xs else UNBOUNDED
+    return _solution(prog, status, point, iters, norms), certified
 
-    def __init__(self, prog: ConicProgram, patterns: dict | None = None):
-        self.prog = prog
-        patterns = {} if patterns is None else patterns
-        key = _pattern_key(prog)
+
+def _members(progs: list[ConicProgram]) -> list[tuple[ConicProgram, _Pattern]]:
+    """The lockstep members of a solve: each program with its ``_Pattern``,
+    one built per distinct sparsity pattern and shared by its programs."""
+    keys = [_pattern_key(prog) for prog in progs]
+    patterns: dict = {}
+    for prog, key in zip(progs, keys):
         if key not in patterns:
             patterns[key] = _Pattern(prog)
-        pat = self.pattern = patterns[key]
-        self.n, self.m, self.p, self.cones = pat.n, pat.m, pat.p, pat.cones
-        A, G = prog.A, prog.G
-        self.c_data = np.concatenate([A.data[: A.nnz], G.data[: G.nnz]])
-        self.ct_data = self.c_data[pat.ct_order]
-        self.bnorm = 1.0 + _norm(prog.b, prog.h)
-        self.cnorm = 1.0 + _norm(prog.c)
-        self.certified = False
-
-    @cached_property
-    def CT(self) -> sp.csr_matrix:
-        """C' of the program, built on first use: a program that ends optimal
-        takes its residuals from the stack and never needs it."""
-        pat = self.pattern
-        return sp.csr_matrix(
-            (self.ct_data, pat.ct_indices, pat.ct_indptr), shape=(self.n, self.m + self.p)
-        )
-
-    def residuals(self, x, y, s, z):
-        return _residuals(self.prog, self.CT, x, y, s, z)
-
-    def finish(self, status, x, y, s, z, iters, residuals=None) -> ConicSolution:
-        """The solution at (x, y, s, z); ``residuals`` are the program's
-        residuals there when a stack has computed them already."""
-        x, y, s, z = x.copy(), y.copy(), s.copy(), z.copy()
-        r_d, r_p, r_g = self.residuals(x, y, s, z) if residuals is None else residuals
-        return ConicSolution(
-            status=status,
-            x=x,
-            y=y,
-            z=z,
-            s=s,
-            obj=self.prog.objective(x),
-            residuals={"primal": _norm(r_p, r_g), "dual": _norm(r_d), "gap": abs(float(s @ z))},
-            iterations=iters,
-        )
-
-    def classify(self, x, y, s, z, iters, scale=1e8) -> ConicSolution:
-        """Divergence heuristics; ties favor infeasible.
-
-        Primal infeasibility shows as a diverging dual ray with positive
-        b'y - h'z and vanishing homogeneous residual A'y - G'z; unboundedness
-        as a diverging primal ray that stays feasible in both row sets with
-        negative linear objective along the ray.  Either certificate sets
-        ``certified``; the fallback for iterates that diverged with both
-        certificates weak does not.
-        """
-        prog = self.prog
-        xs = _norm(x, s)
-        ys = _norm(y) + _norm(z)
-        status = ITER_LIMIT
-        if ys > scale:
-            hom_d = _norm(self.CT @ np.concatenate([y, -z])) / ys
-            if float(prog.b @ y - prog.h @ z) > 1e-8 * ys and hom_d <= 1e-6:
-                status = INFEASIBLE
-        if status == ITER_LIMIT and xs > scale:
-            _, r_p, r_g = self.residuals(x, y, s, z)
-            pr_ray = _norm(r_p, r_g) / xs
-            lin_ray = float(prog.c @ x + prog.q @ (x * x)) / xs
-            if pr_ray <= 1e-6 and lin_ray < -1e-8:
-                status = UNBOUNDED
-        self.certified = status != ITER_LIMIT
-        if status == ITER_LIMIT and (ys > scale or xs > scale):
-            # both certificates weak but iterates clearly diverged
-            status = INFEASIBLE if ys >= xs else UNBOUNDED
-        return self.finish(status, x, y, s, z, iters)
+    return [(prog, patterns[key]) for prog, key in zip(progs, keys)]
 
 
 def _rows(data: list[np.ndarray], cols: list[np.ndarray], counts: list[np.ndarray], n_cols: int):
@@ -837,21 +797,23 @@ def _rows(data: list[np.ndarray], cols: list[np.ndarray], counts: list[np.ndarra
 class _Stack:
     """The live members of a lockstep solve as one block-diagonal system.
 
-    Vectors hold the members one after the other within each kind: x is
-    (x_1, ..., x_K), likewise y and z, and s is laid out as z.  The residual
-    products use A, G and C' with each member's rows in their stored order,
-    and the KKT matrix is block diagonal: member k's block is its own
-    permuted matrix, so the factorization eliminates each block in that
-    block's own ordering and every member's factor, solves and residuals
-    come out exactly as they would for the member alone.  The weights of the
-    KKT data are summed kind by kind, which keeps each slot's summation
-    order that of the member alone: the constant ones (Q, C' and C) once
-    per stack into ``fixed``, and each round's (delta and -W^2) onto them.
-    Only the x diagonal takes both kinds, and there (0 + q) + delta is
-    q + delta whichever sum comes first.  ``pivoting``
-    selects SuperLU's partial pivoting over static diagonal pivots; it is
-    only used for single members, since its column ordering spans the whole
-    matrix.
+    A member is a (program, pattern) pair.  Vectors hold the members one
+    after the other within each kind: x is (x_1, ..., x_K), likewise y and
+    z, and s is laid out as z.  The residual products use A, G and C' with
+    each member's rows in their stored order, and the KKT matrix is block
+    diagonal: member k's block is its own permuted matrix, so the
+    factorization eliminates each block in that block's own ordering and
+    every member's factor, solves and residuals come out exactly as they
+    would for the member alone.  ``bnorm`` and ``cnorm`` are 1 plus each
+    member's largest entry of (b, h) and of c, by which its residuals are
+    measured.  The weights of the KKT data are summed kind by kind, which
+    keeps each slot's summation order that of the member alone: the
+    constant ones (Q, C' and C) once per stack into ``fixed``, and each
+    round's (delta and -W^2) onto them.  Only the x diagonal takes both
+    kinds, and there (0 + q) + delta is q + delta whichever sum comes
+    first.  ``pivoting`` selects SuperLU's partial pivoting over static
+    diagonal pivots; it is only used for single members, since its column
+    ordering spans the whole matrix.
 
     Consecutive members on one pattern form a run.  Every index array (A's,
     G's and C''s columns, K's pattern, the ordering, the slots and the cone
@@ -860,15 +822,15 @@ class _Stack:
     over the members each.
     """
 
-    def __init__(self, members: list[_Workspace], pivoting: bool = False):
+    def __init__(self, members: list[tuple[ConicProgram, _Pattern]], pivoting: bool = False):
         self.members = members
         self.pivoting = pivoting
         runs: list[list] = []  # [pattern, members] per run
-        for ws in members:
-            if runs and runs[-1][0] is ws.pattern:
+        for _, pat in members:
+            if runs and runs[-1][0] is pat:
                 runs[-1][1] += 1
             else:
-                runs.append([ws.pattern, 1])
+                runs.append([pat, 1])
         pats, counts = [pt for pt, _ in runs], [k for _, k in runs]
 
         def each(values: list) -> np.ndarray:
@@ -899,31 +861,33 @@ class _Stack:
         ]
 
         self.cones = _Cones.stack([(pt.cones, o["z"]) for pt, k, o in at])
-        progs = [ws.prog for ws in members]
+        progs = [pr for pr, _ in members]
         self.q, self.c, self.b, self.h = (
             np.concatenate([getattr(pr, a) for pr in progs]) for a in ("q", "c", "b", "h")
         )
-        self.bnorm = np.array([ws.bnorm for ws in members])
-        self.cnorm = np.array([ws.cnorm for ws in members])
+        self.bnorm = 1.0 + np.maximum(self.norms(self.b, "y"), self.norms(self.h, "z"))
+        self.cnorm = 1.0 + self.norms(self.c, "x")
         # barrier degrees, floored at 1 so mu stays defined without cone rows
         self.nu = each([max(pt.cones.degree, 1) for pt in pats])
 
-        # C's stored entries are A's, then G's
         self.A = _rows(
-            [ws.c_data[: len(ws.pattern.a_cols)] for ws in members],
+            [pr.A.data[: pr.A.nnz] for pr in progs],
             [_shifted(pt.a_cols, o["x"]) for pt, k, o in at],
             [np.tile(pt.a_counts, k) for pt, k, o in at],
             n,
         )
         self.G = _rows(
-            [ws.c_data[len(ws.pattern.a_cols) :] for ws in members],
+            [pr.G.data[: pr.G.nnz] for pr in progs],
             [_shifted(pt.g_cols, o["x"]) for pt, k, o in at],
             [np.tile(pt.g_counts, k) for pt, k, o in at],
             n,
         )
-        # C''s columns are the stack's (y, z): a member's y, and its z after all y
+        # C = [A; G] stored entries, A's then G's, per member; C' holds them
+        # reordered, and its columns are the stack's (y, z): a member's y,
+        # and its z after all y
+        c_data = [np.concatenate([pr.A.data[: pr.A.nnz], pr.G.data[: pr.G.nnz]]) for pr in progs]
         self.CT = _rows(
-            [ws.ct_data for ws in members],
+            [d[pat.ct_order] for d, (_, pat) in zip(c_data, members)],
             [
                 _shifted(pt.ct_indices, np.column_stack([o["y"], m - pt.m + o["z"]]), pt.ct_part)
                 for pt, k, o in at
@@ -959,9 +923,10 @@ class _Stack:
                 for kind in kinds for pt, k, o in at if kind in pt.slot_kinds
             ])
 
-        c_data = [d for ws in members for d in (ws.c_data, ws.c_data)]
         self.fixed = np.bincount(
-            slots(["q", "C"]), weights=np.concatenate([self.q] + c_data), minlength=len(self.K.data)
+            slots(["q", "C"]),
+            weights=np.concatenate([self.q] + [w for d in c_data for w in (d, d)]),
+            minlength=len(self.K.data),
         )
         w2_kinds = [("w2", 0)] + [("w2", g.shape[1]) for g in self.cones.soc_groups]
         self.slots = slots(["dx", "dy"] + w2_kinds + ["dz"])
@@ -997,7 +962,11 @@ class _Stack:
         return [v[masks[kind]] for v, kind in vectors]
 
     def residuals(self, x, y, s, z):
-        return _residuals(self, self.CT, x, y, s, z)
+        """The dual residual Qx + c - A'y + G'z, the primal residuals Ax - b
+        and Gx + s - h, and C'(y, -z) for C = [A; G], the dual residual's
+        part that the infeasibility certificate reads."""
+        ct_yz = self.CT @ np.concatenate([y, -z])
+        return self.q * x + self.c - ct_yz, self.A @ x - self.b, self.G @ x + s - self.h, ct_yz
 
     def kkt(self, w2: np.ndarray, deltas: np.ndarray) -> sp.csc_matrix:
         """Refill K, the block-diagonal permuted KKT matrix, for W^2's entries
@@ -1046,21 +1015,21 @@ _MAX_ITER = 200
 _WARM_MAX_ITER = 50
 
 
-def _checked_start(ws: _Workspace, start: Start) -> Start:
-    """``start`` as arrays, after checking its (x, y, s, z) sizes against ws's program."""
+def _checked_start(pat: _Pattern, start: Start) -> Start:
+    """``start`` as arrays, after checking its (x, y, s, z) sizes against the pattern's."""
     parts = tuple(np.asarray(v, dtype=float) for v in start)
-    if [v.shape for v in parts] != [(ws.n,), (ws.m,), (ws.p,), (ws.p,)]:
+    if [v.shape for v in parts] != [(pat.n,), (pat.m,), (pat.p,), (pat.p,)]:
         raise ValueError(
             f"start of sizes {[v.shape for v in parts]} for a program with "
-            f"{ws.n} columns, {ws.m} equality rows and {ws.p} cone rows"
+            f"{pat.n} columns, {pat.m} equality rows and {pat.p} cone rows"
         )
     return parts
 
 
-def _delta_alone(ws: _Workspace, s: np.ndarray, z: np.ndarray, pivoting: bool) -> float | None:
-    """The regularization at which ws's KKT matrix factors on its own at (s, z), if any."""
-    alone = _Stack([ws], pivoting)
-    w2 = _Scaling(ws.cones, s, z).w2_values()
+def _delta_alone(member, s: np.ndarray, z: np.ndarray, pivoting: bool) -> float | None:
+    """The regularization at which a member's KKT matrix factors on its own at (s, z), if any."""
+    alone = _Stack([member], pivoting)
+    w2 = _Scaling(member[1].cones, s, z).w2_values()
     for delta in (1e-9, 1e-6):
         if alone.factor(w2, np.array([delta])):
             return delta
@@ -1098,43 +1067,48 @@ def solve_socp_batch(
     starts = [None] * len(progs) if starts is None else list(starts)
     if len(starts) != len(progs):
         raise ValueError(f"{len(starts)} starts for {len(progs)} programs")
-    patterns: dict = {}
-    members = [_Workspace(prog, patterns) for prog in progs]
+    members = _members(progs)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sols = _ipm_loop(members, tol, starts=starts)
+        ends = _ipm_loop(members, tol, starts=starts)
         # a warm start that ends without an answer or a certificate is
         # given up: such programs run again from the cold point
         cold = [
-            i for i, (ws, sol) in enumerate(zip(members, sols))
-            if starts[i] is not None and sol.status != OPTIMAL and not ws.certified
+            i for i, (sol, certified) in enumerate(ends)
+            if starts[i] is not None and sol.status != OPTIMAL and not certified
         ]
         if cold:
-            for i, again in zip(cold, _ipm_loop([members[i] for i in cold], tol)):
-                again.iterations += sols[i].iterations
-                sols[i] = again
-        for i, (ws, sol) in enumerate(zip(members, sols)):
-            if sol.status != OPTIMAL and not ws.certified:
+            for i, (again, certified) in zip(cold, _ipm_loop([members[i] for i in cold], tol)):
+                again.iterations += ends[i][0].iterations
+                ends[i] = again, certified
+        sols = []
+        for member, (sol, certified) in zip(members, ends):
+            if sol.status != OPTIMAL and not certified:
                 # a static pivot can shrink toward zero on nearly singular
                 # systems; rerun the program alone under partial pivoting
-                (again,) = _ipm_loop([ws], tol, pivoting=True)
+                ((again, _),) = _ipm_loop([member], tol, pivoting=True)
                 again.iterations += sol.iterations
-                sols[i] = again
+                sol = again
+            sols.append(sol)
     return sols
 
 
-def _ipm_loop(members: list[_Workspace], tol: float, pivoting: bool = False, starts=None):
-    """Mehrotra predictor-corrector on the programs of ``members`` in lockstep.
+def _ipm_loop(members: list[tuple[ConicProgram, _Pattern]], tol: float, pivoting=False, starts=None):
+    """Mehrotra predictor-corrector on the (program, pattern) ``members`` in lockstep.
 
     Every round takes one iteration of each live member.  Members share the
-    factorization of the block-diagonal KKT matrix and the vectorized cone
-    algebra; step lengths, centering, the stop and divergence tests, the
-    best iterate and the iteration count stay each member's own.  A member
-    that finishes leaves the stack.  ``starts`` holds each member's warm
-    start or None (all cold when omitted); a cold member stops after
-    ``_MAX_ITER`` iterations, a warm one after ``_WARM_MAX_ITER``.  Returns
-    one solution per member.
+    factorization of the block-diagonal KKT matrix, the vectorized cone
+    algebra and one residual evaluation; step lengths, centering, the stop
+    and divergence tests, the best iterate and the iteration count stay each
+    member's own.  A member that finishes leaves the stack, and its solution
+    reports the residual norms its round computed (a member at its cap, those
+    of its best iterate).  ``starts`` holds each member's warm start or None
+    (all cold when omitted); a cold member stops after ``_MAX_ITER``
+    iterations, a warm one after ``_WARM_MAX_ITER``.  Returns one
+    (solution, certified) pair per member, ``certified`` telling whether a
+    certificate backs a non-optimal verdict.
     """
-    done: list[ConicSolution | None] = [None] * len(members)
+    done: list[tuple | None] = [None] * len(members)
+    # per member: (score, copy of the point, its residual norms) of its best iterate
     best: list[tuple | None] = [None] * len(members)
     live = list(range(len(members)))  # the member at each position of the stack
     st = _Stack(members, pivoting)
@@ -1149,7 +1123,7 @@ def _ipm_loop(members: list[_Workspace], tol: float, pivoting: bool = False, sta
     z = e * st.spread(np.maximum(1.0, np.sqrt(st.cnorm)), "z")
     for k, start in enumerate(starts):
         if start is not None:
-            for v, part in zip(st.part(k, x, y, s, z), _checked_start(members[k], start)):
+            for v, part in zip(st.part(k, x, y, s, z), _checked_start(members[k][1], start)):
                 v *= 1.0 - _WARM
                 v += _WARM * part
 
@@ -1169,53 +1143,62 @@ def _ipm_loop(members: list[_Workspace], tol: float, pivoting: bool = False, sta
 
     # every member ends at its limit at the latest, so the last round returns
     for it in range(1, max(limits) + 1):
-        r_d, r_p, r_g = st.residuals(x, y, s, z)
+        r_d, r_p, r_g, ct_yz = st.residuals(x, y, s, z)
         gap = st.dots(s, z, "z")
         mu = np.array(gap) / st.nu
-        rel_p = np.maximum(st.norms(r_p, "y"), st.norms(r_g, "z")) / st.bnorm
-        rel_d = st.norms(r_d, "x") / st.cnorm
+        # per member (rows): the primal and dual residual norms and |C'(y, -z)|
+        norms = np.column_stack([
+            np.maximum(st.norms(r_p, "y"), st.norms(r_g, "z")),
+            st.norms(r_d, "x"),
+            st.norms(ct_yz, "x"),
+        ])
+        rel_p = norms[:, 0] / st.bnorm
+        rel_d = norms[:, 1] / st.cnorm
         big_p = np.maximum(st.norms(x, "x"), st.norms(s, "z")) > 1e8
         big_d = st.norms(y, "y") + st.norms(z, "z") > 1e8
         ended = []
         for k, i in enumerate(live):
-            ws = members[i]
+            prog = members[i][0]
             part = st.part(k, x, y, s, z)
-            rel_g = abs(gap[k]) / (1.0 + abs(ws.prog.objective(part[0])))
+            rel_g = abs(gap[k]) / (1.0 + abs(prog.objective(part[0])))
             if rel_p[k] <= tol and rel_d[k] <= tol and rel_g <= tol:
-                sx, sy, sz = (st.slices[kind][k] for kind in "xyz")
-                done[i] = ws.finish(OPTIMAL, *part, it, (r_d[sx], r_p[sy], r_g[sz]))
+                done[i] = _solution(prog, OPTIMAL, part, it, norms[k]), False
                 ended.append(k)
                 continue
             score = rel_p[k] + rel_d[k] + rel_g
             if best[i] is None or score < best[i][0]:
-                best[i] = (score, *(v.copy() for v in part))
+                best[i] = (score, [v.copy() for v in part], norms[k])
             if big_p[k] or big_d[k]:
-                verdict = ws.classify(*part, it)
-                if verdict.status != ITER_LIMIT:
+                verdict = _classify(prog, part, norms[k], it)
+                if verdict[0].status != ITER_LIMIT:
                     done[i] = verdict
                     ended.append(k)
-        state = [x, y, s, z, r_d, r_p, r_g, mu]
+        state = [x, y, s, z, r_d, r_p, r_g, mu, norms]
         while True:
             if ended:
-                state = drop(ended, *zip(state, "xyzzxyzk"))
+                state = drop(ended, *zip(state, "xyzzxyzkk"))
                 if not live:
                     return done
-            x, y, s, z, r_d, r_p, r_g, mu = state
+            x, y, s, z, r_d, r_p, r_g, mu, norms = state
             singular, stalled = _newton_step(st, x, y, s, z, (r_d, r_p, r_g), mu, e)
             if not singular:
                 break
             # a member whose KKT block factors at neither regularization ends here
             for k in singular:
-                done[live[k]] = st.members[k].classify(*st.part(k, x, y, s, z), it)
+                done[live[k]] = _classify(st.members[k][0], st.part(k, x, y, s, z), norms[k], it)
             ended = singular
+        # a stalled member was left where it was, at the round's residuals
         for k in stalled:
-            done[live[k]] = st.members[k].classify(*st.part(k, x, y, s, z), it, scale=1e5)
-        # iteration cap: a member at its limit reports the best iterate seen
+            done[live[k]] = _classify(
+                st.members[k][0], st.part(k, x, y, s, z), norms[k], it, scale=1e5
+            )
+        # iteration cap: a member at its limit reports the best iterate seen,
+        # which this round's check has set at the latest
         capped = [k for k, i in enumerate(live) if limits[i] == it and k not in stalled]
         for k in capped:
             i = live[k]
-            part = best[i][1:] if best[i] is not None else st.part(k, x, y, s, z)
-            done[i] = members[i].finish(ITER_LIMIT, *part, it)
+            _, part, part_norms = best[i]
+            done[i] = _solution(members[i][0], ITER_LIMIT, part, it, part_norms), False
         if stalled or capped:
             ended = sorted(set(stalled) | set(capped))
             x, y, s, z = drop(ended, (x, "x"), (y, "y"), (s, "z"), (z, "z"))
@@ -1313,8 +1296,8 @@ def _scale_and_factor(st: _Stack, s: np.ndarray, z: np.ndarray):
     deltas = [1e-9] * len(st.members)
     if not st.factor(w2, np.array(deltas)):
         deltas = [
-            _delta_alone(ws, s[sl], z[sl], st.pivoting)
-            for ws, sl in zip(st.members, st.slices["z"])
+            _delta_alone(member, s[sl], z[sl], st.pivoting)
+            for member, sl in zip(st.members, st.slices["z"])
         ]
         if None not in deltas and not st.factor(w2, np.array(deltas)):
             raise RuntimeError("the stacked KKT matrix failed to factor where its blocks did")

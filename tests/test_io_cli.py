@@ -215,6 +215,51 @@ class TestCli:
         err = capsys.readouterr().err
         assert "input error" in err and "'rhoo'" in err
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("horizon", None, "'horizon' must be int"),
+        ("horizon", 2.5, "'horizon' must be int"),
+        ("dt", None, "'dt' must be float"),
+        ("base_mva", None, "'base_mva' must be float"),
+        ("base_kv", None, "'base_kv' must be float"),
+        ("dt", float("nan"), "'dt' must be finite"),
+        ("base_mva", float("inf"), "'base_mva' must be finite"),
+        ("base_kv", -float("inf"), "'base_kv' must be finite"),
+        ("units", 1, "'units' must be str"),
+    ])
+    def test_bad_manifest_setting_exits_2(self, tmp_path, capsys, key, value, named):
+        # json.loads reads null, NaN and Infinity as None, nan and inf
+        scen = tmp_path / "scen"
+        shutil.copytree(bundled_scenario_dir("six_bus"), scen)
+        manifest = json.loads((scen / "manifest.json").read_text())
+        manifest[key] = value
+        (scen / "manifest.json").write_text(json.dumps(manifest))
+        assert cli_main(["validate", "--scenario", str(scen)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and f"manifest.json: {named}" in err
+
+    @pytest.mark.parametrize("table, column", [
+        ("buses", "vmax"), ("lines", "r"), ("prosumers", "peak_load"), ("pv", "p_peak"),
+        ("storage", "p_ch_max"), ("fl", "max_frac"), ("profiles", "load_scale"),
+    ])
+    @pytest.mark.parametrize("cell", [None, "nan", "inf", "-inf"])
+    def test_bad_cell_exits_2(self, tmp_path, capsys, table, column, cell):
+        # the first data row of a table cut short (cell None), or with a
+        # number that float() reads but that is not finite
+        scen = tmp_path / "scen"
+        shutil.copytree(bundled_scenario_dir("six_bus"), scen)
+        path = scen / f"{table}.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        if cell is None:
+            rows[1] = rows[1][:-1]
+        else:
+            rows[1][rows[0].index(column)] = cell
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert cli_main(["validate", "--scenario", str(scen)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "malformed value" in err and f"{table}.csv:2" in err
+
     @pytest.mark.parametrize("key", [
         "rho", "rho_prime", "eps1", "eps2", "lambda_p_init", "lambda_loss_init",
     ])

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from lemclear.socp import (
     INFEASIBLE,
+    ITER_LIMIT,
     OPTIMAL,
     UNBOUNDED,
+    _WARM_MAX_ITER,
     ConicProgram,
     NonNeg,
     SecondOrder,
@@ -21,14 +23,16 @@ from lemclear.socp import (
     _jprod,
     _jprods,
     _jsqrt,
+    _members,
     _newton_step,
     _papply,
+    _Pattern,
     _pattern_key,
     _pmat,
     _Scaling,
     _soc_step,
     _Stack,
-    _Workspace,
+    _classify,
     check_kkt,
     dual_sensitivity_probe,
     dump_program,
@@ -147,9 +151,11 @@ class TestSolveBasics:
         )
         assert solve_socp(prog, tol=1e-8).status == INFEASIBLE
         # the certificate decides even when the primal iterates are larger
-        ws = _Workspace(prog)
-        verdict = ws.classify(np.zeros(1), np.zeros(0), np.full(2, 1e10), np.full(2, 1e9), 1)
-        assert verdict.status == INFEASIBLE
+        point = (np.zeros(1), np.zeros(0), np.full(2, 1e10), np.full(2, 1e9))
+        r_d, r_p, r_g, ct_yz = _Stack(_members([prog])).residuals(*point)
+        norms = [np.abs(np.concatenate([r_p, r_g])).max(), np.abs(r_d).max(), np.abs(ct_yz).max()]
+        verdict, certified = _classify(prog, point, norms, 1)
+        assert verdict.status == INFEASIBLE and certified
 
     def test_zero_variable_program(self):
         prog = lifted(
@@ -654,38 +660,38 @@ class TestKktPattern:
     @pytest.mark.parametrize("delta", [1e-9, 1e-6])
     def test_refill_matches_bmat(self, name, delta):
         prog = kkt_programs()[name]
-        ws = _Workspace(prog)
+        pat = _Pattern(prog)
         rng = np.random.default_rng(3)
         s, z = interior_point(rng, prog.cones), interior_point(rng, prog.cones)
-        w2 = _Scaling(ws.cones, s, z).w2_values()
-        kkt = _Stack([ws]).kkt(w2, np.array([delta]))
+        w2 = _Scaling(pat.cones, s, z).w2_values()
+        kkt = _Stack([(prog, pat)]).kkt(w2, np.array([delta]))
         assert kkt.format == "csc" and kkt.has_canonical_format
-        # K is stored under the workspace's ordering: K = K0[perm][:, perm]
-        back = np.argsort(ws.pattern.perm)
-        expect = reference_kkt(prog, w2_matrix(ws.cones, w2), delta)
+        # K is stored under the pattern's ordering: K = K0[perm][:, perm]
+        back = np.argsort(pat.perm)
+        expect = reference_kkt(prog, w2_matrix(pat.cones, w2), delta)
         assert np.array_equal(kkt.toarray()[np.ix_(back, back)], expect.toarray())
 
     def test_refinement_targets_unregularized_system(self):
         prog = kkt_programs()["leading Free"]
-        ws = _Workspace(prog)
+        pat = _Pattern(prog)
         rng = np.random.default_rng(5)
         s, z = interior_point(rng, prog.cones), interior_point(rng, prog.cones)
-        w2 = _Scaling(ws.cones, s, z).w2_values()
-        stack = _Stack([ws])
+        w2 = _Scaling(pat.cones, s, z).w2_values()
+        stack = _Stack([(prog, pat)])
         assert stack.factor(w2, np.array([1e-6]))
         n, m = prog.n_vars, prog.n_eq
         rhs = rng.normal(size=n + m + len(prog.h))
         dx, dy, dz = stack.solve(rhs[:n], rhs[n : n + m], rhs[n + m :])
         # one refinement step removes the delta error to first order
-        exact = reference_kkt(prog, w2_matrix(ws.cones, w2), 0.0)
+        exact = reference_kkt(prog, w2_matrix(pat.cones, w2), 0.0)
         res = exact @ np.concatenate([dx, dy, dz]) - rhs
         assert np.max(np.abs(res)) <= 1e-9 * np.max(np.abs(rhs))
 
     def test_ordering_computed_once_per_solve(self, monkeypatch):
         prog = seeded_programs(1, seed=3)[0]
-        ws = _Workspace(prog)
+        pat = _Pattern(prog)
         size = prog.n_vars + prog.n_eq + len(prog.h)
-        assert np.array_equal(np.sort(ws.pattern.perm), np.arange(size))
+        assert np.array_equal(np.sort(pat.perm), np.arange(size))
         specs = []
         splu = spla.splu
 
@@ -716,7 +722,7 @@ class TestKktPattern:
             cones=(Free(2), NonNeg(2), SecondOrder(3)),
         )
         with np.errstate(all="ignore"):
-            static = _ipm_loop([_Workspace(prog)], 1e-8)[0]
+            static, _ = _ipm_loop(_members([prog]), 1e-8)[0]
         assert static.status != OPTIMAL
         sol = solve_socp(prog, tol=1e-8)
         assert sol.status == OPTIMAL
@@ -823,41 +829,41 @@ def stack_member_by_member(members):
     """The arrays of ``_Stack(members)`` built one member at a time: the
     loop that the stack's per-pattern broadcasting replaced, kept as its
     reference.  C' comes from scipy's own transpose of each member's C."""
-    sizes = {kind: [getattr(ws, kind) for ws in members] for kind in "nmp"}
+    progs, pats = [prog for prog, _ in members], [pat for _, pat in members]
+    sizes = {kind: [getattr(pt, kind) for pt in pats] for kind in "nmp"}
     ox, oy, oz = (np.cumsum([0] + sizes[kind]) for kind in "nmp")
     n, m = ox[-1], oy[-1]
-    k_off = np.cumsum([0] + [ws.n + ws.m + ws.p for ws in members])
-    nnz_off = np.cumsum([0] + [len(ws.pattern.kkt_indices) for ws in members])
+    k_off = np.cumsum([0] + [pt.n + pt.m + pt.p for pt in pats])
+    nnz_off = np.cumsum([0] + [len(pt.kkt_indices) for pt in pats])
     ref = {}
     for name in ("A", "G"):
-        mats = [getattr(ws.prog, name) for ws in members]
+        mats = [getattr(prog, name) for prog in progs]
         ref[name] = (
             np.concatenate([M.data for M in mats]),
             np.concatenate([M.indices + o for M, o in zip(mats, ox)]),
             np.cumsum(np.concatenate([[0]] + [np.diff(M.indptr) for M in mats])),
         )
-    cts = [sp.vstack([ws.prog.A, ws.prog.G], format="csr").T.tocsr() for ws in members]
+    cts = [sp.vstack([prog.A, prog.G], format="csr").T.tocsr() for prog in progs]
     colmaps = [
-        np.concatenate([np.arange(ws.m) + a, np.arange(ws.p) + m + b])
-        for ws, a, b in zip(members, oy, oz)
+        np.concatenate([np.arange(pt.m) + a, np.arange(pt.p) + m + b])
+        for pt, a, b in zip(pats, oy, oz)
     ]
     ref["CT"] = (
         np.concatenate([CT.data for CT in cts]),
         np.concatenate([cm[CT.indices] for CT, cm in zip(cts, colmaps)]),
         np.cumsum(np.concatenate([[0]] + [np.diff(CT.indptr) for CT in cts])),
     )
-    pats = [ws.pattern for ws in members]
     ref["K"] = (
         np.concatenate([pt.kkt_indices + o for pt, o in zip(pats, k_off)]),
         np.concatenate([pt.kkt_indptr[:-1] + o for pt, o in zip(pats, nnz_off)] + [nnz_off[-1:]]),
     )
     ref["perm"] = np.concatenate([
-        np.where(pt.perm < ws.n, pt.perm + a,
-                 np.where(pt.perm < ws.n + ws.m, pt.perm - ws.n + n + b,
-                          pt.perm - ws.n - ws.m + n + m + c))
-        for ws, pt, a, b, c in zip(members, pats, ox, oy, oz)
+        np.where(pt.perm < pt.n, pt.perm + a,
+                 np.where(pt.perm < pt.n + pt.m, pt.perm - pt.n + n + b,
+                          pt.perm - pt.n - pt.m + n + m + c))
+        for pt, a, b, c in zip(pats, ox, oy, oz)
     ])
-    sizes_soc = sorted({g.shape[1] for ws in members for g in ws.cones.soc_groups})
+    sizes_soc = sorted({g.shape[1] for pt in pats for g in pt.cones.soc_groups})
     kinds = ["dx", "dy", ("w2", 0)] + [("w2", k) for k in sizes_soc] + ["dz"]
     ref["slots"] = np.concatenate([
         pt.slot_kinds[kind] + o for kind in kinds for pt, o in zip(pats, nnz_off)
@@ -867,15 +873,15 @@ def stack_member_by_member(members):
     # the constant weights: each member's permuted KKT matrix without delta
     # and W^2, read at its stored entries
     fixed = []
-    for ws, pt in zip(members, pats):
-        K0 = reference_kkt(ws.prog, sp.csr_matrix((ws.p, ws.p)), 0.0).toarray()
+    for prog, pt in members:
+        K0 = reference_kkt(prog, sp.csr_matrix((pt.p, pt.p)), 0.0).toarray()
         K0 = K0[np.ix_(pt.perm, pt.perm)]
         cols = np.repeat(np.arange(len(pt.kkt_indptr) - 1), np.diff(pt.kkt_indptr))
         fixed.append(K0[pt.kkt_indices, cols])
     ref["fixed"] = np.concatenate(fixed)
-    ref["nonneg"] = np.concatenate([ws.cones.nonneg_idx + o for ws, o in zip(members, oz)])
+    ref["nonneg"] = np.concatenate([pt.cones.nonneg_idx + o for pt, o in zip(pats, oz)])
     ref["soc"] = [
-        np.concatenate([ws.cones.group(k) + o for ws, o in zip(members, oz)]) for k in sizes_soc
+        np.concatenate([pt.cones.group(k) + o for pt, o in zip(pats, oz)]) for k in sizes_soc
     ]
     return ref
 
@@ -896,7 +902,7 @@ class TestLockstepBatch:
         assert statuses[12:14] == [INFEASIBLE, UNBOUNDED]
         # the stalled program only reaches optimality in its pivoted rerun
         with np.errstate(all="ignore"):
-            static = _ipm_loop([_Workspace(BATCH_POOL[14])], 1e-8)[0]
+            static, _ = _ipm_loop(_members([BATCH_POOL[14]]), 1e-8)[0]
         assert static.status != OPTIMAL and statuses[14] == OPTIMAL
 
     @settings(max_examples=25, deadline=None)
@@ -974,8 +980,7 @@ class TestLockstepBatch:
     def test_stack_matches_member_by_member_build(self, picks, n_variants, rnd):
         progs = [BATCH_POOL[i] for i in picks] + [variant(j) for j in range(n_variants)]
         rnd.shuffle(progs)
-        patterns: dict = {}
-        members = [_Workspace(prog, patterns) for prog in progs]
+        members = _members(progs)
         stack, ref = _Stack(members), stack_member_by_member(members)
         for name in ("A", "G", "CT"):
             M = getattr(stack, name)
@@ -1201,6 +1206,53 @@ class TestWarmStart:
             solve_socp_batch([prog, prog], starts=[None])
 
 
+def recomputed_residuals(prog, sol):
+    """The residual norms at sol's (x, y, s, z), from the program's own
+    matrices: the dual residual through C' for C = [A; G], as scipy
+    transposes it."""
+    x, y, s, z = sol.x, sol.y, sol.s, sol.z
+    C = sp.vstack([prog.A, prog.G], format="csr")
+    return {
+        "primal": max(np.abs(prog.A @ x - prog.b).max(initial=0.0),
+                      np.abs(prog.G @ x + s - prog.h).max(initial=0.0)),
+        "dual": np.abs(prog.q * x + prog.c - C.T @ np.concatenate([y, -z])).max(initial=0.0),
+        "gap": abs(float(s @ z)),
+    }
+
+
+def assert_reports_its_point(prog, sol):
+    want = recomputed_residuals(prog, sol)
+    assert sol.residuals.keys() == want.keys()
+    for key, value in want.items():
+        assert_rel(sol.residuals[key], value)
+
+
+class TestReportedResiduals:
+    # every ending reports the residuals at the point it returns, to
+    # relative 1e-12 of the program's own: BATCH_POOL's optimal, infeasible
+    # and unbounded programs, the stall program's static run (it stalls) and
+    # its pivoted rerun, and a warm run stopped at its cap with its best
+    # iterate
+    def test_pool_endings(self):
+        statuses = [OPTIMAL] * 12 + [INFEASIBLE, UNBOUNDED, OPTIMAL]
+        for i, status in enumerate(statuses):
+            assert solo(i).status == status
+            assert_reports_its_point(BATCH_POOL[i], solo(i))
+
+    def test_stalled_run(self):
+        with np.errstate(all="ignore"):
+            ((sol, certified),) = _ipm_loop(_members([BATCH_POOL[14]]), 1e-8)
+        assert sol.status == ITER_LIMIT and not certified
+        assert_reports_its_point(BATCH_POOL[14], sol)
+
+    def test_capped_run_reports_its_best_iterate(self):
+        start = scaled_start(14, 1.0)
+        with np.errstate(all="ignore"):
+            ((sol, certified),) = _ipm_loop(_members([BATCH_POOL[14]]), 1e-8, starts=[start])
+        assert sol.status == ITER_LIMIT and sol.iterations == _WARM_MAX_ITER and not certified
+        assert_reports_its_point(BATCH_POOL[14], sol)
+
+
 # ---------------------------------------------------------------------------
 # One interior-point round against a flat round: the same Newton step on
 # vectors over all slack rows, with every product with W recomputing its
@@ -1283,14 +1335,17 @@ def flat_max_step(cones, u, du):
 
 def flat_factor(st, w2, deltas):
     """Refill st.K from every weight in one sum, slots kind by kind, and factor it."""
-    offs = np.cumsum([0] + [len(ws.pattern.kkt_indices) for ws in st.members])
+    pats = [pat for _, pat in st.members]
+    offs = np.cumsum([0] + [len(pat.kkt_indices) for pat in pats])
     soc_sizes = [g.shape[1] for g in st.cones.soc_groups]
     kinds = ["q", "dx", "C", "dy", ("w2", 0)] + [("w2", k) for k in soc_sizes] + ["dz"]
     slots = np.concatenate([
-        ws.pattern.slot_kinds[kind] + o for kind in kinds for ws, o in zip(st.members, offs)
-        if kind in ws.pattern.slot_kinds
+        pat.slot_kinds[kind] + o for kind in kinds for pat, o in zip(pats, offs)
+        if kind in pat.slot_kinds
     ])
-    c_data = np.concatenate([np.tile(ws.c_data, 2) for ws in st.members])
+    c_data = np.concatenate([
+        np.tile(np.concatenate([prog.A.data, prog.G.data]), 2) for prog, _ in st.members
+    ])
     dx, dy, dz = (st.spread(deltas, kind) for kind in "xyz")
     weights = np.concatenate([st.q, dx, c_data, -dy, -w2, -dz])
     st.K.data[:] = np.bincount(slots, weights=weights, minlength=len(st.K.data))
@@ -1309,9 +1364,9 @@ def flat_scale_and_factor(st, s, z):
     deltas = [1e-9] * len(st.members)
     if not flat_factor(st, w2, np.array(deltas)):
         deltas = []
-        for ws, sl in zip(st.members, st.slices["z"]):
-            alone = _Stack([ws])
-            a_nn, a_soc, _ = flat_scaling(ws.cones, s[sl], z[sl])
+        for member, sl in zip(st.members, st.slices["z"]):
+            alone = _Stack([member])
+            a_nn, a_soc, _ = flat_scaling(member[1].cones, s[sl], z[sl])
             a_w2 = flat_w2_values(a_nn, a_soc)
             deltas.append(next(
                 (d for d in (1e-9, 1e-6) if flat_factor(alone, a_w2, np.array([d]))), None
@@ -1403,13 +1458,13 @@ def round_stack(seed):
     first = layout_program(rng, random_layout(rng), 0)
     progs = [first, layout_program(rng, random_layout(rng), 2)]
     progs += [with_new_data(rng, first) for _ in range(2)]
-    patterns: dict = {}
-    st = _Stack([_Workspace(prog, patterns) for prog in progs])
-    assert len(patterns) == 2
+    members = _members(progs)
+    st = _Stack(members)
+    assert len({id(pat) for _, pat in members}) == 2
     x, y = rng.normal(size=st.n), rng.normal(size=st.m)
     s = np.concatenate([interior_point(rng, prog.cones) for prog in progs])
     z = np.concatenate([interior_point(rng, prog.cones) for prog in progs])
-    r_d, r_p, r_g = st.residuals(x, y, s, z)
+    r_d, r_p, r_g, _ = st.residuals(x, y, s, z)
     r_g[st.slices["z"][2]] *= 1e30
     mu = np.array(st.dots(s, z, "z")) / st.nu
     return st, (x, y, s, z), (r_d, r_p, r_g), mu, st.cones.identity()
