@@ -232,6 +232,11 @@ def read_tables(scen_dir: str | Path) -> ScenarioTables:
                 continue
             rows = []
             for lineno, raw in enumerate(reader, start=2):
+                if None in raw:  # DictReader files cells past the header under None
+                    issues.append(
+                        f"{len(raw[None])} surplus cell(s) at {name}.csv:{lineno}, "
+                        f"which has {len(_COLUMNS[name])} columns"
+                    )
                 row: dict = {}
                 for col in _COLUMNS[name]:
                     cell = raw[col]  # None when the row ends before this column
@@ -277,7 +282,14 @@ def assemble_scenario(tables: ScenarioTables) -> Scenario:
         for endpoint in ("from", "to"):
             if row[endpoint] not in bus_ids:
                 issues.append(f"unknown bus {row[endpoint]} at lines.csv:{i}")
+    first_row: dict[str, int] = {}
     for i, row in enumerate(tables.prosumers, start=2):
+        if row["id"] in first_row:
+            issues.append(
+                f"repeated prosumer id {row['id']!r} at prosumers.csv:{i} "
+                f"(first at prosumers.csv:{first_row[row['id']]})"
+            )
+        first_row.setdefault(row["id"], i)
         if row["bus"] not in bus_ids:
             issues.append(f"unknown bus {row['bus']} at prosumers.csv:{i}")
         # checked row by row: a bus's mean power factor can hide a bad row
@@ -292,6 +304,13 @@ def assemble_scenario(tables: ScenarioTables) -> Scenario:
                 )
     if len(tables.profiles) != T:
         issues.append(f"profiles.csv: {len(tables.profiles)} rows, horizon is {T}")
+    hours: set[int] = set()
+    for i, row in enumerate(tables.profiles, start=2):
+        if row["t"] in hours or not 0 <= row["t"] < T:
+            issues.append(
+                f"hour {row['t']} at profiles.csv:{i}: the hours must be 0..{T - 1}, each once"
+            )
+        hours.add(row["t"])
     if issues:
         raise ScenarioFormatError(issues)
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import dso as dso_mod
 from . import lmo as lmo_mod
+from . import prosumer as pros_mod
 from .dso import DsoInput, DsoOutput, solve_dso_subproblem
 from .model import Scenario
 # solve_subproblem_III stays importable here: perfbench/tracer.py wraps it
@@ -261,6 +262,10 @@ def run_clearing(
     dt = scenario.dt
     ids = sorted(p.id for p in scenario.prosumers)
     pros_by_id = {p.id: p for p in scenario.prosumers}
+    # each prosumer's program as far as it stays from pass to pass, posed at
+    # every outer pass's input (called through the module, where a tracer
+    # can wrap it)
+    assembled = {a: pros_mod.assemble_prosumer(pros_by_id[a], dt, T) for a in ids}
     psi = {p.id: p.bus_id for p in scenario.prosumers}
     state = lmo_mod.LmoState(
         lambda_p={a: np.full(T, cfg.lambda_p_init) for a in ids},
@@ -304,7 +309,7 @@ def run_clearing(
         for a in ids:
             bus.send("lmo", a, "LmoToProsumer", vars(inputs[a]), outer=k)
         solved = solve_subproblems(
-            [(pros_by_id[a], inputs[a]) for a in solve_order], cfg, dt, T,
+            [(assembled[a], inputs[a]) for a in solve_order], cfg,
             mode=prosumer_solver, starts=warm,
         )
         schedules = dict(zip(solve_order, solved))

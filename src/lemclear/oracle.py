@@ -217,11 +217,11 @@ def solve_selfish(
     ids = sorted(p.id for p in scenario.prosumers)
     pros_by_id = {p.id: p for p in scenario.prosumers}
     problems = [
-        (pros_by_id[a], ProsumerInput(lambda_lem=scenario.wem_price.copy(), p_tilde=None,
-                                      lambda_p=np.zeros(T)))
+        (pros_mod.assemble_prosumer(pros_by_id[a], dt, T),
+         ProsumerInput(lambda_lem=scenario.wem_price.copy(), p_tilde=None, lambda_p=np.zeros(T)))
         for a in ids
     ]
-    solved = pros_mod.solve_subproblems(problems, scenario.admm, dt, T, mode=prosumer_solver)
+    solved = pros_mod.solve_subproblems(problems, scenario.admm, mode=prosumer_solver)
     schedules: dict[str, ProsumerSchedule] = dict(zip(ids, solved))
 
     p_node = lmo_mod.aggregate_to_nodes(

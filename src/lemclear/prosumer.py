@@ -8,11 +8,17 @@ the hourly net consumption; everything else stays inside the agent.
 
 Flexible load follows the signed-deviation convention: effective hourly load
 is baseline minus the deviation, so positive values curtail.
+
+A prosumer's program is assembled once (``assemble_prosumer``: rows, cone,
+binaries, repair hints and device costs, which depend only on the prosumer,
+the interval length and the horizon) and posed at each outer pass's input
+(``pose_subproblem``: the energy price and the consensus terms); a clearing
+keeps the assembly for all its passes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,6 +42,8 @@ __all__ = [
     "ProsumerSchedule",
     "StorageSchedule",
     "FlSchedule",
+    "assemble_prosumer",
+    "pose_subproblem",
     "build_subproblem",
     "solve_subproblem_III",
     "solve_subproblems",
@@ -95,7 +103,7 @@ class ProsumerSchedule:
 class ProsumerProgram:
     mbp: MixedBinaryProgram
     pros: Prosumer
-    inp: ProsumerInput
+    inp: ProsumerInput | None  # None as assembled, before a pass's input is posed
     dt: float
     horizon: int
     # variable offsets
@@ -117,25 +125,18 @@ def soc_step(soc_prev: float, p_ch: float, p_dch: float, device: StorageDevice, 
     return soc_prev + (device.eta_ch * p_ch - p_dch / device.eta_dch) * dt
 
 
-def build_subproblem(
-    pros: Prosumer,
-    inp: ProsumerInput,
-    cfg: AdmmConfig,
-    dt: float,
-    horizon: int,
-) -> ProsumerProgram:
-    """Encode the prosumer's scheduling problem as a mixed-binary program.
+def assemble_prosumer(pros: Prosumer, dt: float, horizon: int) -> ProsumerProgram:
+    """Encode what the prosumer's scheduling problem keeps from pass to pass.
 
-    Statically infeasible device data (an unreachable departure floor, an
-    unattainable energy floor) is rejected here rather than surfacing as a
-    solver failure.
+    That is everything that depends only on the prosumer, dt and the
+    horizon: the rows, the cone, the binaries and their repair hints, and
+    the device costs, which are the relaxation's whole objective here;
+    ``pose_subproblem`` adds a pass's prices and consensus terms.  A
+    clearing assembles each prosumer once.  Statically infeasible device
+    data (an unreachable departure floor, an unattainable energy floor) is
+    rejected here rather than surfacing as a solver failure.
     """
     T = horizon
-    if len(inp.lambda_lem) != T or len(inp.lambda_p) != T:
-        raise ValueError("input signals must cover the horizon")
-    if inp.p_tilde is not None and len(inp.p_tilde) != T:
-        raise ValueError("auxiliary profile must cover the horizon")
-
     for d in pros.storages:
         w = len(list(d.hours()))
         if d.e0 + d.eta_ch * d.p_ch_max * w * dt < d.e_trip - 1e-9:
@@ -219,19 +220,8 @@ def build_subproblem(
             float(np.sum(pros.baseline_load * dt)) - fl.e_min,
         )
 
-    # --- objective --------------------------------------------------------
+    # --- objective: the device costs ------------------------------------
     c = np.zeros(n)
-    qdiag = np.zeros(n)
-    c0 = 0.0
-    for t in range(T):
-        c[p_net + t] = float(inp.lambda_lem[t]) * dt
-    if inp.p_tilde is not None:
-        for t in range(T):
-            c[p_net + t] += -float(inp.lambda_p[t]) - cfg.rho * float(inp.p_tilde[t])
-            qdiag[p_net + t] = cfg.rho
-            c0 += float(inp.lambda_p[t]) * float(inp.p_tilde[t]) + 0.5 * cfg.rho * float(
-                inp.p_tilde[t]
-            ) ** 2
     for di, d in enumerate(pros.storages):
         w = len(list(d.hours()))
         for k in range(w):
@@ -261,8 +251,6 @@ def build_subproblem(
         G=G,
         h=h,
         cones=(NonNeg(len(h)),) if len(h) else (),
-        q=qdiag,
-        c0=c0,
     )
 
     binaries: list[int] = []
@@ -292,7 +280,7 @@ def build_subproblem(
     return ProsumerProgram(
         mbp=mbp,
         pros=pros,
-        inp=inp,
+        inp=None,
         dt=dt,
         horizon=T,
         p_net=p_net,
@@ -307,6 +295,47 @@ def build_subproblem(
         fl_y=fl_y,
         n_binaries=len(binaries),
     )
+
+
+def pose_subproblem(pp: ProsumerProgram, inp: ProsumerInput, cfg: AdmmConfig) -> ProsumerProgram:
+    """The assembled prosumer ``pp`` (see ``assemble_prosumer``) at one pass's input.
+
+    Only the relaxation's objective changes: the energy price on p_net and,
+    once an auxiliary profile is published, the consensus terms
+    -lambda_p'p_net + rho/2 ||p_net - p_tilde||^2, whose constant part is c0.
+    """
+    T = pp.horizon
+    if len(inp.lambda_lem) != T or len(inp.lambda_p) != T:
+        raise ValueError("input signals must cover the horizon")
+    if inp.p_tilde is not None and len(inp.p_tilde) != T:
+        raise ValueError("auxiliary profile must cover the horizon")
+    base = pp.mbp.relaxation
+    net = slice(pp.p_net, pp.p_net + T)
+    c = base.c.copy()
+    q = np.zeros(base.n_vars)
+    c0 = 0.0
+    c[net] = np.asarray(inp.lambda_lem, dtype=float) * pp.dt
+    if inp.p_tilde is not None:
+        lam_p = np.asarray(inp.lambda_p, dtype=float)
+        tilde = np.asarray(inp.p_tilde, dtype=float)
+        c[net] += -lam_p - cfg.rho * tilde
+        q[net] = cfg.rho
+        for lp, pt in zip(lam_p.tolist(), tilde.tolist()):
+            c0 += lp * pt + 0.5 * cfg.rho * pt**2
+    relaxation = replace(base, c=c, q=q, c0=c0)
+    return replace(pp, mbp=replace(pp.mbp, relaxation=relaxation), inp=inp)
+
+
+def build_subproblem(
+    pros: Prosumer,
+    inp: ProsumerInput,
+    cfg: AdmmConfig,
+    dt: float,
+    horizon: int,
+) -> ProsumerProgram:
+    """Encode the prosumer's scheduling problem at one input as a mixed-binary
+    program: ``assemble_prosumer`` posed by ``pose_subproblem``."""
+    return pose_subproblem(assemble_prosumer(pros, dt, horizon), inp, cfg)
 
 
 def _extract(pp: ProsumerProgram, x: np.ndarray, obj: float, gap: float) -> ProsumerSchedule:
@@ -386,24 +415,24 @@ def solve_subproblem_III(
     ValueError.  A solve without a usable schedule raises :class:`SolveFailed`
     naming the prosumer.  This is ``solve_subproblems`` on one prosumer.
     """
-    return solve_subproblems([(pros, inp)], cfg, dt, horizon, mode)[0]
+    return solve_subproblems([(assemble_prosumer(pros, dt, horizon), inp)], cfg, mode)[0]
 
 
 def solve_subproblems(
-    problems: list[tuple[Prosumer, ProsumerInput]],
+    problems: list[tuple[ProsumerProgram, ProsumerInput]],
     cfg: AdmmConfig,
-    dt: float,
-    horizon: int,
     mode: str = "exact",
     starts: dict[str, Start] | None = None,
 ) -> list[ProsumerSchedule]:
     """Solve several prosumers' scheduling problems, one schedule per problem.
 
-    The prosumers' searches run together (``miqp.solve_searches``), so each
-    round of cone solves is one batch; every schedule is exactly the one
-    ``solve_subproblems`` gives for that prosumer alone from the same start.
-    ``mode`` is as for ``solve_subproblem_III``; the first prosumer in
-    ``problems`` without a usable schedule raises :class:`SolveFailed`.
+    Each problem is an assembled prosumer (``assemble_prosumer``) and the
+    input it is posed at (``pose_subproblem``).  The prosumers' searches
+    run together (``miqp.solve_searches``), so each round of cone solves is
+    one batch; every schedule is exactly the one ``solve_subproblems``
+    gives for that prosumer alone from the same start.  ``mode`` is as for
+    ``solve_subproblem_III``; the first prosumer in ``problems`` without a
+    usable schedule raises :class:`SolveFailed`.
 
     ``starts``, if given, maps prosumer ids to the root relaxation their
     search starts from, and receives each prosumer's new root relaxation:
@@ -416,7 +445,7 @@ def solve_subproblems(
         )
     search = mbp_search if mode == "exact" else repair_search
     held = {} if starts is None else starts
-    pps = [build_subproblem(pros, inp, cfg, dt, horizon) for pros, inp in problems]
+    pps = [pose_subproblem(pp, inp, cfg) for pp, inp in problems]
     results = solve_searches(
         [search(pp.mbp, start=held.get(pp.pros.id)) for pp in pps], tol=_CLEARING_TOL
     )

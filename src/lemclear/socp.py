@@ -60,9 +60,23 @@ over s and z together; the corrector reuses the predictor's W dz, and the
 round's intermediates stay blocks, written out as vectors on the slack
 rows only for the linear solve, the gap and the step.  Every entry is
 computed by the same operations as with none of this sharing, so the
-round's result does not depend on it.  The stack's index arrays are
-built once per run of consecutive programs on one pattern, each by one
-numpy call that shifts the pattern's array for all of the run's programs.
+round's result does not depend on it.  On a NonNeg-only layout (every
+prosumer program's) the blocks are the vectors themselves, with nothing
+gathered or scattered.
+
+The round's checks run over the whole stack too.  Each program's
+objective, gap s'z and affine gap are segment sums over the stacked
+vectors (``_Stack.sums``), each segment summed in an order that depends
+on that program's entries alone; the scores and the stop and divergence
+tests are then vector operations, and only a program that ends is looked
+at on its own.  The best iterates are one stacked copy of the point,
+refreshed where programs improved.  A stack's index arrays are built once
+per run of consecutive programs on one pattern, each by one numpy call
+that shifts the pattern's array for all of the run's programs, in
+scipy's index dtype; its data is gathered once per run, so a stack of
+the programs left after some finish costs a number of numpy calls that
+grows with its runs, not its programs.
+
 Step lengths, centering, the stop and divergence tests, the best iterate,
 the status and the iteration count stay each program's own, and a program
 that finishes leaves the stack.  No arithmetic mixes two programs, so a
@@ -415,9 +429,9 @@ def _symmetric_ordering(rows: np.ndarray, cols: np.ndarray, sign: np.ndarray) ->
     return np.argsort(lu.perm_c)
 
 
-def _offsets(lengths) -> np.ndarray:
+def _offsets(lengths, dtype=int) -> np.ndarray:
     """Start of each of the consecutive parts of the given lengths, then the total."""
-    out = np.zeros(len(lengths) + 1, dtype=int)
+    out = np.zeros(len(lengths) + 1, dtype=dtype)
     np.cumsum(lengths, out=out[1:])
     return out
 
@@ -557,11 +571,19 @@ class _Cones:
         return worst
 
     def blocks(self, u: np.ndarray) -> list[np.ndarray]:
-        """u's entries as blocks: the NonNeg entries, then each SOC size group's."""
+        """u's entries as blocks: the NonNeg entries, then each SOC size group's.
+
+        On a NonNeg-only layout (every prosumer program's) the NonNeg
+        entries are all of u in order, so the one block is u itself.
+        """
+        if not self.soc_groups:
+            return [u]
         return [u[self.nonneg_idx]] + [u[g] for g in self.soc_groups]
 
     def flat(self, blocks: list[np.ndarray]) -> np.ndarray:
         """The vector whose blocks (see ``blocks``) are the given ones."""
+        if not self.soc_groups:
+            return blocks[0]
         out = np.empty(self.n)
         out[self.nonneg_idx] = blocks[0]
         for g, b in zip(self.soc_groups, blocks[1:]):
@@ -740,7 +762,7 @@ def _solution(prog: ConicProgram, status: str, point, iters: int, norms) -> Coni
     )
 
 
-def _classify(prog: ConicProgram, point, norms, iters: int, scale: float = 1e8):
+def _classify(prog: ConicProgram, point, norms, scale: float = 1e8) -> tuple[str, bool]:
     """Divergence heuristics at the point (x, y, s, z); ties favor infeasible.
 
     ``norms`` holds the primal and dual residual norms at the point and the
@@ -748,8 +770,9 @@ def _classify(prog: ConicProgram, point, norms, iters: int, scale: float = 1e8):
     diverging dual ray with positive b'y - h'z and vanishing homogeneous
     residual C'(y, -z); unboundedness as a diverging primal ray that stays
     feasible in both row sets with negative linear objective along the ray.
-    Returns the verdict and whether one of these certificates backs it; the
-    fallback for iterates that diverged with both certificates weak has none.
+    Returns the verdict (ITER_LIMIT when the iterates have not diverged)
+    and whether one of these certificates backs it; the fallback for
+    iterates that diverged with both certificates weak has none.
     """
     x, y, s, z = point
     primal, _, hom = norms
@@ -767,7 +790,7 @@ def _classify(prog: ConicProgram, point, norms, iters: int, scale: float = 1e8):
     if not certified and (ys > scale or xs > scale):
         # both certificates weak but iterates clearly diverged
         status = INFEASIBLE if ys >= xs else UNBOUNDED
-    return _solution(prog, status, point, iters, norms), certified
+    return status, certified
 
 
 def _members(progs: list[ConicProgram]) -> list[tuple[ConicProgram, _Pattern]]:
@@ -781,16 +804,25 @@ def _members(progs: list[ConicProgram]) -> list[tuple[ConicProgram, _Pattern]]:
     return [(prog, patterns[key]) for prog, key in zip(progs, keys)]
 
 
-def _rows(data: list[np.ndarray], cols: list[np.ndarray], counts: list[np.ndarray], n_cols: int):
+def _index_dtype(*sizes: int) -> type:
+    """The index dtype scipy picks for a sparse matrix none of whose
+    dimensions and stored-entry counts exceeds the largest of ``sizes``."""
+    return np.int32 if max(sizes) <= np.iinfo(np.int32).max else np.int64
+
+
+def _rows(data: list[np.ndarray], cols: list[np.ndarray], counts: list[np.ndarray], n_cols: int,
+          idx: type) -> sp.csr_matrix:
     """CSR matrix of rows given in parts: the parts' stored entries and
     their columns, and the entries of each row, one part after the other.
 
     Entries keep their stored order, so each row's products sum as in the
-    matrix it came from.
+    matrix it came from.  The index arrays are handed over in dtype ``idx``
+    (see ``_index_dtype``), so scipy keeps them as they are.
     """
     counts = _cat(counts)
     return sp.csr_matrix(
-        (np.concatenate(data), _cat(cols), _offsets(counts)), shape=(len(counts), n_cols)
+        (np.concatenate(data), _cat(cols).astype(idx, copy=False), _offsets(counts, idx)),
+        shape=(len(counts), n_cols),
     )
 
 
@@ -815,11 +847,20 @@ class _Stack:
     diagonal pivots; it is only used for single members, since its column
     ordering spans the whole matrix.
 
+    Per-member quantities (``norms``, ``sums``, ``objective``) are segment
+    reductions over the stacked vectors, as many numpy calls whatever the
+    members, each segment reduced in an order that depends on that
+    member's entries alone.
+
     Consecutive members on one pattern form a run.  Every index array (A's,
     G's and C''s columns, K's pattern, the ordering, the slots and the cone
     groups) is built once per run, by shifting its pattern's array for all
-    of the run's members at once; the data vectors are one concatenation
-    over the members each.
+    of the run's members at once, and the entries of A and G are gathered
+    once per run, one row per member, from which C' and the constant
+    weights are read; so a stack costs a number of numpy calls that grows
+    with its runs, not its members, and members that leave cost no more
+    than a new stack of the rest.  The sparse matrices' index arrays are
+    built in scipy's index dtype, so scipy neither scans nor copies them.
     """
 
     def __init__(self, members: list[tuple[ConicProgram, _Pattern]], pivoting: bool = False):
@@ -842,70 +883,78 @@ class _Stack:
             "x": each([pt.n for pt in pats]), "y": each([pt.m for pt in pats]),
             "z": each([pt.p for pt in pats]), "k": np.ones(len(members), dtype=int),
         }
-        offs = {kind: _offsets(ls) for kind, ls in self.lengths.items()}
-        self.slices = {
-            kind: [slice(a, b) for a, b in zip(o[:-1].tolist(), o[1:].tolist())]
-            for kind, o in offs.items()
-        }
         self.segments = {kind: _segments(ls) for kind, ls in self.lengths.items()}
-        n, m, p = self.n, self.m, self.p = [int(offs[kind][-1]) for kind in "xyz"]
         # rows of the block-diagonal KKT matrix and its stored entries, per member
         self.sizes = self.lengths["x"] + self.lengths["y"] + self.lengths["z"]
-        offs["K"] = _offsets(self.sizes)
-        offs["nnz"] = _offsets(each([len(pt.kkt_indices) for pt in pats]))
-        # each run's pattern, its member count and its members' offsets by kind
-        bounds = _offsets(counts)
+        kkt_nnz = each([len(pt.kkt_indices) for pt in pats])
+        c_nnz = sum(k * (len(pt.a_cols) + len(pt.g_cols)) for pt, k in runs)
+        idx = _index_dtype(int(self.sizes.sum()), int(kkt_nnz.sum()), c_nnz)
+        self.offsets = {kind: _offsets(ls, idx) for kind, ls in self.lengths.items()}
+        n, m, p = self.n, self.m, self.p = [int(self.offsets[kind][-1]) for kind in "xyz"]
+        offs = dict(self.offsets, K=_offsets(self.sizes, idx), nnz=_offsets(kkt_nnz, idx))
+        # each run's pattern, its programs and its members' offsets by kind
+        progs = [pr for pr, _ in members]
+        bounds = _offsets(counts).tolist()
         at = [
-            (pt, b - a, {kind: o[a:b] for kind, o in offs.items()})
-            for pt, a, b in zip(pats, bounds[:-1].tolist(), bounds[1:].tolist())
+            (pt, progs[a:b], {kind: o[a:b] for kind, o in offs.items()})
+            for pt, a, b in zip(pats, bounds[:-1], bounds[1:])
         ]
 
-        self.cones = _Cones.stack([(pt.cones, o["z"]) for pt, k, o in at])
-        progs = [pr for pr, _ in members]
+        self.cones = _Cones.stack([(pt.cones, o["z"]) for pt, _, o in at])
         self.q, self.c, self.b, self.h = (
             np.concatenate([getattr(pr, a) for pr in progs]) for a in ("q", "c", "b", "h")
         )
+        self.c0 = np.array([pr.c0 for pr in progs])
         self.bnorm = 1.0 + np.maximum(self.norms(self.b, "y"), self.norms(self.h, "z"))
         self.cnorm = 1.0 + self.norms(self.c, "x")
         # barrier degrees, floored at 1 so mu stays defined without cone rows
         self.nu = each([max(pt.cones.degree, 1) for pt in pats])
 
+        # each run's stored entries of A, of G and of C = [A; G] (A's, then
+        # G's), one row per member
+        a_runs, g_runs = (
+            [
+                np.concatenate([getattr(pr, name).data[: getattr(pr, name).nnz] for pr in rp])
+                .reshape(len(rp), -1)
+                for _, rp, _ in at
+            ]
+            for name in ("A", "G")
+        )
+        c_runs = [np.hstack([a, g]) for a, g in zip(a_runs, g_runs)]
         self.A = _rows(
-            [pr.A.data[: pr.A.nnz] for pr in progs],
-            [_shifted(pt.a_cols, o["x"]) for pt, k, o in at],
-            [np.tile(pt.a_counts, k) for pt, k, o in at],
-            n,
+            [a.ravel() for a in a_runs],
+            [_shifted(pt.a_cols, o["x"]) for pt, _, o in at],
+            [np.tile(pt.a_counts, len(rp)) for pt, rp, _ in at],
+            n, idx,
         )
         self.G = _rows(
-            [pr.G.data[: pr.G.nnz] for pr in progs],
-            [_shifted(pt.g_cols, o["x"]) for pt, k, o in at],
-            [np.tile(pt.g_counts, k) for pt, k, o in at],
-            n,
+            [g.ravel() for g in g_runs],
+            [_shifted(pt.g_cols, o["x"]) for pt, _, o in at],
+            [np.tile(pt.g_counts, len(rp)) for pt, rp, _ in at],
+            n, idx,
         )
-        # C = [A; G] stored entries, A's then G's, per member; C' holds them
-        # reordered, and its columns are the stack's (y, z): a member's y,
-        # and its z after all y
-        c_data = [np.concatenate([pr.A.data[: pr.A.nnz], pr.G.data[: pr.G.nnz]]) for pr in progs]
+        # C' holds C's entries reordered, and its columns are the stack's
+        # (y, z): a member's y, and its z after all y
         self.CT = _rows(
-            [d[pat.ct_order] for d, (_, pat) in zip(c_data, members)],
+            [c[:, pt.ct_order].ravel() for c, (pt, _, _) in zip(c_runs, at)],
             [
                 _shifted(pt.ct_indices, np.column_stack([o["y"], m - pt.m + o["z"]]), pt.ct_part)
-                for pt, k, o in at
+                for pt, _, o in at
             ],
-            [np.tile(pt.ct_counts, k) for pt, k, o in at],
-            m + p,
+            [np.tile(pt.ct_counts, len(rp)) for pt, rp, _ in at],
+            m + p, idx,
         )
 
         # the block-diagonal KKT matrix and the slots of the weights by kind
         self.K = sp.csc_matrix(
             (
                 np.zeros(int(offs["nnz"][-1])),
-                _cat([_shifted(pt.kkt_indices, o["K"]) for pt, k, o in at]),
-                _cat([_shifted(pt.kkt_indptr[:-1], o["nnz"]) for pt, k, o in at] + [offs["nnz"][-1:]]),
+                _cat([_shifted(pt.kkt_indices, o["K"]) for pt, _, o in at]),
+                _cat([_shifted(pt.kkt_indptr[:-1], o["nnz"]) for pt, _, o in at] + [offs["nnz"][-1:]]),
             ),
             shape=(int(offs["K"][-1]),) * 2,
         )
-        self.sign = np.concatenate([np.tile(pt.sign, k) for pt, k, o in at])
+        self.sign = np.concatenate([np.tile(pt.sign, len(rp)) for pt, rp, _ in at])
         # global position in (x, y, z) of each row of the permuted matrix
         self.perm = _cat([
             _shifted(
@@ -913,19 +962,19 @@ class _Stack:
                 np.column_stack([o["x"], n - pt.n + o["y"], n + m - pt.n - pt.m + o["z"]]),
                 pt.perm_part,
             )
-            for pt, k, o in at
+            for pt, _, o in at
         ])
         # the weights' slots, kind by kind (see _Pattern.slot_kinds): the
         # constant weights are summed here, each round's added in kkt()
         def slots(kinds: list) -> np.ndarray:
             return _cat([
                 _shifted(pt.slot_kinds[kind], o["nnz"])
-                for kind in kinds for pt, k, o in at if kind in pt.slot_kinds
+                for kind in kinds for pt, _, o in at if kind in pt.slot_kinds
             ])
 
         self.fixed = np.bincount(
             slots(["q", "C"]),
-            weights=np.concatenate([self.q] + [w for d in c_data for w in (d, d)]),
+            weights=np.concatenate([self.q] + [np.hstack([c, c]).ravel() for c in c_runs]),
             minlength=len(self.K.data),
         )
         w2_kinds = [("w2", 0)] + [("w2", g.shape[1]) for g in self.cones.soc_groups]
@@ -937,27 +986,38 @@ class _Stack:
         """Per-member values repeated over each member's entries of the given kind."""
         return np.repeat(values, self.lengths[kind])
 
-    def norms(self, v: np.ndarray, kind: str) -> np.ndarray:
-        """Per member, the largest absolute entry of its part of v (0 when empty)."""
+    def _reduce(self, ufunc: np.ufunc, v: np.ndarray, kind: str) -> np.ndarray:
+        """Per member, ``ufunc`` reduced over its part of v (0 when empty)."""
         out = np.zeros(len(self.members))
         starts, owners = self.segments[kind]
         if len(owners):
-            out[owners] = np.maximum.reduceat(np.abs(v), starts)
+            out[owners] = ufunc.reduceat(v, starts)
         return out
 
-    def dots(self, u: np.ndarray, v: np.ndarray, kind: str) -> list[float]:
-        """Per member, the inner product of its parts of u and v."""
-        return [float(u[sl] @ v[sl]) for sl in self.slices[kind]]
+    def norms(self, v: np.ndarray, kind: str) -> np.ndarray:
+        """Per member, the largest absolute entry of its part of v (0 when empty)."""
+        return self._reduce(np.maximum, np.abs(v), kind)
+
+    def sums(self, v: np.ndarray, kind: str) -> np.ndarray:
+        """Per member, the sum of its part of v (0 when empty)."""
+        return self._reduce(np.add, v, kind)
+
+    def objective(self, x: np.ndarray) -> np.ndarray:
+        """Per member, its objective c'x + c0 + 0.5 x'Qx at its part of x."""
+        return self.sums(self.c * x, "x") + self.c0 + 0.5 * self.sums(self.q * (x * x), "x")
+
+    def span(self, kind: str, k: int) -> slice:
+        """Member k's entries of the given kind."""
+        o = self.offsets[kind]
+        return slice(int(o[k]), int(o[k + 1]))
 
     def part(self, k: int, x, y, s, z):
         """Member k's parts of (x, y, s, z)."""
-        sx, sy, sz = self.slices["x"][k], self.slices["y"][k], self.slices["z"][k]
+        sx, sy, sz = (self.span(kind, k) for kind in "xyz")
         return x[sx], y[sy], s[sz], z[sz]
 
-    def gather(self, keep: list[int], *vectors) -> list[np.ndarray]:
-        """The parts of the members at positions ``keep`` of each (vector, kind)."""
-        kept = np.zeros(len(self.members), dtype=bool)
-        kept[keep] = True
+    def gather(self, kept: np.ndarray, *vectors) -> list[np.ndarray]:
+        """The parts of the members where ``kept`` is True of each (vector, kind)."""
         masks = {kind: self.spread(kept, kind) for kind in {kind for _, kind in vectors}}
         return [v[masks[kind]] for v, kind in vectors]
 
@@ -1092,28 +1152,38 @@ def solve_socp_batch(
     return sols
 
 
+# the kinds (see _Stack.lengths) of a best iterate's parts: its score and
+# residual norms per member, and its x, y, s and z
+_BEST_KINDS = "kkxyzz"
+
+
 def _ipm_loop(members: list[tuple[ConicProgram, _Pattern]], tol: float, pivoting=False, starts=None):
     """Mehrotra predictor-corrector on the (program, pattern) ``members`` in lockstep.
 
     Every round takes one iteration of each live member.  Members share the
     factorization of the block-diagonal KKT matrix, the vectorized cone
-    algebra and one residual evaluation; step lengths, centering, the stop
-    and divergence tests, the best iterate and the iteration count stay each
-    member's own.  A member that finishes leaves the stack, and its solution
-    reports the residual norms its round computed (a member at its cap, those
-    of its best iterate).  ``starts`` holds each member's warm start or None
-    (all cold when omitted); a cold member stops after ``_MAX_ITER``
+    algebra, one residual evaluation and the round's checks: objectives,
+    gaps, scores and the stop and divergence tests are computed for the
+    whole stack at once (``_Stack.objective``, ``_Stack.sums``), and only a
+    member that ends is looked at on its own.  Step lengths, centering, the
+    best iterate and the iteration count stay each member's own.  A member
+    that finishes leaves the stack, and its solution reports the residual
+    norms its round computed (a member at its cap, those of its best
+    iterate).  The best iterates are kept as one stacked copy, refreshed
+    where members improved.  ``starts`` holds each member's warm start or
+    None (all cold when omitted); a cold member stops after ``_MAX_ITER``
     iterations, a warm one after ``_WARM_MAX_ITER``.  Returns one
     (solution, certified) pair per member, ``certified`` telling whether a
     certificate backs a non-optimal verdict.
     """
     done: list[tuple | None] = [None] * len(members)
-    # per member: (score, copy of the point, its residual norms) of its best iterate
-    best: list[tuple | None] = [None] * len(members)
-    live = list(range(len(members)))  # the member at each position of the stack
     st = _Stack(members, pivoting)
     starts = starts or [None] * len(members)
-    limits = [_MAX_ITER if start is None else _WARM_MAX_ITER for start in starts]
+    # per stack position: the member there and its iteration cap
+    live = np.arange(len(members))
+    limits = np.array([_MAX_ITER if start is None else _WARM_MAX_ITER for start in starts])
+    # per stack position, its best iterate so far (see _BEST_KINDS), stacked
+    best: list[np.ndarray] = []
 
     # cold point: x and y at zero, (s, z) on the central ray of the cone
     e = st.cones.identity()
@@ -1121,31 +1191,40 @@ def _ipm_loop(members: list[tuple[ConicProgram, _Pattern]], tol: float, pivoting
     y = np.zeros(st.m)
     s = e * st.spread(np.maximum(1.0, np.sqrt(st.bnorm)), "z")
     z = e * st.spread(np.maximum(1.0, np.sqrt(st.cnorm)), "z")
-    for k, start in enumerate(starts):
-        if start is not None:
-            for v, part in zip(st.part(k, x, y, s, z), _checked_start(members[k][1], start)):
-                v *= 1.0 - _WARM
-                v += _WARM * part
+    warm = [k for k, start in enumerate(starts) if start is not None]
+    if warm:
+        given = [_checked_start(members[k][1], starts[k]) for k in warm]
+        is_warm = np.zeros(len(members), dtype=bool)
+        is_warm[warm] = True
+        for i, (v, kind) in enumerate(((x, "x"), (y, "y"), (s, "z"), (z, "z"))):
+            rows = st.spread(is_warm, kind)
+            v[rows] = v[rows] * (1.0 - _WARM) + _WARM * np.concatenate([g[i] for g in given])
 
-    def drop(ended: list[int], *vectors):
+    def end(k: int, point, norms, status: str, certified: bool = False) -> None:
+        """Member k of the stack ends at a point whose residual norms are
+        ``norms``, with the given verdict."""
+        done[live[k]] = _solution(st.members[k][0], status, point, it, norms), certified
+
+    def drop(ended: list[int], *arrays):
         """Take the members at stack positions ``ended`` out of the stack;
-        returns the other members' parts of each (vector, kind)."""
-        nonlocal st, live, e
-        keep = [k for k in range(len(live)) if k not in ended]
-        live = [live[k] for k in keep]
-        if not live:
-            return [None] * len(vectors)
-        e, *parts = st.gather(keep, (e, "z"), *vectors)
-        kept = [st.members[k] for k in keep]
+        returns the other members' parts of each (array, kind), or None
+        when no member is left."""
+        nonlocal st, e
+        kept = np.ones(len(st.members), dtype=bool)
+        kept[ended] = False
+        if not kept.any():
+            return None
+        e, *parts = st.gather(kept, (e, "z"), *arrays)
+        survivors = [st.members[k] for k in np.flatnonzero(kept).tolist()]
         st = None  # free the old stack and its factor before building the new one
-        st = _Stack(kept, pivoting)
+        st = _Stack(survivors, pivoting)
         return parts
 
     # every member ends at its limit at the latest, so the last round returns
-    for it in range(1, max(limits) + 1):
+    for it in range(1, int(limits.max()) + 1):
         r_d, r_p, r_g, ct_yz = st.residuals(x, y, s, z)
-        gap = st.dots(s, z, "z")
-        mu = np.array(gap) / st.nu
+        gap = st.sums(s * z, "z")
+        mu = gap / st.nu
         # per member (rows): the primal and dual residual norms and |C'(y, -z)|
         norms = np.column_stack([
             np.maximum(st.norms(r_p, "y"), st.norms(r_g, "z")),
@@ -1154,56 +1233,62 @@ def _ipm_loop(members: list[tuple[ConicProgram, _Pattern]], tol: float, pivoting
         ])
         rel_p = norms[:, 0] / st.bnorm
         rel_d = norms[:, 1] / st.cnorm
-        big_p = np.maximum(st.norms(x, "x"), st.norms(s, "z")) > 1e8
-        big_d = st.norms(y, "y") + st.norms(z, "z") > 1e8
-        ended = []
-        for k, i in enumerate(live):
-            prog = members[i][0]
+        rel_g = np.abs(gap) / (1.0 + np.abs(st.objective(x)))
+        score = rel_p + rel_d + rel_g
+        better = score < best[0] if best else np.ones(len(score), dtype=bool)
+        if better.all():
+            best = [score, norms, x.copy(), y.copy(), s.copy(), z.copy()]
+        elif better.any():
+            masks = [better, better[:, None]] + [st.spread(better, kind) for kind in "xyzz"]
+            best = [
+                np.where(mask, new, old)
+                for mask, new, old in zip(masks, (score, norms, x, y, s, z), best)
+            ]
+        optimal = (rel_p <= tol) & (rel_d <= tol) & (rel_g <= tol)
+        diverged = ~optimal & (
+            (np.maximum(st.norms(x, "x"), st.norms(s, "z")) > 1e8)
+            | (st.norms(y, "y") + st.norms(z, "z") > 1e8)
+        )
+        ended = np.flatnonzero(optimal).tolist()
+        for k in ended:
+            end(k, st.part(k, x, y, s, z), norms[k], OPTIMAL)
+        for k in np.flatnonzero(diverged).tolist():
             part = st.part(k, x, y, s, z)
-            rel_g = abs(gap[k]) / (1.0 + abs(prog.objective(part[0])))
-            if rel_p[k] <= tol and rel_d[k] <= tol and rel_g <= tol:
-                done[i] = _solution(prog, OPTIMAL, part, it, norms[k]), False
+            status, certified = _classify(st.members[k][0], part, norms[k])
+            if status != ITER_LIMIT:
+                end(k, part, norms[k], status, certified)
                 ended.append(k)
-                continue
-            score = rel_p[k] + rel_d[k] + rel_g
-            if best[i] is None or score < best[i][0]:
-                best[i] = (score, [v.copy() for v in part], norms[k])
-            if big_p[k] or big_d[k]:
-                verdict = _classify(prog, part, norms[k], it)
-                if verdict[0].status != ITER_LIMIT:
-                    done[i] = verdict
-                    ended.append(k)
-        state = [x, y, s, z, r_d, r_p, r_g, mu, norms]
+        state = [x, y, s, z, r_d, r_p, r_g, mu, norms, live, limits, *best]
         while True:
             if ended:
-                state = drop(ended, *zip(state, "xyzzxyzkk"))
-                if not live:
+                state = drop(ended, *zip(state, "xyzzxyzkkkk" + _BEST_KINDS))
+                if state is None:
                     return done
-            x, y, s, z, r_d, r_p, r_g, mu, norms = state
+            x, y, s, z, r_d, r_p, r_g, mu, norms, live, limits, *best = state
             singular, stalled = _newton_step(st, x, y, s, z, (r_d, r_p, r_g), mu, e)
             if not singular:
                 break
             # a member whose KKT block factors at neither regularization ends here
             for k in singular:
-                done[live[k]] = _classify(st.members[k][0], st.part(k, x, y, s, z), norms[k], it)
+                part = st.part(k, x, y, s, z)
+                end(k, part, norms[k], *_classify(st.members[k][0], part, norms[k]))
             ended = singular
         # a stalled member was left where it was, at the round's residuals
         for k in stalled:
-            done[live[k]] = _classify(
-                st.members[k][0], st.part(k, x, y, s, z), norms[k], it, scale=1e5
-            )
+            part = st.part(k, x, y, s, z)
+            end(k, part, norms[k], *_classify(st.members[k][0], part, norms[k], scale=1e5))
         # iteration cap: a member at its limit reports the best iterate seen,
         # which this round's check has set at the latest
-        capped = [k for k, i in enumerate(live) if limits[i] == it and k not in stalled]
+        capped = [k for k in np.flatnonzero(limits == it).tolist() if k not in stalled]
         for k in capped:
-            i = live[k]
-            _, part, part_norms = best[i]
-            done[i] = _solution(members[i][0], ITER_LIMIT, part, it, part_norms), False
+            end(k, st.part(k, *best[2:]), best[1][k], ITER_LIMIT)
         if stalled or capped:
-            ended = sorted(set(stalled) | set(capped))
-            x, y, s, z = drop(ended, (x, "x"), (y, "y"), (s, "z"), (z, "z"))
-            if not live:
+            state = drop(
+                stalled + capped, *zip([x, y, s, z, live, limits, *best], "xyzzkk" + _BEST_KINDS)
+            )
+            if state is None:
                 return done
+            x, y, s, z, live, limits, *best = state
 
 
 def _newton_step(st: _Stack, x, y, s, z, r, mu: np.ndarray, e: np.ndarray):
@@ -1223,16 +1308,17 @@ def _newton_step(st: _Stack, x, y, s, z, r, mu: np.ndarray, e: np.ndarray):
 
     The round's cone quantities stay blocks (see ``_Cones.blocks``): the
     scaling is computed once, and only what the linear solve, the gap and
-    the step take is written out as a vector on the slack rows.
+    the step take is written out as a vector on the slack rows.  The
+    affine gap and the step lengths are computed for the whole stack at
+    once.
     """
     r_d, r_p, r_g = r
     sc, deltas = _scale_and_factor(st, s, z)
-    failed = [k for k, d in enumerate(deltas) if d is None]
+    failed = np.flatnonzero(np.isnan(deltas)).tolist()
     if failed:
         return failed, []
     cones = st.cones
     lam_lam = _jprods(sc.lam, sc.lam)
-    mu, nu = mu.tolist(), st.nu.tolist()
 
     def solve(d_target):
         # linearized complementarity lam o (W^-1 ds + W dz) = d_target
@@ -1252,27 +1338,27 @@ def _newton_step(st: _Stack, x, y, s, z, r, mu: np.ndarray, e: np.ndarray):
         # W^-1 ds o W dz of the affine direction
         g, _, _, dz = solve([-v for v in lam_lam])
         ds_b, dz_b, wdz = slack_parts(g, dz)
-        steps = cones.max_step(sc.s, ds_b, sc.z, dz_b).tolist()
-        a_aff = st.spread([min(1.0, a) for a in steps], "z")
-        aff_gap = st.dots(s + a_aff * cones.flat(ds_b), z + a_aff * dz, "z")
+        a_aff = st.spread(np.minimum(1.0, cones.max_step(sc.s, ds_b, sc.z, dz_b)), "z")
+        aff_gap = st.sums((s + a_aff * cones.flat(ds_b)) * (z + a_aff * dz), "z")
+        # the cube is taken by Python's pow, member by member: numpy's
+        # vectorized power may round differently on some CPUs
         sigma = [
-            min(1.0, max(0.0, (gap / nu_k / mu_k) ** 3)) if mu_k > 0 else 0.0
-            for gap, nu_k, mu_k in zip(aff_gap, nu, mu)
+            min(1.0, max(0.0, ratio ** 3)) if mu_k > 0 else 0.0
+            for ratio, mu_k in zip((aff_gap / st.nu / mu).tolist(), mu.tolist())
         ]
         return sigma, _jprods(sc.apply(ds_b, inverse=True), wdz)
 
     sigma, second = predictor()
-    sigma_mu = st.spread([sg * mu_k for sg, mu_k in zip(sigma, mu)], "z")
+    sigma_mu = st.spread(np.array(sigma) * mu, "z")
     g, dx, dy, dz = solve(
         [c - ll - so for c, ll, so in zip(cones.blocks(sigma_mu * e), lam_lam, second)]
     )
     st.lu = None
     ds_b, dz_b, _ = slack_parts(g, dz)
 
-    alpha = [min(1.0, 0.99 * a) for a in cones.max_step(sc.s, ds_b, sc.z, dz_b).tolist()]
-    stalled = [k for k, a in enumerate(alpha) if not math.isfinite(a) or a <= 1e-14]
-    moving = np.ones(len(alpha), dtype=bool)
-    moving[stalled] = False
+    alpha = np.minimum(1.0, 0.99 * cones.max_step(sc.s, ds_b, sc.z, dz_b))
+    moving = np.isfinite(alpha) & (alpha > 1e-14)
+    stalled = np.flatnonzero(~moving).tolist()
     for v, dv, kind in ((x, dx, "x"), (y, dy, "y"), (s, cones.flat(ds_b), "z"), (z, dz, "z")):
         step = st.spread(alpha, kind) * dv
         if stalled:
@@ -1288,18 +1374,18 @@ def _scale_and_factor(st: _Stack, s: np.ndarray, z: np.ndarray):
 
     Each member's block is regularized by 1e-9, or by 1e-6 where its block
     does not factor at 1e-9, exactly as the member alone would settle it.
-    Returns the scaling and each member's regularization, None for a member
+    Returns the scaling and each member's regularization, NaN for a member
     whose block factors at neither; the stack is then left unfactored.
     """
     sc = _Scaling(st.cones, s, z)
     w2 = sc.w2_values()
-    deltas = [1e-9] * len(st.members)
-    if not st.factor(w2, np.array(deltas)):
-        deltas = [
-            _delta_alone(member, s[sl], z[sl], st.pivoting)
-            for member, sl in zip(st.members, st.slices["z"])
-        ]
-        if None not in deltas and not st.factor(w2, np.array(deltas)):
+    deltas = np.full(len(st.members), 1e-9)
+    if not st.factor(w2, deltas):
+        deltas = np.array([
+            _delta_alone(member, s[st.span("z", k)], z[st.span("z", k)], st.pivoting)
+            for k, member in enumerate(st.members)
+        ], dtype=float)
+        if not np.isnan(deltas).any() and not st.factor(w2, deltas):
             raise RuntimeError("the stacked KKT matrix failed to factor where its blocks did")
     return sc, deltas
 

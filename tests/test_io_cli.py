@@ -260,6 +260,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert "input error" in err and "malformed value" in err and f"{table}.csv:2" in err
 
+    @pytest.mark.parametrize("table, line, edit, named", [
+        # a second row for p6, which the scenario would otherwise drop
+        ("prosumers", 7, lambda rows: rows + ["p6,6,0.1,0.85,1"], "repeated prosumer id 'p6'"),
+        # a cell past the last column, as a shifted row would leave
+        ("lines", 2, lambda rows: [rows[0], rows[1] + ",7"] + rows[2:], "1 surplus cell(s)"),
+        # two rows for hour 0 and none for hour 1
+        ("profiles", 3, lambda rows: rows[:2] + ["0" + rows[2][1:]] + rows[3:], "hour 0"),
+        ("profiles", 25, lambda rows: rows[:-1] + ["24" + rows[-1][2:]], "hour 24"),
+    ], ids=["repeated id", "surplus cell", "repeated hour", "hour past the horizon"])
+    def test_inconsistent_table_exits_2(self, tmp_path, capsys, table, line, edit, named):
+        scen = tmp_path / "scen"
+        shutil.copytree(bundled_scenario_dir("six_bus"), scen)
+        path = scen / f"{table}.csv"
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        assert cli_main(["validate", "--scenario", str(scen)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and named in err and f"{table}.csv:{line}" in err
+
     @pytest.mark.parametrize("key", [
         "rho", "rho_prime", "eps1", "eps2", "lambda_p_init", "lambda_loss_init",
     ])

@@ -139,6 +139,32 @@ class TestRunClearing:
         assert len(built) == 2 + passes
         assert shared.trace.digest() == apart.trace.digest()
 
+    def test_prosumers_assembled_once_per_clearing(self, monkeypatch):
+        # every outer pass poses the programs the clearing assembled once,
+        # and gets what it gets when each pass assembles its own
+        import lemclear.market as market
+        import lemclear.prosumer as prosumer
+
+        sc = small_scenario()
+        built = []
+        assemble, solve = prosumer.assemble_prosumer, market.solve_subproblems
+
+        def spy(pros, *args):
+            built.append(pros.id)
+            return assemble(pros, *args)
+
+        def own_assembly(problems, *args, **kwargs):
+            fresh = [(assemble(pp.pros, pp.dt, pp.horizon), inp) for pp, inp in problems]
+            return solve(fresh, *args, **kwargs)
+
+        monkeypatch.setattr(prosumer, "assemble_prosumer", spy)
+        shared = run_clearing(sc)
+        assert shared.outer_iterations > 1
+        assert sorted(built) == sorted(p.id for p in sc.prosumers)
+        monkeypatch.setattr(market, "solve_subproblems", own_assembly)
+        apart = run_clearing(sc)
+        assert shared.trace.digest() == apart.trace.digest()
+
     def test_converges_within_envelope(self):
         res = run_clearing(small_scenario(), prosumer_solver="exact")
         assert res.status == "converged"

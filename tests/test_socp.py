@@ -154,8 +154,8 @@ class TestSolveBasics:
         point = (np.zeros(1), np.zeros(0), np.full(2, 1e10), np.full(2, 1e9))
         r_d, r_p, r_g, ct_yz = _Stack(_members([prog])).residuals(*point)
         norms = [np.abs(np.concatenate([r_p, r_g])).max(), np.abs(r_d).max(), np.abs(ct_yz).max()]
-        verdict, certified = _classify(prog, point, norms, 1)
-        assert verdict.status == INFEASIBLE and certified
+        status, certified = _classify(prog, point, norms)
+        assert status == INFEASIBLE and certified
 
     def test_zero_variable_program(self):
         prog = lifted(
@@ -886,6 +886,22 @@ def stack_member_by_member(members):
     return ref
 
 
+def assert_stack_is(stack, ref):
+    """The stack's arrays are the reference's (see ``stack_member_by_member``)."""
+    for name in ("A", "G", "CT"):
+        M = getattr(stack, name)
+        for got, want in zip((M.data, M.indices, M.indptr), ref[name]):
+            assert np.array_equal(got, want), name
+    assert np.array_equal(stack.K.indices, ref["K"][0])
+    assert np.array_equal(stack.K.indptr, ref["K"][1])
+    for name in ("perm", "slots", "sign", "fixed"):
+        assert np.array_equal(getattr(stack, name), ref[name]), name
+    assert np.array_equal(stack.cones.nonneg_idx, ref["nonneg"])
+    assert len(stack.cones.soc_groups) == len(ref["soc"])
+    for got, want in zip(stack.cones.soc_groups, ref["soc"]):
+        assert np.array_equal(got, want)
+
+
 def assert_same_solution(got, alone):
     assert got.status == alone.status
     assert got.iterations == alone.iterations
@@ -981,19 +997,65 @@ class TestLockstepBatch:
         progs = [BATCH_POOL[i] for i in picks] + [variant(j) for j in range(n_variants)]
         rnd.shuffle(progs)
         members = _members(progs)
-        stack, ref = _Stack(members), stack_member_by_member(members)
-        for name in ("A", "G", "CT"):
-            M = getattr(stack, name)
-            for got, want in zip((M.data, M.indices, M.indptr), ref[name]):
-                assert np.array_equal(got, want), name
-        assert np.array_equal(stack.K.indices, ref["K"][0])
-        assert np.array_equal(stack.K.indptr, ref["K"][1])
-        for name in ("perm", "slots", "sign", "fixed"):
-            assert np.array_equal(getattr(stack, name), ref[name]), name
-        assert np.array_equal(stack.cones.nonneg_idx, ref["nonneg"])
-        assert len(stack.cones.soc_groups) == len(ref["soc"])
-        for got, want in zip(stack.cones.soc_groups, ref["soc"]):
-            assert np.array_equal(got, want)
+        stack = _Stack(members)
+        assert_stack_is(stack, stack_member_by_member(members))
+        # members leave: the survivors' stack is built as any other, and
+        # what an exit carries over from the old stack lines up with it
+        kept = np.array([rnd.random() < 0.5 for _ in members])
+        kept[rnd.randrange(len(members))] = True
+        survivors = _Stack([mb for mb, k in zip(members, kept) if k])
+        assert_stack_is(survivors, stack_member_by_member(survivors.members))
+        carried = [("q", "x"), ("c", "x"), ("b", "y"), ("h", "z"), ("c0", "k"), ("nu", "k"),
+                   ("bnorm", "k"), ("cnorm", "k")]
+        for name, kind in carried:
+            (got,) = stack.gather(kept, (getattr(stack, name), kind))
+            assert np.array_equal(got, getattr(survivors, name)), name
+        (e,) = stack.gather(kept, (stack.cones.identity(), "z"))
+        assert np.array_equal(e, survivors.cones.identity())
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        picks=st.lists(st.integers(0, 14), min_size=1, max_size=6),
+        n_variants=st.integers(0, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_member_sums_match_per_member_reference(self, picks, n_variants, seed):
+        # the round's objectives and gaps s'z (the affine gap is the same
+        # sum at the stepped point) as segment sums over the stack, against
+        # each program's own objective and dot product
+        progs = [BATCH_POOL[i] for i in picks] + [variant(j) for j in range(n_variants)]
+        stack = _Stack(_members(progs))
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=stack.n) * 10.0 ** rng.integers(-3, 4, size=stack.n)
+        s, z = rng.uniform(0.0, 2.0, size=(2, stack.p))
+        obj, gap = stack.objective(x), stack.sums(s * z, "z")
+        assert obj.shape == gap.shape == (len(progs),)
+        for k, prog in enumerate(progs):
+            xk, _, sk, zk = stack.part(k, x, np.zeros(stack.m), s, z)
+            # the scale of the terms summed bounds the rounding of any order
+            size = np.abs(prog.c) @ np.abs(xk) + abs(prog.c0) + 0.5 * prog.q @ (xk * xk)
+            assert abs(obj[k] - prog.objective(xk)) <= 1e-14 * size
+            assert abs(gap[k] - sk @ zk) <= 1e-14 * (np.abs(sk) @ np.abs(zk))
+
+    def test_objective_read_only_where_members_end(self, monkeypatch):
+        # the rounds' checks read the stack's objectives; a program's own
+        # objective is computed once, for the solution of the round it ends in
+        calls = []
+        objective = ConicProgram.objective
+
+        def spy(prog, x):
+            calls.append(id(prog))
+            return objective(prog, x)
+
+        monkeypatch.setattr(ConicProgram, "objective", spy)
+        members = _members(BATCH_POOL)
+        with np.errstate(all="ignore"):
+            ends = _ipm_loop(members, 1e-8)
+        # optimal, infeasible, unbounded and stalled endings, over many
+        # more member-rounds than endings
+        assert {sol.status for sol, _ in ends} == {OPTIMAL, INFEASIBLE, UNBOUNDED, ITER_LIMIT}
+        assert sum(sol.iterations for sol, _ in ends) > 5 * len(members)
+        assert sorted(calls) == sorted(id(prog) for prog, _ in members)
 
     @pytest.mark.parametrize("k", [1, 4, 16])
     def test_pattern_work_done_once_per_pattern(self, monkeypatch, k):
@@ -1364,7 +1426,8 @@ def flat_scale_and_factor(st, s, z):
     deltas = [1e-9] * len(st.members)
     if not flat_factor(st, w2, np.array(deltas)):
         deltas = []
-        for member, sl in zip(st.members, st.slices["z"]):
+        for k, member in enumerate(st.members):
+            sl = st.span("z", k)
             alone = _Stack([member])
             a_nn, a_soc, _ = flat_scaling(member[1].cones, s[sl], z[sl])
             a_w2 = flat_w2_values(a_nn, a_soc)
@@ -1397,7 +1460,7 @@ def flat_newton_step(st, x, y, s, z, r, mu, e):
     dx_a, dy_a, ds_a, dz_a = direction(-lam_lam)
     steps = zip(flat_max_step(cones, s, ds_a).tolist(), flat_max_step(cones, z, dz_a).tolist())
     a_aff = st.spread([min(1.0, a_s, a_z) for a_s, a_z in steps], "z")
-    aff_gap = st.dots(s + a_aff * ds_a, z + a_aff * dz_a, "z")
+    aff_gap = st.sums((s + a_aff * ds_a) * (z + a_aff * dz_a), "z").tolist()
     sigma = [
         min(1.0, max(0.0, (g / nu_k / mu_k) ** 3)) if mu_k > 0 else 0.0
         for g, nu_k, mu_k in zip(aff_gap, nu, mu)
@@ -1449,14 +1512,19 @@ def with_new_data(rng, prog):
     )
 
 
-def round_stack(seed):
-    """Four members on two random_layout patterns: three without equality
-    rows and, second, one with them.  Returns the stack and a state in the
-    cone's interior with its residuals; member 2's cone residual is scaled
-    by 1e30, so its step collapses."""
+def nonneg_layout(rng):
+    """NonNeg blocks only, as a prosumer program's cone."""
+    return tuple(NonNeg(int(rng.integers(1, 6))) for _ in range(int(rng.integers(1, 4))))
+
+
+def round_stack(seed, layout=random_layout):
+    """Four members on two patterns of the given layout: three without
+    equality rows and, second, one with them.  Returns the stack and a state
+    in the cone's interior with its residuals; member 2's cone residual is
+    scaled by 1e30, so its step collapses."""
     rng = np.random.default_rng(seed)
-    first = layout_program(rng, random_layout(rng), 0)
-    progs = [first, layout_program(rng, random_layout(rng), 2)]
+    first = layout_program(rng, layout(rng), 0)
+    progs = [first, layout_program(rng, layout(rng), 2)]
     progs += [with_new_data(rng, first) for _ in range(2)]
     members = _members(progs)
     st = _Stack(members)
@@ -1465,44 +1533,58 @@ def round_stack(seed):
     s = np.concatenate([interior_point(rng, prog.cones) for prog in progs])
     z = np.concatenate([interior_point(rng, prog.cones) for prog in progs])
     r_d, r_p, r_g, _ = st.residuals(x, y, s, z)
-    r_g[st.slices["z"][2]] *= 1e30
-    mu = np.array(st.dots(s, z, "z")) / st.nu
+    r_g[st.span("z", 2)] *= 1e30
+    mu = st.sums(s * z, "z") / st.nu
     return st, (x, y, s, z), (r_d, r_p, r_g), mu, st.cones.identity()
+
+
+def assert_round_is_bit_identical(monkeypatch, seed, singular_at, expect, layout):
+    # SuperLU fails on a matrix whose diagonal holds -delta for the
+    # listed deltas: only member 1 has equality rows, so only its block
+    # has that diagonal, and it settles at 1e-6 or at neither
+    splu = spla.splu
+    factored = []
+
+    def fake(A, **kwargs):
+        if np.isin(A.diagonal(), singular_at).any():
+            raise RuntimeError("Factor is exactly singular")
+        factored.append(A.shape[0])
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", fake)
+    st, state, r, mu, e = round_stack(seed, layout)
+    ours, theirs = [v.copy() for v in state], [v.copy() for v in state]
+    with np.errstate(all="ignore"):
+        got = _newton_step(st, *ours, r, mu, e)
+        want = flat_newton_step(st, *theirs, r, mu, e)
+    assert got == want == expect
+    assert factored and all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+    if not expect[0]:
+        member_1 = np.split(st.delta, np.cumsum(st.sizes)[:-1])[1]
+        assert set(member_1) == {1e-6 if singular_at else 1e-9}
+    moved = [not np.array_equal(a, b) for a, b in zip(ours, state)]
+    assert moved == [not expect[0]] * 4
+
+
+ROUND_CASES = pytest.mark.parametrize(
+    "singular_at, expect",
+    [((), ([], [2])), ((-1e-9,), ([], [2])), ((-1e-9, -1e-6), ([1], []))],
+    ids=["delta 1e-9", "member 1 at 1e-6", "member 1 singular"],
+)
 
 
 class TestRoundAgainstFlatRound:
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize(
-        "singular_at, expect",
-        [((), ([], [2])), ((-1e-9,), ([], [2])), ((-1e-9, -1e-6), ([1], []))],
-        ids=["delta 1e-9", "member 1 at 1e-6", "member 1 singular"],
-    )
+    @ROUND_CASES
     def test_round_is_bit_identical(self, monkeypatch, seed, singular_at, expect):
-        # SuperLU fails on a matrix whose diagonal holds -delta for the
-        # listed deltas: only member 1 has equality rows, so only its block
-        # has that diagonal, and it settles at 1e-6 or at neither
-        splu = spla.splu
-        factored = []
+        assert_round_is_bit_identical(monkeypatch, seed, singular_at, expect, random_layout)
 
-        def fake(A, **kwargs):
-            if np.isin(A.diagonal(), singular_at).any():
-                raise RuntimeError("Factor is exactly singular")
-            factored.append(A.shape[0])
-            return splu(A, **kwargs)
-
-        monkeypatch.setattr(spla, "splu", fake)
-        st, state, r, mu, e = round_stack(seed)
-        ours, theirs = [v.copy() for v in state], [v.copy() for v in state]
-        with np.errstate(all="ignore"):
-            got = _newton_step(st, *ours, r, mu, e)
-            want = flat_newton_step(st, *theirs, r, mu, e)
-        assert got == want == expect
-        assert factored and all(np.array_equal(a, b) for a, b in zip(ours, theirs))
-        if not expect[0]:
-            member_1 = np.split(st.delta, np.cumsum(st.sizes)[:-1])[1]
-            assert set(member_1) == {1e-6 if singular_at else 1e-9}
-        moved = [not np.array_equal(a, b) for a, b in zip(ours, state)]
-        assert moved == [not expect[0]] * 4
+    @pytest.mark.parametrize("seed", range(4))
+    @ROUND_CASES
+    def test_nonneg_round_is_bit_identical(self, monkeypatch, seed, singular_at, expect):
+        # NonNeg-only layouts take their blocks as slices of the vectors
+        # themselves; the flat round gathers and scatters them by index
+        assert_round_is_bit_identical(monkeypatch, seed, singular_at, expect, nonneg_layout)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_fused_step_search_equals_two_searches(self, seed):
@@ -1515,11 +1597,11 @@ class TestRoundAgainstFlatRound:
         # the search of s alone ignores, and z falls fast enough to make it
         # member 1's least step
         for k, both in ((0, True), (3, False)):
-            sl = st.slices["z"][k]
+            sl = st.span("z", k)
             ds[sl] = s[sl]
             if both:
                 dz[sl] = z[sl]
-        sl = st.slices["z"][1]
+        sl = st.span("z", 1)
         row = next(i for i in cones.nonneg_idx if sl.start <= i < sl.stop)
         s[row], ds[row], dz[row] = np.nan, -1.0, -1e3
         with np.errstate(invalid="ignore"):
