@@ -117,7 +117,7 @@ def main() -> None:
         f"background buses {sorted(sc.background)}"
     )
 
-    tables = generate_tables(GeneratorSpec(seed=1, template="ieee69", penetration=0.30))
+    tables = generate_tables(GeneratorSpec(seed=1, penetration=0.30))
     write_tables(tables, DATA / "ieee69")
     sc69 = load_scenario(DATA / "ieee69")
     n_active = len(sc69.prosumers)

@@ -366,7 +366,6 @@ def solve_dso_subproblem(
     loss_cost: np.ndarray,
     dt: float,
     rho_prime: float = 0.0,
-    tol: float = 1e-8,
     bf: BranchFlowProgram | None = None,
 ) -> DsoOutput:
     """Solve the hourly network programs and extract prices.
@@ -379,7 +378,7 @@ def solve_dso_subproblem(
     """
     bf = assemble_branch_flow(net) if bf is None else bf
     progs = hour_programs(bf, inp, np.asarray(loss_cost, dtype=float) * dt, rho_prime)
-    sols = solve_socp_batch(progs, tol=tol)
+    sols = solve_socp_batch(progs)
     for t, sol in enumerate(sols):
         if sol.status != OPTIMAL:
             raise DsoInfeasible(t, _diagnose(net, inp, t))

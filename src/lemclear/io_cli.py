@@ -83,11 +83,16 @@ def _type_issues(data: dict, types: dict[str, str], where: str, finite: bool = F
     return issues
 
 
+def _json_object(data, where: str) -> dict:
+    if not isinstance(data, dict):
+        raise ScenarioFormatError([f"{where}: expected a JSON object, got {type(data).__name__}"])
+    return data
+
+
 def _keywords(cls, data, where: str) -> dict:
     """``data`` as keyword arguments of the dataclass ``cls``: a JSON object
     whose keys are fields of ``cls`` and whose values have their types."""
-    if not isinstance(data, dict):
-        raise ScenarioFormatError([f"{where}: expected a JSON object, got {type(data).__name__}"])
+    _json_object(data, where)
     types = {f.name: f.type for f in fields(cls)}
     issues = [f"{where}: unknown key {key!r}" for key in data if key not in types]
     issues += _type_issues(data, types, where)
@@ -212,23 +217,36 @@ def write_tables(tables: ScenarioTables, out_dir: str | Path) -> None:
                 w.writerow([_fmt(row[c]) for c in cols])
 
 
+def _no_file(path: Path) -> str:
+    """Why ``path``, which is not a file, cannot be read."""
+    return f"{path} is not a file" if path.exists() else f"missing file {path}"
+
+
 def read_tables(scen_dir: str | Path) -> ScenarioTables:
     d = Path(scen_dir)
     issues: list[str] = []
-    if not (d / "manifest.json").exists():
-        raise ScenarioFormatError([f"missing file {d / 'manifest.json'}"])
-    manifest = json.loads((d / "manifest.json").read_text(encoding="utf-8"))
+    path = d / "manifest.json"
+    if not path.is_file():
+        raise ScenarioFormatError([_no_file(path)])
+    manifest = _json_object(json.loads(path.read_text(encoding="utf-8")), str(path))
     parts: dict[str, list[dict]] = {}
     for name in _FILES:
         path = d / f"{name}.csv"
-        if not path.exists():
-            issues.append(f"missing file {path}")
+        if not path.is_file():
+            issues.append(_no_file(path))
             continue
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            missing = set(_COLUMNS[name]) - set(reader.fieldnames or [])
-            if missing:
-                issues.append(f"{name}.csv: missing columns {sorted(missing)}")
+            header = reader.fieldnames or []
+            missing = set(_COLUMNS[name]) - set(header)
+            bad = [f"{name}.csv: missing columns {sorted(missing)}"] if missing else []
+            for col in dict.fromkeys(header):
+                if col not in _COLUMNS[name]:
+                    bad.append(f"{name}.csv: unknown column {col!r}")
+                elif header.count(col) > 1:
+                    bad.append(f"{name}.csv: repeated column {col!r}")
+            if bad:
+                issues += bad
                 continue
             rows = []
             for lineno, raw in enumerate(reader, start=2):
@@ -374,11 +392,15 @@ def assemble_scenario(tables: ScenarioTables) -> Scenario:
         if not r["active"]:
             background[r["bus"]] = background.get(r["bus"], np.zeros(T)) + baseline
             continue
+        # a peak load near the float limit overflows the day's energy to an
+        # infinite floor, which FlexibleLoad rejects
+        with np.errstate(over="ignore"):
+            day = float(np.sum(baseline))
         fls = tuple(
             FlexibleLoad(
                 p_fl_max=fr["max_frac"] * baseline,
                 t_max=int(fr["t_max"]),
-                e_min=fr["e_min_frac"] * float(np.sum(baseline)) * float(man["dt"]),
+                e_min=fr["e_min_frac"] * day * float(man["dt"]),
                 discomfort_cost=fr["discomfort_cost"],
             )
             for fr in fl_rows_by_pros.get(r["id"], [])
@@ -443,7 +465,6 @@ class GeneratorSpec:
     """
 
     seed: int = 1
-    template: str = "ieee69"
     penetration: float = 0.30
     p_pv: float = 1.0
     p_bess: float = 1.0
@@ -457,8 +478,6 @@ class GeneratorSpec:
         for p in (self.p_pv, self.p_bess, self.p_ev, self.p_fl):
             if not (0.0 <= p <= 1.0):
                 raise ValueError("device probabilities must lie in [0, 1]")
-        if self.template not in ("ieee69",):
-            raise ValueError(f"unknown template {self.template!r}")
 
 
 def _feeder_peak_flows(loads_mw: dict[int, float], loads_mvar: dict[int, float]):
@@ -497,7 +516,7 @@ def generate_tables(spec: GeneratorSpec) -> ScenarioTables:
     host_u = {b: float(u) for b, u in zip(load_buses, host_rng.uniform(size=len(load_buses)))}
 
     manifest = {
-        "name": f"{spec.template}-seed{spec.seed}-pen{spec.penetration}",
+        "name": f"ieee69-seed{spec.seed}-pen{spec.penetration}",
         "base_mva": 10.0,
         "base_kv": 12.66,
         "horizon": spec.horizon,
@@ -769,17 +788,23 @@ def cli_main(argv: list[str] | None = None) -> int:
             print(f"scenario {args.scenario}: OK")
             return 0
 
+        # generate and clear write to --out, which is checked before any work
+        out = Path(args.out)
+        if out.exists() and not out.is_dir():
+            raise ValueError(f"--out {out}: not a directory")
+
         if args.command == "generate":
+            if not Path(args.spec).is_file():
+                raise ScenarioFormatError([_no_file(Path(args.spec))])
             spec_data = json.loads(Path(args.spec).read_text(encoding="utf-8"))
             spec = GeneratorSpec(**_keywords(GeneratorSpec, spec_data, args.spec))
             tables = generate_tables(spec)
-            write_tables(tables, args.out)
-            print(f"wrote scenario to {args.out}")
+            write_tables(tables, out)
+            print(f"wrote scenario to {out}")
             return 0
 
         if args.command == "clear":
             scenario = _override_admm(load_scenario(args.scenario), args)
-            out = Path(args.out)
             solver = args.prosumer_solver.replace("-", "_")
             if args.mode == "distributed":
                 result = run_clearing(

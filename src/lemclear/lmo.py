@@ -10,7 +10,7 @@ point is available in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,20 +32,13 @@ __all__ = [
 @dataclass
 class LmoState:
     """Coordinator-side iterate: multipliers, auxiliary copies and the
-    prosumer-to-bus incidence (psi) with its transpose (psi_prime)."""
+    prosumer-to-bus incidence (psi)."""
 
     lambda_p: dict[str, np.ndarray]
     lambda_loss: np.ndarray
     p_tilde: dict[str, np.ndarray] | None
     p_loss_tilde: np.ndarray
     psi: dict[str, int]
-    psi_prime: dict[int, tuple[str, ...]] = field(init=False)
-
-    def __post_init__(self):
-        inv: dict[int, list[str]] = {}
-        for a, n in self.psi.items():
-            inv.setdefault(n, []).append(a)
-        self.psi_prime = {n: tuple(sorted(v)) for n, v in inv.items()}
 
 
 @dataclass
@@ -154,16 +147,15 @@ def aggregate_to_nodes(
 
 
 def map_dlmp_to_prosumers(
-    psi_prime: dict[int, tuple[str, ...]],
+    psi: dict[str, int],
     dlmp: dict[int, np.ndarray],
 ) -> dict[str, np.ndarray]:
     """Project bus prices onto the prosumers located there, unchanged."""
     out: dict[str, np.ndarray] = {}
-    for n, agents in psi_prime.items():
+    for a, n in psi.items():
         if n not in dlmp:
             raise KeyError(f"no price available for bus {n}")
-        for a in agents:
-            out[a] = dlmp[n].copy()
+        out[a] = dlmp[n].copy()
     return out
 
 

@@ -29,7 +29,6 @@ from .dso import DsoInput, DsoOutput, solve_dso_subproblem
 from .model import Scenario
 # solve_subproblem_III stays importable here: perfbench/tracer.py wraps it
 from .prosumer import (  # noqa: F401
-    _CLEARING_TOL,
     ProsumerInput,
     ProsumerSchedule,
     solve_subproblem_III,
@@ -248,9 +247,9 @@ def run_clearing(
     lockstep batch, each prosumer's search starting from its root
     relaxation of the previous pass.  ``prosumer_order`` only permutes the
     solve order; results are merged by sorted id, so the outcome is
-    independent of scheduling.  Every cone program is solved to 1e-9
-    (``prosumer._CLEARING_TOL``), and exact prosumer branch and bound stops
-    at its default 1e-6 relative gap.
+    independent of scheduling.  Every cone program is solved to the
+    solver's default 1e-9 (``socp.solve_socp_batch``), and exact prosumer
+    branch and bound stops at its default 1e-6 relative gap.
     """
     t_start = time.perf_counter()
     cfg = scenario.admm
@@ -268,8 +267,8 @@ def run_clearing(
     assembled = {a: pros_mod.assemble_prosumer(pros_by_id[a], dt, T) for a in ids}
     psi = {p.id: p.bus_id for p in scenario.prosumers}
     state = lmo_mod.LmoState(
-        lambda_p={a: np.full(T, cfg.lambda_p_init) for a in ids},
-        lambda_loss=np.full(T, cfg.lambda_loss_init),
+        lambda_p={a: np.zeros(T) for a in ids},
+        lambda_loss=np.zeros(T),
         p_tilde=None,
         p_loss_tilde=np.zeros(T),
         psi=psi,
@@ -332,7 +331,6 @@ def run_clearing(
                 loss_cost=scenario.loss_cost,
                 dt=dt,
                 rho_prime=cfg.rho_prime,
-                tol=_CLEARING_TOL,
                 bf=bf,
             )
             bus.send(
@@ -370,7 +368,7 @@ def run_clearing(
                 break
         inner_counts.append(n_inner)
 
-        prices = lmo_mod.map_dlmp_to_prosumers(state.psi_prime, dso_out.dlmp)
+        prices = lmo_mod.map_dlmp_to_prosumers(state.psi, dso_out.dlmp)
         new_lp = lmo_mod.update_power_dual(state, sp1.p_tilde, p_net, cfg)
         outer_step = np.concatenate(
             [np.abs(new_lp[a] - state.lambda_p[a]) for a in ids]

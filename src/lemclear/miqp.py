@@ -217,7 +217,7 @@ def repair_search(prob: MixedBinaryProgram, start: Start | None = None) -> Searc
     return _search(prob, math.inf, 50_000, start)
 
 
-def solve_searches(searches: list[Search], tol: float = 1e-8) -> list[BnBResult]:
+def solve_searches(searches: list[Search]) -> list[BnBResult]:
     """Run independent searches to completion in lockstep rounds.
 
     Each round solves the pending program of every unfinished search as one
@@ -239,7 +239,7 @@ def solve_searches(searches: list[Search], tol: float = 1e-8) -> list[BnBResult]
     while pending:
         order = sorted(pending)
         progs, starts = zip(*(pending[i] for i in order))
-        for i, sol in zip(order, solve_socp_batch(list(progs), tol=tol, starts=list(starts))):
+        for i, sol in zip(order, solve_socp_batch(list(progs), starts=list(starts))):
             advance(i, sol)
     return results
 

@@ -153,8 +153,8 @@ class FlexibleLoad:
             raise ValueError("flexible-load bounds must be nonnegative")
         if self.t_max < 0:
             raise ValueError("t_max must be nonnegative")
-        if self.e_min < 0:
-            raise ValueError("e_min must be nonnegative")
+        if not 0.0 <= self.e_min < math.inf:
+            raise ValueError(f"e_min must be finite and nonnegative, got {self.e_min!r}")
 
 
 @dataclass(frozen=True)
@@ -180,11 +180,9 @@ class AdmmConfig:
     eps2: float = 1e-4
     max_outer: int = 100
     max_inner: int = 50
-    lambda_p_init: float = 0.0
-    lambda_loss_init: float = 0.0
 
     def __post_init__(self):
-        for name in ("rho", "rho_prime", "eps1", "eps2", "lambda_p_init", "lambda_loss_init"):
+        for name in ("rho", "rho_prime", "eps1", "eps2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"ADMM setting {name} must be finite, got {getattr(self, name)!r}")
         if self.rho <= 0 or self.rho_prime <= 0:

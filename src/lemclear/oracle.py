@@ -36,7 +36,7 @@ from .dso import (
 from .market import ClearingResult, operator_costs
 from .miqp import restore_fixed, with_fixed_variables
 from .model import Scenario
-from .prosumer import _CLEARING_TOL, ProsumerInput, ProsumerSchedule
+from .prosumer import ProsumerInput, ProsumerSchedule
 from .socp import OPTIMAL, ConicProgram, SolveFailed, solve_socp
 
 __all__ = ["OracleResult", "solve_centralized", "solve_selfish"]
@@ -157,7 +157,7 @@ def solve_centralized(
     elif binaries != "relaxed":
         raise ValueError("binaries must be 'relaxed' or a ClearingResult")
 
-    sol = solve_socp(with_fixed_variables(prog, binary_fix), tol=_CLEARING_TOL)
+    sol = solve_socp(with_fixed_variables(prog, binary_fix))
     if sol.status != OPTIMAL:
         raise SolveFailed(
             "centralized program", sol.status,
@@ -230,16 +230,12 @@ def solve_selfish(
     inp_net = DsoInput(p_node, p_loss_tilde=np.zeros(T), lambda_loss=np.zeros(T))
     violations: list[str] = []
     try:
-        dso_out: DsoOutput = solve_dso_subproblem(
-            net, inp_net, scenario.loss_cost, dt, tol=_CLEARING_TOL
-        )
+        dso_out: DsoOutput = solve_dso_subproblem(net, inp_net, scenario.loss_cost, dt)
     except DsoInfeasible as exc:
         # one entry per (hour, limit); the exception's diagnosis names the
         # first infeasible hour's limits again, so it stands in only when
         # the scan finds none
-        dso_out = solve_dso_subproblem(
-            relaxed_limits(net), inp_net, scenario.loss_cost, dt, tol=_CLEARING_TOL
-        )
+        dso_out = solve_dso_subproblem(relaxed_limits(net), inp_net, scenario.loss_cost, dt)
         scan = limit_violations(net, dso_out)
         violations = [f"{msg} at hour {t}" for t, msg in scan] or [str(exc)]
 

@@ -117,7 +117,6 @@ class ProsumerProgram:
     fl_pos: list[int]
     fl_neg: list[int]
     fl_y: list[int]
-    n_binaries: int = 0
 
 
 def soc_step(soc_prev: float, p_ch: float, p_dch: float, device: StorageDevice, dt: float) -> float:
@@ -137,16 +136,7 @@ def assemble_prosumer(pros: Prosumer, dt: float, horizon: int) -> ProsumerProgra
     rejected here rather than surfacing as a solver failure.
     """
     T = horizon
-    for d in pros.storages:
-        w = len(list(d.hours()))
-        if d.e0 + d.eta_ch * d.p_ch_max * w * dt < d.e_trip - 1e-9:
-            raise ValueError(
-                f"prosumer {pros.id}: storage {d.name} cannot reach its departure floor"
-            )
-    for fl in pros.fls:
-        attainable = float(np.sum((pros.baseline_load + fl.p_fl_max) * dt))
-        if fl.e_min > attainable + 1e-9:
-            raise ValueError(f"prosumer {pros.id}: flexible-load energy floor unattainable")
+    windows = [len(d.hours()) for d in pros.storages]
 
     # --- variables: the schedule itself ------------------------------------
     n = 0
@@ -157,12 +147,11 @@ def assemble_prosumer(pros: Prosumer, dt: float, horizon: int) -> ProsumerProgra
         return n - k
 
     p_net = take(T)
-    st_soc = [take(len(list(d.hours()))) for d in pros.storages]
+    st_soc = [take(w) for w in windows]
     n_signed = n  # the variables above may take either sign
     pv_off = [take(T) for _ in pros.pvs]
     st_pch, st_pdch, st_xch, st_xdch = [], [], [], []
-    for d in pros.storages:
-        w = len(list(d.hours()))
+    for w in windows:
         st_pch.append(take(w))
         st_pdch.append(take(w))
         st_xch.append(take(w))
@@ -173,7 +162,7 @@ def assemble_prosumer(pros: Prosumer, dt: float, horizon: int) -> ProsumerProgra
         fl_neg.append(take(T))
         fl_y.append(take(T))
 
-    # --- equality rows: net-power identity, state-of-charge recursion -----
+    # --- equality rows: the hourly net-power identity ---------------------
     eq = SparseRows()
     for t in range(T):
         entries = [(p_net + t, 1.0)] + [(o + t, 1.0) for o in pv_off]
@@ -184,53 +173,66 @@ def assemble_prosumer(pros: Prosumer, dt: float, horizon: int) -> ProsumerProgra
         for li in range(len(pros.fls)):
             entries += [(fl_pos[li] + t, 1.0), (fl_neg[li] + t, -1.0)]
         eq.add(entries, pros.baseline_load[t])
-    for di, d in enumerate(pros.storages):
-        for k in range(len(list(d.hours()))):
-            prev = [(st_soc[di] + k - 1, -1.0)] if k > 0 else []
-            eq.add(
-                [(st_soc[di] + k, 1.0)] + prev
-                + [(st_pch[di] + k, -d.eta_ch * dt), (st_pdch[di] + k, dt / d.eta_dch)],
-                d.e0 if k == 0 else 0.0,
-            )
 
     # --- inequality rows a'x <= rhs, one NonNeg block ---------------------
-    # it opens with -x_j <= 0 for every variable after n_signed (see below)
+    # it opens with -x_j <= 0 for every variable after n_signed (see below),
+    # then the PV caps
     le = SparseRows()
     for u, unit in enumerate(pros.pvs):
         for t in range(T):
             le.add([(pv_off[u] + t, 1.0)], unit.cap(t))
-    for di, d in enumerate(pros.storages):
-        w = len(list(d.hours()))
+
+    # --- one block per device: its rows, costs, binaries and repair hints --
+    # a storage's SoC recursion goes to eq, everything else of it to le
+    c = np.zeros(n)
+    binaries: list[int] = []
+    gates: dict[int, tuple[int, ...]] = {}
+    pairs: list[tuple[int, int]] = []
+    groups: list[tuple[tuple[int, ...], int]] = []
+    for d, w, soc, pch, pdch, xch, xdch in zip(
+        pros.storages, windows, st_soc, st_pch, st_pdch, st_xch, st_xdch
+    ):
+        if d.e0 + d.eta_ch * d.p_ch_max * w * dt < d.e_trip - 1e-9:
+            raise ValueError(
+                f"prosumer {pros.id}: storage {d.name} cannot reach its departure floor"
+            )
         for k in range(w):
-            soc, xc, xd = st_soc[di] + k, st_xch[di] + k, st_xdch[di] + k
-            le.add([(st_pch[di] + k, 1.0), (xc, -d.p_ch_max)], 0.0)
-            le.add([(st_pdch[di] + k, 1.0), (xd, -d.p_dch_max)], 0.0)
-            le.add([(xc, 1.0), (xd, 1.0)], 1.0)
-            le.add([(soc, -1.0)], -d.soc_min)
-            le.add([(soc, 1.0)], d.soc_max)
-        le.add([(st_soc[di] + w - 1, -1.0)], -d.e_trip)
-    for li, fl in enumerate(pros.fls):
+            prev = [(soc + k - 1, -1.0)] if k > 0 else []
+            eq.add(
+                [(soc + k, 1.0)] + prev
+                + [(pch + k, -d.eta_ch * dt), (pdch + k, dt / d.eta_dch)],
+                d.e0 if k == 0 else 0.0,
+            )
+            le.add([(pch + k, 1.0), (xch + k, -d.p_ch_max)], 0.0)
+            le.add([(pdch + k, 1.0), (xdch + k, -d.p_dch_max)], 0.0)
+            le.add([(xch + k, 1.0), (xdch + k, 1.0)], 1.0)
+            le.add([(soc + k, -1.0)], -d.soc_min)
+            le.add([(soc + k, 1.0)], d.soc_max)
+            binaries += [xch + k, xdch + k]
+            gates[xch + k] = (pch + k,)
+            gates[xdch + k] = (pdch + k,)
+            pairs.append((xch + k, xdch + k))
+        le.add([(soc + w - 1, -1.0)], -d.e_trip)
+        c[pch : pch + w] += d.throughput_cost * dt
+        c[pdch : pdch + w] += d.throughput_cost * dt
+    for fl, pos, neg, y in zip(pros.fls, fl_pos, fl_neg, fl_y):
+        attainable = float(np.sum((pros.baseline_load + fl.p_fl_max) * dt))
+        if fl.e_min > attainable + 1e-9:
+            raise ValueError(f"prosumer {pros.id}: flexible-load energy floor unattainable")
         for t in range(T):
-            y = fl_y[li] + t
-            le.add([(y, 1.0)], 1.0)
-            le.add([(fl_pos[li] + t, 1.0), (fl_neg[li] + t, 1.0), (y, -float(fl.p_fl_max[t]))], 0.0)
-        le.add([(fl_y[li] + t, 1.0) for t in range(T)], fl.t_max)
+            le.add([(y + t, 1.0)], 1.0)
+            le.add([(pos + t, 1.0), (neg + t, 1.0), (y + t, -float(fl.p_fl_max[t]))], 0.0)
+            gates[y + t] = (pos + t, neg + t)
+        ys = tuple(range(y, y + T))
+        le.add([(yt, 1.0) for yt in ys], fl.t_max)
         le.add(
-            [(fl_pos[li] + t, dt) for t in range(T)] + [(fl_neg[li] + t, -dt) for t in range(T)],
+            [(pos + t, dt) for t in range(T)] + [(neg + t, -dt) for t in range(T)],
             float(np.sum(pros.baseline_load * dt)) - fl.e_min,
         )
-
-    # --- objective: the device costs ------------------------------------
-    c = np.zeros(n)
-    for di, d in enumerate(pros.storages):
-        w = len(list(d.hours()))
-        for k in range(w):
-            c[st_pch[di] + k] += d.throughput_cost * dt
-            c[st_pdch[di] + k] += d.throughput_cost * dt
-    for li, fl in enumerate(pros.fls):
-        for t in range(T):
-            c[fl_pos[li] + t] += fl.discomfort_cost * dt
-            c[fl_neg[li] + t] += fl.discomfort_cost * dt
+        c[pos : pos + T] += fl.discomfort_cost * dt
+        c[neg : neg + T] += fl.discomfort_cost * dt
+        binaries += ys
+        groups.append((ys, fl.t_max))
 
     A, b = eq.matrix(n)
     G_dev, h_dev = le.matrix(n)
@@ -253,25 +255,6 @@ def assemble_prosumer(pros: Prosumer, dt: float, horizon: int) -> ProsumerProgra
         cones=(NonNeg(len(h)),) if len(h) else (),
     )
 
-    binaries: list[int] = []
-    gates: dict[int, tuple[int, ...]] = {}
-    pairs: list[tuple[int, int]] = []
-    groups: list[tuple[tuple[int, ...], int]] = []
-    for di, d in enumerate(pros.storages):
-        w = len(list(d.hours()))
-        for k in range(w):
-            xc, xd = st_xch[di] + k, st_xdch[di] + k
-            binaries += [xc, xd]
-            gates[xc] = (st_pch[di] + k,)
-            gates[xd] = (st_pdch[di] + k,)
-            pairs.append((xc, xd))
-    for li in range(len(pros.fls)):
-        ys = tuple(fl_y[li] + t for t in range(T))
-        binaries += list(ys)
-        for t in range(T):
-            gates[fl_y[li] + t] = (fl_pos[li] + t, fl_neg[li] + t)
-        groups.append((ys, pros.fls[li].t_max))
-
     mbp = MixedBinaryProgram(
         relaxation=prog,
         binary_indices=tuple(binaries),
@@ -293,7 +276,6 @@ def assemble_prosumer(pros: Prosumer, dt: float, horizon: int) -> ProsumerProgra
         fl_pos=fl_pos,
         fl_neg=fl_neg,
         fl_y=fl_y,
-        n_binaries=len(binaries),
     )
 
 
@@ -348,27 +330,18 @@ def _extract(pp: ProsumerProgram, x: np.ndarray, obj: float, gap: float) -> Pros
     ]
     storages = []
     for di, d in enumerate(pros.storages):
-        hours = list(d.hours())
-        w = len(hours)
-        p_ch = np.zeros(T)
-        p_dch = np.zeros(T)
-        x_ch = np.zeros(T)
-        x_dch = np.zeros(T)
-        soc = np.full(T, d.e0)
-        for k, t in enumerate(hours):
-            p_ch[t] = x[pp.st_pch[di] + k]
-            p_dch[t] = x[pp.st_pdch[di] + k]
-            x_ch[t] = x[pp.st_xch[di] + k]
-            x_dch[t] = x[pp.st_xdch[di] + k]
-            soc[t] = x[pp.st_soc[di] + k]
-        for t in range(hours[-1] + 1, T):
-            soc[t] = soc[hours[-1]]
+        t0, t1 = d.window
+        p_ch, p_dch, x_ch, x_dch = (np.zeros(T) for _ in range(4))
+        soc = np.full(T, d.e0)  # before arrival the battery holds e0, after departure its last
+        for arr, o in ((p_ch, pp.st_pch[di]), (p_dch, pp.st_pdch[di]), (x_ch, pp.st_xch[di]),
+                       (x_dch, pp.st_xdch[di]), (soc, pp.st_soc[di])):
+            arr[t0 : t1 + 1] = x[o : o + t1 - t0 + 1]
+        soc[t1 + 1 :] = soc[t1]
         storages.append(StorageSchedule(d.name, p_ch, p_dch, x_ch, x_dch, soc))
     fls = []
     for li in range(len(pros.fls)):
         p_fl = x[pp.fl_pos[li] : pp.fl_pos[li] + T] - x[pp.fl_neg[li] : pp.fl_neg[li] + T]
-        y = x[pp.fl_y[li] : pp.fl_y[li] + T].copy()
-        fls.append(FlSchedule(p_fl.copy(), y))
+        fls.append(FlSchedule(p_fl, x[pp.fl_y[li] : pp.fl_y[li] + T].copy()))
     p_g = sum(p_pv, np.zeros(T)) + sum((s.p_dch for s in storages), np.zeros(T))
     fl_total = sum((f.p_fl for f in fls), np.zeros(T))
     p_l = pros.baseline_load - fl_total + sum((s.p_ch for s in storages), np.zeros(T))
@@ -395,9 +368,6 @@ def _extract(pp: ProsumerProgram, x: np.ndarray, obj: float, gap: float) -> Pros
 
 
 _SOLVER_MODES = ("exact", "relax_repair")
-# the tolerance every cone program of a clearing and of its baselines is
-# solved to: the prosumers' here, the network hours' in market and oracle
-_CLEARING_TOL = 1e-9
 
 
 def solve_subproblem_III(
@@ -446,9 +416,7 @@ def solve_subproblems(
     search = mbp_search if mode == "exact" else repair_search
     held = {} if starts is None else starts
     pps = [pose_subproblem(pp, inp, cfg) for pp, inp in problems]
-    results = solve_searches(
-        [search(pp.mbp, start=held.get(pp.pros.id)) for pp in pps], tol=_CLEARING_TOL
-    )
+    results = solve_searches([search(pp.mbp, start=held.get(pp.pros.id)) for pp in pps])
     for pp, res in zip(pps, results):
         if res.x_incumbent is None or res.status not in (OPTIMAL, "iter_limit"):
             raise SolveFailed(f"prosumer {pp.pros.id}", res.status)

@@ -85,6 +85,13 @@ order; ``solve_socp`` is the batch of one.  Diagonal pivots can shrink
 toward zero on nearly singular programs and stall the iteration, so a
 program that ends non-optimal without a certificate of infeasibility or
 unboundedness is run again, on its own, with SuperLU's partial pivoting.
+If that run ends the same way, the program runs once more under partial
+pivoting with the -W^2 block left without delta.  Where a slack row's s
+has gone to zero ahead of its primal residual, its W^2 falls far below
+delta; the Newton step then leaves that residual standing as delta dz
+instead of closing it, and the refinement step removes only the share
+W^2 / (W^2 + delta) of what is left.  Partial pivoting needs no delta
+there, since -W^2 is negative definite.
 Either way an optimal answer is only returned when residuals computed from
 the program itself, not from the factorization, meet the tolerance.  Each
 round evaluates the residuals once, and every ending reports them: a
@@ -729,7 +736,7 @@ class _Pattern:
         # C' as scipy transposes C, C's entries numbered by their place in C
         C = sp.csr_matrix((np.arange(len(c_col)), c_col, _offsets(c_counts)), shape=(m + p, n))
         CT = C.T.tocsr()
-        self.ct_order, self.ct_indices, self.ct_indptr = CT.data, CT.indices, CT.indptr
+        self.ct_order, self.ct_indices = CT.data, CT.indices
         self.ct_counts = np.diff(CT.indptr)
         self.ct_part = (CT.indices >= m).astype(int)
         self.perm, self.sign, self.kkt_indices, self.kkt_indptr, slots = _kkt_pattern(
@@ -845,7 +852,9 @@ class _Stack:
     kinds, and there (0 + q) + delta is q + delta whichever sum comes
     first.  ``pivoting`` selects SuperLU's partial pivoting over static
     diagonal pivots; it is only used for single members, since its column
-    ordering spans the whole matrix.
+    ordering spans the whole matrix.  ``regularize_slacks`` False leaves
+    the -W^2 block without delta, which only partial pivoting factors
+    safely.
 
     Per-member quantities (``norms``, ``sums``, ``objective``) are segment
     reductions over the stacked vectors, as many numpy calls whatever the
@@ -863,9 +872,15 @@ class _Stack:
     built in scipy's index dtype, so scipy neither scans nor copies them.
     """
 
-    def __init__(self, members: list[tuple[ConicProgram, _Pattern]], pivoting: bool = False):
+    def __init__(
+        self,
+        members: list[tuple[ConicProgram, _Pattern]],
+        pivoting: bool = False,
+        regularize_slacks: bool = True,
+    ):
         self.members = members
         self.pivoting = pivoting
+        self.regularize_slacks = regularize_slacks
         runs: list[list] = []  # [pattern, members] per run
         for _, pat in members:
             if runs and runs[-1][0] is pat:
@@ -1032,6 +1047,8 @@ class _Stack:
         """Refill K, the block-diagonal permuted KKT matrix, for W^2's entries
         w2 and each member's regularization deltas[k]."""
         dx, dy, dz = (self.spread(deltas, kind) for kind in "xyz")
+        if not self.regularize_slacks:
+            dz = np.zeros(self.p)
         weights = np.concatenate([dx, -dy, -w2, -dz])
         np.add(
             self.fixed, np.bincount(self.slots, weights=weights, minlength=len(self.K.data)),
@@ -1051,6 +1068,8 @@ class _Stack:
         except (RuntimeError, ValueError):
             return False
         self.delta = np.repeat(deltas, self.sizes)
+        if not self.regularize_slacks:
+            self.delta[self.perm >= self.n + self.m] = 0.0
         return True
 
     def solve(self, rx, ry, rz):
@@ -1086,9 +1105,10 @@ def _checked_start(pat: _Pattern, start: Start) -> Start:
     return parts
 
 
-def _delta_alone(member, s: np.ndarray, z: np.ndarray, pivoting: bool) -> float | None:
-    """The regularization at which a member's KKT matrix factors on its own at (s, z), if any."""
-    alone = _Stack([member], pivoting)
+def _delta_alone(member, s: np.ndarray, z: np.ndarray, st: _Stack) -> float | None:
+    """The regularization at which a member's KKT matrix factors on its own at
+    (s, z), if any, factored as the stack ``st`` factors."""
+    alone = _Stack([member], st.pivoting, st.regularize_slacks)
     w2 = _Scaling(member[1].cones, s, z).w2_values()
     for delta in (1e-9, 1e-6):
         if alone.factor(w2, np.array([delta])):
@@ -1096,7 +1116,7 @@ def _delta_alone(member, s: np.ndarray, z: np.ndarray, pivoting: bool) -> float 
     return None
 
 
-def solve_socp(prog: ConicProgram, tol: float = 1e-8) -> ConicSolution:
+def solve_socp(prog: ConicProgram, tol: float = 1e-9) -> ConicSolution:
     """Solve a standard-form cone program to the requested tolerance.
 
     Returns a point whose primal, dual and complementarity-gap residuals are
@@ -1108,7 +1128,7 @@ def solve_socp(prog: ConicProgram, tol: float = 1e-8) -> ConicSolution:
 
 def solve_socp_batch(
     progs: list[ConicProgram],
-    tol: float = 1e-8,
+    tol: float = 1e-9,
     starts: list[Start | None] | None = None,
 ) -> list[ConicSolution]:
     """Solve independent cone programs in lockstep, one solution per program.
@@ -1144,10 +1164,16 @@ def solve_socp_batch(
         for member, (sol, certified) in zip(members, ends):
             if sol.status != OPTIMAL and not certified:
                 # a static pivot can shrink toward zero on nearly singular
-                # systems; rerun the program alone under partial pivoting
-                ((again, _),) = _ipm_loop([member], tol, pivoting=True)
-                again.iterations += sol.iterations
-                sol = again
+                # systems; rerun the program alone under partial pivoting,
+                # and if that fails too, without delta on the slack rows
+                for regularize_slacks in (True, False):
+                    ((again, certified),) = _ipm_loop(
+                        [member], tol, pivoting=True, regularize_slacks=regularize_slacks
+                    )
+                    again.iterations += sol.iterations
+                    sol = again
+                    if sol.status == OPTIMAL or certified:
+                        break
             sols.append(sol)
     return sols
 
@@ -1157,7 +1183,13 @@ def solve_socp_batch(
 _BEST_KINDS = "kkxyzz"
 
 
-def _ipm_loop(members: list[tuple[ConicProgram, _Pattern]], tol: float, pivoting=False, starts=None):
+def _ipm_loop(
+    members: list[tuple[ConicProgram, _Pattern]],
+    tol: float,
+    pivoting=False,
+    starts=None,
+    regularize_slacks=True,
+):
     """Mehrotra predictor-corrector on the (program, pattern) ``members`` in lockstep.
 
     Every round takes one iteration of each live member.  Members share the
@@ -1172,12 +1204,13 @@ def _ipm_loop(members: list[tuple[ConicProgram, _Pattern]], tol: float, pivoting
     iterate).  The best iterates are kept as one stacked copy, refreshed
     where members improved.  ``starts`` holds each member's warm start or
     None (all cold when omitted); a cold member stops after ``_MAX_ITER``
-    iterations, a warm one after ``_WARM_MAX_ITER``.  Returns one
-    (solution, certified) pair per member, ``certified`` telling whether a
-    certificate backs a non-optimal verdict.
+    iterations, a warm one after ``_WARM_MAX_ITER``.  ``pivoting`` and
+    ``regularize_slacks`` choose how the KKT matrix is factored (see
+    ``_Stack``).  Returns one (solution, certified) pair per member,
+    ``certified`` telling whether a certificate backs a non-optimal verdict.
     """
     done: list[tuple | None] = [None] * len(members)
-    st = _Stack(members, pivoting)
+    st = _Stack(members, pivoting, regularize_slacks)
     starts = starts or [None] * len(members)
     # per stack position: the member there and its iteration cap
     live = np.arange(len(members))
@@ -1217,7 +1250,7 @@ def _ipm_loop(members: list[tuple[ConicProgram, _Pattern]], tol: float, pivoting
         e, *parts = st.gather(kept, (e, "z"), *arrays)
         survivors = [st.members[k] for k in np.flatnonzero(kept).tolist()]
         st = None  # free the old stack and its factor before building the new one
-        st = _Stack(survivors, pivoting)
+        st = _Stack(survivors, pivoting, regularize_slacks)
         return parts
 
     # every member ends at its limit at the latest, so the last round returns
@@ -1382,7 +1415,7 @@ def _scale_and_factor(st: _Stack, s: np.ndarray, z: np.ndarray):
     deltas = np.full(len(st.members), 1e-9)
     if not st.factor(w2, deltas):
         deltas = np.array([
-            _delta_alone(member, s[st.span("z", k)], z[st.span("z", k)], st.pivoting)
+            _delta_alone(member, s[st.span("z", k)], z[st.span("z", k)], st)
             for k, member in enumerate(st.members)
         ], dtype=float)
         if not np.isnan(deltas).any() and not st.factor(w2, deltas):

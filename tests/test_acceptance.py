@@ -124,7 +124,7 @@ def test_05_directional_welfare(ieee69_run, ieee69_selfish):
 def test_06_penetration_monotonicity():
     costs = []
     for pen in (0.45, 0.60, 0.75):
-        sc = generate_scenario(GeneratorSpec(seed=1, template="ieee69", penetration=pen))
+        sc = generate_scenario(GeneratorSpec(seed=1, penetration=pen))
         res = run_clearing(sc, prosumer_solver="relax_repair")
         assert res.status == "converged"
         costs.append((pen, res.costs["lmo"], res.costs["dso"]))

@@ -1,10 +1,14 @@
 import csv
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from lemclear import io_cli
 from lemclear.io_cli import (
     GeneratorSpec,
     ScenarioFormatError,
@@ -197,6 +201,8 @@ class TestCli:
         ({"seed": 7, "penetration": 0.6, "colour": 1}, "'colour'"),
         ({"seed": 7, "penetration": "0.6"}, "'penetration'"),
         ([{"seed": 7, "penetration": 0.6}], "JSON object"),
+        # the generator has one feeder, so its template is no setting
+        ({"seed": 7, "template": "ieee69"}, "unknown key 'template'"),
     ])
     def test_bad_spec_file_exits_2(self, tmp_path, capsys, spec_data, named):
         spec = tmp_path / "spec.json"
@@ -278,9 +284,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert "input error" in err and named in err and f"{table}.csv:{line}" in err
 
-    @pytest.mark.parametrize("key", [
-        "rho", "rho_prime", "eps1", "eps2", "lambda_p_init", "lambda_loss_init",
-    ])
+    @pytest.mark.parametrize("key", ["rho", "rho_prime", "eps1", "eps2"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_admm_setting_in_manifest_exits_2(self, tmp_path, capsys, key, value):
         # json.loads reads NaN and Infinity, so they reach AdmmConfig
@@ -292,6 +296,78 @@ class TestCli:
         assert cli_main(["validate", "--scenario", str(scen)]) == 2
         err = capsys.readouterr().err
         assert "input error" in err and f"ADMM setting {key} must be finite" in err
+
+    @pytest.mark.parametrize("key", ["lambda_p_init", "lambda_loss_init"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0])
+    def test_removed_admm_setting_in_manifest_exits_2(self, tmp_path, capsys, key, value):
+        # the multipliers start at 0: a manifest that still sets a start,
+        # even the old default 0, names a key that no longer exists
+        scen = tmp_path / "scen"
+        shutil.copytree(bundled_scenario_dir("six_bus"), scen)
+        manifest = json.loads((scen / "manifest.json").read_text())
+        manifest["admm"] = {key: value}
+        (scen / "manifest.json").write_text(json.dumps(manifest))
+        assert cli_main(["validate", "--scenario", str(scen)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and f"unknown key {key!r}" in err
+
+    @pytest.mark.parametrize("value", [5, None, True, "six_bus", [1, 2]])
+    def test_manifest_not_an_object_exits_2(self, tmp_path, capsys, value):
+        scen = tmp_path / "scen"
+        shutil.copytree(bundled_scenario_dir("six_bus"), scen)
+        (scen / "manifest.json").write_text(json.dumps(value))
+        assert cli_main(["validate", "--scenario", str(scen)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "manifest.json: expected a JSON object" in err
+
+    @pytest.mark.parametrize("name", ["manifest.json", "buses.csv"])
+    def test_directory_in_place_of_file_exits_2(self, tmp_path, capsys, name):
+        scen = tmp_path / "scen"
+        shutil.copytree(bundled_scenario_dir("six_bus"), scen)
+        (scen / name).unlink()
+        (scen / name).mkdir()
+        assert cli_main(["validate", "--scenario", str(scen)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and f"{scen / name} is not a file" in err
+
+    def test_spec_is_a_directory_exits_2(self, tmp_path, capsys):
+        assert cli_main(["generate", "--spec", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and f"{tmp_path} is not a file" in err
+
+    @pytest.mark.parametrize("command", ["clear", "generate"])
+    def test_out_is_an_existing_file_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        out = tmp_path / "out"
+        out.write_text("kept\n")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 4}))
+        # the out path is checked before any work is done
+        monkeypatch.setattr(io_cli, "run_clearing", None)
+        monkeypatch.setattr(io_cli, "generate_tables", None)
+        source = (["--scenario", str(bundled_scenario_dir("six_bus"))] if command == "clear"
+                  else ["--spec", str(spec)])
+        assert cli_main([command, *source, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and f"--out {out}: not a directory" in err
+        assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("table, header, cell, named", [
+        # bus power factors come from prosumers.csv only
+        ("buses", "pf", "0.9", "unknown column 'pf'"),
+        # a second r column, whose cell would win
+        ("lines", "r", "0.5", "repeated column 'r'"),
+    ])
+    def test_unknown_or_repeated_column_exits_2(self, tmp_path, capsys, table, header, cell,
+                                                named):
+        scen = tmp_path / "scen"
+        shutil.copytree(bundled_scenario_dir("six_bus"), scen)
+        path = scen / f"{table}.csv"
+        rows = path.read_text().splitlines()
+        rows = [rows[0] + "," + header] + [row + "," + cell for row in rows[1:]]
+        path.write_text("\n".join(rows) + "\n")
+        assert cli_main(["validate", "--scenario", str(scen)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and f"{table}.csv: {named}" in err
 
     @pytest.mark.parametrize("flag", ["--rho", "--rho-prime", "--eps1", "--eps2"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -428,3 +504,57 @@ def test_cli_nonconvergence_exits_1(tmp_path):
     assert rc == 1
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["status"] == "iter_limit"
+
+
+SIX_BUS = bundled_scenario_dir("six_bus")
+SIX_BUS_TABLES = {
+    path.name: list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+    for path in sorted(SIX_BUS.glob("*.csv"))
+}
+# what a fuzzed cell or header holds: any text, or text that reads as a number
+CELLS = st.text() | st.integers().map(str) | st.floats().map(repr)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def loader_edits(draw):
+    """(file, where, value): a manifest replaced (where None) or one of its
+    keys set to a JSON value, or a table's cell at (row, column) set to text,
+    row 0 being the header."""
+    name = draw(st.sampled_from(["manifest.json", *SIX_BUS_TABLES]))
+    if name == "manifest.json":
+        manifest = json.loads((SIX_BUS / name).read_text())
+        return name, draw(st.none() | st.sampled_from(sorted(manifest))), draw(JSON_VALUES)
+    rows = SIX_BUS_TABLES[name]
+    row = draw(st.integers(0, len(rows) - 1))
+    return name, (row, draw(st.integers(0, len(rows[row]) - 1))), draw(CELLS)
+
+
+@settings(max_examples=50, deadline=None)
+@given(edit=loader_edits())
+@example(edit=("manifest.json", None, 5))
+def test_validate_accepts_or_names_any_edit(edit):
+    # a loader that meets bad input with anything but an input error would
+    # raise here, or exit 1, the nonconvergence code
+    name, where, value = edit
+    with tempfile.TemporaryDirectory() as tmp:
+        scen = Path(tmp) / "scen"
+        shutil.copytree(SIX_BUS, scen)
+        path = scen / name
+        if name == "manifest.json":
+            manifest = json.loads(path.read_text())
+            if where is None:
+                manifest = value
+            else:
+                manifest[where] = value
+            path.write_text(json.dumps(manifest))
+        else:
+            rows = [list(row) for row in SIX_BUS_TABLES[name]]
+            rows[where[0]][where[1]] = value
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows(rows)
+        assert cli_main(["validate", "--scenario", str(scen)]) in (0, 2)

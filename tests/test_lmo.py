@@ -195,19 +195,19 @@ class TestAggregation:
 class TestDlmpMapping:
     def test_uniform_price(self):
         state = make_state(["a", "b"], 2, psi={"a": 2, "b": 5})
-        prices = map_dlmp_to_prosumers(state.psi_prime, {2: np.full(2, 50.0), 5: np.full(2, 50.0)})
+        prices = map_dlmp_to_prosumers(state.psi, {2: np.full(2, 50.0), 5: np.full(2, 50.0)})
         assert np.allclose(prices["a"], 50.0)
         assert np.allclose(prices["b"], 50.0)
 
     def test_projection(self):
         state = make_state(["a"], 4, psi={"a": 7})
         dlmp = {7: np.array([0.0, 0, 0, 61.2])}
-        assert map_dlmp_to_prosumers(state.psi_prime, dlmp)["a"][3] == 61.2
+        assert map_dlmp_to_prosumers(state.psi, dlmp)["a"][3] == 61.2
 
     def test_missing_bus_price(self):
         state = make_state(["a"], 2, psi={"a": 7})
         with pytest.raises(KeyError):
-            map_dlmp_to_prosumers(state.psi_prime, {2: np.zeros(2)})
+            map_dlmp_to_prosumers(state.psi, {2: np.zeros(2)})
 
     def test_round_trip_on_indicators(self):
         sc = tiny_scenario()
@@ -217,7 +217,7 @@ class TestDlmpMapping:
         # bus's price comes straight back
         out = aggregate_to_nodes(psi, {"a": np.array([1.0, 0]), "b": np.zeros(2)}, sc)
         assert out[2][0] == pytest.approx(1.0 + 0.05)
-        prices = map_dlmp_to_prosumers(state.psi_prime, {n: out[n] for n in out})
+        prices = map_dlmp_to_prosumers(state.psi, {n: out[n] for n in out})
         assert prices["a"][0] == out[2][0]
 
 

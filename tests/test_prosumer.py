@@ -53,7 +53,7 @@ class TestBuildSubproblem:
     def test_no_devices_is_passthrough(self):
         pros = Prosumer(id="a", bus_id=2, baseline_load=np.full(T, 0.1))
         pp = build_subproblem(pros, FLAT, CFG, 1.0, T)
-        assert pp.n_binaries == 0
+        assert len(pp.mbp.binary_indices) == 0
         sched = solve_subproblem_III(pros, FLAT, CFG, 1.0, T)
         assert np.allclose(sched.p_net, 0.1, atol=1e-7)
 
@@ -65,7 +65,7 @@ class TestBuildSubproblem:
             storages=(battery(), ev), fls=(fl,),
         )
         pp = build_subproblem(pros, FLAT, CFG, 1.0, T)
-        assert pp.n_binaries == 2 * 24 + 2 * 5 + T
+        assert len(pp.mbp.binary_indices) == 2 * 24 + 2 * 5 + T
 
     def test_ev_trip_energy_enumeration(self):
         # charge-only vehicle, window [18, 22], must reach 0.008 pu-h from 0;
@@ -501,23 +501,52 @@ PINNED_FLEET = (
 )
 
 
+def tiny_floor_fleet(fl_first_hour: float, e_min: float, discomfort_cost: float):
+    """A storage whose SoC floor, 4.9e-9 pu-h, lies at the solver's
+    regularization scale above its departure floor of 0, emptied in the
+    one dear hour.  The relaxation's SoC-floor slack reaches zero while the
+    floor is still violated by half its value, and only the rerun with
+    unregularized slack rows closes it."""
+    pros = Prosumer(
+        id="p0", bus_id=2, baseline_load=np.array([0.125, 0.15625, 0.09375, 0.09375]),
+        pvs=(PvUnit(p_forecast=np.zeros(H4), s_inv=0.125),),
+        storages=(StorageDevice(
+            name="s0", p_ch_max=0.0625, p_dch_max=0.0625, eta_ch=1.0, eta_dch=1.0,
+            e0=0.00048828125, soc_min=4.8828125e-09, soc_max=0.03125, window=(0, 1),
+            e_trip=0.0, throughput_cost=0.0,
+        ),),
+        fls=(FlexibleLoad(
+            p_fl_max=np.array([fl_first_hour, 0.03125, 0.0390625, 0.015625]), t_max=1,
+            e_min=e_min, discomfort_cost=discomfort_cost,
+        ),),
+    )
+    inp = ProsumerInput(lambda_lem=np.array([10.0, 83.0, 10.0, 10.0]), p_tilde=None,
+                        lambda_p=np.zeros(H4))
+    return pros, inp, np.full(H4, 10.0)
+
+
+TINY_FLOOR_FLEETS = (
+    tiny_floor_fleet(0.025390625, 0.44921875, 0.0),
+    tiny_floor_fleet(0.03125, 0.4296875, 1.0),
+)
+
+
 class TestMilpOracle:
     @settings(max_examples=20, deadline=None)
     @given(problems=st.integers(1, 3).flatmap(lambda k: st.tuples(*(fleets(i) for i in range(k)))))
     @example(problems=(PINNED_FLEET,))
+    @example(problems=(TINY_FLOOR_FLEETS[0],))
+    @example(problems=(TINY_FLOOR_FLEETS[1],))
     def test_branch_and_bound_matches_highs(self, problems):
         mbps = [build_subproblem(pros, inp, CFG, 1.0, H4).mbp for pros, inp, _ in problems]
         optima = [highs_optimum(mbp) for mbp in mbps]
         warm = [root_start(pros, prices) for pros, _, prices in problems]
         for starts in ([None] * len(mbps), warm):
             together = solve_searches(
-                [mbp_search(mbp, node_limit=NODE_LIMIT, start=s) for mbp, s in zip(mbps, starts)],
-                tol=1e-9,
+                [mbp_search(mbp, node_limit=NODE_LIMIT, start=s) for mbp, s in zip(mbps, starts)]
             )
             for mbp, start, (raw, exact), batched in zip(mbps, starts, optima, together):
-                (alone,) = solve_searches(
-                    [mbp_search(mbp, node_limit=NODE_LIMIT, start=start)], tol=1e-9
-                )
+                (alone,) = solve_searches([mbp_search(mbp, node_limit=NODE_LIMIT, start=start)])
                 # HiGHS may round a binary it left inside its integrality
                 # tolerance the wrong way; the search's own pattern, solved
                 # the same way, is then the better exact optimum
@@ -534,3 +563,24 @@ class TestMilpOracle:
                   else f"{kind}: every search ended at its root")
             if any(r.status != OPTIMAL for r in together):
                 event(f"{kind}: a search stopped at the node limit")
+
+    @pytest.mark.parametrize("fleet", range(len(TINY_FLOOR_FLEETS)))
+    def test_tiny_floor_relaxation_is_solved_without_slack_delta(self, monkeypatch, fleet):
+        import lemclear.socp as socp
+
+        runs = []
+        loop = socp._ipm_loop
+
+        def spy(members, *args, **kwargs):
+            runs.append((kwargs.get("pivoting", False), kwargs.get("regularize_slacks", True)))
+            return loop(members, *args, **kwargs)
+
+        monkeypatch.setattr(socp, "_ipm_loop", spy)
+        pros, inp, _ = TINY_FLOOR_FLEETS[fleet]
+        prog = build_subproblem(pros, inp, CFG, 1.0, H4).mbp.relaxation
+        sol = solve_socp(prog)
+        # static pivots, then partial pivots, stall with the floor's row
+        # still violated; partial pivots without delta on the slack rows solve it
+        assert runs == [(False, True), (True, True), (True, False)]
+        assert sol.status == OPTIMAL
+        assert max(check_kkt(prog, sol).values()) <= 1e-8 * (1.0 + abs(sol.obj))
