@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -29,10 +30,8 @@ from .model import (
     NetworkModel,
     Prosumer,
     PvUnit,
-    RawScenario,
     Scenario,
     StorageDevice,
-    to_per_unit,
     validate_network,
 )
 from .oracle import solve_centralized, solve_selfish
@@ -78,7 +77,8 @@ def _type_issues(data: dict, types: dict[str, str], where: str, finite: bool = F
         value = data[key]
         if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
             issues.append(f"{where}: {key!r} must be {kind}, got {value!r}")
-        elif finite and kind == "float" and not math.isfinite(value):
+        # NaN and the infinities fail this test, and so do integers past the float range
+        elif finite and kind == "float" and not abs(value) <= sys.float_info.max:
             issues.append(f"{where}: {key!r} must be finite, got {value!r}")
     return issues
 
@@ -222,78 +222,126 @@ def _no_file(path: Path) -> str:
     return f"{path} is not a file" if path.exists() else f"missing file {path}"
 
 
+def _read(path: Path, parse=str):
+    """``parse`` of the text of ``path``, its newlines as they are; a file that
+    is not UTF-8, or whose text ``parse`` rejects, is an input error naming it."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except ValueError as exc:  # UnicodeDecodeError, json.JSONDecodeError
+        raise ScenarioFormatError([f"{path}: {exc}"]) from None
+
+
 def read_tables(scen_dir: str | Path) -> ScenarioTables:
     d = Path(scen_dir)
     issues: list[str] = []
     path = d / "manifest.json"
     if not path.is_file():
         raise ScenarioFormatError([_no_file(path)])
-    manifest = _json_object(json.loads(path.read_text(encoding="utf-8")), str(path))
+    manifest = _json_object(_read(path, json.loads), str(path))
     parts: dict[str, list[dict]] = {}
     for name in _FILES:
         path = d / f"{name}.csv"
         if not path.is_file():
             issues.append(_no_file(path))
             continue
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            missing = set(_COLUMNS[name]) - set(header)
-            bad = [f"{name}.csv: missing columns {sorted(missing)}"] if missing else []
-            for col in dict.fromkeys(header):
-                if col not in _COLUMNS[name]:
-                    bad.append(f"{name}.csv: unknown column {col!r}")
-                elif header.count(col) > 1:
-                    bad.append(f"{name}.csv: repeated column {col!r}")
-            if bad:
-                issues += bad
-                continue
-            rows = []
-            for lineno, raw in enumerate(reader, start=2):
-                if None in raw:  # DictReader files cells past the header under None
-                    issues.append(
-                        f"{len(raw[None])} surplus cell(s) at {name}.csv:{lineno}, "
-                        f"which has {len(_COLUMNS[name])} columns"
-                    )
-                row: dict = {}
-                for col in _COLUMNS[name]:
-                    cell = raw[col]  # None when the row ends before this column
-                    try:
-                        if cell is None:
+        reader = csv.DictReader(io.StringIO(_read(path), newline=""))
+        header = reader.fieldnames or []
+        missing = set(_COLUMNS[name]) - set(header)
+        bad = [f"{name}.csv: missing columns {sorted(missing)}"] if missing else []
+        for col in dict.fromkeys(header):
+            if col not in _COLUMNS[name]:
+                bad.append(f"{name}.csv: unknown column {col!r}")
+            elif header.count(col) > 1:
+                bad.append(f"{name}.csv: repeated column {col!r}")
+        if bad:
+            issues += bad
+            continue
+        rows = []
+        for lineno, raw in enumerate(reader, start=2):
+            if None in raw:  # DictReader files cells past the header under None
+                issues.append(
+                    f"{len(raw[None])} surplus cell(s) at {name}.csv:{lineno}, "
+                    f"which has {len(_COLUMNS[name])} columns"
+                )
+            row: dict = {}
+            for col in _COLUMNS[name]:
+                cell = raw[col]  # None when the row ends before this column
+                try:
+                    if cell is None:
+                        raise ValueError
+                    if col in ("id", "bus", "from", "to", "t", "t_arrive",
+                               "t_depart", "t_max", "active", "is_pcc") and name != "prosumers":
+                        row[col] = int(cell)
+                    elif name == "prosumers" and col in ("bus", "active"):
+                        row[col] = int(cell)
+                    elif name == "prosumers" and col == "id":
+                        row[col] = cell
+                    elif name in ("pv", "storage", "fl") and col in ("prosumer", "name"):
+                        row[col] = cell
+                    else:
+                        row[col] = float(cell)
+                        if not math.isfinite(row[col]):
                             raise ValueError
-                        if col in ("id", "bus", "from", "to", "t", "t_arrive",
-                                   "t_depart", "t_max", "active", "is_pcc") and name != "prosumers":
-                            row[col] = int(cell)
-                        elif name == "prosumers" and col in ("bus", "active"):
-                            row[col] = int(cell)
-                        elif name == "prosumers" and col == "id":
-                            row[col] = cell
-                        elif name in ("pv", "storage", "fl") and col in ("prosumer", "name"):
-                            row[col] = cell
-                        else:
-                            row[col] = float(cell)
-                            if not math.isfinite(row[col]):
-                                raise ValueError
-                    except ValueError:
-                        issues.append(
-                            f"malformed value {cell!r} for {col!r} at {name}.csv:{lineno}"
-                        )
-                        row[col] = 0.0
-                rows.append(row)
-            parts[name] = rows
+                except ValueError:
+                    issues.append(
+                        f"malformed value {cell!r} for {col!r} at {name}.csv:{lineno}"
+                    )
+                    row[col] = 0.0
+            rows.append(row)
+        parts[name] = rows
     if issues:
         raise ScenarioFormatError(issues)
     return ScenarioTables(manifest=manifest, **{n: parts[n] for n in _FILES})
 
 
+def _unit_scalings(man: dict) -> list:
+    """The manifest's power, impedance and price scalings, in that order: each
+    multiplies a value in the manifest's units once to give it per unit.  Under
+    ``units: "si"`` powers and energies (MW, MVA, MWh) multiply by ``1/base_mva``,
+    impedances (ohm) by ``1/(base_kv**2/base_mva)`` and prices (per MWh) by
+    ``base_mva``; under ``"per_unit"`` all three factors are 1.0."""
+    mva, kv = float(man["base_mva"]), float(man["base_kv"])
+    try:
+        factors = (1.0 / mva, 1.0 / (kv**2 / mva), mva) if man["units"] == "si" else (1.0,) * 3
+    except (OverflowError, ZeroDivisionError):  # base_kv**2 past the float range, or 0
+        factors = (1.0 / mva, math.inf, mva)
+    return [_scaling(f, k, man[k]) for f, k in zip(factors, ("base_mva", "base_kv", "base_mva"))]
+
+
+def _scaling(factor: float, key: str, base: float):
+    """Multiplication by ``factor``.  A factor that is not finite, or a finite
+    value that it takes past the float range, is an input error naming the
+    manifest's ``key``, whose value is ``base``."""
+    issue = f"manifest.json: {key!r} {base!r} takes per-unit values past the float range"
+    if not math.isfinite(factor):
+        raise ScenarioFormatError([issue])
+
+    def scale(si):
+        value = si * factor
+        # a factor of at most 1 keeps a finite value finite, and a value the
+        # tables already took past the range is for their checks to name
+        if factor <= 1.0 or np.isfinite(value).all() or not np.isfinite(si).all():
+            return value
+        raise ScenarioFormatError([issue])
+    return scale
+
+
+# a value that overflows is checked where it is formed, without a warning
+@np.errstate(over="ignore")
 def assemble_scenario(tables: ScenarioTables) -> Scenario:
-    """Cross-validate the tables and build a per-unit scenario."""
+    """Cross-validate the tables and build a per-unit scenario, scaling each
+    value once as it is read (units in docs/formats.md)."""
     man = tables.manifest
     issues = [f"manifest.json: missing key {key!r}" for key in _MANIFEST_TYPES if key not in man]
     issues += _type_issues(man, _MANIFEST_TYPES, "manifest.json", finite=True)
     if issues:
         raise ScenarioFormatError(issues)
     T = man["horizon"]
+    issues = [f"manifest.json: {key!r} must be positive, got {man[key]!r}"
+              for key in ("base_mva", "base_kv") if not man[key] > 0]
+    if man["units"] not in ("si", "per_unit"):
+        issues.append(f"manifest.json: 'units' must be 'si' or 'per_unit', got {man['units']!r}")
 
     bus_ids = {row["id"] for row in tables.buses}
     for i, row in enumerate(tables.lines, start=2):
@@ -331,10 +379,11 @@ def assemble_scenario(tables: ScenarioTables) -> Scenario:
         hours.add(row["t"])
     if issues:
         raise ScenarioFormatError(issues)
+    power, impedance, price = _unit_scalings(man)
 
     prof = sorted(tables.profiles, key=lambda r: r["t"])
-    wem = np.array([r["wem_price"] for r in prof])
-    loss_cost = np.array([r["loss_cost"] for r in prof])
+    wem = price(np.array([r["wem_price"] for r in prof]))
+    loss_cost = price(np.array([r["loss_cost"] for r in prof]))
     load_scale = np.array([r["load_scale"] for r in prof])
     pv_cf = np.array([r["pv_cf"] for r in prof])
 
@@ -353,7 +402,8 @@ def assemble_scenario(tables: ScenarioTables) -> Scenario:
             for r in sorted(tables.buses, key=lambda r: r["id"])
         ),
         lines=tuple(
-            Line(r["from"], r["to"], r["r"], r["x"], r["smax"]) for r in tables.lines
+            Line(r["from"], r["to"], impedance(r["r"]), impedance(r["x"]), power(r["smax"]))
+            for r in tables.lines
         ),
         base_mva=float(man["base_mva"]),
         base_kv=float(man["base_kv"]),
@@ -362,23 +412,19 @@ def assemble_scenario(tables: ScenarioTables) -> Scenario:
     pv_by_pros: dict[str, list[PvUnit]] = {}
     for r in tables.pv:
         pv_by_pros.setdefault(r["prosumer"], []).append(
-            PvUnit(p_forecast=r["p_peak"] * pv_cf, s_inv=r["s_inv"], pf=r["pf"])
+            PvUnit(p_forecast=power(r["p_peak"] * pv_cf), s_inv=power(r["s_inv"]), pf=r["pf"])
         )
     st_by_pros: dict[str, list[StorageDevice]] = {}
     for r in tables.storage:
         st_by_pros.setdefault(r["prosumer"], []).append(
             StorageDevice(
                 name=r["name"],
-                p_ch_max=r["p_ch_max"],
-                p_dch_max=r["p_dch_max"],
                 eta_ch=r["eta_ch"],
                 eta_dch=r["eta_dch"],
-                e0=r["e0"],
-                soc_min=r["soc_min"],
-                soc_max=r["soc_max"],
                 window=(int(r["t_arrive"]), int(r["t_depart"])),
-                e_trip=r["e_trip"],
-                throughput_cost=r["throughput_cost"],
+                throughput_cost=price(r["throughput_cost"]),
+                **{key: power(r[key])
+                   for key in ("p_ch_max", "p_dch_max", "e0", "soc_min", "soc_max", "e_trip")},
             )
         )
 
@@ -394,14 +440,13 @@ def assemble_scenario(tables: ScenarioTables) -> Scenario:
             continue
         # a peak load near the float limit overflows the day's energy to an
         # infinite floor, which FlexibleLoad rejects
-        with np.errstate(over="ignore"):
-            day = float(np.sum(baseline))
+        day = float(np.sum(baseline))
         fls = tuple(
             FlexibleLoad(
-                p_fl_max=fr["max_frac"] * baseline,
+                p_fl_max=power(fr["max_frac"] * baseline),
                 t_max=int(fr["t_max"]),
-                e_min=fr["e_min_frac"] * day * float(man["dt"]),
-                discomfort_cost=fr["discomfort_cost"],
+                e_min=power(fr["e_min_frac"] * day * float(man["dt"])),
+                discomfort_cost=price(fr["discomfort_cost"]),
             )
             for fr in fl_rows_by_pros.get(r["id"], [])
         )
@@ -409,7 +454,7 @@ def assemble_scenario(tables: ScenarioTables) -> Scenario:
             Prosumer(
                 id=str(r["id"]),
                 bus_id=r["bus"],
-                baseline_load=baseline,
+                baseline_load=power(baseline),
                 pvs=tuple(pv_by_pros.get(r["id"], [])),
                 storages=tuple(st_by_pros.get(r["id"], [])),
                 fls=fls,
@@ -417,20 +462,16 @@ def assemble_scenario(tables: ScenarioTables) -> Scenario:
         )
 
     admm_kwargs = _keywords(AdmmConfig, man.get("admm", {}), "manifest.json admm")
-    raw = RawScenario(
-        scenario=Scenario(
-            network=net,
-            prosumers=tuple(prosumers),
-            horizon=T,
-            dt=float(man["dt"]),
-            wem_price=wem,
-            loss_cost=loss_cost,
-            admm=AdmmConfig(**admm_kwargs),
-            background=background,
-        ),
-        units=str(man["units"]),
+    scenario = Scenario(
+        network=net,
+        prosumers=tuple(prosumers),
+        horizon=T,
+        dt=float(man["dt"]),
+        wem_price=wem,
+        loss_cost=loss_cost,
+        admm=AdmmConfig(**admm_kwargs),
+        background={bus: power(load) for bus, load in background.items()},
     )
-    scenario = to_per_unit(raw)
     rep = validate_network(scenario.network)
     if not rep.ok:
         raise ScenarioFormatError(rep.failures())
@@ -796,7 +837,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         if args.command == "generate":
             if not Path(args.spec).is_file():
                 raise ScenarioFormatError([_no_file(Path(args.spec))])
-            spec_data = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+            spec_data = _read(Path(args.spec), json.loads)
             spec = GeneratorSpec(**_keywords(GeneratorSpec, spec_data, args.spec))
             tables = generate_tables(spec)
             write_tables(tables, out)
@@ -848,7 +889,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SolveFailed as exc:
         return _failed(args, 4, f"solve failed: {exc}",
                        {"status": "solve_failed", "agent": exc.agent, "solver_status": exc.status})
-    except (ScenarioFormatError, ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ScenarioFormatError, ValueError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -25,7 +25,6 @@ __all__ = [
     "map_dlmp_to_prosumers",
     "update_power_dual",
     "update_loss_dual",
-    "subproblem_I_objective",
 ]
 
 
@@ -106,26 +105,6 @@ def _objective(state, wem_price, dt, p_star, pl_star, cfg, p_tilde, pl_tilde, p_
     dl = pl_tilde - pl_star
     val += float(state.lambda_loss @ dl) + 0.5 * cfg.rho_prime * float(dl @ dl)
     return val
-
-
-def subproblem_I_objective(
-    state: LmoState,
-    wem_price: np.ndarray,
-    dt: float,
-    p_net_star: dict[str, np.ndarray],
-    p_loss_star: np.ndarray,
-    cfg: AdmmConfig,
-    p_tilde: dict[str, np.ndarray],
-    p_loss_tilde: np.ndarray,
-) -> float:
-    """Evaluate the coordinator objective at an arbitrary candidate point
-    (used by tests to certify the closed form against a numerical solve)."""
-    p_ug = p_loss_tilde.copy()
-    for a in sorted(p_tilde):
-        p_ug = p_ug + p_tilde[a]
-    return _objective(
-        state, wem_price, dt, p_net_star, p_loss_star, cfg, p_tilde, p_loss_tilde, p_ug
-    )
 
 
 def aggregate_to_nodes(

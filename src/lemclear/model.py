@@ -1,7 +1,8 @@
 """Domain types for the feeder, prosumer devices, scenarios and solver configuration.
 
 All electrical quantities are stored per-unit on the scenario power base;
-currency amounts are scenario currency per per-unit-hour of energy.  Types are
+currency amounts are scenario currency per per-unit-hour of energy (the
+loader, ``io_cli``, scales SI tables to per unit as it reads them).  Types are
 frozen dataclasses: immutable after construction and safe to share across
 concurrent workers.  Each bus carries the static power factor from which the
 network operator derives reactive from net active consumption.
@@ -10,7 +11,7 @@ network operator derives reactive from net active consumption.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,11 +25,8 @@ __all__ = [
     "Prosumer",
     "AdmmConfig",
     "Scenario",
-    "RawScenario",
     "ValidationReport",
     "validate_network",
-    "to_per_unit",
-    "from_per_unit",
     "reactive_from_pf",
 ]
 
@@ -240,22 +238,6 @@ class Scenario:
         return tot
 
 
-@dataclass(frozen=True)
-class RawScenario:
-    """A scenario as parsed from disk, before unit normalization.
-
-    ``units`` is either ``"si"`` (MW / MVA / ohm / MWh, prices in currency per
-    MWh) or ``"per_unit"`` (already normalized, prices per per-unit-hour).
-    """
-
-    scenario: Scenario
-    units: str = "si"
-
-    def __post_init__(self):
-        if self.units not in ("si", "per_unit"):
-            raise ValueError(f"unknown unit system {self.units!r}")
-
-
 @dataclass
 class ValidationReport:
     checks: list[tuple[str, bool, str]] = field(default_factory=list)
@@ -347,94 +329,3 @@ def reactive_from_pf(p: float, pf: float) -> float:
     if p < 0:
         raise ValueError("active power must be nonnegative")
     return p * math.tan(math.acos(pf))
-
-
-def _scale_scenario(sc: Scenario, p_scale: float, z_scale: float, price_scale: float) -> Scenario:
-    net = sc.network
-    new_net = NetworkModel(
-        buses=net.buses,
-        lines=tuple(
-            Line(l.from_bus, l.to_bus, l.r * z_scale, l.x * z_scale, l.s_max * p_scale)
-            for l in net.lines
-        ),
-        base_mva=net.base_mva,
-        base_kv=net.base_kv,
-    )
-    new_pros = tuple(
-        replace(
-            p,
-            baseline_load=p.baseline_load * p_scale,
-            pvs=tuple(
-                replace(u, p_forecast=u.p_forecast * p_scale, s_inv=u.s_inv * p_scale)
-                for u in p.pvs
-            ),
-            storages=tuple(
-                replace(
-                    d,
-                    p_ch_max=d.p_ch_max * p_scale,
-                    p_dch_max=d.p_dch_max * p_scale,
-                    e0=d.e0 * p_scale,
-                    soc_min=d.soc_min * p_scale,
-                    soc_max=d.soc_max * p_scale,
-                    e_trip=d.e_trip * p_scale,
-                    throughput_cost=d.throughput_cost * price_scale,
-                )
-                for d in p.storages
-            ),
-            fls=tuple(
-                replace(
-                    f,
-                    p_fl_max=f.p_fl_max * p_scale,
-                    e_min=f.e_min * p_scale,
-                    discomfort_cost=f.discomfort_cost * price_scale,
-                )
-                for f in p.fls
-            ),
-        )
-        for p in sc.prosumers
-    )
-    return Scenario(
-        network=new_net,
-        prosumers=new_pros,
-        horizon=sc.horizon,
-        dt=sc.dt,
-        wem_price=sc.wem_price * price_scale,
-        loss_cost=sc.loss_cost * price_scale,
-        admm=sc.admm,
-        background={n: v * p_scale for n, v in sc.background.items()},
-    )
-
-
-def to_per_unit(raw: RawScenario) -> Scenario:
-    """Normalize a parsed scenario onto its per-unit bases.
-
-    Powers divide by ``base_mva``, impedances by ``base_kv**2 / base_mva`` and
-    prices convert from per-MWh to per per-unit-hour.  A scenario already
-    flagged ``per_unit`` passes through unchanged.
-    """
-    net = raw.scenario.network
-    if net.base_mva <= 0 or net.base_kv <= 0:
-        raise ValueError("per-unit bases must be positive")
-    if raw.units == "per_unit":
-        return raw.scenario
-    z_base = net.base_kv**2 / net.base_mva
-    return _scale_scenario(
-        raw.scenario,
-        p_scale=1.0 / net.base_mva,
-        z_scale=1.0 / z_base,
-        price_scale=net.base_mva,
-    )
-
-
-def from_per_unit(sc: Scenario) -> RawScenario:
-    """Inverse of :func:`to_per_unit`: express a per-unit scenario in SI units."""
-    net = sc.network
-    if net.base_mva <= 0 or net.base_kv <= 0:
-        raise ValueError("per-unit bases must be positive")
-    z_base = net.base_kv**2 / net.base_mva
-    return RawScenario(
-        scenario=_scale_scenario(
-            sc, p_scale=net.base_mva, z_scale=z_base, price_scale=1.0 / net.base_mva
-        ),
-        units="si",
-    )

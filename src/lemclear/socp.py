@@ -128,7 +128,7 @@ same inputs always produce bit-identical outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -149,8 +149,6 @@ __all__ = [
     "solve_socp",
     "solve_socp_batch",
     "check_kkt",
-    "dual_sensitivity_probe",
-    "ProbeResult",
     "Start",
     "dump_program",
 ]
@@ -1441,41 +1439,6 @@ def check_kkt(prog: ConicProgram, sol: ConicSolution) -> dict[str, float]:
         "gap": abs(float(s @ z)),
         "cone": max(cones.membership_violation(s), cones.membership_violation(z)),
     }
-
-
-@dataclass
-class ProbeResult:
-    estimate: float
-    dual: float
-    conclusive: bool
-
-
-def dual_sensitivity_probe(
-    prog: ConicProgram,
-    sol: ConicSolution,
-    eq_index: int,
-    delta: float = 1e-5,
-    tol: float = 1e-9,
-) -> ProbeResult:
-    """Certify an equality dual by central finite differences on b[eq_index].
-
-    Re-solves the program at b +/- delta; a failed re-solve marks the probe
-    inconclusive rather than raising.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if sol.status != OPTIMAL:
-        raise ValueError("probe requires an optimal base solution")
-    shifted = []
-    for sign in (+1.0, -1.0):
-        b2 = prog.b.copy()
-        b2[eq_index] += sign * delta
-        shifted.append(replace(prog, b=b2))
-    up, down = solve_socp_batch(shifted, tol=tol)
-    if up.status != OPTIMAL or down.status != OPTIMAL:
-        return ProbeResult(float("nan"), float(sol.y[eq_index]), False)
-    est = (up.obj - down.obj) / (2.0 * delta)
-    return ProbeResult(est, float(sol.y[eq_index]), True)
 
 
 def dump_program(prog: ConicProgram, path: str) -> None:

@@ -16,9 +16,9 @@ from lemclear.socp import (
     NonNeg,
     OPTIMAL,
     SecondOrder,
-    dual_sensitivity_probe,
     solve_socp,
 )
+from certify import dual_sensitivity_probe
 from lifted import Free, lifted
 
 

@@ -16,7 +16,8 @@ from lemclear.dso import (
 )
 from lemclear.io_cli import bundled_scenario_dir, load_scenario
 from lemclear.model import Bus, Line, NetworkModel, reactive_from_pf
-from lemclear.socp import dual_sensitivity_probe, solve_socp
+from lemclear.socp import solve_socp
+from certify import dual_sensitivity_probe
 
 
 def two_bus(r=0.01, x=0.02, smax=1.0, vmin=0.9, vmax=1.1):

@@ -230,7 +230,13 @@ class TestCli:
         ("dt", float("nan"), "'dt' must be finite"),
         ("base_mva", float("inf"), "'base_mva' must be finite"),
         ("base_kv", -float("inf"), "'base_kv' must be finite"),
+        # an integer past the float range, which float() cannot convert
+        ("base_mva", 10**400, "'base_mva' must be finite"),
+        ("dt", -10**400, "'dt' must be finite"),
         ("units", 1, "'units' must be str"),
+        ("units", "kW", "'units' must be 'si' or 'per_unit', got 'kW'"),
+        ("base_mva", 0, "'base_mva' must be positive, got 0"),
+        ("base_kv", -12.66, "'base_kv' must be positive, got -12.66"),
     ])
     def test_bad_manifest_setting_exits_2(self, tmp_path, capsys, key, value, named):
         # json.loads reads null, NaN and Infinity as None, nan and inf
@@ -329,6 +335,42 @@ class TestCli:
         assert cli_main(["validate", "--scenario", str(scen)]) == 2
         err = capsys.readouterr().err
         assert "input error" in err and f"{scen / name} is not a file" in err
+
+    @pytest.mark.parametrize("name, data, named", [
+        ("manifest.json", b'{"horizon": 24,', "Expecting property name"),
+        ("manifest.json", b'{"horizon": 24}\xff', "'utf-8' codec can't decode byte 0xff"),
+        ("lines.csv", b"from,to,r,x,smax\n1,2,0.004,0.008,1.0\xff\n", "can't decode byte 0xff"),
+        ("spec.json", b"seed = 4\n", "Expecting value"),
+    ])
+    def test_undecodable_file_named_exits_2(self, tmp_path, capsys, name, data, named):
+        scen = tmp_path / "scen"
+        shutil.copytree(bundled_scenario_dir("six_bus"), scen)
+        path = (tmp_path if name == "spec.json" else scen) / name
+        path.write_bytes(data)
+        argv = (["generate", "--spec", str(path), "--out", str(tmp_path / "out")]
+                if name == "spec.json" else ["validate", "--scenario", str(scen)])
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"input error: {path}: " in err and named in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("base_kv", 1e200),    # base_kv**2 overflows
+        ("base_kv", 1e-200),   # base_kv**2 / base_mva is 0
+        ("base_kv", 2e-154),   # a finite impedance factor, 2.5e308, takes r past the range
+        ("base_mva", 1e-320),  # 1 / base_mva overflows
+        ("base_mva", 1e-308),  # line capacities past the range
+        ("base_mva", 1e307),   # prices past the range
+    ])
+    def test_si_base_past_float_range_exits_2(self, tmp_path, capsys, key, value):
+        scen = tmp_path / "scen"
+        shutil.copytree(bundled_scenario_dir("ieee69"), scen)
+        manifest = json.loads((scen / "manifest.json").read_text())
+        assert manifest["units"] == "si"
+        manifest[key] = value
+        (scen / "manifest.json").write_text(json.dumps(manifest))
+        assert cli_main(["validate", "--scenario", str(scen)]) == 2
+        err = capsys.readouterr().err
+        assert f"input error: manifest.json: {key!r} {value!r} takes per-unit values" in err
 
     def test_spec_is_a_directory_exits_2(self, tmp_path, capsys):
         assert cli_main(["generate", "--spec", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
@@ -506,10 +548,14 @@ def test_cli_nonconvergence_exits_1(tmp_path):
     assert summary["status"] == "iter_limit"
 
 
-SIX_BUS = bundled_scenario_dir("six_bus")
-SIX_BUS_TABLES = {
-    path.name: list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
-    for path in sorted(SIX_BUS.glob("*.csv"))
+# the fuzz edits one of these: six_bus is per unit, ieee69 is in SI units
+BASES = {name: bundled_scenario_dir(name) for name in ("six_bus", "ieee69")}
+BASE_TABLES = {
+    name: {
+        path.name: list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+        for path in sorted(base.glob("*.csv"))
+    }
+    for name, base in BASES.items()
 }
 # what a fuzzed cell or header holds: any text, or text that reads as a number
 CELLS = st.text() | st.integers().map(str) | st.floats().map(repr)
@@ -522,28 +568,33 @@ JSON_VALUES = st.recursive(
 
 @st.composite
 def loader_edits(draw):
-    """(file, where, value): a manifest replaced (where None) or one of its
-    keys set to a JSON value, or a table's cell at (row, column) set to text,
-    row 0 being the header."""
-    name = draw(st.sampled_from(["manifest.json", *SIX_BUS_TABLES]))
+    """(base, file, where, value): in a copy of the bundled scenario ``base``,
+    a manifest replaced (where None) or one of its keys set to a JSON value,
+    or a table's cell at (row, column) set to text, row 0 being the header."""
+    base = draw(st.sampled_from(sorted(BASES)))
+    tables = BASE_TABLES[base]
+    name = draw(st.sampled_from(["manifest.json", *tables]))
     if name == "manifest.json":
-        manifest = json.loads((SIX_BUS / name).read_text())
-        return name, draw(st.none() | st.sampled_from(sorted(manifest))), draw(JSON_VALUES)
-    rows = SIX_BUS_TABLES[name]
+        manifest = json.loads((BASES[base] / name).read_text())
+        return (base, name, draw(st.none() | st.sampled_from(sorted(manifest))),
+                draw(JSON_VALUES))
+    rows = tables[name]
     row = draw(st.integers(0, len(rows) - 1))
-    return name, (row, draw(st.integers(0, len(rows[row]) - 1))), draw(CELLS)
+    return base, name, (row, draw(st.integers(0, len(rows[row]) - 1))), draw(CELLS)
 
 
 @settings(max_examples=50, deadline=None)
 @given(edit=loader_edits())
-@example(edit=("manifest.json", None, 5))
+@example(edit=("six_bus", "manifest.json", None, 5))
+@example(edit=("ieee69", "manifest.json", "base_kv", 1e200))
+@example(edit=("ieee69", "manifest.json", "base_mva", 1e-320))
 def test_validate_accepts_or_names_any_edit(edit):
     # a loader that meets bad input with anything but an input error would
     # raise here, or exit 1, the nonconvergence code
-    name, where, value = edit
+    base, name, where, value = edit
     with tempfile.TemporaryDirectory() as tmp:
         scen = Path(tmp) / "scen"
-        shutil.copytree(SIX_BUS, scen)
+        shutil.copytree(BASES[base], scen)
         path = scen / name
         if name == "manifest.json":
             manifest = json.loads(path.read_text())
@@ -553,7 +604,7 @@ def test_validate_accepts_or_names_any_edit(edit):
                 manifest[where] = value
             path.write_text(json.dumps(manifest))
         else:
-            rows = [list(row) for row in SIX_BUS_TABLES[name]]
+            rows = [list(row) for row in BASE_TABLES[base][name]]
             rows[where[0]][where[1]] = value
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh).writerows(rows)

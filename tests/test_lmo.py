@@ -8,12 +8,12 @@ from lemclear.lmo import (
     aggregate_to_nodes,
     map_dlmp_to_prosumers,
     solve_subproblem_I,
-    subproblem_I_objective,
     update_loss_dual,
     update_power_dual,
 )
 from lemclear.model import AdmmConfig, Bus, Line, NetworkModel, Scenario
 from lemclear.socp import solve_socp
+from certify import subproblem_I_objective
 from lifted import Free, lifted
 
 

@@ -34,12 +34,12 @@ from lemclear.socp import (
     _Stack,
     _classify,
     check_kkt,
-    dual_sensitivity_probe,
     dump_program,
     _ipm_loop,
     solve_socp,
     solve_socp_batch,
 )
+from certify import dual_sensitivity_probe
 from lifted import Free, lifted
 
 
