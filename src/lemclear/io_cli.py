@@ -327,6 +327,14 @@ def _scaling(factor: float, key: str, base: float):
     return scale
 
 
+def _finite(series: np.ndarray, what: str) -> np.ndarray:
+    """``series``, checked where it is formed from finite cells: an entry
+    past the float range is an input error that names ``what`` it is."""
+    if not np.isfinite(series).all():
+        raise ScenarioFormatError([f"{what} leaves the float range"])
+    return series
+
+
 # a value that overflows is checked where it is formed, without a warning
 @np.errstate(over="ignore")
 def assemble_scenario(tables: ScenarioTables) -> Scenario:
@@ -410,9 +418,10 @@ def assemble_scenario(tables: ScenarioTables) -> Scenario:
     )
 
     pv_by_pros: dict[str, list[PvUnit]] = {}
-    for r in tables.pv:
+    for i, r in enumerate(tables.pv, start=2):
+        forecast = _finite(r["p_peak"] * pv_cf, f"pv.csv:{i}: p_peak times pv_cf")
         pv_by_pros.setdefault(r["prosumer"], []).append(
-            PvUnit(p_forecast=power(r["p_peak"] * pv_cf), s_inv=power(r["s_inv"]), pf=r["pf"])
+            PvUnit(p_forecast=power(forecast), s_inv=power(r["s_inv"]), pf=r["pf"])
         )
     st_by_pros: dict[str, list[StorageDevice]] = {}
     for r in tables.storage:
@@ -433,10 +442,15 @@ def assemble_scenario(tables: ScenarioTables) -> Scenario:
     fl_rows_by_pros: dict[str, list[dict]] = {}
     for r in tables.fl:
         fl_rows_by_pros.setdefault(r["prosumer"], []).append(r)
-    for r in sorted(tables.prosumers, key=lambda r: str(r["id"])):
-        baseline = r["peak_load"] * load_scale
+    for i, r in sorted(enumerate(tables.prosumers, start=2), key=lambda ir: str(ir[1]["id"])):
+        baseline = _finite(
+            r["peak_load"] * load_scale, f"prosumers.csv:{i}: peak_load times load_scale"
+        )
         if not r["active"]:
-            background[r["bus"]] = background.get(r["bus"], np.zeros(T)) + baseline
+            background[r["bus"]] = _finite(
+                background.get(r["bus"], np.zeros(T)) + baseline,
+                f"prosumers.csv:{i}: the background load of bus {r['bus']}",
+            )
             continue
         # a peak load near the float limit overflows the day's energy to an
         # infinite floor, which FlexibleLoad rejects

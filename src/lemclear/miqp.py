@@ -19,7 +19,7 @@ integral leaf's pinned re-solve starts from its node's relaxation, a child
 node from its parent's, and the root from the start the caller passes (the
 root relaxation of an earlier, similar search, which ``BnBResult.root``
 returns), or cold without one.  A start only shortens a solve: a warm
-solve that fails is redone cold (see ``socp``).
+solve that fails is rescued from the cold point (see ``socp``).
 
 ``mbp_search`` runs it to a relative gap target; ``repair_search`` runs it
 with the target waived, so it returns the first incumbent: normally the
@@ -196,8 +196,8 @@ def mbp_search(
     Branches on the most fractional binary (closest to 0.5, lowest index on
     ties); hitting ``node_limit`` returns the best incumbent, if any, with an
     honest gap and status iter_limit; only a search that runs out of open
-    nodes without an incumbent reports infeasible.  The root relaxation
-    starts from ``start`` (x over all columns), or cold.
+    nodes without an incumbent, every node proven, reports infeasible.  The
+    root relaxation starts from ``start`` (x over all columns), or cold.
     """
     if mip_gap <= 0:
         raise ValueError("mip_gap must be positive")
@@ -273,14 +273,20 @@ def _search(
     """The branch-and-bound loop; stops once the incumbent is within ``mip_gap``.
 
     Yields every cone program it needs solved, with its start, and receives
-    its solution.  Nodes pin binaries by substitution.  The reported bound is
-    the least of the incumbent, the open nodes' bounds and the relaxations of
-    the nodes closed by the gap test.
+    its solution.  Nodes pin binaries by substitution.  A node is pruned when
+    its relaxation is infeasible or unbounded by a certificate; one that ends
+    without an answer or a certificate proves nothing, so it keeps its
+    parent's bound.  The reported bound is the least of the incumbent, the
+    open nodes' bounds, the relaxations of the nodes closed by the gap test
+    and the bounds of the unproven nodes.  A search with an unproven node
+    cannot end infeasible: it ends iter_limit unless its gap test, with
+    their bounds, still holds.
     """
     bins = tuple(sorted(prob.binary_indices))
     incumbent_x: np.ndarray | None = None
     incumbent_obj = math.inf
     closed = math.inf
+    unproven = math.inf
     nodes = 0
     counter = 0
     root: Start | None = None
@@ -304,12 +310,12 @@ def _search(
             incumbent_x, incumbent_obj = restore_fixed(sol.x, assign), sol.obj
 
     def result(status: str, bound: float) -> BnBResult:
-        bound = min(bound, closed, incumbent_obj)
+        bound = min(bound, closed, unproven, incumbent_obj)
         return BnBResult(status, incumbent_x, incumbent_obj, rel_gap(bound), nodes, bound, root)
 
     while heap:
         bound, _, fixed, start = heapq.heappop(heap)
-        if incumbent_x is not None and rel_gap(min(bound, closed)) <= mip_gap:
+        if incumbent_x is not None and rel_gap(min(bound, closed, unproven)) <= mip_gap:
             return result(OPTIMAL, bound)
         if nodes >= node_limit:
             # stopped, not exhausted: without an incumbent nothing is proven
@@ -317,7 +323,9 @@ def _search(
         nodes += 1
         sol = yield with_fixed_variables(prob.relaxation, fixed), _restrict(start, fixed)
         if sol.status != OPTIMAL:
-            continue  # infeasible or diverging branch: prune
+            if not sol.certified:
+                unproven = min(unproven, bound)
+            continue
         x = restore_fixed(sol.x, fixed)
         relaxed = (x, sol.y, sol.s, sol.z)
         if nodes == 1:
@@ -342,4 +350,6 @@ def _search(
             counter += 1
             heapq.heappush(heap, (sol.obj, counter, {**fixed, branch_var: v}, relaxed))
 
+    if unproven < math.inf and (incumbent_x is None or rel_gap(min(closed, unproven)) > mip_gap):
+        return result(ITER_LIMIT, math.inf)
     return result(OPTIMAL if incumbent_x is not None else INFEASIBLE, math.inf)

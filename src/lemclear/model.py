@@ -11,6 +11,7 @@ network operator derives reactive from net active consumption.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,7 +182,8 @@ class AdmmConfig:
 
     def __post_init__(self):
         for name in ("rho", "rho_prime", "eps1", "eps2"):
-            if not math.isfinite(getattr(self, name)):
+            # NaN and the infinities fail this test, and so do integers past the float range
+            if not abs(getattr(self, name)) <= sys.float_info.max:
                 raise ValueError(f"ADMM setting {name} must be finite, got {getattr(self, name)!r}")
         if self.rho <= 0 or self.rho_prime <= 0:
             raise ValueError("penalty weights must be positive")

@@ -14,11 +14,11 @@ convention  d(obj)/d(b_i) = y_i,  which is what lets a nodal-balance dual be
 read directly as a marginal price.
 
 What a solve derives from a program's sparsity pattern alone (``_Pattern``:
-the cone layout, the index arrays of C = [A; G] and C', the KKT ordering
-and its slots) is built once per distinct pattern among the solve's
-programs and shared by all of them, for that solve only; a program of the
-solve is its (program, pattern) pair, and its data is read where it is
-stacked (``_Stack``).  The cone layout groups the second-order blocks by
+the cone layout, the index arrays of C = [A; G], the KKT ordering and its
+slots) is built once per distinct pattern among the solve's programs and
+shared by all of them, for that solve only; a program of the solve is its
+(program, pattern) pair, and its data is read where it is stacked
+(``_Stack``).  The cone layout groups the second-order blocks by
 size into (n_blocks, k) index arrays, so the Jordan algebra and the NT
 scaling run as one numpy call per size group rather than a Python loop
 over blocks.
@@ -81,18 +81,20 @@ Step lengths, centering, the stop and divergence tests, the best iterate,
 the status and the iteration count stay each program's own, and a program
 that finishes leaves the stack.  No arithmetic mixes two programs, so a
 program's answer is bit for bit the same alone or in any batch, in any
-order; ``solve_socp`` is the batch of one.  Diagonal pivots can shrink
-toward zero on nearly singular programs and stall the iteration, so a
-program that ends non-optimal without a certificate of infeasibility or
-unboundedness is run again, on its own, with SuperLU's partial pivoting.
-If that run ends the same way, the program runs once more under partial
-pivoting with the -W^2 block left without delta.  Where a slack row's s
-has gone to zero ahead of its primal residual, its W^2 falls far below
-delta; the Newton step then leaves that residual standing as delta dz
+order; ``solve_socp`` is the batch of one.
+
+A program whose run ends without an answer or a certificate of
+infeasibility or unboundedness, warm or cold, has one rescue: it runs once
+more, on its own, from the cold point, with SuperLU's partial pivoting and
+the -W^2 block left without delta.  Diagonal pivots can shrink toward zero
+on nearly singular programs and stall the iteration.  And where a slack
+row's s has gone to zero ahead of its primal residual, its W^2 falls far
+below delta; the Newton step then leaves that residual standing as delta dz
 instead of closing it, and the refinement step removes only the share
-W^2 / (W^2 + delta) of what is left.  Partial pivoting needs no delta
-there, since -W^2 is negative definite.
-Either way an optimal answer is only returned when residuals computed from
+W^2 / (W^2 + delta) of what is left.  Partial pivoting needs no delta on
+those rows, since -W^2 is negative definite.  A solution's ``certified``
+says whether a certificate backs its status.  Whichever run ends a
+program, an optimal answer is only returned when residuals computed from
 the program itself, not from the factorization, meet the tolerance.  Each
 round evaluates the residuals once, and every ending reports them: a
 program that converges, diverges, stalls or cannot be factored those of
@@ -108,11 +110,10 @@ times the cold point, whose share keeps (s, z) strictly inside the cone
 the cold one the same way); everything after the first iterate is
 unchanged but the iteration cap: a warm program stops after 50 iterations
 (``_WARM_MAX_ITER``, about two and a half cold prosumer solves) rather than
-200 (``_MAX_ITER``).  A warm program that ends non-optimal without a
-certificate, at that cap or earlier, is run again from the cold point before
-the pivoting rule above applies, so its verdict is never worse than a cold
-solve's and a bad start costs at most 50 iterations more than no start.
-The start enters only the program's own first iterate, so its answer is
+200 (``_MAX_ITER``).  A warm program that ends without an answer or a
+certificate, at that cap or earlier, takes the rescue above, which starts
+from the cold point, so a bad start costs at most 50 iterations on top of
+the rescue.  The start enters only the program's own first iterate, so its answer is
 bit for bit the same alone or in any batch given the same start.
 
 Every program takes this one path, including those without variables or
@@ -248,6 +249,12 @@ class ConicProgram:
 
 @dataclass
 class ConicSolution:
+    """A program's ending: its status, point, objective, the residual norms
+    at the point and the iterations taken.  ``certified`` tells whether a
+    certificate of infeasibility or unboundedness backs the status; it is
+    False for an optimal answer, which its residuals back, and for an
+    ending the solver could not settle."""
+
     status: str
     x: np.ndarray
     y: np.ndarray
@@ -256,6 +263,7 @@ class ConicSolution:
     obj: float
     residuals: dict[str, float] = field(default_factory=dict)
     iterations: int = 0
+    certified: bool = False
 
 
 # a warm start: the (x, y, s, z) of a solution, x mapped to the program's columns
@@ -708,17 +716,14 @@ class _Pattern:
     """What the programs of a solve that share a sparsity pattern compute once.
 
     Holds the sizes (``n`` columns, ``m`` equality rows, ``p`` cone rows),
-    the cone layout, the index arrays of A and G, those of C' for
-    C = [A; G] with ``ct_order``, the place in C of each stored entry of C'
-    as ``C.T.tocsr()`` orders them, and the symbolic part of the KKT
-    matrix over (x, y, z): a fill-reducing symmetric ordering ``perm``, the
-    diagonal signs in that order, the pattern of the matrix stored already
-    permuted, and ``slot_kinds``, the slot there of each source entry (see
-    ``_kkt_pattern``) split by the kind of weight.  ``ct_part`` and
-    ``perm_part`` say which of y and z (0, 1) each column of C' falls in,
-    and which of x, y and z (0, 1, 2) each entry of ``perm``, which is what
-    ``_Stack`` needs to shift them into a stack.  Nothing here depends on
-    the programs' values.
+    the cone layout, the index arrays of A and G, and the symbolic part of
+    the KKT matrix over (x, y, z): a fill-reducing symmetric ordering
+    ``perm``, the diagonal signs in that order, the pattern of the matrix
+    stored already permuted, and ``slot_kinds``, the slot there of each
+    source entry (see ``_kkt_pattern``) split by the kind of weight.
+    ``perm_part`` says which of x, y and z (0, 1, 2) each entry of ``perm``
+    falls in, which is what ``_Stack`` needs to shift it into a stack.
+    Nothing here depends on the programs' values.
     """
 
     def __init__(self, prog: ConicProgram):
@@ -731,12 +736,6 @@ class _Pattern:
         c_counts = np.concatenate([self.a_counts, self.g_counts])
         c_row = np.repeat(np.arange(m + p), c_counts)
         c_col = np.concatenate([self.a_cols, self.g_cols])
-        # C' as scipy transposes C, C's entries numbered by their place in C
-        C = sp.csr_matrix((np.arange(len(c_col)), c_col, _offsets(c_counts)), shape=(m + p, n))
-        CT = C.T.tocsr()
-        self.ct_order, self.ct_indices = CT.data, CT.indices
-        self.ct_counts = np.diff(CT.indptr)
-        self.ct_part = (CT.indices >= m).astype(int)
         self.perm, self.sign, self.kkt_indices, self.kkt_indptr, slots = _kkt_pattern(
             n, m, c_row, c_col, self.cones
         )
@@ -751,7 +750,8 @@ class _Pattern:
         self.slot_kinds = {key: slots[a:b] for key, a, b in zip(keys, bounds[:-1], bounds[1:])}
 
 
-def _solution(prog: ConicProgram, status: str, point, iters: int, norms) -> ConicSolution:
+def _solution(prog: ConicProgram, status: str, point, iters: int, norms,
+              certified: bool) -> ConicSolution:
     """The solution at copies of the point (x, y, s, z); ``norms`` starts with
     the primal and dual residual norms there."""
     x, y, s, z = (v.copy() for v in point)
@@ -764,6 +764,7 @@ def _solution(prog: ConicProgram, status: str, point, iters: int, norms) -> Coni
         obj=prog.objective(x),
         residuals={"primal": float(norms[0]), "dual": float(norms[1]), "gap": abs(float(s @ z))},
         iterations=iters,
+        certified=certified,
     )
 
 
@@ -836,12 +837,14 @@ class _Stack:
 
     A member is a (program, pattern) pair.  Vectors hold the members one
     after the other within each kind: x is (x_1, ..., x_K), likewise y and
-    z, and s is laid out as z.  The residual products use A, G and C' with
-    each member's rows in their stored order, and the KKT matrix is block
-    diagonal: member k's block is its own permuted matrix, so the
-    factorization eliminates each block in that block's own ordering and
-    every member's factor, solves and residuals come out exactly as they
-    would for the member alone.  ``bnorm`` and ``cnorm`` are 1 plus each
+    z, and s is laid out as z.  The residual products use one CSR matrix
+    C = [A; G], every member's A rows and then every member's G rows, each
+    row in its stored order: Cx gives Ax and Gx, and the view C' = C.T sums
+    each entry of C'(y, -z) over C's rows in ascending order, as a CSR copy
+    of C' would.  The KKT matrix is block diagonal: member k's block is its
+    own permuted matrix, so the factorization eliminates each block in that
+    block's own ordering and every member's factor, solves and residuals
+    come out exactly as they would for the member alone.  ``bnorm`` and ``cnorm`` are 1 plus each
     member's largest entry of (b, h) and of c, by which its residuals are
     measured.  The weights of the KKT data are summed kind by kind, which
     keeps each slot's summation order that of the member alone: the
@@ -849,36 +852,29 @@ class _Stack:
     round's (delta and -W^2) onto them.  Only the x diagonal takes both
     kinds, and there (0 + q) + delta is q + delta whichever sum comes
     first.  ``pivoting`` selects SuperLU's partial pivoting over static
-    diagonal pivots; it is only used for single members, since its column
-    ordering spans the whole matrix.  ``regularize_slacks`` False leaves
-    the -W^2 block without delta, which only partial pivoting factors
-    safely.
+    diagonal pivots, with the -W^2 block left without delta, which only
+    partial pivoting factors safely; it is only used for single members,
+    since its column ordering spans the whole matrix.
 
     Per-member quantities (``norms``, ``sums``, ``objective``) are segment
     reductions over the stacked vectors, as many numpy calls whatever the
     members, each segment reduced in an order that depends on that
     member's entries alone.
 
-    Consecutive members on one pattern form a run.  Every index array (A's,
-    G's and C''s columns, K's pattern, the ordering, the slots and the cone
-    groups) is built once per run, by shifting its pattern's array for all
-    of the run's members at once, and the entries of A and G are gathered
-    once per run, one row per member, from which C' and the constant
-    weights are read; so a stack costs a number of numpy calls that grows
-    with its runs, not its members, and members that leave cost no more
-    than a new stack of the rest.  The sparse matrices' index arrays are
+    Consecutive members on one pattern form a run.  Every index array (C's
+    columns, K's pattern, the ordering, the slots and the cone groups) is
+    built once per run, by shifting its pattern's array for all of the
+    run's members at once, and the entries of A and G are gathered once per
+    run, one row per member, from which C and the constant weights are
+    read; so a stack costs a number of numpy calls that grows with its
+    runs, not its members, and members that leave cost no more than a new
+    stack of the rest.  The sparse matrices' index arrays are
     built in scipy's index dtype, so scipy neither scans nor copies them.
     """
 
-    def __init__(
-        self,
-        members: list[tuple[ConicProgram, _Pattern]],
-        pivoting: bool = False,
-        regularize_slacks: bool = True,
-    ):
+    def __init__(self, members: list[tuple[ConicProgram, _Pattern]], pivoting: bool = False):
         self.members = members
         self.pivoting = pivoting
-        self.regularize_slacks = regularize_slacks
         runs: list[list] = []  # [pattern, members] per run
         for _, pat in members:
             if runs and runs[-1][0] is pat:
@@ -934,28 +930,14 @@ class _Stack:
             for name in ("A", "G")
         )
         c_runs = [np.hstack([a, g]) for a, g in zip(a_runs, g_runs)]
-        self.A = _rows(
-            [a.ravel() for a in a_runs],
-            [_shifted(pt.a_cols, o["x"]) for pt, _, o in at],
-            [np.tile(pt.a_counts, len(rp)) for pt, rp, _ in at],
+        # C's rows are the stack's (y, z): every member's A rows, then every member's G rows
+        self.C = _rows(
+            [a.ravel() for a in a_runs] + [g.ravel() for g in g_runs],
+            [_shifted(pt.a_cols, o["x"]) for pt, _, o in at]
+            + [_shifted(pt.g_cols, o["x"]) for pt, _, o in at],
+            [np.tile(pt.a_counts, len(rp)) for pt, rp, _ in at]
+            + [np.tile(pt.g_counts, len(rp)) for pt, rp, _ in at],
             n, idx,
-        )
-        self.G = _rows(
-            [g.ravel() for g in g_runs],
-            [_shifted(pt.g_cols, o["x"]) for pt, _, o in at],
-            [np.tile(pt.g_counts, len(rp)) for pt, rp, _ in at],
-            n, idx,
-        )
-        # C' holds C's entries reordered, and its columns are the stack's
-        # (y, z): a member's y, and its z after all y
-        self.CT = _rows(
-            [c[:, pt.ct_order].ravel() for c, (pt, _, _) in zip(c_runs, at)],
-            [
-                _shifted(pt.ct_indices, np.column_stack([o["y"], m - pt.m + o["z"]]), pt.ct_part)
-                for pt, _, o in at
-            ],
-            [np.tile(pt.ct_counts, len(rp)) for pt, rp, _ in at],
-            m + p, idx,
         )
 
         # the block-diagonal KKT matrix and the slots of the weights by kind
@@ -1036,16 +1018,17 @@ class _Stack:
 
     def residuals(self, x, y, s, z):
         """The dual residual Qx + c - A'y + G'z, the primal residuals Ax - b
-        and Gx + s - h, and C'(y, -z) for C = [A; G], the dual residual's
-        part that the infeasibility certificate reads."""
-        ct_yz = self.CT @ np.concatenate([y, -z])
-        return self.q * x + self.c - ct_yz, self.A @ x - self.b, self.G @ x + s - self.h, ct_yz
+        and Gx + s - h, and C'(y, -z), the dual residual's part that the
+        infeasibility certificate reads."""
+        m, cx = self.m, self.C @ x
+        ct_yz = self.C.T @ np.concatenate([y, -z])
+        return self.q * x + self.c - ct_yz, cx[:m] - self.b, cx[m:] + s - self.h, ct_yz
 
     def kkt(self, w2: np.ndarray, deltas: np.ndarray) -> sp.csc_matrix:
         """Refill K, the block-diagonal permuted KKT matrix, for W^2's entries
         w2 and each member's regularization deltas[k]."""
         dx, dy, dz = (self.spread(deltas, kind) for kind in "xyz")
-        if not self.regularize_slacks:
+        if self.pivoting:
             dz = np.zeros(self.p)
         weights = np.concatenate([dx, -dy, -w2, -dz])
         np.add(
@@ -1066,7 +1049,7 @@ class _Stack:
         except (RuntimeError, ValueError):
             return False
         self.delta = np.repeat(deltas, self.sizes)
-        if not self.regularize_slacks:
+        if self.pivoting:
             self.delta[self.perm >= self.n + self.m] = 0.0
         return True
 
@@ -1106,7 +1089,7 @@ def _checked_start(pat: _Pattern, start: Start) -> Start:
 def _delta_alone(member, s: np.ndarray, z: np.ndarray, st: _Stack) -> float | None:
     """The regularization at which a member's KKT matrix factors on its own at
     (s, z), if any, factored as the stack ``st`` factors."""
-    alone = _Stack([member], st.pivoting, st.regularize_slacks)
+    alone = _Stack([member], st.pivoting)
     w2 = _Scaling(member[1].cones, s, z).w2_values()
     for delta in (1e-9, 1e-6):
         if alone.factor(w2, np.array([delta])):
@@ -1147,32 +1130,12 @@ def solve_socp_batch(
         raise ValueError(f"{len(starts)} starts for {len(progs)} programs")
     members = _members(progs)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ends = _ipm_loop(members, tol, starts=starts)
-        # a warm start that ends without an answer or a certificate is
-        # given up: such programs run again from the cold point
-        cold = [
-            i for i, (sol, certified) in enumerate(ends)
-            if starts[i] is not None and sol.status != OPTIMAL and not certified
-        ]
-        if cold:
-            for i, (again, certified) in zip(cold, _ipm_loop([members[i] for i in cold], tol)):
-                again.iterations += ends[i][0].iterations
-                ends[i] = again, certified
-        sols = []
-        for member, (sol, certified) in zip(members, ends):
-            if sol.status != OPTIMAL and not certified:
-                # a static pivot can shrink toward zero on nearly singular
-                # systems; rerun the program alone under partial pivoting,
-                # and if that fails too, without delta on the slack rows
-                for regularize_slacks in (True, False):
-                    ((again, certified),) = _ipm_loop(
-                        [member], tol, pivoting=True, regularize_slacks=regularize_slacks
-                    )
-                    again.iterations += sol.iterations
-                    sol = again
-                    if sol.status == OPTIMAL or certified:
-                        break
-            sols.append(sol)
+        sols = _ipm_loop(members, tol, starts=starts)
+        for i, sol in enumerate(sols):
+            if sol.status != OPTIMAL and not sol.certified:
+                # the rescue: alone, cold, partial pivots, no slack delta
+                (sols[i],) = _ipm_loop([members[i]], tol, pivoting=True)
+                sols[i].iterations += sol.iterations
     return sols
 
 
@@ -1182,12 +1145,8 @@ _BEST_KINDS = "kkxyzz"
 
 
 def _ipm_loop(
-    members: list[tuple[ConicProgram, _Pattern]],
-    tol: float,
-    pivoting=False,
-    starts=None,
-    regularize_slacks=True,
-):
+    members: list[tuple[ConicProgram, _Pattern]], tol: float, pivoting=False, starts=None
+) -> list[ConicSolution]:
     """Mehrotra predictor-corrector on the (program, pattern) ``members`` in lockstep.
 
     Every round takes one iteration of each live member.  Members share the
@@ -1202,13 +1161,13 @@ def _ipm_loop(
     iterate).  The best iterates are kept as one stacked copy, refreshed
     where members improved.  ``starts`` holds each member's warm start or
     None (all cold when omitted); a cold member stops after ``_MAX_ITER``
-    iterations, a warm one after ``_WARM_MAX_ITER``.  ``pivoting`` and
-    ``regularize_slacks`` choose how the KKT matrix is factored (see
-    ``_Stack``).  Returns one (solution, certified) pair per member,
-    ``certified`` telling whether a certificate backs a non-optimal verdict.
+    iterations, a warm one after ``_WARM_MAX_ITER``.  ``pivoting`` chooses
+    how the KKT matrix is factored (see ``_Stack``).  Returns one solution
+    per member, whose ``certified`` tells whether a certificate backs a
+    non-optimal verdict.
     """
-    done: list[tuple | None] = [None] * len(members)
-    st = _Stack(members, pivoting, regularize_slacks)
+    done: list[ConicSolution | None] = [None] * len(members)
+    st = _Stack(members, pivoting)
     starts = starts or [None] * len(members)
     # per stack position: the member there and its iteration cap
     live = np.arange(len(members))
@@ -1234,7 +1193,7 @@ def _ipm_loop(
     def end(k: int, point, norms, status: str, certified: bool = False) -> None:
         """Member k of the stack ends at a point whose residual norms are
         ``norms``, with the given verdict."""
-        done[live[k]] = _solution(st.members[k][0], status, point, it, norms), certified
+        done[live[k]] = _solution(st.members[k][0], status, point, it, norms, certified)
 
     def drop(ended: list[int], *arrays):
         """Take the members at stack positions ``ended`` out of the stack;
@@ -1248,7 +1207,7 @@ def _ipm_loop(
         e, *parts = st.gather(kept, (e, "z"), *arrays)
         survivors = [st.members[k] for k in np.flatnonzero(kept).tolist()]
         st = None  # free the old stack and its factor before building the new one
-        st = _Stack(survivors, pivoting, regularize_slacks)
+        st = _Stack(survivors, pivoting)
         return parts
 
     # every member ends at its limit at the latest, so the last round returns

@@ -3,7 +3,9 @@
 ``dual_sensitivity_probe`` checks an equality dual of a cone program by
 central finite differences on its right-hand side.  ``subproblem_I_objective``
 evaluates the coordinator's objective at any candidate point, so tests can
-check the closed form against a search or a numerical solve.
+check the closed form against a search or a numerical solve.  ``spy_runs``
+records the interior-point runs of cone solves, so tests can check which
+programs reach the solver's rescue.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from lemclear import socp
 from lemclear.lmo import LmoState
 from lemclear.model import AdmmConfig
 from lemclear.socp import OPTIMAL, ConicProgram, ConicSolution, solve_socp_batch
@@ -75,3 +78,19 @@ def subproblem_I_objective(
     dl = p_loss_tilde - p_loss_star
     val += float(state.lambda_loss @ dl) + 0.5 * cfg.rho_prime * float(dl @ dl)
     return val
+
+
+def spy_runs(monkeypatch) -> list[tuple[int, bool, bool]]:
+    """Record every interior-point run of ``socp`` from here on as (members,
+    pivoting, warm): how many programs ran together, whether under partial
+    pivoting (the rescue runs so), and whether any of them had a start."""
+    runs = []
+    loop = socp._ipm_loop
+
+    def spy(members, *args, **kwargs):
+        warm = any(s is not None for s in kwargs.get("starts") or ())
+        runs.append((len(members), kwargs.get("pivoting", False), warm))
+        return loop(members, *args, **kwargs)
+
+    monkeypatch.setattr(socp, "_ipm_loop", spy)
+    return runs

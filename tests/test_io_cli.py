@@ -303,6 +303,50 @@ class TestCli:
         err = capsys.readouterr().err
         assert "input error" in err and f"ADMM setting {key} must be finite" in err
 
+    @pytest.mark.parametrize("value", [10**400, -10**400], ids=["1e400", "-1e400"])
+    def test_admm_setting_past_the_float_range_exits_2(self, tmp_path, capsys, value):
+        # an integer past the float range, which float() cannot convert
+        scen = tmp_path / "scen"
+        shutil.copytree(bundled_scenario_dir("six_bus"), scen)
+        manifest = json.loads((scen / "manifest.json").read_text())
+        manifest["admm"] = {"rho": value}
+        (scen / "manifest.json").write_text(json.dumps(manifest))
+        assert cli_main(["validate", "--scenario", str(scen)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "ADMM setting rho must be finite" in err
+
+    @pytest.mark.parametrize("edits, named", [
+        # bg2 is passive: its baseline, then its bus's background sum
+        ({"prosumers": {2: {"peak_load": "1e308"}}, "profiles": {2: {"load_scale": "10"}}},
+         "prosumers.csv:2: peak_load times load_scale"),
+        ({"prosumers": {5: {"peak_load": "1e308"}}, "profiles": {2: {"load_scale": "10"}}},
+         "prosumers.csv:5: peak_load times load_scale"),
+        ({"prosumers": {2: {"peak_load": "1.5e308"}, 7: {"id": "bg2b", "bus": "2",
+                                                         "peak_load": "1.5e308"}}},
+         "prosumers.csv:7: the background load of bus 2"),
+        ({"pv": {2: {"p_peak": "1e308"}}, "profiles": {14: {"pv_cf": "10"}}},
+         "pv.csv:2: p_peak times pv_cf"),
+    ], ids=["passive baseline", "active baseline", "background sum", "pv forecast"])
+    def test_series_past_the_float_range_exits_2(self, tmp_path, capsys, edits, named):
+        # finite cells whose product or sum overflows: the row is named
+        scen = tmp_path / "scen"
+        shutil.copytree(bundled_scenario_dir("six_bus"), scen)
+        for table, rows in edits.items():
+            path = scen / f"{table}.csv"
+            with open(path, newline="") as fh:
+                lines = list(csv.DictReader(fh))
+            for line, cells in rows.items():
+                if line - 2 == len(lines):
+                    lines.append(dict(lines[0]))
+                lines[line - 2].update(cells)
+            with open(path, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(lines[0]))
+                writer.writeheader()
+                writer.writerows(lines)
+        assert cli_main(["validate", "--scenario", str(scen)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and f"{named} leaves the float range" in err
+
     @pytest.mark.parametrize("key", ["lambda_p_init", "lambda_loss_init"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0])
     def test_removed_admm_setting_in_manifest_exits_2(self, tmp_path, capsys, key, value):

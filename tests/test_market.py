@@ -23,7 +23,9 @@ from lemclear.model import (
     Scenario,
     StorageDevice,
 )
+from lemclear.oracle import solve_centralized
 from lemclear.prosumer import ProsumerInput, solve_subproblem_III, validate_schedule
+from certify import spy_runs
 
 T = 24
 
@@ -312,3 +314,19 @@ class TestTraceReproducibility:
                 assert rec.loss_dual_step > sc.admm.eps2
             if len(recs) < sc.admm.max_inner:
                 assert recs[-1].loss_dual_step <= sc.admm.eps2
+
+
+@pytest.mark.parametrize("name, how", [
+    ("six_bus", "exact"), ("ieee69", "relax_repair"), ("six_bus", "centralized"),
+])
+def test_bundled_runs_never_reach_the_rescue(monkeypatch, request, name, how):
+    # every cone program of these runs ends optimal or certified in its
+    # first run, so none takes the solver's rescue: a change that starts
+    # leaning on it shows up here
+    scenario = request.getfixturevalue(name)
+    runs = spy_runs(monkeypatch)
+    if how == "centralized":
+        solve_centralized(scenario)
+    else:
+        run_clearing(scenario, prosumer_solver=how)
+    assert runs and not any(pivoting for _, pivoting, _ in runs)

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from lemclear.miqp import (
     solve_searches,
     with_fixed_variables,
 )
-from lemclear.socp import NonNeg, OPTIMAL, solve_socp, solve_socp_batch
+from lemclear.socp import ITER_LIMIT, NonNeg, OPTIMAL, solve_socp, solve_socp_batch
 from lifted import lifted
 
 
@@ -228,3 +229,36 @@ def test_relax_and_repair_infeasible_relaxation_solves_once(monkeypatch):
     res = relax_and_repair(MixedBinaryProgram(prog, (0, 1)))
     assert res.status == "infeasible" and res.x_incumbent is None
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("pinned", [0, 1])
+def test_uncertified_node_proves_nothing(monkeypatch, pinned):
+    # the first relaxation with ``pinned`` binaries pinned (the root, or the
+    # first child) is made to end iter_limit without a certificate: its
+    # branch keeps its parent's bound, and the search ends iter_limit, not
+    # infeasible or optimal
+    import lemclear.miqp as miqp
+
+    prob = binary_quadratic([0.3, 0.6, 0.45])
+    n = prob.relaxation.n_vars
+    hit = []
+
+    def uncertified(progs, **kw):
+        sols = solve_socp_batch(progs, **kw)
+        for i, prog in enumerate(progs):
+            if prog.n_vars == n - pinned and not hit:
+                hit.append(i)
+                sols[i] = replace(sols[i], status=ITER_LIMIT)
+        return sols
+
+    monkeypatch.setattr(miqp, "solve_socp_batch", uncertified)
+    res = solve_mbp(prob, mip_gap=1e-9)
+    assert hit and res.status == ITER_LIMIT
+    if pinned == 0:
+        assert res.x_incumbent is None and res.nodes_explored == 1
+        assert res.bound == -np.inf
+    else:
+        # the child's parent is the root: its relaxation is the bound
+        assert res.x_incumbent is not None
+        assert res.bound == solve_socp(prob.relaxation).obj < res.obj_incumbent
+        assert res.gap > 1e-9

@@ -17,6 +17,7 @@ from lemclear.prosumer import (
     validate_schedule,
 )
 from lemclear.socp import ITER_LIMIT, OPTIMAL, check_kkt, solve_socp, solve_socp_batch
+from certify import spy_runs
 
 T = 24
 CFG = AdmmConfig()
@@ -505,8 +506,8 @@ def tiny_floor_fleet(fl_first_hour: float, e_min: float, discomfort_cost: float)
     """A storage whose SoC floor, 4.9e-9 pu-h, lies at the solver's
     regularization scale above its departure floor of 0, emptied in the
     one dear hour.  The relaxation's SoC-floor slack reaches zero while the
-    floor is still violated by half its value, and only the rerun with
-    unregularized slack rows closes it."""
+    floor is still violated by half its value, and only the rescue, with
+    unregularized slack rows, closes it."""
     pros = Prosumer(
         id="p0", bus_id=2, baseline_load=np.array([0.125, 0.15625, 0.09375, 0.09375]),
         pvs=(PvUnit(p_forecast=np.zeros(H4), s_inv=0.125),),
@@ -566,21 +567,12 @@ class TestMilpOracle:
 
     @pytest.mark.parametrize("fleet", range(len(TINY_FLOOR_FLEETS)))
     def test_tiny_floor_relaxation_is_solved_without_slack_delta(self, monkeypatch, fleet):
-        import lemclear.socp as socp
-
-        runs = []
-        loop = socp._ipm_loop
-
-        def spy(members, *args, **kwargs):
-            runs.append((kwargs.get("pivoting", False), kwargs.get("regularize_slacks", True)))
-            return loop(members, *args, **kwargs)
-
-        monkeypatch.setattr(socp, "_ipm_loop", spy)
+        runs = spy_runs(monkeypatch)
         pros, inp, _ = TINY_FLOOR_FLEETS[fleet]
         prog = build_subproblem(pros, inp, CFG, 1.0, H4).mbp.relaxation
         sol = solve_socp(prog)
-        # static pivots, then partial pivots, stall with the floor's row
-        # still violated; partial pivots without delta on the slack rows solve it
-        assert runs == [(False, True), (True, True), (True, False)]
+        # static pivots stall with the floor's row still violated; the
+        # rescue, partial pivots without delta on the slack rows, solves it
+        assert runs == [(1, False, False), (1, True, False)]
         assert sol.status == OPTIMAL
         assert max(check_kkt(prog, sol).values()) <= 1e-8 * (1.0 + abs(sol.obj))

@@ -39,7 +39,7 @@ from lemclear.socp import (
     solve_socp,
     solve_socp_batch,
 )
-from certify import dual_sensitivity_probe
+from certify import dual_sensitivity_probe, spy_runs
 from lifted import Free, lifted
 
 
@@ -711,7 +711,7 @@ class TestKktPattern:
     def test_static_pivot_stall_recovers_under_partial_pivoting(self):
         # equality rows and columns scaled over eight orders of magnitude:
         # diagonal pivots lose accuracy, the gap collapses while the primal
-        # residual stays large, and solve_socp reruns with partial pivoting
+        # residual stays large, and solve_socp's rescue runs with partial pivoting
         rng = np.random.default_rng(320)
         n, m = 7, 4
         A = rng.normal(size=(m, n))
@@ -722,7 +722,7 @@ class TestKktPattern:
             cones=(Free(2), NonNeg(2), SecondOrder(3)),
         )
         with np.errstate(all="ignore"):
-            static, _ = _ipm_loop(_members([prog]), 1e-8)[0]
+            (static,) = _ipm_loop(_members([prog]), 1e-8)
         assert static.status != OPTIMAL
         sol = solve_socp(prog, tol=1e-8)
         assert sol.status == OPTIMAL
@@ -828,7 +828,7 @@ def variant_solo(j):
 def stack_member_by_member(members):
     """The arrays of ``_Stack(members)`` built one member at a time: the
     loop that the stack's per-pattern broadcasting replaced, kept as its
-    reference.  C' comes from scipy's own transpose of each member's C."""
+    reference: C holds every member's A rows, then every member's G rows."""
     progs, pats = [prog for prog, _ in members], [pat for _, pat in members]
     sizes = {kind: [getattr(pt, kind) for pt in pats] for kind in "nmp"}
     ox, oy, oz = (np.cumsum([0] + sizes[kind]) for kind in "nmp")
@@ -836,22 +836,12 @@ def stack_member_by_member(members):
     k_off = np.cumsum([0] + [pt.n + pt.m + pt.p for pt in pats])
     nnz_off = np.cumsum([0] + [len(pt.kkt_indices) for pt in pats])
     ref = {}
-    for name in ("A", "G"):
-        mats = [getattr(prog, name) for prog in progs]
-        ref[name] = (
-            np.concatenate([M.data for M in mats]),
-            np.concatenate([M.indices + o for M, o in zip(mats, ox)]),
-            np.cumsum(np.concatenate([[0]] + [np.diff(M.indptr) for M in mats])),
-        )
-    cts = [sp.vstack([prog.A, prog.G], format="csr").T.tocsr() for prog in progs]
-    colmaps = [
-        np.concatenate([np.arange(pt.m) + a, np.arange(pt.p) + m + b])
-        for pt, a, b in zip(pats, oy, oz)
-    ]
-    ref["CT"] = (
-        np.concatenate([CT.data for CT in cts]),
-        np.concatenate([cm[CT.indices] for CT, cm in zip(cts, colmaps)]),
-        np.cumsum(np.concatenate([[0]] + [np.diff(CT.indptr) for CT in cts])),
+    rows = [(prog.A, o) for prog, o in zip(progs, ox)]
+    rows += [(prog.G, o) for prog, o in zip(progs, ox)]
+    ref["C"] = (
+        np.concatenate([M.data for M, _ in rows]),
+        np.concatenate([M.indices + o for M, o in rows]),
+        np.cumsum(np.concatenate([[0]] + [np.diff(M.indptr) for M, _ in rows])),
     )
     ref["K"] = (
         np.concatenate([pt.kkt_indices + o for pt, o in zip(pats, k_off)]),
@@ -888,10 +878,8 @@ def stack_member_by_member(members):
 
 def assert_stack_is(stack, ref):
     """The stack's arrays are the reference's (see ``stack_member_by_member``)."""
-    for name in ("A", "G", "CT"):
-        M = getattr(stack, name)
-        for got, want in zip((M.data, M.indices, M.indptr), ref[name]):
-            assert np.array_equal(got, want), name
+    for got, want in zip((stack.C.data, stack.C.indices, stack.C.indptr), ref["C"]):
+        assert np.array_equal(got, want)
     assert np.array_equal(stack.K.indices, ref["K"][0])
     assert np.array_equal(stack.K.indptr, ref["K"][1])
     for name in ("perm", "slots", "sign", "fixed"):
@@ -916,9 +904,9 @@ class TestLockstepBatch:
         statuses = [solo(i).status for i in range(len(BATCH_POOL))]
         assert statuses[:12] == [OPTIMAL] * 12
         assert statuses[12:14] == [INFEASIBLE, UNBOUNDED]
-        # the stalled program only reaches optimality in its pivoted rerun
+        # the stalled program only reaches optimality in its rescue
         with np.errstate(all="ignore"):
-            static, _ = _ipm_loop(_members([BATCH_POOL[14]]), 1e-8)[0]
+            (static,) = _ipm_loop(_members([BATCH_POOL[14]]), 1e-8)
         assert static.status != OPTIMAL and statuses[14] == OPTIMAL
 
     @settings(max_examples=25, deadline=None)
@@ -999,6 +987,17 @@ class TestLockstepBatch:
         members = _members(progs)
         stack = _Stack(members)
         assert_stack_is(stack, stack_member_by_member(members))
+        # the view C' = C.T sums each product in the order of a CSR copy of
+        # each member's own C', so the dual residuals are those of the
+        # member alone, bit for bit
+        rng = np.random.default_rng(rnd.randrange(2**16))
+        yz = rng.normal(size=stack.m + stack.p) * 10.0 ** rng.integers(-8, 9, stack.m + stack.p)
+        alone = [
+            sp.vstack([prog.A, prog.G], format="csr").T.tocsr()
+            @ np.concatenate([yz[stack.span("y", k)], yz[stack.m:][stack.span("z", k)]])
+            for k, (prog, _) in enumerate(members)
+        ]
+        assert np.array_equal(stack.C.T @ yz, np.concatenate(alone))
         # members leave: the survivors' stack is built as any other, and
         # what an exit carries over from the old stack lines up with it
         kept = np.array([rnd.random() < 0.5 for _ in members])
@@ -1053,8 +1052,8 @@ class TestLockstepBatch:
             ends = _ipm_loop(members, 1e-8)
         # optimal, infeasible, unbounded and stalled endings, over many
         # more member-rounds than endings
-        assert {sol.status for sol, _ in ends} == {OPTIMAL, INFEASIBLE, UNBOUNDED, ITER_LIMIT}
-        assert sum(sol.iterations for sol, _ in ends) > 5 * len(members)
+        assert {sol.status for sol in ends} == {OPTIMAL, INFEASIBLE, UNBOUNDED, ITER_LIMIT}
+        assert sum(sol.iterations for sol in ends) > 5 * len(members)
         assert sorted(calls) == sorted(id(prog) for prog, _ in members)
 
     @pytest.mark.parametrize("k", [1, 4, 16])
@@ -1114,35 +1113,17 @@ class TestCertifiedVerdicts:
         "make, status", [(infeasible_program, INFEASIBLE), (unbounded_program, UNBOUNDED)]
     )
     def test_certified_verdict_makes_one_ipm_run(self, monkeypatch, make, status):
-        import lemclear.socp as socp
-
-        runs = []
-        loop = socp._ipm_loop
-
-        def spy(members, *args, **kwargs):
-            runs.append(kwargs.get("pivoting", False))
-            return loop(members, *args, **kwargs)
-
-        monkeypatch.setattr(socp, "_ipm_loop", spy)
+        runs = spy_runs(monkeypatch)
         sol = solve_socp(make(), tol=1e-8)
-        assert sol.status == status
-        assert runs == [False]
+        assert sol.status == status and sol.certified
+        assert runs == [(1, False, False)]
 
     def test_uncertified_ending_is_rerun_alone(self, monkeypatch):
-        import lemclear.socp as socp
-
-        runs = []
-        loop = socp._ipm_loop
-
-        def spy(members, *args, **kwargs):
-            runs.append((len(members), kwargs.get("pivoting", False)))
-            return loop(members, *args, **kwargs)
-
-        monkeypatch.setattr(socp, "_ipm_loop", spy)
+        runs = spy_runs(monkeypatch)
         progs = [static_pivot_stall_program(), infeasible_program(), norm_cone_program()]
         sols = solve_socp_batch(progs, tol=1e-8)
         assert [s.status for s in sols] == [OPTIMAL, INFEASIBLE, OPTIMAL]
-        assert runs == [(3, False), (1, True)]
+        assert runs == [(3, False, False), (1, True, False)]
 
 
 # ---------------------------------------------------------------------------
@@ -1170,20 +1151,15 @@ def warm_solo(i, factor):
     return WARM_SOLO[i, factor]
 
 
-def spy_runs(monkeypatch):
-    """Record (members, pivoting, warm) for every _ipm_loop run."""
-    import lemclear.socp as socp
+RESCUED: dict[int, object] = {}
 
-    runs = []
-    loop = socp._ipm_loop
 
-    def spy(members, *args, **kwargs):
-        warm = any(s is not None for s in kwargs.get("starts") or ())
-        runs.append((len(members), kwargs.get("pivoting", False), warm))
-        return loop(members, *args, **kwargs)
-
-    monkeypatch.setattr(socp, "_ipm_loop", spy)
-    return runs
+def rescued(i):
+    """Program i's rescue run on its own: cold, under partial pivoting."""
+    if i not in RESCUED:
+        with np.errstate(all="ignore"):
+            (RESCUED[i],) = _ipm_loop(_members([BATCH_POOL[i]]), 1e-8, pivoting=True)
+    return RESCUED[i]
 
 
 class TestWarmStart:
@@ -1212,45 +1188,47 @@ class TestWarmStart:
 
     def test_failed_warm_start_is_rerun_cold(self, monkeypatch):
         # s far outside the cone: the warm run ends at once without a
-        # certificate, and the cold rerun gives exactly the cold answer
-        cold = solo(0)
+        # certificate, and the rescue gives exactly the answer of a cold run
+        # under partial pivoting, which agrees with the cold solve's
+        cold, rescue = solo(0), rescued(0)
         x, y, s, z = scaled_start(0, 1.0)
         solo(1)
         runs = spy_runs(monkeypatch)
         warm, other = solve_socp_batch(
             [BATCH_POOL[0], BATCH_POOL[1]], tol=1e-8, starts=[(x, y, -10.0 * s - 1.0, z), None]
         )
-        assert runs == [(2, False, True), (1, False, False)]
-        assert warm.status == cold.status == OPTIMAL
+        assert runs == [(2, False, True), (1, True, False)]
+        assert warm.status == rescue.status == cold.status == OPTIMAL
         for attr in ("x", "y", "s", "z"):
-            assert np.array_equal(getattr(warm, attr), getattr(cold, attr))
-        assert warm.iterations > cold.iterations
+            assert np.array_equal(getattr(warm, attr), getattr(rescue, attr))
+        assert warm.iterations > rescue.iterations
+        assert abs(warm.obj - cold.obj) <= 1e-8 * (1.0 + abs(cold.obj))
         assert_same_solution(other, solo(1))
 
-    def test_cold_rerun_precedes_the_pivoted_rerun(self, monkeypatch):
-        # the stalled program fails warm, then cold under static pivots, and
-        # is settled by the pivoted rerun as it is without a start
+    def test_warm_stall_takes_the_one_rescue(self, monkeypatch):
+        # the stalled program fails warm, and is settled by the rescue as it
+        # is without a start
         stall, cold = BATCH_POOL[14], solo(14)
         start = (np.full(stall.n_vars, 1e12), *scaled_start(14, 1.0)[1:])
         runs = spy_runs(monkeypatch)
         (warm,) = solve_socp_batch([stall], tol=1e-8, starts=[start])
-        assert runs == [(1, False, True), (1, False, False), (1, True, False)]
+        assert runs == [(1, False, True), (1, True, False)]
         assert warm.status == cold.status == OPTIMAL
         for attr in ("x", "y", "s", "z"):
             assert np.array_equal(getattr(warm, attr), getattr(cold, attr))
 
     def test_warm_run_is_capped(self, monkeypatch):
-        # from its own solution the stalled program neither converges nor
-        # stalls under static pivots; the warm run stops at its cap and the
-        # cold runs settle it as they do without a start
-        cold = solo(14)
+        # from twice its own solution the stalled program neither converges
+        # nor stalls under static pivots; the warm run stops at its cap and the
+        # rescue settles it as it does without a start
+        cold, rescue = solo(14), rescued(14)
         runs = spy_runs(monkeypatch)
-        (warm,) = solve_socp_batch([BATCH_POOL[14]], tol=1e-8, starts=[scaled_start(14, 1.0)])
-        assert runs == [(1, False, True), (1, False, False), (1, True, False)]
+        (warm,) = solve_socp_batch([BATCH_POOL[14]], tol=1e-8, starts=[scaled_start(14, 2.0)])
+        assert runs == [(1, False, True), (1, True, False)]
         assert warm.status == cold.status == OPTIMAL
         for attr in ("x", "y", "s", "z"):
             assert np.array_equal(getattr(warm, attr), getattr(cold, attr))
-        assert warm.iterations == 50 + cold.iterations
+        assert warm.iterations == _WARM_MAX_ITER + rescue.iterations
 
     def test_certified_warm_verdict_is_kept(self, monkeypatch):
         start = scaled_start(12, 1.0)
@@ -1293,7 +1271,7 @@ class TestReportedResiduals:
     # every ending reports the residuals at the point it returns, to
     # relative 1e-12 of the program's own: BATCH_POOL's optimal, infeasible
     # and unbounded programs, the stall program's static run (it stalls) and
-    # its pivoted rerun, and a warm run stopped at its cap with its best
+    # its rescue, and a warm run stopped at its cap with its best
     # iterate
     def test_pool_endings(self):
         statuses = [OPTIMAL] * 12 + [INFEASIBLE, UNBOUNDED, OPTIMAL]
@@ -1303,15 +1281,15 @@ class TestReportedResiduals:
 
     def test_stalled_run(self):
         with np.errstate(all="ignore"):
-            ((sol, certified),) = _ipm_loop(_members([BATCH_POOL[14]]), 1e-8)
-        assert sol.status == ITER_LIMIT and not certified
+            (sol,) = _ipm_loop(_members([BATCH_POOL[14]]), 1e-8)
+        assert sol.status == ITER_LIMIT and not sol.certified
         assert_reports_its_point(BATCH_POOL[14], sol)
 
     def test_capped_run_reports_its_best_iterate(self):
-        start = scaled_start(14, 1.0)
+        start = scaled_start(14, 2.0)
         with np.errstate(all="ignore"):
-            ((sol, certified),) = _ipm_loop(_members([BATCH_POOL[14]]), 1e-8, starts=[start])
-        assert sol.status == ITER_LIMIT and sol.iterations == _WARM_MAX_ITER and not certified
+            (sol,) = _ipm_loop(_members([BATCH_POOL[14]]), 1e-8, starts=[start])
+        assert sol.status == ITER_LIMIT and sol.iterations == _WARM_MAX_ITER and not sol.certified
         assert_reports_its_point(BATCH_POOL[14], sol)
 
 
