@@ -22,20 +22,21 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import Line, NetworkModel, validate_network
+from .model import FeederIndex, Line, NetworkModel, validate_network
 # solve_socp stays importable here: perfbench/tracer.py wraps dso.solve_socp
 from .socp import (  # noqa: F401
+    INFEASIBLE,
     OPTIMAL,
     ConicProgram,
     NonNeg,
     SecondOrder,
+    SolveFailed,
     SparseRows,
     solve_socp,
     solve_socp_batch,
 )
 
 __all__ = [
-    "FeederIndex",
     "orient_feeder",
     "BranchFlowProgram",
     "DsoInput",
@@ -59,54 +60,12 @@ class DsoInfeasible(RuntimeError):
         self.detail = detail
 
 
-@dataclass(frozen=True)
-class FeederIndex:
-    """Radial orientation of a validated feeder."""
-
-    bus_ids: tuple[int, ...]                  # PCC first, then BFS order
-    bus_pos: dict[int, int]
-    pcc: int
-    # per original line index: (parent, child, r, x, s_max)
-    oriented: tuple[tuple[int, int, float, float, float], ...]
-    in_line: dict[int, int]                   # child bus -> line index
-    out_lines: dict[int, tuple[int, ...]]     # bus -> outgoing line indices
-
-
 def orient_feeder(net: NetworkModel) -> FeederIndex:
+    """net's lines oriented away from the PCC, as ``validate_network`` walks them."""
     rep = validate_network(net)
     if not rep.ok:
         raise ValueError("network failed validation: " + "; ".join(rep.failures()))
-    pcc = net.pcc_id()
-    adj: dict[int, list[tuple[int, int]]] = {b.id: [] for b in net.buses}
-    for i, ln in enumerate(net.lines):
-        adj[ln.from_bus].append((ln.to_bus, i))
-        adj[ln.to_bus].append((ln.from_bus, i))
-    order = [pcc]
-    seen = {pcc}
-    oriented: list[tuple[int, int, float, float, float] | None] = [None] * len(net.lines)
-    in_line: dict[int, int] = {}
-    out_lines: dict[int, list[int]] = {b.id: [] for b in net.buses}
-    queue = [pcc]
-    while queue:
-        node = queue.pop(0)
-        for nb, li in sorted(adj[node], key=lambda t: t[0]):
-            if nb in seen:
-                continue
-            seen.add(nb)
-            ln = net.lines[li]
-            oriented[li] = (node, nb, ln.r, ln.x, ln.s_max)
-            in_line[nb] = li
-            out_lines[node].append(li)
-            order.append(nb)
-            queue.append(nb)
-    return FeederIndex(
-        bus_ids=tuple(order),
-        bus_pos={b: i for i, b in enumerate(order)},
-        pcc=pcc,
-        oriented=tuple(o for o in oriented),  # type: ignore[misc]
-        in_line=in_line,
-        out_lines={b: tuple(v) for b, v in out_lines.items()},
-    )
+    return rep.feeder
 
 
 @dataclass
@@ -354,7 +313,7 @@ def _diagnose(net: NetworkModel, inp: DsoInput, t: int) -> str:
     )
     try:
         out = solve_dso_subproblem(relaxed, hour, np.ones(1), 1.0)
-    except DsoInfeasible:
+    except (DsoInfeasible, SolveFailed):
         return "network equations unsolvable at these injections"
     issues = [msg for _, msg in limit_violations(net, out)]
     return "; ".join(issues) if issues else "no single binding bound identified"
@@ -373,15 +332,18 @@ def solve_dso_subproblem(
     ``bf`` is net's structure from ``assemble_branch_flow``, built here when
     not given; a clearing builds it once and passes it to every pass.  The
     hours (``hour_programs``) are solved as one batch and read back by
-    ``read_hours``.  The first infeasible hour raises
-    :class:`DsoInfeasible` naming the binding limit.
+    ``read_hours``.  The first hour that does not end optimal raises:
+    :class:`DsoInfeasible`, naming the binding limit, when a certificate
+    proves it infeasible, and :class:`SolveFailed` otherwise.
     """
     bf = assemble_branch_flow(net) if bf is None else bf
     progs = hour_programs(bf, inp, np.asarray(loss_cost, dtype=float) * dt, rho_prime)
     sols = solve_socp_batch(progs)
     for t, sol in enumerate(sols):
-        if sol.status != OPTIMAL:
+        if sol.status == INFEASIBLE and sol.certified:
             raise DsoInfeasible(t, _diagnose(net, inp, t))
+        if sol.status != OPTIMAL:
+            raise SolveFailed(f"network hour {t}", sol.status)
     T, n, m = len(progs), bf.prog.n_vars, bf.prog.n_eq
     X = np.array([sol.x for sol in sols]).reshape(T, n)
     Y = np.array([sol.y for sol in sols]).reshape(T, m)

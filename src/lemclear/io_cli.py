@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dso import DsoInfeasible
+from .dso import DsoInfeasible, orient_feeder
 from .market import ClearingResult, run_clearing
 from .model import (
     AdmmConfig,
@@ -178,18 +178,21 @@ class ScenarioTables:
 
 
 _FILES = ("buses", "lines", "prosumers", "pv", "storage", "fl", "profiles")
-_COLUMNS = {
-    "buses": ["id", "vmin", "vmax", "is_pcc"],
-    "lines": ["from", "to", "r", "x", "smax"],
-    "prosumers": ["id", "bus", "peak_load", "pf", "active"],
-    "pv": ["prosumer", "s_inv", "pf", "p_peak"],
-    "storage": [
-        "prosumer", "name", "p_ch_max", "p_dch_max", "eta_ch", "eta_dch",
-        "e0", "soc_min", "soc_max", "t_arrive", "t_depart", "e_trip",
-        "throughput_cost",
-    ],
-    "fl": ["prosumer", "max_frac", "t_max", "e_min_frac", "discomfort_cost"],
-    "profiles": ["t", "wem_price", "loss_cost", "load_scale", "pv_cf"],
+# each file's columns and the type every cell of a column is parsed to
+_COLUMNS: dict[str, dict[str, type]] = {
+    "buses": {"id": int, "vmin": float, "vmax": float, "is_pcc": int},
+    "lines": {"from": int, "to": int, "r": float, "x": float, "smax": float},
+    "prosumers": {"id": str, "bus": int, "peak_load": float, "pf": float, "active": int},
+    "pv": {"prosumer": str, "s_inv": float, "pf": float, "p_peak": float},
+    "storage": {
+        "prosumer": str, "name": str, "p_ch_max": float, "p_dch_max": float, "eta_ch": float,
+        "eta_dch": float, "e0": float, "soc_min": float, "soc_max": float, "t_arrive": int,
+        "t_depart": int, "e_trip": float, "throughput_cost": float,
+    },
+    "fl": {"prosumer": str, "max_frac": float, "t_max": int, "e_min_frac": float,
+           "discomfort_cost": float},
+    "profiles": {"t": int, "wem_price": float, "loss_cost": float, "load_scale": float,
+                 "pv_cf": float},
 }
 
 
@@ -265,24 +268,14 @@ def read_tables(scen_dir: str | Path) -> ScenarioTables:
                     f"which has {len(_COLUMNS[name])} columns"
                 )
             row: dict = {}
-            for col in _COLUMNS[name]:
+            for col, kind in _COLUMNS[name].items():
                 cell = raw[col]  # None when the row ends before this column
                 try:
                     if cell is None:
                         raise ValueError
-                    if col in ("id", "bus", "from", "to", "t", "t_arrive",
-                               "t_depart", "t_max", "active", "is_pcc") and name != "prosumers":
-                        row[col] = int(cell)
-                    elif name == "prosumers" and col in ("bus", "active"):
-                        row[col] = int(cell)
-                    elif name == "prosumers" and col == "id":
-                        row[col] = cell
-                    elif name in ("pv", "storage", "fl") and col in ("prosumer", "name"):
-                        row[col] = cell
-                    else:
-                        row[col] = float(cell)
-                        if not math.isfinite(row[col]):
-                            raise ValueError
+                    row[col] = kind(cell)
+                    if kind is float and not math.isfinite(row[col]):
+                        raise ValueError
                 except ValueError:
                     issues.append(
                         f"malformed value {cell!r} for {col!r} at {name}.csv:{lineno}"
@@ -397,7 +390,7 @@ def assemble_scenario(tables: ScenarioTables) -> Scenario:
 
     # a bus's power factor is the peak-load-weighted mean of its rows
     pf_weight: dict[int, list[tuple[float, float]]] = {}
-    for r in sorted(tables.prosumers, key=lambda r: str(r["id"])):
+    for r in sorted(tables.prosumers, key=lambda r: r["id"]):
         pf_weight.setdefault(r["bus"], []).append((r["peak_load"], r["pf"]))
     bus_pf = {
         b: sum(w * p for w, p in rows) / sum(w for w, _ in rows)
@@ -430,7 +423,7 @@ def assemble_scenario(tables: ScenarioTables) -> Scenario:
                 name=r["name"],
                 eta_ch=r["eta_ch"],
                 eta_dch=r["eta_dch"],
-                window=(int(r["t_arrive"]), int(r["t_depart"])),
+                window=(r["t_arrive"], r["t_depart"]),
                 throughput_cost=price(r["throughput_cost"]),
                 **{key: power(r[key])
                    for key in ("p_ch_max", "p_dch_max", "e0", "soc_min", "soc_max", "e_trip")},
@@ -442,7 +435,7 @@ def assemble_scenario(tables: ScenarioTables) -> Scenario:
     fl_rows_by_pros: dict[str, list[dict]] = {}
     for r in tables.fl:
         fl_rows_by_pros.setdefault(r["prosumer"], []).append(r)
-    for i, r in sorted(enumerate(tables.prosumers, start=2), key=lambda ir: str(ir[1]["id"])):
+    for i, r in sorted(enumerate(tables.prosumers, start=2), key=lambda ir: ir[1]["id"]):
         baseline = _finite(
             r["peak_load"] * load_scale, f"prosumers.csv:{i}: peak_load times load_scale"
         )
@@ -458,7 +451,7 @@ def assemble_scenario(tables: ScenarioTables) -> Scenario:
         fls = tuple(
             FlexibleLoad(
                 p_fl_max=power(fr["max_frac"] * baseline),
-                t_max=int(fr["t_max"]),
+                t_max=fr["t_max"],
                 e_min=power(fr["e_min_frac"] * day * float(man["dt"])),
                 discomfort_cost=price(fr["discomfort_cost"]),
             )
@@ -466,7 +459,7 @@ def assemble_scenario(tables: ScenarioTables) -> Scenario:
         )
         prosumers.append(
             Prosumer(
-                id=str(r["id"]),
+                id=r["id"],
                 bus_id=r["bus"],
                 baseline_load=power(baseline),
                 pvs=tuple(pv_by_pros.get(r["id"], [])),
@@ -538,30 +531,23 @@ class GeneratorSpec:
 def _feeder_peak_flows(loads_mw: dict[int, float], loads_mvar: dict[int, float]):
     """Apparent peak flow per line by a backward accumulation with a loss
     uplift; used only to size line capacities in generated tables."""
-    children: dict[int, list[int]] = {}
-    parent: dict[int, int] = {}
-    for f, t, _, _ in IEEE69_LINES:
-        children.setdefault(f, []).append(t)
-        parent[t] = f
+    ends = sorted({b for f, t, _, _ in IEEE69_LINES for b in (f, t)})
+    feeder = orient_feeder(NetworkModel(
+        buses=tuple(Bus(b, is_pcc=b == 1) for b in ends),
+        # the capacities are what this sizes: any positive one orients the feeder
+        lines=tuple(Line(f, t, r, x, 1.0) for f, t, r, x in IEEE69_LINES),
+    ))
     flow_p: dict[int, float] = {}
     flow_q: dict[int, float] = {}
-
-    def down(bus: int) -> tuple[float, float]:
-        p = loads_mw.get(bus, 0.0)
-        q = loads_mvar.get(bus, 0.0)
-        for ch in children.get(bus, []):
-            cp, cq = down(ch)
-            p += cp
-            q += cq
-        flow_p[bus] = p
-        flow_q[bus] = q
-        return p, q
-
-    down(1)
-    out = {}
-    for f, t, _, _ in IEEE69_LINES:
-        out[(f, t)] = math.hypot(flow_p[t], flow_q[t]) * 1.06  # loss uplift
-    return out
+    for bus in reversed(feeder.bus_ids):  # children before parents
+        p, q = loads_mw.get(bus, 0.0), loads_mvar.get(bus, 0.0)
+        for li in feeder.out_lines[bus]:
+            child = feeder.oriented[li][1]
+            p += flow_p[child]
+            q += flow_q[child]
+        flow_p[bus], flow_q[bus] = p, q
+    return {(f, t): math.hypot(flow_p[t], flow_q[t]) * 1.06  # loss uplift
+            for f, t, _, _ in IEEE69_LINES}
 
 
 def generate_tables(spec: GeneratorSpec) -> ScenarioTables:

@@ -26,6 +26,7 @@ __all__ = [
     "Prosumer",
     "AdmmConfig",
     "Scenario",
+    "FeederIndex",
     "ValidationReport",
     "validate_network",
     "reactive_from_pf",
@@ -67,12 +68,6 @@ class NetworkModel:
 
     def bus_ids(self) -> list[int]:
         return [b.id for b in self.buses]
-
-    def pcc_id(self) -> int:
-        pccs = [b.id for b in self.buses if b.is_pcc]
-        if len(pccs) != 1:
-            raise ValueError(f"expected exactly one PCC bus, found {len(pccs)}")
-        return pccs[0]
 
     def bus(self, bus_id: int) -> Bus:
         for b in self.buses:
@@ -240,9 +235,62 @@ class Scenario:
         return tot
 
 
+@dataclass(frozen=True)
+class FeederIndex:
+    """Radial orientation of a validated feeder."""
+
+    bus_ids: tuple[int, ...]                  # PCC first, then BFS order
+    bus_pos: dict[int, int]
+    pcc: int
+    # per original line index: (parent, child, r, x, s_max)
+    oriented: tuple[tuple[int, int, float, float, float], ...]
+    in_line: dict[int, int]                   # child bus -> line index
+    out_lines: dict[int, tuple[int, ...]]     # bus -> outgoing line indices
+
+
+def _walk(net: NetworkModel, pcc: int) -> tuple[FeederIndex, bool]:
+    """Breadth-first walk of the feeder from ``pcc``.
+
+    A bus's neighbours are visited by ascending bus id, parallel lines in
+    line order.  Returns the orientation of the buses reached (a line not
+    reached is None in ``oriented``) and whether some line, other than the
+    one that reached a bus, joins two reached buses: a cycle.
+    """
+    adj: dict[int, list[tuple[int, int]]] = {b.id: [] for b in net.buses}
+    for i, ln in enumerate(net.lines):
+        adj[ln.from_bus].append((ln.to_bus, i))
+        adj[ln.to_bus].append((ln.from_bus, i))
+    order = [pcc]
+    oriented: list = [None] * len(net.lines)
+    in_line: dict[int, int] = {}
+    out_lines: dict[int, list[int]] = {b.id: [] for b in net.buses}
+    cycle = False
+    for node in order:  # grows as buses are reached
+        for nb, li in sorted(adj[node]):  # lines enter adj in line order
+            if nb == pcc or nb in in_line:
+                cycle = cycle or li != in_line.get(node)
+                continue
+            ln = net.lines[li]
+            oriented[li] = (node, nb, ln.r, ln.x, ln.s_max)
+            in_line[nb] = li
+            out_lines[node].append(li)
+            order.append(nb)
+    feeder = FeederIndex(
+        bus_ids=tuple(order),
+        bus_pos={b: i for i, b in enumerate(order)},
+        pcc=pcc,
+        oriented=tuple(oriented),
+        in_line=in_line,
+        out_lines={b: tuple(v) for b, v in out_lines.items()},
+    )
+    return feeder, cycle
+
+
 @dataclass
 class ValidationReport:
     checks: list[tuple[str, bool, str]] = field(default_factory=list)
+    # the feeder's orientation, kept by validate_network when every check passes
+    feeder: FeederIndex | None = field(default=None, init=False)
 
     def record(self, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append((name, ok, detail))
@@ -258,8 +306,10 @@ class ValidationReport:
 def validate_network(net: NetworkModel) -> ValidationReport:
     """Check feeder invariants: radial topology, single PCC, sane parameters.
 
-    Radiality is verified by a spanning-tree walk rooted at the PCC; cycles,
-    disconnected buses and duplicate/missing PCCs are each named in the report.
+    Radiality is verified by a breadth-first walk rooted at the PCC; cycles,
+    disconnected buses and duplicate/missing PCCs are each named in the
+    report.  A feeder that passes every check keeps the walk's orientation
+    as the report's ``feeder``.
     """
     rep = ValidationReport()
     ids = [b.id for b in net.buses]
@@ -298,28 +348,14 @@ def validate_network(net: NetworkModel) -> ValidationReport:
     )
 
     if len(pccs) == 1 and not bad_param:
-        adj: dict[int, list[int]] = {i: [] for i in ids}
-        for ln in net.lines:
-            adj[ln.from_bus].append(ln.to_bus)
-            adj[ln.to_bus].append(ln.from_bus)
-        seen = {pccs[0]}
-        stack = [(pccs[0], None)]
-        cycle = False
-        while stack:
-            node, parent = stack.pop()
-            for nb in adj[node]:
-                if nb == parent:
-                    continue
-                if nb in seen:
-                    cycle = True
-                    continue
-                seen.add(nb)
-                stack.append((nb, node))
+        feeder, cycle = _walk(net, pccs[0])
         rep.record("no cycles", not cycle, "cycle detected")
-        missing = sorted(set(ids) - seen)
+        missing = sorted(set(ids) - set(feeder.bus_ids))
         rep.record(
             "connected", not missing, f"disconnected bus(es): {missing}" if missing else ""
         )
+        if rep.ok:
+            rep.feeder = feeder
     return rep
 
 

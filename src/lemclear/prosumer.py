@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 # solve_mbp and relax_and_repair stay importable here: perfbench/tracer.py wraps them
 from .miqp import (  # noqa: F401
@@ -175,9 +174,10 @@ def assemble_prosumer(pros: Prosumer, dt: float, horizon: int) -> ProsumerProgra
         eq.add(entries, pros.baseline_load[t])
 
     # --- inequality rows a'x <= rhs, one NonNeg block ---------------------
-    # it opens with -x_j <= 0 for every variable after n_signed (see below),
-    # then the PV caps
+    # it opens with -x_j <= 0 for every variable after n_signed, then the PV caps
     le = SparseRows()
+    for j in range(n_signed, n):
+        le.add([(j, -1.0)], 0.0)
     for u, unit in enumerate(pros.pvs):
         for t in range(T):
             le.add([(pv_off[u] + t, 1.0)], unit.cap(t))
@@ -235,17 +235,7 @@ def assemble_prosumer(pros: Prosumer, dt: float, horizon: int) -> ProsumerProgra
         groups.append((ys, fl.t_max))
 
     A, b = eq.matrix(n)
-    G_dev, h_dev = le.matrix(n)
-    k = n - n_signed
-    G = sp.csr_matrix(
-        (
-            np.concatenate([np.full(k, -1.0), G_dev.data]),
-            np.concatenate([np.arange(n_signed, n, dtype=G_dev.indices.dtype), G_dev.indices]),
-            np.concatenate([np.arange(k, dtype=G_dev.indptr.dtype), G_dev.indptr + k]),
-        ),
-        shape=(k + G_dev.shape[0], n),
-    )
-    h = np.concatenate([np.zeros(k), h_dev])
+    G, h = le.matrix(n)
     prog = ConicProgram(
         c=c,
         A=A,

@@ -5,7 +5,9 @@ central finite differences on its right-hand side.  ``subproblem_I_objective``
 evaluates the coordinator's objective at any candidate point, so tests can
 check the closed form against a search or a numerical solve.  ``spy_runs``
 records the interior-point runs of cone solves, so tests can check which
-programs reach the solver's rescue.
+programs reach the solver's rescue, and ``uncertify_hour`` makes a network
+hour end without a certificate.  ``distflow_sweep`` solves a radial feeder's
+load flow, so tests can check the network operator's voltages and losses.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from lemclear import socp
+from lemclear import dso, socp
 from lemclear.lmo import LmoState
-from lemclear.model import AdmmConfig
-from lemclear.socp import OPTIMAL, ConicProgram, ConicSolution, solve_socp_batch
+from lemclear.model import AdmmConfig, NetworkModel
+from lemclear.socp import ITER_LIMIT, OPTIMAL, ConicProgram, ConicSolution, solve_socp_batch
 
 
 @dataclass
@@ -94,3 +96,71 @@ def spy_runs(monkeypatch) -> list[tuple[int, bool, bool]]:
 
     monkeypatch.setattr(socp, "_ipm_loop", spy)
     return runs
+
+
+def uncertify_hour(monkeypatch, hour: int) -> None:
+    """From here on, every batch the network operator solves ends its member
+    ``hour`` at the iteration limit without a certificate; batches with fewer
+    members are left as they are."""
+    batch = dso.solve_socp_batch
+
+    def spy(progs, *args, **kwargs):
+        sols = batch(progs, *args, **kwargs)
+        if hour < len(sols):
+            sols[hour] = replace(sols[hour], status=ITER_LIMIT, certified=False)
+        return sols
+
+    monkeypatch.setattr(dso, "solve_socp_batch", spy)
+
+
+def distflow_sweep(
+    net: NetworkModel, p: dict[int, np.ndarray], q: dict[int, np.ndarray], tol: float = 1e-13
+) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """The DistFlow load flow of the radial feeder ``net`` by backward/forward
+    sweeps (Baran & Wu, IEEE Trans. Power Delivery 4(2), 1989).
+
+    ``p`` and ``q`` map a bus to its net active and reactive consumption per
+    hour (absent buses consume nothing); the PCC holds v = 1.  Each sweep
+    sums the flow into every bus from its children and its line's losses,
+    then drops the squared voltage down each line, and updates the squared
+    currents l = (P^2 + Q^2) / v_parent, until they move by at most ``tol``.
+    Returns the squared voltage per bus and the squared current per line
+    index.  The feeder is oriented by this function's own parent map.
+    """
+    pcc = next(b.id for b in net.buses if b.is_pcc)
+    adj: dict[int, list[tuple[int, int]]] = {b.id: [] for b in net.buses}
+    for li, ln in enumerate(net.lines):
+        adj[ln.from_bus].append((ln.to_bus, li))
+        adj[ln.to_bus].append((ln.from_bus, li))
+    parent: dict[int, tuple[int, int]] = {}  # bus -> (parent bus, line index)
+    order, stack = [], [pcc]
+    while stack:  # depth-first preorder: every bus after its parent
+        bus = stack.pop()
+        order.append(bus)
+        for nb, li in adj[bus]:
+            if nb != pcc and nb not in parent:
+                parent[nb] = (bus, li)
+                stack.append(nb)
+    T = len(next(iter(p.values())))
+    zero = np.zeros(T)
+    v = {b: np.ones(T) for b in order}
+    l = {li: zero for li in range(len(net.lines))}
+    for _ in range(1000):
+        P = {b: np.array(p.get(b, zero), dtype=float) for b in order}
+        Q = {b: np.array(q.get(b, zero), dtype=float) for b in order}
+        for b in reversed(order[1:]):  # children before parents
+            a, li = parent[b]
+            P[b] += net.lines[li].r * l[li]
+            Q[b] += net.lines[li].x * l[li]
+            P[a] += P[b]
+            Q[a] += Q[b]
+        for b in order[1:]:
+            a, li = parent[b]
+            r, x = net.lines[li].r, net.lines[li].x
+            v[b] = v[a] - 2.0 * (r * P[b] + x * Q[b]) + (r * r + x * x) * l[li]
+        new = {li: (P[b] ** 2 + Q[b] ** 2) / v[a] for b, (a, li) in parent.items()}
+        moved = max(float(np.max(np.abs(new[li] - l[li]))) for li in new)
+        l = new
+        if moved <= tol:
+            return v, l
+    raise RuntimeError(f"DistFlow sweep did not settle: squared currents still move by {moved:.3e}")

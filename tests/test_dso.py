@@ -6,6 +6,7 @@ import pytest
 
 from lemclear.dso import (
     DsoInfeasible,
+    DsoOutput,
     DsoInput,
     assemble_branch_flow,
     check_tightness,
@@ -16,8 +17,8 @@ from lemclear.dso import (
 )
 from lemclear.io_cli import bundled_scenario_dir, load_scenario
 from lemclear.model import Bus, Line, NetworkModel, reactive_from_pf
-from lemclear.socp import solve_socp
-from certify import dual_sensitivity_probe
+from lemclear.socp import ITER_LIMIT, SolveFailed, solve_socp
+from certify import distflow_sweep, dual_sensitivity_probe, uncertify_hour
 
 
 def two_bus(r=0.01, x=0.02, smax=1.0, vmin=0.9, vmax=1.1):
@@ -216,6 +217,20 @@ class TestSolve:
             solve_dso_subproblem(net, inp, np.full(4, 10.0), 1.0)
         assert err.value.hour == 2
 
+    def test_uncertified_hour_is_a_failed_solve(self, monkeypatch):
+        # an hour that ends without a certificate proves nothing about the
+        # network: it is a failed solve, not an infeasible hour
+        uncertify_hour(monkeypatch, 1)
+        inp = DsoInput(
+            p_net_node={1: np.zeros(3), 2: np.full(3, P2)},
+            p_loss_tilde=np.zeros(3),
+            lambda_loss=np.zeros(3),
+        )
+        with pytest.raises(SolveFailed) as err:
+            solve_dso_subproblem(two_bus(), inp, np.full(3, 10.0), 1.0)
+        assert err.value.agent == "network hour 1"
+        assert err.value.status == ITER_LIMIT
+
     def test_batched_hours_match_separate_solves(self):
         net = two_bus()
         scale = np.array([1.0, 0.5, 2.0, 0.0])
@@ -266,6 +281,56 @@ class TestSolve:
             two_bus(), one_hour_input(P2), np.array([10.0]), 1.0
         )
         assert out.p_loss[0] == 0.01 * out.flows[0]["l"][0]
+
+
+def assert_matches_load_flow(net: NetworkModel, p: dict[int, np.ndarray], out: DsoOutput):
+    """out's squared voltages (to 1e-9) and losses (to 1e-8 relative) are the
+    load flow's at the net consumptions ``p``, and its cone is tight."""
+    q = {b: a * math.tan(math.acos(net.bus(b).pf)) for b, a in p.items()}
+    v, l = distflow_sweep(net, p, q)
+    for bus in net.buses:
+        np.testing.assert_allclose(out.v[bus.id], v[bus.id], rtol=0.0, atol=1e-9)
+    losses = sum(ln.r * l[li] for li, ln in enumerate(net.lines))
+    np.testing.assert_allclose(out.p_loss, losses, rtol=1e-8, atol=0.0)
+    assert check_tightness(out).ok
+
+
+class TestLoadFlowOracle:
+    # at a positive loss price and with no limit binding, the relaxation is
+    # exact (Farivar & Low, IEEE TPWRS 2013): the operator's hours are the
+    # feeder's load flow
+
+    def test_ieee69_baseline_day(self, ieee69):
+        p = {b.id: np.zeros(ieee69.horizon) for b in ieee69.network.buses}
+        for pros in ieee69.prosumers:
+            p[pros.bus_id] = p[pros.bus_id] + pros.baseline_load
+        for bus, load in ieee69.background.items():
+            p[bus] = p[bus] + load
+        inp = DsoInput(p, np.zeros(ieee69.horizon), np.zeros(ieee69.horizon))
+        out = solve_dso_subproblem(ieee69.network, inp, ieee69.loss_cost, ieee69.dt)
+        assert_matches_load_flow(ieee69.network, p, out)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_radial_trees(self, seed):
+        # 30 buses with shuffled ids, any bus the PCC, lines stated in either
+        # direction, some buses exporting; limits far from binding
+        rng = np.random.default_rng(seed)
+        ids = [int(i) for i in rng.permutation(np.arange(1, 31)) * 3]
+        lines = []
+        for k in range(1, 30):
+            ends = (ids[int(rng.integers(k))], ids[k])
+            a, b = ends if rng.random() < 0.5 else ends[::-1]
+            lines.append(Line(a, b, rng.uniform(0.001, 0.02), rng.uniform(0.001, 0.02), 10.0))
+        pcc = ids[0]
+        net = NetworkModel(
+            buses=tuple(Bus(b, 0.5, 1.5, b == pcc, rng.uniform(0.8, 1.0)) for b in sorted(ids)),
+            lines=tuple(lines),
+        )
+        T = 4
+        p = {b: rng.uniform(-0.02, 0.1, T) for b in ids if b != pcc and rng.random() < 0.8}
+        inp = DsoInput(p, np.zeros(T), np.zeros(T))
+        out = solve_dso_subproblem(net, inp, rng.uniform(10.0, 50.0, T), 1.0)
+        assert_matches_load_flow(net, p, out)
 
 
 class TestTightness:

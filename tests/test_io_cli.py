@@ -24,6 +24,7 @@ from lemclear.io_cli import (
 from lemclear.market import run_clearing
 from lemclear.model import AdmmConfig
 from dataclasses import replace
+from certify import uncertify_hour
 
 
 class TestLoadScenario:
@@ -70,6 +71,16 @@ class TestGenerator:
             write_tables(generate_tables(GeneratorSpec(seed=1)), tmp_path / sub)
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
+
+    def test_bundled_ieee69_is_the_seed_1_recipe(self, tmp_path):
+        # scripts/make_fixtures.py writes the bundled feeder from this recipe;
+        # its line capacities come from the generator's walk of the feeder
+        write_tables(generate_tables(GeneratorSpec(seed=1, penetration=0.3)), tmp_path)
+        bundled = bundled_scenario_dir("ieee69")
+        assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
+            f.name for f in bundled.iterdir())
+        for f in sorted(bundled.iterdir()):
+            assert (tmp_path / f.name).read_bytes() == f.read_bytes(), f.name
 
     def test_zero_penetration_means_no_prosumers(self):
         sc = generate_scenario(GeneratorSpec(seed=1, penetration=0.0))
@@ -536,6 +547,22 @@ class TestCli:
         assert data["hour"] == 0
         assert data["diagnosis"] in err
 
+
+    def test_uncertified_network_hour_exits_4(self, tmp_path, capsys, monkeypatch):
+        # a network hour that ends without a certificate is a failed solve
+        uncertify_hour(monkeypatch, 1)
+        rc = cli_main([
+            "clear", "--scenario", str(bundled_scenario_dir("six_bus")),
+            "--mode", "distributed", "--out", str(tmp_path / "out"),
+            "--prosumer-solver", "relax-repair",
+        ])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "solve failed" in err and "Traceback" not in err
+        data = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert data["status"] == "solve_failed"
+        assert data["agent"] == "network hour 1"
+        assert data["solver_status"] == "iter_limit"
 
     def test_unsolvable_centralized_exits_4(self, tmp_path, capsys):
         scen = tmp_path / "scen"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lemclear.dso import DsoInput
+from lemclear.io_cli import GeneratorSpec, assemble_scenario, generate_tables
 from lemclear.market import (
     MESSAGE_SCHEMA,
     ConvergenceTrace,
@@ -25,6 +26,7 @@ from lemclear.model import (
 )
 from lemclear.oracle import solve_centralized
 from lemclear.prosumer import ProsumerInput, solve_subproblem_III, validate_schedule
+from lemclear.socp import SolveFailed
 from certify import spy_runs
 
 T = 24
@@ -330,3 +332,20 @@ def test_bundled_runs_never_reach_the_rescue(monkeypatch, request, name, how):
     else:
         run_clearing(scenario, prosumer_solver=how)
     assert runs and not any(pivoting for _, pivoting, _ in runs)
+
+
+@pytest.mark.xfail(strict=True, raises=SolveFailed,
+                   reason="the programs are posed unscaled on the power base: at base 200 "
+                          "a network hour ends iter_limit without a certificate")
+def test_clearing_does_not_depend_on_the_power_base():
+    # the same SI feeder stated on two power bases is one physical market
+    runs = {}
+    for base in (10.0, 200.0):
+        tables = generate_tables(GeneratorSpec(seed=1, penetration=0.3, p_ev=0.0, horizon=4))
+        tables.manifest["base_mva"] = base
+        runs[base] = run_clearing(assemble_scenario(tables), prosumer_solver="relax_repair")
+    ref, other = runs[10.0], runs[200.0]
+    assert other.status == ref.status == "converged"
+    for key in ("lmo", "dso"):
+        assert other.costs[key] == pytest.approx(ref.costs[key], rel=1e-6)
+    assert other.costs["prosumers"] == pytest.approx(ref.costs["prosumers"], rel=1e-6)

@@ -532,6 +532,38 @@ TINY_FLOOR_FLEETS = (
 )
 
 
+# a draw of the oracle test below, shrunk by hypothesis: with its charge gate
+# pinned shut the storage cannot reach its departure floor of 1.2e-4 pu-h, so
+# two node relaxations are infeasible by that much.  The solver stalls there
+# (primal residual 1.2e-4 after 214 and 220 iterations) without a certificate,
+# and the search ends iter_limit after 7 of its 40 nodes; with those two
+# nodes certified infeasible it ends optimal at HiGHS's optimum
+SHALLOW_FLOOR_FLEET = (
+    Prosumer(
+        id="p0", bus_id=2, baseline_load=np.full(H4, 0.125),
+        storages=(StorageDevice(
+            name="s0", p_ch_max=0.0625, p_dch_max=0.0625, eta_ch=1.0, eta_dch=1.0, e0=0.0,
+            soc_min=0.0, soc_max=0.125, window=(0, 0), e_trip=0.0001220703125,
+            throughput_cost=0.0,
+        ),),
+        fls=(FlexibleLoad(p_fl_max=np.full(H4, 0.03125), t_max=1, e_min=0.484375),),
+    ),
+    ProsumerInput(lambda_lem=np.array([10.0, 10.0, 10.0, 11.0]), p_tilde=None,
+                  lambda_p=np.zeros(H4)),
+)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a relaxation infeasible by 1.2e-4 ends uncertified, so the "
+                          "search stops short of the node limit without an optimum")
+def test_search_prunes_nodes_infeasible_by_a_small_floor():
+    pros, inp = SHALLOW_FLOOR_FLEET
+    mbp = build_subproblem(pros, inp, CFG, 1.0, H4).mbp
+    raw, exact = highs_optimum(mbp)
+    (res,) = solve_searches([mbp_search(mbp, node_limit=NODE_LIMIT)])
+    assert_matches_highs(res, raw, exact)
+
+
 class TestMilpOracle:
     @settings(max_examples=20, deadline=None)
     @given(problems=st.integers(1, 3).flatmap(lambda k: st.tuples(*(fleets(i) for i in range(k)))))
