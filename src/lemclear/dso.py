@@ -333,14 +333,15 @@ def solve_dso_subproblem(
     not given; a clearing builds it once and passes it to every pass.  The
     hours (``hour_programs``) are solved as one batch and read back by
     ``read_hours``.  The first hour that does not end optimal raises:
-    :class:`DsoInfeasible`, naming the binding limit, when a certificate
-    proves it infeasible, and :class:`SolveFailed` otherwise.
+    :class:`DsoInfeasible`, naming the binding limit, when it ends
+    infeasible, which the solver reports only with a certificate, and
+    :class:`SolveFailed` otherwise.
     """
     bf = assemble_branch_flow(net) if bf is None else bf
     progs = hour_programs(bf, inp, np.asarray(loss_cost, dtype=float) * dt, rho_prime)
     sols = solve_socp_batch(progs)
     for t, sol in enumerate(sols):
-        if sol.status == INFEASIBLE and sol.certified:
+        if sol.status == INFEASIBLE:
             raise DsoInfeasible(t, _diagnose(net, inp, t))
         if sol.status != OPTIMAL:
             raise SolveFailed(f"network hour {t}", sol.status)

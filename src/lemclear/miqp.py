@@ -103,12 +103,6 @@ class BnBResult:
     # the root relaxation's (x, y, s, z), x over all columns; None unless optimal
     root: Start | None = None
 
-    @property
-    def solution(self) -> np.ndarray:
-        if self.x_incumbent is None:
-            raise ValueError("no incumbent available")
-        return self.x_incumbent
-
 
 def _split(n: int, fixed: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the n columns not in ``fixed``, and the n-vector of fixed values (0 elsewhere)."""
@@ -274,13 +268,14 @@ def _search(
 
     Yields every cone program it needs solved, with its start, and receives
     its solution.  Nodes pin binaries by substitution.  A node is pruned when
-    its relaxation is infeasible or unbounded by a certificate; one that ends
-    without an answer or a certificate proves nothing, so it keeps its
-    parent's bound.  The reported bound is the least of the incumbent, the
-    open nodes' bounds, the relaxations of the nodes closed by the gap test
-    and the bounds of the unproven nodes.  A search with an unproven node
-    cannot end infeasible: it ends iter_limit unless its gap test, with
-    their bounds, still holds.
+    its relaxation ends infeasible or unbounded, which the solver reports
+    only with a certificate; one that ends iter_limit, without an answer or
+    a certificate, proves nothing, so it keeps its parent's bound.  The
+    reported bound is the least of the incumbent, the open nodes' bounds,
+    the relaxations of the nodes closed by the gap test and the bounds of
+    the unproven nodes.  A search with an unproven node cannot end
+    infeasible: it ends iter_limit unless its gap test, with their bounds,
+    still holds.
     """
     bins = tuple(sorted(prob.binary_indices))
     incumbent_x: np.ndarray | None = None
@@ -323,7 +318,7 @@ def _search(
         nodes += 1
         sol = yield with_fixed_variables(prob.relaxation, fixed), _restrict(start, fixed)
         if sol.status != OPTIMAL:
-            if not sol.certified:
+            if sol.status == ITER_LIMIT:
                 unproven = min(unproven, bound)
             continue
         x = restore_fixed(sol.x, fixed)

@@ -37,7 +37,7 @@ from .market import ClearingResult, operator_costs
 from .miqp import restore_fixed, with_fixed_variables
 from .model import Scenario
 from .prosumer import ProsumerInput, ProsumerSchedule
-from .socp import OPTIMAL, ConicProgram, SolveFailed, solve_socp
+from .socp import INFEASIBLE, OPTIMAL, ConicProgram, SolveFailed, solve_socp
 
 __all__ = ["OracleResult", "solve_centralized", "solve_selfish"]
 
@@ -159,10 +159,10 @@ def solve_centralized(
 
     sol = solve_socp(with_fixed_variables(prog, binary_fix))
     if sol.status != OPTIMAL:
-        raise SolveFailed(
-            "centralized program", sol.status,
-            "likely binding family: device energy floors vs network limits",
-        )
+        # only an infeasible ending carries a certificate, so only it names a cause
+        detail = "likely binding family: device energy floors vs network limits"
+        raise SolveFailed("centralized program", sol.status,
+                          detail if sol.status == INFEASIBLE else "")
     x = restore_fixed(sol.x, binary_fix)
     X = np.array([x[off : off + bf.prog.n_vars] for off in hour_voff])
     Y = np.array([sol.y[off : off + bf.prog.n_eq] for off in hour_roff])

@@ -33,7 +33,7 @@ from .miqp import (  # noqa: F401
     solve_searches,
 )
 from .model import AdmmConfig, Prosumer, StorageDevice, reactive_from_pf
-from .socp import OPTIMAL, ConicProgram, NonNeg, SolveFailed, SparseRows, Start
+from .socp import ConicProgram, NonNeg, SolveFailed, SparseRows, Start
 
 __all__ = [
     "ProsumerInput",
@@ -86,8 +86,6 @@ class FlSchedule:
 class ProsumerSchedule:
     prosumer_id: str
     p_net: np.ndarray
-    p_g: np.ndarray
-    p_l: np.ndarray
     p_pv: list[np.ndarray]
     q_pv: list[np.ndarray]
     storages: list[StorageSchedule]
@@ -332,9 +330,6 @@ def _extract(pp: ProsumerProgram, x: np.ndarray, obj: float, gap: float) -> Pros
     for li in range(len(pros.fls)):
         p_fl = x[pp.fl_pos[li] : pp.fl_pos[li] + T] - x[pp.fl_neg[li] : pp.fl_neg[li] + T]
         fls.append(FlSchedule(p_fl, x[pp.fl_y[li] : pp.fl_y[li] + T].copy()))
-    p_g = sum(p_pv, np.zeros(T)) + sum((s.p_dch for s in storages), np.zeros(T))
-    fl_total = sum((f.p_fl for f in fls), np.zeros(T))
-    p_l = pros.baseline_load - fl_total + sum((s.p_ch for s in storages), np.zeros(T))
     cost_energy = float(np.sum(p_net * pp.inp.lambda_lem) * dt)
     cost_dev = 0.0
     for d, s in zip(pros.storages, storages):
@@ -344,8 +339,6 @@ def _extract(pp: ProsumerProgram, x: np.ndarray, obj: float, gap: float) -> Pros
     return ProsumerSchedule(
         prosumer_id=pros.id,
         p_net=p_net,
-        p_g=p_g,
-        p_l=p_l,
         p_pv=p_pv,
         q_pv=q_pv,
         storages=storages,
@@ -408,7 +401,7 @@ def solve_subproblems(
     pps = [pose_subproblem(pp, inp, cfg) for pp, inp in problems]
     results = solve_searches([search(pp.mbp, start=held.get(pp.pros.id)) for pp in pps])
     for pp, res in zip(pps, results):
-        if res.x_incumbent is None or res.status not in (OPTIMAL, "iter_limit"):
+        if res.x_incumbent is None:
             raise SolveFailed(f"prosumer {pp.pros.id}", res.status)
         held[pp.pros.id] = res.root
     return [

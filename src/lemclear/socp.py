@@ -67,39 +67,38 @@ gathered or scattered.
 The round's checks run over the whole stack too.  Each program's
 objective, gap s'z and affine gap are segment sums over the stacked
 vectors (``_Stack.sums``), each segment summed in an order that depends
-on that program's entries alone; the scores and the stop and divergence
-tests are then vector operations, and only a program that ends is looked
-at on its own.  The best iterates are one stacked copy of the point,
-refreshed where programs improved.  A stack's index arrays are built once
-per run of consecutive programs on one pattern, each by one numpy call
-that shifts the pattern's array for all of the run's programs, in
-scipy's index dtype; its data is gathered once per run, so a stack of
-the programs left after some finish costs a number of numpy calls that
-grows with its runs, not its programs.
+on that program's entries alone; the stop, divergence and cap tests are
+then vector operations, and only a program that ends is looked at on its
+own.  A stack's index arrays are built once per run of consecutive
+programs on one pattern, each by one numpy call that shifts the pattern's
+array for all of the run's programs, in scipy's index dtype; its data is
+gathered once per run, so a stack of the programs left after some finish
+costs a number of numpy calls that grows with its runs, not its programs.
 
-Step lengths, centering, the stop and divergence tests, the best iterate,
-the status and the iteration count stay each program's own, and a program
-that finishes leaves the stack.  No arithmetic mixes two programs, so a
-program's answer is bit for bit the same alone or in any batch, in any
-order; ``solve_socp`` is the batch of one.
+Step lengths, centering, the stop and divergence tests, the status and
+the iteration count stay each program's own, and a program that finishes
+leaves the stack.  No arithmetic mixes two programs, so a program's answer
+is bit for bit the same alone or in any batch, in any order;
+``solve_socp`` is the batch of one.
 
-A program whose run ends without an answer or a certificate of
-infeasibility or unboundedness, warm or cold, has one rescue: it runs once
-more, on its own, from the cold point, with SuperLU's partial pivoting and
-the -W^2 block left without delta.  Diagonal pivots can shrink toward zero
+A program's status carries its proof: OPTIMAL is backed by its residuals,
+INFEASIBLE and UNBOUNDED only by a certificate (``_classify``), and any
+other ending, diverged iterates included, is ITER_LIMIT, as ECOS reports
+infeasibility only with a certificate.  A program whose run ends
+ITER_LIMIT, warm or cold, has one rescue: it runs once more, on its own,
+from the cold point, with SuperLU's partial pivoting and the -W^2 block
+left without delta.  Diagonal pivots can shrink toward zero
 on nearly singular programs and stall the iteration.  And where a slack
 row's s has gone to zero ahead of its primal residual, its W^2 falls far
 below delta; the Newton step then leaves that residual standing as delta dz
 instead of closing it, and the refinement step removes only the share
 W^2 / (W^2 + delta) of what is left.  Partial pivoting needs no delta on
-those rows, since -W^2 is negative definite.  A solution's ``certified``
-says whether a certificate backs its status.  Whichever run ends a
+those rows, since -W^2 is negative definite.  Whichever run ends a
 program, an optimal answer is only returned when residuals computed from
 the program itself, not from the factorization, meet the tolerance.  Each
-round evaluates the residuals once, and every ending reports them: a
-program that converges, diverges, stalls or cannot be factored those of
-the round it ends in, a program stopped at its iteration cap those of its
-best iterate.
+round evaluates the residuals once, and every ending reports the point and
+the residuals of the round it ends in: a program that converges, diverges,
+stalls, cannot be factored or reaches its iteration cap alike.
 
 A program may be given a start: the (x, y, s, z) of a solution with its
 columns, rows and cones, typically of a similar program solved just before
@@ -108,13 +107,13 @@ problem at new prices).  It then begins at 0.99 times the start plus 0.01
 times the cold point, whose share keeps (s, z) strictly inside the cone
 (Skajaa, Andersen and Ye, Math. Prog. Comp. 2013, blend a warm point with
 the cold one the same way); everything after the first iterate is
-unchanged but the iteration cap: a warm program stops after 50 iterations
+unchanged but the iteration cap: a warm program stops at its 50th iteration
 (``_WARM_MAX_ITER``, about two and a half cold prosumer solves) rather than
-200 (``_MAX_ITER``).  A warm program that ends without an answer or a
-certificate, at that cap or earlier, takes the rescue above, which starts
-from the cold point, so a bad start costs at most 50 iterations on top of
-the rescue.  The start enters only the program's own first iterate, so its answer is
-bit for bit the same alone or in any batch given the same start.
+its 200th (``_MAX_ITER``).  A warm program that ends ITER_LIMIT, at that
+cap or earlier, takes the rescue above, which starts from the cold point,
+so a bad start costs at most 50 iterations on top of the rescue.  The
+start enters only the program's own first iterate, so its answer is bit
+for bit the same alone or in any batch given the same start.
 
 Every program takes this one path, including those without variables or
 without cone rows.  The barrier degree is floored at 1 so that mu stays
@@ -151,7 +150,6 @@ __all__ = [
     "solve_socp_batch",
     "check_kkt",
     "Start",
-    "dump_program",
 ]
 
 OPTIMAL = "optimal"
@@ -250,10 +248,9 @@ class ConicProgram:
 @dataclass
 class ConicSolution:
     """A program's ending: its status, point, objective, the residual norms
-    at the point and the iterations taken.  ``certified`` tells whether a
-    certificate of infeasibility or unboundedness backs the status; it is
-    False for an optimal answer, which its residuals back, and for an
-    ending the solver could not settle."""
+    at the point and the iterations taken.  An optimal status is backed by
+    the residuals, an infeasible or unbounded one by its certificate; an
+    ending the solver could not settle is ITER_LIMIT."""
 
     status: str
     x: np.ndarray
@@ -263,7 +260,6 @@ class ConicSolution:
     obj: float
     residuals: dict[str, float] = field(default_factory=dict)
     iterations: int = 0
-    certified: bool = False
 
 
 # a warm start: the (x, y, s, z) of a solution, x mapped to the program's columns
@@ -750,8 +746,7 @@ class _Pattern:
         self.slot_kinds = {key: slots[a:b] for key, a, b in zip(keys, bounds[:-1], bounds[1:])}
 
 
-def _solution(prog: ConicProgram, status: str, point, iters: int, norms,
-              certified: bool) -> ConicSolution:
+def _solution(prog: ConicProgram, status: str, point, iters: int, norms) -> ConicSolution:
     """The solution at copies of the point (x, y, s, z); ``norms`` starts with
     the primal and dual residual norms there."""
     x, y, s, z = (v.copy() for v in point)
@@ -764,39 +759,29 @@ def _solution(prog: ConicProgram, status: str, point, iters: int, norms,
         obj=prog.objective(x),
         residuals={"primal": float(norms[0]), "dual": float(norms[1]), "gap": abs(float(s @ z))},
         iterations=iters,
-        certified=certified,
     )
 
 
-def _classify(prog: ConicProgram, point, norms, scale: float = 1e8) -> tuple[str, bool]:
-    """Divergence heuristics at the point (x, y, s, z); ties favor infeasible.
+def _classify(prog: ConicProgram, point, norms, scale: float = 1e8) -> str:
+    """The status a certificate at the point (x, y, s, z) proves; ties favor infeasible.
 
     ``norms`` holds the primal and dual residual norms at the point and the
-    norm of C'(y, -z) for C = [A; G].  Primal infeasibility shows as a
-    diverging dual ray with positive b'y - h'z and vanishing homogeneous
-    residual C'(y, -z); unboundedness as a diverging primal ray that stays
-    feasible in both row sets with negative linear objective along the ray.
-    Returns the verdict (ITER_LIMIT when the iterates have not diverged)
-    and whether one of these certificates backs it; the fallback for
-    iterates that diverged with both certificates weak has none.
+    norm of C'(y, -z) for C = [A; G].  Primal infeasibility shows as a dual
+    ray beyond ``scale`` with positive b'y - h'z and vanishing homogeneous
+    residual C'(y, -z); unboundedness as a primal ray beyond ``scale`` that
+    stays feasible in both row sets with negative linear objective along
+    the ray.  Returns INFEASIBLE or UNBOUNDED when its certificate holds,
+    and ITER_LIMIT otherwise, however far the iterates have diverged.
     """
     x, y, s, z = point
     primal, _, hom = norms
-    xs = _norm(x, s)
     ys = _norm(y) + _norm(z)
-    status = ITER_LIMIT
-    if ys > scale:
-        if float(prog.b @ y - prog.h @ z) > 1e-8 * ys and hom / ys <= 1e-6:
-            status = INFEASIBLE
-    if status == ITER_LIMIT and xs > scale:
-        lin_ray = float(prog.c @ x + prog.q @ (x * x)) / xs
-        if primal / xs <= 1e-6 and lin_ray < -1e-8:
-            status = UNBOUNDED
-    certified = status != ITER_LIMIT
-    if not certified and (ys > scale or xs > scale):
-        # both certificates weak but iterates clearly diverged
-        status = INFEASIBLE if ys >= xs else UNBOUNDED
-    return status, certified
+    if ys > scale and float(prog.b @ y - prog.h @ z) > 1e-8 * ys and hom / ys <= 1e-6:
+        return INFEASIBLE
+    xs = _norm(x, s)
+    if xs > scale and primal / xs <= 1e-6 and float(prog.c @ x + prog.q @ (x * x)) / xs < -1e-8:
+        return UNBOUNDED
+    return ITER_LIMIT
 
 
 def _members(progs: list[ConicProgram]) -> list[tuple[ConicProgram, _Pattern]]:
@@ -839,12 +824,13 @@ class _Stack:
     after the other within each kind: x is (x_1, ..., x_K), likewise y and
     z, and s is laid out as z.  The residual products use one CSR matrix
     C = [A; G], every member's A rows and then every member's G rows, each
-    row in its stored order: Cx gives Ax and Gx, and the view C' = C.T sums
-    each entry of C'(y, -z) over C's rows in ascending order, as a CSR copy
-    of C' would.  The KKT matrix is block diagonal: member k's block is its
-    own permuted matrix, so the factorization eliminates each block in that
-    block's own ordering and every member's factor, solves and residuals
-    come out exactly as they would for the member alone.  ``bnorm`` and ``cnorm`` are 1 plus each
+    row in its stored order: Cx gives Ax and Gx, and the view C' = C.T
+    (``CT``, made once per stack) sums each entry of C'(y, -z) over C's rows
+    in ascending order, as a CSR copy of C' would.  The KKT matrix is block
+    diagonal: member k's block is its own permuted matrix, so the
+    factorization eliminates each block in that block's own ordering and
+    every member's factor, solves and residuals come out exactly as they
+    would for the member alone.  ``bnorm`` and ``cnorm`` are 1 plus each
     member's largest entry of (b, h) and of c, by which its residuals are
     measured.  The weights of the KKT data are summed kind by kind, which
     keeps each slot's summation order that of the member alone: the
@@ -939,6 +925,8 @@ class _Stack:
             + [np.tile(pt.g_counts, len(rp)) for pt, rp, _ in at],
             n, idx,
         )
+        # one view of C' for every round's residuals, sharing C's arrays
+        self.CT = self.C.T
 
         # the block-diagonal KKT matrix and the slots of the weights by kind
         self.K = sp.csc_matrix(
@@ -1021,7 +1009,7 @@ class _Stack:
         and Gx + s - h, and C'(y, -z), the dual residual's part that the
         infeasibility certificate reads."""
         m, cx = self.m, self.C @ x
-        ct_yz = self.C.T @ np.concatenate([y, -z])
+        ct_yz = self.CT @ np.concatenate([y, -z])
         return self.q * x + self.c - ct_yz, cx[:m] - self.b, cx[m:] + s - self.h, ct_yz
 
     def kkt(self, w2: np.ndarray, deltas: np.ndarray) -> sp.csc_matrix:
@@ -1068,7 +1056,8 @@ class _Stack:
 # weight of a warm start against the cold point in a member's first iterate;
 # the cold point's share keeps (s, z) strictly inside the cone
 _WARM = 0.99
-# iterations a cold member may take before it reports its best iterate
+# iterations a cold member may take; one still unsettled in its last ends
+# there, ITER_LIMIT at that round's point
 _MAX_ITER = 200
 # iterations a warm member may take before it is given up and run cold: about
 # two and a half times a cold prosumer solve (17-21), five times a warm one
@@ -1132,16 +1121,11 @@ def solve_socp_batch(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         sols = _ipm_loop(members, tol, starts=starts)
         for i, sol in enumerate(sols):
-            if sol.status != OPTIMAL and not sol.certified:
+            if sol.status == ITER_LIMIT:
                 # the rescue: alone, cold, partial pivots, no slack delta
                 (sols[i],) = _ipm_loop([members[i]], tol, pivoting=True)
                 sols[i].iterations += sol.iterations
     return sols
-
-
-# the kinds (see _Stack.lengths) of a best iterate's parts: its score and
-# residual norms per member, and its x, y, s and z
-_BEST_KINDS = "kkxyzz"
 
 
 def _ipm_loop(
@@ -1152,19 +1136,20 @@ def _ipm_loop(
     Every round takes one iteration of each live member.  Members share the
     factorization of the block-diagonal KKT matrix, the vectorized cone
     algebra, one residual evaluation and the round's checks: objectives,
-    gaps, scores and the stop and divergence tests are computed for the
-    whole stack at once (``_Stack.objective``, ``_Stack.sums``), and only a
-    member that ends is looked at on its own.  Step lengths, centering, the
-    best iterate and the iteration count stay each member's own.  A member
-    that finishes leaves the stack, and its solution reports the residual
-    norms its round computed (a member at its cap, those of its best
-    iterate).  The best iterates are kept as one stacked copy, refreshed
-    where members improved.  ``starts`` holds each member's warm start or
-    None (all cold when omitted); a cold member stops after ``_MAX_ITER``
-    iterations, a warm one after ``_WARM_MAX_ITER``.  ``pivoting`` chooses
-    how the KKT matrix is factored (see ``_Stack``).  Returns one solution
-    per member, whose ``certified`` tells whether a certificate backs a
-    non-optimal verdict.
+    gaps and the stop and divergence tests are computed for the whole stack
+    at once (``_Stack.objective``, ``_Stack.sums``), and only a member that
+    ends is looked at on its own.  Step lengths, centering and the
+    iteration count stay each member's own.  A member that finishes leaves
+    the stack, and its solution reports the point and residual norms of the
+    round it ends in.  A member ends at the start of a round when it has
+    converged, diverged or reached its iteration cap, and after the Newton
+    step when its block cannot be factored or its step collapsed.
+    ``starts`` holds each member's warm start or None (all cold when
+    omitted); a cold member stops at its ``_MAX_ITER``-th iteration, a warm
+    one at its ``_WARM_MAX_ITER``-th.  ``pivoting`` chooses how the KKT
+    matrix is factored (see ``_Stack``).  Returns one solution per member;
+    a non-optimal one is INFEASIBLE or UNBOUNDED only where ``_classify``
+    found the certificate, and ITER_LIMIT otherwise.
     """
     done: list[ConicSolution | None] = [None] * len(members)
     st = _Stack(members, pivoting)
@@ -1172,8 +1157,6 @@ def _ipm_loop(
     # per stack position: the member there and its iteration cap
     live = np.arange(len(members))
     limits = np.array([_MAX_ITER if start is None else _WARM_MAX_ITER for start in starts])
-    # per stack position, its best iterate so far (see _BEST_KINDS), stacked
-    best: list[np.ndarray] = []
 
     # cold point: x and y at zero, (s, z) on the central ray of the cone
     e = st.cones.identity()
@@ -1190,10 +1173,14 @@ def _ipm_loop(
             rows = st.spread(is_warm, kind)
             v[rows] = v[rows] * (1.0 - _WARM) + _WARM * np.concatenate([g[i] for g in given])
 
-    def end(k: int, point, norms, status: str, certified: bool = False) -> None:
-        """Member k of the stack ends at a point whose residual norms are
-        ``norms``, with the given verdict."""
-        done[live[k]] = _solution(st.members[k][0], status, point, it, norms, certified)
+    def end(ended: list[int], status: str | None = None, scale: float = 1e8) -> None:
+        """The members at stack positions ``ended`` end at this round's point
+        and residual norms, with ``status`` or, when None, the status
+        ``_classify`` gives at ``scale``."""
+        for k in ended:
+            prog, part = st.members[k][0], st.part(k, x, y, s, z)
+            verdict = status or _classify(prog, part, norms[k], scale)
+            done[live[k]] = _solution(prog, verdict, part, it, norms[k])
 
     def drop(ended: list[int], *arrays):
         """Take the members at stack positions ``ended`` out of the stack;
@@ -1210,7 +1197,7 @@ def _ipm_loop(
         st = _Stack(survivors, pivoting)
         return parts
 
-    # every member ends at its limit at the latest, so the last round returns
+    # every member ends in its cap's round at the latest, so the last round returns
     for it in range(1, int(limits.max()) + 1):
         r_d, r_p, r_g, ct_yz = st.residuals(x, y, s, z)
         gap = st.sums(s * z, "z")
@@ -1224,61 +1211,36 @@ def _ipm_loop(
         rel_p = norms[:, 0] / st.bnorm
         rel_d = norms[:, 1] / st.cnorm
         rel_g = np.abs(gap) / (1.0 + np.abs(st.objective(x)))
-        score = rel_p + rel_d + rel_g
-        better = score < best[0] if best else np.ones(len(score), dtype=bool)
-        if better.all():
-            best = [score, norms, x.copy(), y.copy(), s.copy(), z.copy()]
-        elif better.any():
-            masks = [better, better[:, None]] + [st.spread(better, kind) for kind in "xyzz"]
-            best = [
-                np.where(mask, new, old)
-                for mask, new, old in zip(masks, (score, norms, x, y, s, z), best)
-            ]
         optimal = (rel_p <= tol) & (rel_d <= tol) & (rel_g <= tol)
         diverged = ~optimal & (
             (np.maximum(st.norms(x, "x"), st.norms(s, "z")) > 1e8)
             | (st.norms(y, "y") + st.norms(z, "z") > 1e8)
         )
-        ended = np.flatnonzero(optimal).tolist()
-        for k in ended:
-            end(k, st.part(k, x, y, s, z), norms[k], OPTIMAL)
-        for k in np.flatnonzero(diverged).tolist():
-            part = st.part(k, x, y, s, z)
-            status, certified = _classify(st.members[k][0], part, norms[k])
-            if status != ITER_LIMIT:
-                end(k, part, norms[k], status, certified)
-                ended.append(k)
-        state = [x, y, s, z, r_d, r_p, r_g, mu, norms, live, limits, *best]
+        end(np.flatnonzero(optimal).tolist(), OPTIMAL)
+        # a diverged member or one at its cap: a certificate or the iteration limit
+        ended = np.flatnonzero(optimal | diverged | (limits == it)).tolist()
+        end([k for k in ended if not optimal[k]])
+        state = [x, y, s, z, r_d, r_p, r_g, mu, norms, live, limits]
         while True:
             if ended:
-                state = drop(ended, *zip(state, "xyzzxyzkkkk" + _BEST_KINDS))
+                state = drop(ended, *zip(state, "xyzzxyzkkkk"))
                 if state is None:
                     return done
-            x, y, s, z, r_d, r_p, r_g, mu, norms, live, limits, *best = state
+            x, y, s, z, r_d, r_p, r_g, mu, norms, live, limits = state
             singular, stalled = _newton_step(st, x, y, s, z, (r_d, r_p, r_g), mu, e)
             if not singular:
                 break
-            # a member whose KKT block factors at neither regularization ends here
-            for k in singular:
-                part = st.part(k, x, y, s, z)
-                end(k, part, norms[k], *_classify(st.members[k][0], part, norms[k]))
+            # a member whose KKT block factors at neither regularization ends
+            # here; it has not diverged, so no certificate can hold
+            end(singular, ITER_LIMIT)
             ended = singular
         # a stalled member was left where it was, at the round's residuals
-        for k in stalled:
-            part = st.part(k, x, y, s, z)
-            end(k, part, norms[k], *_classify(st.members[k][0], part, norms[k], scale=1e5))
-        # iteration cap: a member at its limit reports the best iterate seen,
-        # which this round's check has set at the latest
-        capped = [k for k in np.flatnonzero(limits == it).tolist() if k not in stalled]
-        for k in capped:
-            end(k, st.part(k, *best[2:]), best[1][k], ITER_LIMIT)
-        if stalled or capped:
-            state = drop(
-                stalled + capped, *zip([x, y, s, z, live, limits, *best], "xyzzkk" + _BEST_KINDS)
-            )
+        if stalled:
+            end(stalled, scale=1e5)
+            state = drop(stalled, *zip([x, y, s, z, live, limits], "xyzzkk"))
             if state is None:
                 return done
-            x, y, s, z, live, limits, *best = state
+            x, y, s, z, live, limits = state
 
 
 def _newton_step(st: _Stack, x, y, s, z, r, mu: np.ndarray, e: np.ndarray):
@@ -1398,19 +1360,3 @@ def check_kkt(prog: ConicProgram, sol: ConicSolution) -> dict[str, float]:
         "gap": abs(float(s @ z)),
         "cone": max(cones.membership_violation(s), cones.membership_violation(z)),
     }
-
-
-def dump_program(prog: ConicProgram, path: str) -> None:
-    """Write a plain-text standard-form dump (grammar in docs/formats.md)."""
-    lines = [f"VARS {prog.n_vars}", f"EQS {prog.n_eq}", f"CONST {float(prog.c0)!r}"]
-    lines.append("CONES " + " ".join(f"{cb.kind}:{cb.size}" for cb in prog.cones))
-    lines.append("C " + " ".join(repr(v) for v in prog.c.tolist()))
-    if np.any(prog.q):
-        lines.append("Q " + " ".join(repr(v) for v in prog.q.tolist()))
-    for tag, M, rhs_tag, rhs in (("A", prog.A, "B", prog.b), ("G", prog.G, "H", prog.h)):
-        coo = M.tocoo()
-        for i, j, v in sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())):
-            lines.append(f"{tag} {i} {j} {v!r}")
-        lines.extend(f"{rhs_tag} {i} {v!r}" for i, v in enumerate(rhs.tolist()))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -100,14 +100,14 @@ def spy_runs(monkeypatch) -> list[tuple[int, bool, bool]]:
 
 def uncertify_hour(monkeypatch, hour: int) -> None:
     """From here on, every batch the network operator solves ends its member
-    ``hour`` at the iteration limit without a certificate; batches with fewer
-    members are left as they are."""
+    ``hour`` ITER_LIMIT, an ending without an answer or a certificate;
+    batches with fewer members are left as they are."""
     batch = dso.solve_socp_batch
 
     def spy(progs, *args, **kwargs):
         sols = batch(progs, *args, **kwargs)
         if hour < len(sols):
-            sols[hour] = replace(sols[hour], status=ITER_LIMIT, certified=False)
+            sols[hour] = replace(sols[hour], status=ITER_LIMIT)
         return sols
 
     monkeypatch.setattr(dso, "solve_socp_batch", spy)

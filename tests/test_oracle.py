@@ -15,7 +15,9 @@ from lemclear.model import (
     Scenario,
     StorageDevice,
 )
+import lemclear.oracle as oracle
 from lemclear.oracle import solve_centralized, solve_selfish
+from lemclear.socp import INFEASIBLE, ITER_LIMIT, SolveFailed
 
 T = 24
 
@@ -96,6 +98,18 @@ class TestCentralized:
     def test_bad_binaries_argument(self):
         with pytest.raises(ValueError):
             solve_centralized(zero_device_scenario(), binaries="frozen")
+
+    @pytest.mark.parametrize("status, named", [(ITER_LIMIT, False), (INFEASIBLE, True)])
+    def test_cause_named_only_for_an_infeasible_program(self, monkeypatch, six_bus, status,
+                                                        named):
+        # the joint program is made to end with the given status: only an
+        # infeasible ending, which carries a certificate, names a cause
+        solve = oracle.solve_socp
+        monkeypatch.setattr(oracle, "solve_socp", lambda prog: replace(solve(prog), status=status))
+        with pytest.raises(SolveFailed) as err:
+            solve_centralized(six_bus)
+        assert err.value.agent == "centralized program" and err.value.status == status
+        assert ("likely binding family" in str(err.value)) == named
 
 
 class TestSelfish:
