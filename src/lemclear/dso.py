@@ -32,6 +32,7 @@ from .socp import (  # noqa: F401
     SecondOrder,
     SolveFailed,
     SparseRows,
+    Start,
     solve_socp,
     solve_socp_batch,
 )
@@ -42,6 +43,7 @@ __all__ = [
     "DsoInput",
     "DsoOutput",
     "DsoInfeasible",
+    "NetworkStarts",
     "assemble_branch_flow",
     "hour_programs",
     "read_hours",
@@ -102,6 +104,18 @@ class DsoInput:
     p_net_node: dict[int, np.ndarray]
     p_loss_tilde: np.ndarray
     lambda_loss: np.ndarray
+
+
+@dataclass
+class NetworkStarts:
+    """Solver state the network operator keeps between the passes of one
+    clearing: each hour's last solution, which the hour's next solve starts
+    from, and the solver's patterns of the hour programs
+    (``socp.solve_socp_batch``), derived once for the clearing.  It stays
+    with the operator: it is never sent or traced."""
+
+    hours: list[Start] | None = None
+    patterns: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -326,25 +340,30 @@ def solve_dso_subproblem(
     dt: float,
     rho_prime: float = 0.0,
     bf: BranchFlowProgram | None = None,
+    starts: NetworkStarts | None = None,
 ) -> DsoOutput:
     """Solve the hourly network programs and extract prices.
 
     ``bf`` is net's structure from ``assemble_branch_flow``, built here when
     not given; a clearing builds it once and passes it to every pass.  The
     hours (``hour_programs``) are solved as one batch and read back by
-    ``read_hours``.  The first hour that does not end optimal raises:
-    :class:`DsoInfeasible`, naming the binding limit, when it ends
-    infeasible, which the solver reports only with a certificate, and
-    :class:`SolveFailed` otherwise.
+    ``read_hours``.  ``starts``, if given, is the clearing's
+    :class:`NetworkStarts`: each hour starts from its solution there, if
+    any, and the hours' new solutions replace them.  The first hour that
+    does not end optimal raises: :class:`DsoInfeasible`, naming the binding
+    limit, when it ends infeasible, which the solver reports only with a
+    certificate, and :class:`SolveFailed` otherwise.
     """
     bf = assemble_branch_flow(net) if bf is None else bf
     progs = hour_programs(bf, inp, np.asarray(loss_cost, dtype=float) * dt, rho_prime)
-    sols = solve_socp_batch(progs)
+    starts = NetworkStarts() if starts is None else starts
+    sols = solve_socp_batch(progs, starts=starts.hours, patterns=starts.patterns)
     for t, sol in enumerate(sols):
         if sol.status == INFEASIBLE:
             raise DsoInfeasible(t, _diagnose(net, inp, t))
         if sol.status != OPTIMAL:
             raise SolveFailed(f"network hour {t}", sol.status)
+    starts.hours = [(sol.x, sol.y, sol.s, sol.z) for sol in sols]
     T, n, m = len(progs), bf.prog.n_vars, bf.prog.n_eq
     X = np.array([sol.x for sol in sols]).reshape(T, n)
     Y = np.array([sol.y for sol in sols]).reshape(T, m)

@@ -25,7 +25,7 @@ import numpy as np
 from . import dso as dso_mod
 from . import lmo as lmo_mod
 from . import prosumer as pros_mod
-from .dso import DsoInput, DsoOutput, solve_dso_subproblem
+from .dso import DsoInput, DsoOutput, NetworkStarts, solve_dso_subproblem
 from .model import Scenario
 # solve_subproblem_III stays importable here: perfbench/tracer.py wraps it
 from .prosumer import (  # noqa: F401
@@ -245,11 +245,13 @@ def run_clearing(
     wholesale series as their initial price signal and no auxiliary profile
     has been published yet.  Each outer pass solves all prosumers as one
     lockstep batch, each prosumer's search starting from its root
-    relaxation of the previous pass.  ``prosumer_order`` only permutes the
-    solve order; results are merged by sorted id, so the outcome is
-    independent of scheduling.  Every cone program is solved to the
-    solver's default 1e-9 (``socp.solve_socp_batch``), and exact prosumer
-    branch and bound stops at its default 1e-6 relative gap.
+    relaxation of the previous pass, and each network pass starts every
+    hour from its solution in the previous network pass.
+    ``prosumer_order`` only permutes the solve order; results are merged
+    by sorted id, so the outcome is independent of scheduling.  Every cone
+    program is solved to the solver's default 1e-9
+    (``socp.solve_socp_batch``), and exact prosumer branch and bound stops
+    at its default 1e-6 relative gap.
     """
     t_start = time.perf_counter()
     cfg = scenario.admm
@@ -291,9 +293,11 @@ def run_clearing(
     sp1 = None
     inner_counts: list[int] = []
     k_done = 0
-    # each prosumer's last root relaxation, the start of its next search;
+    # each prosumer's last root relaxation, the start of its next search,
+    # and each network hour's last solution, the start of its next solve;
     # solver state of this clearing only, never sent or traced
     warm: dict = {}
+    net_warm = NetworkStarts()
 
     for k in range(1, cfg.max_outer + 1):
         t_outer = time.perf_counter()
@@ -332,6 +336,7 @@ def run_clearing(
                 dt=dt,
                 rho_prime=cfg.rho_prime,
                 bf=bf,
+                starts=net_warm,
             )
             bus.send(
                 "dso", "lmo", "DsoToLmo", {"p_loss": dso_out.p_loss, "dlmp": dso_out.dlmp},

@@ -14,10 +14,11 @@ There is one search, written as a generator (``_search``): it yields a
 ``(program, start)`` pair for each cone program it needs solved, a node's
 relaxation or a rounded pattern's re-solve, receives the solution and
 finally returns its ``BnBResult``.  The start is a solution the search
-already holds, restricted to the program's columns: a rounded re-solve or an
-integral leaf's pinned re-solve starts from its node's relaxation, a child
-node from its parent's, and the root from the start the caller passes (the
-root relaxation of an earlier, similar search, which ``BnBResult.root``
+already holds, restricted to the program's columns, its slacks fitted to
+the program's rows: a rounded re-solve or an integral leaf's pinned
+re-solve starts from its node's relaxation, a child node from its
+parent's, and the root from the start the caller passes (the root
+relaxation of an earlier, similar search, which ``BnBResult.root``
 returns), or cold without one.  A start only shortens a solve: a warm
 solve that fails is rescued from the cold point (see ``socp``).
 
@@ -51,6 +52,7 @@ from .socp import (  # noqa: F401
     ConicProgram,
     ConicSolution,
     Start,
+    fitted_slack,
     solve_socp,
     solve_socp_batch,
 )
@@ -252,13 +254,18 @@ def relax_and_repair(prob: MixedBinaryProgram) -> BnBResult:
     return solve_searches([repair_search(prob)])[0]
 
 
-def _restrict(start: Start | None, fixed: dict[int, float]) -> Start | None:
-    """A start over all columns, restricted to those ``with_fixed_variables`` keeps."""
+def _pinned(
+    prob: MixedBinaryProgram, fixed: dict[int, float], start: Start | None
+) -> tuple[ConicProgram, Start | None]:
+    """The relaxation with ``fixed`` substituted, and its start: ``start``
+    (over all columns) restricted to the columns kept, with the slacks
+    fitted to the pinned program's rows at that x (``socp.fitted_slack``)."""
+    prog = with_fixed_variables(prob.relaxation, fixed)
     if start is None or not fixed:
-        return start
-    x, y, s, z = start
+        return prog, start
+    x, y, _, z = start
     keep, _ = _split(len(x), fixed)
-    return x[keep], y, s, z
+    return prog, (x[keep], y, fitted_slack(prog, x[keep]), z)
 
 
 def _search(
@@ -300,7 +307,7 @@ def _search(
         given, else from ``start``) as incumbent when it improves."""
         nonlocal incumbent_x, incumbent_obj
         if sol is None:
-            sol = yield with_fixed_variables(prob.relaxation, assign), _restrict(start, assign)
+            sol = yield _pinned(prob, assign, start)
         if sol.status == OPTIMAL and sol.obj < incumbent_obj - 1e-12:
             incumbent_x, incumbent_obj = restore_fixed(sol.x, assign), sol.obj
 
@@ -316,7 +323,7 @@ def _search(
             # stopped, not exhausted: without an incumbent nothing is proven
             return result(ITER_LIMIT, bound)
         nodes += 1
-        sol = yield with_fixed_variables(prob.relaxation, fixed), _restrict(start, fixed)
+        sol = yield _pinned(prob, fixed, start)
         if sol.status != OPTIMAL:
             if sol.status == ITER_LIMIT:
                 unproven = min(unproven, bound)

@@ -16,7 +16,8 @@ read directly as a marginal price.
 What a solve derives from a program's sparsity pattern alone (``_Pattern``:
 the cone layout, the index arrays of C = [A; G], the KKT ordering and its
 slots) is built once per distinct pattern among the solve's programs and
-shared by all of them, for that solve only; a program of the solve is its
+shared by all of them, and kept across solves by a caller that passes the
+same ``patterns`` dict to each; a program of the solve is its
 (program, pattern) pair, and its data is read where it is stacked
 (``_Stack``).  The cone layout groups the second-order blocks by
 size into (n_blocks, k) index arrays, so the Jordan algebra and the NT
@@ -102,18 +103,21 @@ stalls, cannot be factored or reaches its iteration cap alike.
 
 A program may be given a start: the (x, y, s, z) of a solution with its
 columns, rows and cones, typically of a similar program solved just before
-(a relaxation whose binaries are now pinned, or the same scheduling
-problem at new prices).  It then begins at 0.99 times the start plus 0.01
-times the cold point, whose share keeps (s, z) strictly inside the cone
-(Skajaa, Andersen and Ye, Math. Prog. Comp. 2013, blend a warm point with
-the cold one the same way); everything after the first iterate is
-unchanged but the iteration cap: a warm program stops at its 50th iteration
-(``_WARM_MAX_ITER``, about two and a half cold prosumer solves) rather than
-its 200th (``_MAX_ITER``).  A warm program that ends ITER_LIMIT, at that
-cap or earlier, takes the rescue above, which starts from the cold point,
-so a bad start costs at most 50 iterations on top of the rescue.  The
-start enters only the program's own first iterate, so its answer is bit
-for bit the same alone or in any batch given the same start.
+(a relaxation whose binaries are now pinned, the same scheduling problem at
+new prices, or a network hour at a new loss consensus).  Its first iterate
+is the start's x and y as they are and its s and z each plus
+``_WARM_SHIFT`` times the cone identity e, which moves them strictly inside
+the cone and leaves a start that is already the answer within 1e-5 of it
+(the shifted warm start of Gondzio and Grothey, SIAM J. Optim. 2002).  The
+start's s should fit the program's own rows: a caller that carries x over
+from another program fits s to them with ``fitted_slack``.  Everything
+after the first iterate is unchanged but the iteration cap: a warm program
+stops at its 50th iteration (``_WARM_MAX_ITER``) rather than its 200th
+(``_MAX_ITER``).  A warm program that ends ITER_LIMIT, at that cap or
+earlier, takes the rescue above, which starts from the cold point, so a
+bad start costs at most 50 iterations on top of the rescue.  The start
+enters only the program's own first iterate, so its answer is bit for bit
+the same alone or in any batch given the same start.
 
 Every program takes this one path, including those without variables or
 without cone rows.  The barrier degree is floored at 1 so that mu stays
@@ -149,6 +153,7 @@ __all__ = [
     "solve_socp",
     "solve_socp_batch",
     "check_kkt",
+    "fitted_slack",
     "Start",
 ]
 
@@ -579,6 +584,21 @@ class _Cones:
             worst = max(worst, float(np.max(tail - blk[:, 0])))
         return worst
 
+    def project(self, u: np.ndarray) -> np.ndarray:
+        """The point of the cone nearest to u."""
+        out = u.copy()
+        out[self.nonneg_idx] = np.maximum(u[self.nonneg_idx], 0.0)
+        for g in self.soc_groups:
+            blk = u[g]
+            tail = np.sqrt(_rowdot(blk[:, 1:], blk[:, 1:]))
+            # outside both the cone and its polar: onto the cone's boundary
+            cut = (tail > np.abs(blk[:, 0]))[:, None]
+            half = (blk[:, 0] + tail) / 2.0
+            edge = blk * (half / np.where(tail > 0.0, tail, 1.0))[:, None]
+            edge[:, 0] = half
+            out[g] = np.where(cut, edge, np.where(tail[:, None] <= -blk[:, :1], 0.0, blk))
+        return out
+
     def blocks(self, u: np.ndarray) -> list[np.ndarray]:
         """u's entries as blocks: the NonNeg entries, then each SOC size group's.
 
@@ -784,11 +804,15 @@ def _classify(prog: ConicProgram, point, norms, scale: float = 1e8) -> str:
     return ITER_LIMIT
 
 
-def _members(progs: list[ConicProgram]) -> list[tuple[ConicProgram, _Pattern]]:
+def _members(
+    progs: list[ConicProgram], patterns: dict | None = None
+) -> list[tuple[ConicProgram, _Pattern]]:
     """The lockstep members of a solve: each program with its ``_Pattern``,
-    one built per distinct sparsity pattern and shared by its programs."""
+    one built per distinct sparsity pattern and shared by its programs.
+    ``patterns``, if given, holds patterns of earlier solves by key and
+    receives those built here."""
     keys = [_pattern_key(prog) for prog in progs]
-    patterns: dict = {}
+    patterns = {} if patterns is None else patterns
     for prog, key in zip(progs, keys):
         if key not in patterns:
             patterns[key] = _Pattern(prog)
@@ -1053,14 +1077,19 @@ class _Stack:
         return out[:n], out[n : n + m], out[n + m :]
 
 
-# weight of a warm start against the cold point in a member's first iterate;
-# the cold point's share keeps (s, z) strictly inside the cone
-_WARM = 0.99
+# multiple of the cone identity added to a warm start's s and z in a member's
+# first iterate, which keeps them strictly inside the cone.  Measured on the
+# benchmark's clearings (ROADMAP item 5): 1e-2 re-centres a good start, and
+# 1e-6 and below leave network hours close enough to the cone's boundary
+# that some reach the rescue
+_WARM_SHIFT = 1e-5
 # iterations a cold member may take; one still unsettled in its last ends
 # there, ITER_LIMIT at that round's point
 _MAX_ITER = 200
-# iterations a warm member may take before it is given up and run cold: about
-# two and a half times a cold prosumer solve (17-21), five times a warm one
+# iterations a warm member may take before it is given up and run cold: two
+# to three times a cold prosumer solve (16-24), five to nine times a warm
+# one on average (5.5-9.3), and above the most a warm solve took in the
+# benchmark's clearings and the generated full day (39)
 _WARM_MAX_ITER = 50
 
 
@@ -1100,15 +1129,19 @@ def solve_socp_batch(
     progs: list[ConicProgram],
     tol: float = 1e-9,
     starts: list[Start | None] | None = None,
+    patterns: dict | None = None,
 ) -> list[ConicSolution]:
     """Solve independent cone programs in lockstep, one solution per program.
 
     ``starts``, if given, holds one entry per program: None for the cold
     start, or the (x, y, s, z) of a solution with that program's columns,
-    rows and cones, which the program then begins from (blended with the
-    cold point, see the module docstring).  Each program's solution is bit
-    for bit the one it gets alone from the same start, whatever else is in
-    the batch and in whatever order.
+    rows and cones, which the program then begins from (with (s, z) shifted
+    into the cone, see the module docstring).  Each program's solution is
+    bit for bit the one it gets alone from the same start, whatever else is
+    in the batch and in whatever order.  ``patterns``, if given, is a dict
+    that keeps what the solve derives from the programs' sparsity patterns:
+    a caller that solves programs on the same patterns again passes the same
+    dict each time, and each pattern is derived once.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -1117,7 +1150,7 @@ def solve_socp_batch(
     starts = [None] * len(progs) if starts is None else list(starts)
     if len(starts) != len(progs):
         raise ValueError(f"{len(starts)} starts for {len(progs)} programs")
-    members = _members(progs)
+    members = _members(progs, patterns)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         sols = _ipm_loop(members, tol, starts=starts)
         for i, sol in enumerate(sols):
@@ -1171,7 +1204,9 @@ def _ipm_loop(
         is_warm[warm] = True
         for i, (v, kind) in enumerate(((x, "x"), (y, "y"), (s, "z"), (z, "z"))):
             rows = st.spread(is_warm, kind)
-            v[rows] = v[rows] * (1.0 - _WARM) + _WARM * np.concatenate([g[i] for g in given])
+            v[rows] = np.concatenate([g[i] for g in given])
+            if kind == "z":
+                v[rows] += _WARM_SHIFT * e[rows]
 
     def end(ended: list[int], status: str | None = None, scale: float = 1e8) -> None:
         """The members at stack positions ``ended`` end at this round's point
@@ -1340,6 +1375,12 @@ def _scale_and_factor(st: _Stack, s: np.ndarray, z: np.ndarray):
         if not np.isnan(deltas).any() and not st.factor(w2, deltas):
             raise RuntimeError("the stacked KKT matrix failed to factor where its blocks did")
     return sc, deltas
+
+
+def fitted_slack(prog: ConicProgram, x: np.ndarray) -> np.ndarray:
+    """The slack h - Gx of prog's cone rows at x, projected onto its cone:
+    the s of a start for prog whose x was solved on other rows."""
+    return _Cones(prog.cones).project(prog.h - prog.G @ x)
 
 
 def check_kkt(prog: ConicProgram, sol: ConicSolution) -> dict[str, float]:

@@ -297,6 +297,42 @@ class TestPrivacy:
             bus.send("a", "b", "SecretChannel", {}, outer=1)
 
 
+def test_carried_network_state_stays_with_the_operator(monkeypatch):
+    # a dense clearing (a prosumer at every load point, exact search,
+    # messages logged): the one network state the clearing carries from pass
+    # to pass travels in no message and feeds no digest
+    import lemclear.market as market
+
+    sc = assemble_scenario(generate_tables(GeneratorSpec(seed=1, penetration=1.0, p_ev=0.0,
+                                                         horizon=4)))
+    carried = []
+    solve = market.solve_dso_subproblem
+
+    def spy(*args, starts=None, **kwargs):
+        carried.append(starts)
+        return solve(*args, starts=starts, **kwargs)
+
+    monkeypatch.setattr(market, "solve_dso_subproblem", spy)
+    res = run_clearing(sc, prosumer_solver="exact", log_messages=True)
+    assert res.status == "converged"
+    state = carried[0]
+    assert len(carried) > 1 and all(s is state for s in carried)
+    assert len(state.hours) == sc.horizon
+    assert audit_privacy(res.trace).ok
+    # every payload field is one series over the hours, or one per bus
+    for msg in res.trace.messages:
+        for value in msg["payload"].values():
+            series = value.values() if isinstance(value, dict) else [value]
+            assert all(len(s) == sc.horizon for s in series if s is not None)
+    # the trace holds none of the carried arrays: overwriting them leaves
+    # its digest as it was
+    digest = res.trace.digest()
+    for hour in state.hours:
+        for v in hour:
+            v[:] = np.nan
+    assert res.trace.digest() == digest
+
+
 class TestTraceReproducibility:
     def test_stop_decisions_follow_recorded_residuals(self):
         sc = small_scenario(eps=1e-6)
@@ -318,13 +354,21 @@ class TestTraceReproducibility:
                 assert recs[-1].loss_dual_step <= sc.admm.eps2
 
 
+@pytest.fixture(scope="module")
+def full_day_dense():
+    # the generator's full day with a prosumer at every load point
+    return assemble_scenario(generate_tables(GeneratorSpec(seed=1, penetration=1.0)))
+
+
 @pytest.mark.parametrize("name, how", [
     ("six_bus", "exact"), ("ieee69", "relax_repair"), ("six_bus", "centralized"),
+    ("full_day_dense", "exact"),
 ])
 def test_bundled_runs_never_reach_the_rescue(monkeypatch, request, name, how):
     # every cone program of these runs ends optimal or certified in its
-    # first run, so none takes the solver's rescue: a change that starts
-    # leaning on it shows up here
+    # first run, warm-started network hours and prosumer searches included,
+    # so none takes the solver's rescue: a change that starts leaning on it
+    # shows up here
     scenario = request.getfixturevalue(name)
     runs = spy_runs(monkeypatch)
     if how == "centralized":

@@ -262,3 +262,32 @@ def test_uncertified_node_proves_nothing(monkeypatch, pinned):
         assert res.x_incumbent is not None
         assert res.bound == solve_socp(prob.relaxation).obj < res.obj_incumbent
         assert res.gap > 1e-9
+
+
+@pytest.mark.parametrize(
+    "make", [gate_program, lambda: binary_quadratic([0.3, 0.6, 0.45])],
+    ids=["rounded re-solve", "child nodes"],
+)
+def test_pinned_starts_fit_their_rows(monkeypatch, make):
+    # a rounded re-solve or a child node starts from a relaxation with more
+    # columns; its slacks are refitted to the pinned program's own rows, so
+    # they lie in the cone and close every row on which h - Gx does
+    import lemclear.miqp as miqp
+
+    prob = make()
+    n = prob.relaxation.n_vars
+    checked = []
+
+    def fitted(progs, **kw):
+        for prog, start in zip(progs, kw.get("starts") or [None] * len(progs)):
+            if start is not None and prog.n_vars < n:
+                x, _, s, _ = start
+                slack = prog.h - prog.G @ x
+                assert s.min() >= 0.0
+                assert np.abs(prog.G @ x + s - prog.h)[slack >= 0.0].max() <= 1e-12
+                checked.append(prog.n_vars)
+        return solve_socp_batch(progs, **kw)
+
+    monkeypatch.setattr(miqp, "solve_socp_batch", fitted)
+    res = solve_mbp(prob, mip_gap=1e-9)
+    assert res.status == OPTIMAL and checked

@@ -13,6 +13,7 @@ from lemclear.socp import (
     OPTIMAL,
     UNBOUNDED,
     _WARM_MAX_ITER,
+    _WARM_SHIFT,
     ConicProgram,
     NonNeg,
     SecondOrder,
@@ -34,6 +35,7 @@ from lemclear.socp import (
     _Stack,
     _classify,
     check_kkt,
+    fitted_slack,
     _ipm_loop,
     solve_socp,
     solve_socp_batch,
@@ -1160,6 +1162,33 @@ class TestWarmStart:
         for (i, factor), sol in zip(members, sols):
             assert_same_solution(sol, warm_solo(i, factor))
 
+    def test_warm_member_begins_at_its_start_shifted_into_the_cone(self, monkeypatch):
+        # the warm member's first iterate is its start's x and y as given and
+        # its s and z plus _WARM_SHIFT times the cone identity, whose SOC
+        # entries past the first are 0; the cold member beside it begins at x = 0
+        import lemclear.socp as socp
+
+        i = next(k for k in range(12) if any(cb.kind == "soc" for cb in BATCH_POOL[k].cones))
+        e = _Cones(BATCH_POOL[i].cones).identity()
+        assert 0.0 < e.sum() < len(e)
+        x, y, s, z = start = scaled_start(i, 0.5)
+        first = []
+        step = socp._newton_step
+
+        def spy(st, x, y, s, z, *args):
+            if not first:
+                first.extend(
+                    [v.copy() for v in st.part(k, x, y, s, z)] for k in range(len(st.members))
+                )
+            return step(st, x, y, s, z, *args)
+
+        monkeypatch.setattr(socp, "_newton_step", spy)
+        solve_socp_batch([BATCH_POOL[1], BATCH_POOL[i]], tol=1e-8, starts=[None, start])
+        cold, warm = first
+        assert not cold[0].any()
+        for got, want in zip(warm, (x, y, s + _WARM_SHIFT * e, z + _WARM_SHIFT * e)):
+            assert np.array_equal(got, want)
+
     def test_start_from_the_solution_saves_iterations(self):
         for i in range(12):
             assert warm_solo(i, 1.0).status == OPTIMAL
@@ -1233,6 +1262,31 @@ class TestWarmStart:
             solve_socp_batch([prog], starts=[(x[:-1], y, s, z)])
         with pytest.raises(ValueError, match="1 starts for 2 programs"):
             solve_socp_batch([prog, prog], starts=[None])
+
+
+class TestFittedSlack:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_projection_onto_the_cone(self, seed):
+        # Moreau: u splits into its projection p, in the cone, and p - u,
+        # also in the (self-dual) cone and orthogonal to p; a point inside
+        # the cone is its own projection
+        rng = np.random.default_rng(seed)
+        cones = _Cones((NonNeg(3), SecondOrder(3), NonNeg(1), SecondOrder(4), SecondOrder(3)))
+        u = rng.normal(size=cones.n) * rng.uniform(0.1, 10.0)
+        p = cones.project(u)
+        assert cones.membership_violation(p) <= 1e-15 * np.abs(u).max()
+        assert cones.membership_violation(p - u) <= 1e-15 * np.abs(u).max()
+        assert abs(p @ (p - u)) <= 1e-12 * (1.0 + u @ u)
+        inside = p + cones.identity()
+        assert np.array_equal(cones.project(inside), inside)
+
+    def test_solution_slack_is_refitted_to_itself(self):
+        # at a solution's x, h - Gx is the solution's s up to its residual
+        for i in range(12):
+            sol = solo(i)
+            fitted = fitted_slack(BATCH_POOL[i], sol.x)
+            assert np.abs(fitted - sol.s).max() <= 2.0 * sol.residuals["primal"] + 1e-15
 
 
 def recomputed_residuals(prog, sol):
