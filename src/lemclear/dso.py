@@ -363,7 +363,7 @@ def solve_dso_subproblem(
             raise DsoInfeasible(t, _diagnose(net, inp, t))
         if sol.status != OPTIMAL:
             raise SolveFailed(f"network hour {t}", sol.status)
-    starts.hours = [(sol.x, sol.y, sol.s, sol.z) for sol in sols]
+    starts.hours = [(sol.x, sol.y, sol.z) for sol in sols]
     T, n, m = len(progs), bf.prog.n_vars, bf.prog.n_eq
     X = np.array([sol.x for sol in sols]).reshape(T, n)
     Y = np.array([sol.y for sol in sols]).reshape(T, m)

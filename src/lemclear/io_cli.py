@@ -502,6 +502,11 @@ def bundled_scenario_dir(name: str) -> Path:
 # ---------------------------------------------------------------------------
 
 
+# the latest hour a generated vehicle plugs in for the evening; its evening
+# window runs to the horizon's last hour, so it needs a horizon past this
+_EV_LATEST_ARRIVAL = 21
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Seeded synthetic scenario recipe.
@@ -509,7 +514,9 @@ class GeneratorSpec:
     ``penetration`` is the fraction of load points hosting an aggregated
     prosumer; device probabilities control the fleet mix at hosted points.
     The hosting draw uses one shared uniform per load point, so raising the
-    penetration on a fixed seed only ever adds prosumers.
+    penetration on a fixed seed only ever adds prosumers.  ``horizon`` is at
+    least 1 hour, and with vehicles (``p_ev`` > 0) at least 22: an evening
+    vehicle arrives as late as hour 21 and stays to the last hour.
     """
 
     seed: int = 1
@@ -521,6 +528,13 @@ class GeneratorSpec:
     horizon: int = 24
 
     def __post_init__(self):
+        if self.horizon < 1:
+            raise ValueError(f"horizon {self.horizon}: must be at least 1 hour")
+        if self.p_ev > 0.0 and self.horizon <= _EV_LATEST_ARRIVAL:
+            raise ValueError(
+                f"horizon {self.horizon}: vehicles (p_ev > 0) arrive as late as hour "
+                f"{_EV_LATEST_ARRIVAL}, so the horizon must be at least {_EV_LATEST_ARRIVAL + 1}"
+            )
         if not (0.0 <= self.penetration <= 1.0):
             raise ValueError("penetration must lie in [0, 1]")
         for p in (self.p_pv, self.p_bess, self.p_ev, self.p_fl):
@@ -625,7 +639,7 @@ def generate_tables(spec: GeneratorSpec) -> ScenarioTables:
         if u_ev < spec.p_ev:
             cap = peak * float(rng.uniform(1.6, 2.0))
             depart = int(np.clip(round(rng.normal(7.0, 1.0)), 5, 9))
-            arrive = int(np.clip(round(rng.normal(18.0, 2.0)), 15, 21))
+            arrive = int(np.clip(round(rng.normal(18.0, 2.0)), 15, _EV_LATEST_ARRIVAL))
             # overnight plug-in split at midnight: a charge-only morning
             # segment that must be trip-ready at departure, and an evening
             # segment that may support the peak from what the trip left over

@@ -237,7 +237,6 @@ def run_clearing(
     scenario: Scenario,
     prosumer_solver: str = "exact",
     log_messages: bool = False,
-    prosumer_order: list[str] | None = None,
 ) -> ClearingResult:
     """Clear the day-ahead market by the two-loop scheme.
 
@@ -246,9 +245,9 @@ def run_clearing(
     has been published yet.  Each outer pass solves all prosumers as one
     lockstep batch, each prosumer's search starting from its root
     relaxation of the previous pass, and each network pass starts every
-    hour from its solution in the previous network pass.
-    ``prosumer_order`` only permutes the solve order; results are merged
-    by sorted id, so the outcome is independent of scheduling.  Every cone
+    hour from its solution in the previous network pass.  Prosumers are
+    solved in ``scenario.prosumers`` order and their results merged by
+    sorted id, so the outcome does not depend on that order.  Every cone
     program is solved to the solver's default 1e-9
     (``socp.solve_socp_batch``), and exact prosumer branch and bound stops
     at its default 1e-6 relative gap.
@@ -282,9 +281,6 @@ def run_clearing(
 
     bus = MessageBus(log=log_messages)
     trace = ConvergenceTrace()
-    solve_order = list(prosumer_order) if prosumer_order is not None else list(ids)
-    if sorted(solve_order) != ids:
-        raise ValueError("prosumer_order must be a permutation of prosumer ids")
 
     status = "iter_limit"
     schedules: dict[str, ProsumerSchedule] = {}
@@ -312,10 +308,10 @@ def run_clearing(
         for a in ids:
             bus.send("lmo", a, "LmoToProsumer", vars(inputs[a]), outer=k)
         solved = solve_subproblems(
-            [(assembled[a], inputs[a]) for a in solve_order], cfg,
+            [(assembled[p.id], inputs[p.id]) for p in scenario.prosumers], cfg,
             mode=prosumer_solver, starts=warm,
         )
-        schedules = dict(zip(solve_order, solved))
+        schedules = dict(sorted(zip((p.id for p in scenario.prosumers), solved)))
         p_net = {a: schedules[a].p_net for a in ids}
         for a in ids:
             bus.send(a, "lmo", "ProsumerToLmo", {"p_net": p_net[a]}, outer=k)

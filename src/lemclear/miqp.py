@@ -13,14 +13,15 @@ columns and ``restore_fixed`` puts the pinned values back into x exactly.
 There is one search, written as a generator (``_search``): it yields a
 ``(program, start)`` pair for each cone program it needs solved, a node's
 relaxation or a rounded pattern's re-solve, receives the solution and
-finally returns its ``BnBResult``.  The start is a solution the search
-already holds, restricted to the program's columns, its slacks fitted to
-the program's rows: a rounded re-solve or an integral leaf's pinned
-re-solve starts from its node's relaxation, a child node from its
-parent's, and the root from the start the caller passes (the root
-relaxation of an earlier, similar search, which ``BnBResult.root``
-returns), or cold without one.  A start only shortens a solve: a warm
-solve that fails is rescued from the cold point (see ``socp``).
+finally returns its ``BnBResult``.  The start is the (x, y, z) of a
+solution the search already holds, x restricted to the program's columns
+(the solver fits the slacks to the program's own rows): a rounded
+re-solve or an integral leaf's pinned re-solve starts from its node's
+relaxation, a child node from its parent's, and the root from the start
+the caller passes (the root relaxation of an earlier, similar search,
+which ``BnBResult.root`` returns), or cold without one.  A start only
+shortens a solve: a warm solve that fails is rescued from the cold point
+(see ``socp``).
 
 ``mbp_search`` runs it to a relative gap target; ``repair_search`` runs it
 with the target waived, so it returns the first incumbent: normally the
@@ -52,7 +53,6 @@ from .socp import (  # noqa: F401
     ConicProgram,
     ConicSolution,
     Start,
-    fitted_slack,
     solve_socp,
     solve_socp_batch,
 )
@@ -102,7 +102,7 @@ class BnBResult:
     gap: float
     nodes_explored: int
     bound: float = float("-inf")
-    # the root relaxation's (x, y, s, z), x over all columns; None unless optimal
+    # the root relaxation's (x, y, z), x over all columns; None unless optimal
     root: Start | None = None
 
 
@@ -258,14 +258,11 @@ def _pinned(
     prob: MixedBinaryProgram, fixed: dict[int, float], start: Start | None
 ) -> tuple[ConicProgram, Start | None]:
     """The relaxation with ``fixed`` substituted, and its start: ``start``
-    (over all columns) restricted to the columns kept, with the slacks
-    fitted to the pinned program's rows at that x (``socp.fitted_slack``)."""
-    prog = with_fixed_variables(prob.relaxation, fixed)
-    if start is None or not fixed:
-        return prog, start
-    x, y, _, z = start
-    keep, _ = _split(len(x), fixed)
-    return prog, (x[keep], y, fitted_slack(prog, x[keep]), z)
+    (over all columns) restricted to the columns kept."""
+    if start is not None and fixed:
+        x, y, z = start
+        start = (x[_split(len(x), fixed)[0]], y, z)
+    return with_fixed_variables(prob.relaxation, fixed), start
 
 
 def _search(
@@ -329,7 +326,7 @@ def _search(
                 unproven = min(unproven, bound)
             continue
         x = restore_fixed(sol.x, fixed)
-        relaxed = (x, sol.y, sol.s, sol.z)
+        relaxed = (x, sol.y, sol.z)
         if nodes == 1:
             root = relaxed
         if incumbent_x is not None and sol.obj >= incumbent_obj - 1e-12:

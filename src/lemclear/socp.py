@@ -85,39 +85,44 @@ is bit for bit the same alone or in any batch, in any order;
 A program's status carries its proof: OPTIMAL is backed by its residuals,
 INFEASIBLE and UNBOUNDED only by a certificate (``_classify``), and any
 other ending, diverged iterates included, is ITER_LIMIT, as ECOS reports
-infeasibility only with a certificate.  A program whose run ends
-ITER_LIMIT, warm or cold, has one rescue: it runs once more, on its own,
-from the cold point, with SuperLU's partial pivoting and the -W^2 block
-left without delta.  Diagonal pivots can shrink toward zero
-on nearly singular programs and stall the iteration.  And where a slack
-row's s has gone to zero ahead of its primal residual, its W^2 falls far
-below delta; the Newton step then leaves that residual standing as delta dz
-instead of closing it, and the refinement step removes only the share
-W^2 / (W^2 + delta) of what is left.  Partial pivoting needs no delta on
-those rows, since -W^2 is negative definite.  Whichever run ends a
-program, an optimal answer is only returned when residuals computed from
-the program itself, not from the factorization, meet the tolerance.  Each
-round evaluates the residuals once, and every ending reports the point and
-the residuals of the round it ends in: a program that converges, diverges,
-stalls, cannot be factored or reaches its iteration cap alike.
+infeasibility only with a certificate.  A program ends in one of two
+places.  At the top of a round, where the residuals are evaluated, it ends
+converged, diverged (certified or ITER_LIMIT) or at its iteration cap
+(ITER_LIMIT).  After a failed Newton step, when its KKT block factors at
+neither regularization or its step length collapsed, it ends ITER_LIMIT,
+at the round's point, which the step left as it was.  Either way the
+ending reports the point and the residuals of the round it ends in.  A
+program whose run ends ITER_LIMIT, warm or cold, has one rescue: it runs
+once more, on its own, from the cold point, with SuperLU's partial
+pivoting and the -W^2 block left without delta.  Diagonal pivots can
+shrink toward zero on nearly singular programs and stall the iteration.
+And where a slack row's s has gone to zero ahead of its primal residual,
+its W^2 falls far below delta; the Newton step then leaves that residual
+standing as delta dz instead of closing it, and the refinement step
+removes only the share W^2 / (W^2 + delta) of what is left.  Partial
+pivoting needs no delta on those rows, since -W^2 is negative definite.
+Whichever run ends a program, an optimal answer is only returned when
+residuals computed from the program itself, not from the factorization,
+meet the tolerance.
 
-A program may be given a start: the (x, y, s, z) of a solution with its
+A program may be given a start: the (x, y, z) of a solution with its
 columns, rows and cones, typically of a similar program solved just before
 (a relaxation whose binaries are now pinned, the same scheduling problem at
 new prices, or a network hour at a new loss consensus).  Its first iterate
-is the start's x and y as they are and its s and z each plus
+is the start's x and y as they are, s fitted to the program's own rows at
+that x (h - Gx projected onto the cone), and s and z each plus
 ``_WARM_SHIFT`` times the cone identity e, which moves them strictly inside
 the cone and leaves a start that is already the answer within 1e-5 of it
 (the shifted warm start of Gondzio and Grothey, SIAM J. Optim. 2002).  The
-start's s should fit the program's own rows: a caller that carries x over
-from another program fits s to them with ``fitted_slack``.  Everything
-after the first iterate is unchanged but the iteration cap: a warm program
-stops at its 50th iteration (``_WARM_MAX_ITER``) rather than its 200th
-(``_MAX_ITER``).  A warm program that ends ITER_LIMIT, at that cap or
-earlier, takes the rescue above, which starts from the cold point, so a
-bad start costs at most 50 iterations on top of the rescue.  The start
-enters only the program's own first iterate, so its answer is bit for bit
-the same alone or in any batch given the same start.
+solver fits s itself because a start's x often comes from another program:
+a pinned re-solve's from the relaxation, whose rows had other right-hand
+sides.  Everything after the first iterate is unchanged but the iteration
+cap: a warm program stops at its 50th iteration (``_WARM_MAX_ITER``) rather
+than its 200th (``_MAX_ITER``).  A warm program that ends ITER_LIMIT, at
+that cap or earlier, takes the rescue above, which starts from the cold
+point, so a bad start costs at most 50 iterations on top of the rescue.
+The start enters only the program's own first iterate, so its answer is
+bit for bit the same alone or in any batch given the same start.
 
 Every program takes this one path, including those without variables or
 without cone rows.  The barrier degree is floored at 1 so that mu stays
@@ -152,8 +157,6 @@ __all__ = [
     "ITER_LIMIT",
     "solve_socp",
     "solve_socp_batch",
-    "check_kkt",
-    "fitted_slack",
     "Start",
 ]
 
@@ -267,8 +270,8 @@ class ConicSolution:
     iterations: int = 0
 
 
-# a warm start: the (x, y, s, z) of a solution, x mapped to the program's columns
-Start = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# a warm start: the (x, y, z) of a solution, x mapped to the program's columns
+Start = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class SparseRows:
@@ -573,17 +576,6 @@ class _Cones:
             e[g[:, 0]] = 1.0
         return e
 
-    def membership_violation(self, u: np.ndarray) -> float:
-        """How far u sits outside the cone (0 when inside)."""
-        worst = 0.0
-        if len(self.nonneg_idx):
-            worst = max(worst, float(-np.min(u[self.nonneg_idx])))
-        for g in self.soc_groups:
-            blk = u[g]
-            tail = np.sqrt(_rowdot(blk[:, 1:], blk[:, 1:]))
-            worst = max(worst, float(np.max(tail - blk[:, 0])))
-        return worst
-
     def project(self, u: np.ndarray) -> np.ndarray:
         """The point of the cone nearest to u."""
         out = u.copy()
@@ -782,13 +774,13 @@ def _solution(prog: ConicProgram, status: str, point, iters: int, norms) -> Coni
     )
 
 
-def _classify(prog: ConicProgram, point, norms, scale: float = 1e8) -> str:
+def _classify(prog: ConicProgram, point, norms) -> str:
     """The status a certificate at the point (x, y, s, z) proves; ties favor infeasible.
 
     ``norms`` holds the primal and dual residual norms at the point and the
     norm of C'(y, -z) for C = [A; G].  Primal infeasibility shows as a dual
-    ray beyond ``scale`` with positive b'y - h'z and vanishing homogeneous
-    residual C'(y, -z); unboundedness as a primal ray beyond ``scale`` that
+    ray beyond 1e8 with positive b'y - h'z and vanishing homogeneous
+    residual C'(y, -z); unboundedness as a primal ray beyond 1e8 that
     stays feasible in both row sets with negative linear objective along
     the ray.  Returns INFEASIBLE or UNBOUNDED when its certificate holds,
     and ITER_LIMIT otherwise, however far the iterates have diverged.
@@ -796,10 +788,10 @@ def _classify(prog: ConicProgram, point, norms, scale: float = 1e8) -> str:
     x, y, s, z = point
     primal, _, hom = norms
     ys = _norm(y) + _norm(z)
-    if ys > scale and float(prog.b @ y - prog.h @ z) > 1e-8 * ys and hom / ys <= 1e-6:
+    if ys > 1e8 and float(prog.b @ y - prog.h @ z) > 1e-8 * ys and hom / ys <= 1e-6:
         return INFEASIBLE
     xs = _norm(x, s)
-    if xs > scale and primal / xs <= 1e-6 and float(prog.c @ x + prog.q @ (x * x)) / xs < -1e-8:
+    if xs > 1e8 and primal / xs <= 1e-6 and float(prog.c @ x + prog.q @ (x * x)) / xs < -1e-8:
         return UNBOUNDED
     return ITER_LIMIT
 
@@ -1094,9 +1086,9 @@ _WARM_MAX_ITER = 50
 
 
 def _checked_start(pat: _Pattern, start: Start) -> Start:
-    """``start`` as arrays, after checking its (x, y, s, z) sizes against the pattern's."""
+    """``start`` as arrays, after checking its (x, y, z) sizes against the pattern's."""
     parts = tuple(np.asarray(v, dtype=float) for v in start)
-    if [v.shape for v in parts] != [(pat.n,), (pat.m,), (pat.p,), (pat.p,)]:
+    if [v.shape for v in parts] != [(pat.n,), (pat.m,), (pat.p,)]:
         raise ValueError(
             f"start of sizes {[v.shape for v in parts]} for a program with "
             f"{pat.n} columns, {pat.m} equality rows and {pat.p} cone rows"
@@ -1134,14 +1126,15 @@ def solve_socp_batch(
     """Solve independent cone programs in lockstep, one solution per program.
 
     ``starts``, if given, holds one entry per program: None for the cold
-    start, or the (x, y, s, z) of a solution with that program's columns,
-    rows and cones, which the program then begins from (with (s, z) shifted
-    into the cone, see the module docstring).  Each program's solution is
-    bit for bit the one it gets alone from the same start, whatever else is
-    in the batch and in whatever order.  ``patterns``, if given, is a dict
-    that keeps what the solve derives from the programs' sparsity patterns:
-    a caller that solves programs on the same patterns again passes the same
-    dict each time, and each pattern is derived once.
+    start, or the (x, y, z) of a solution with that program's columns, rows
+    and cones, which the program then begins from (with s fitted to its
+    rows and (s, z) shifted into the cone, see the module docstring).  Each
+    program's solution is bit for bit the one it gets alone from the same
+    start, whatever else is in the batch and in whatever order.
+    ``patterns``, if given, is a dict that keeps what the solve derives from
+    the programs' sparsity patterns: a caller that solves programs on the
+    same patterns again passes the same dict each time, and each pattern is
+    derived once.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -1174,9 +1167,12 @@ def _ipm_loop(
     ends is looked at on its own.  Step lengths, centering and the
     iteration count stay each member's own.  A member that finishes leaves
     the stack, and its solution reports the point and residual norms of the
-    round it ends in.  A member ends at the start of a round when it has
-    converged, diverged or reached its iteration cap, and after the Newton
-    step when its block cannot be factored or its step collapsed.
+    round it ends in.  A member ends at the top of a round when it has
+    converged, diverged or reached its iteration cap, and ITER_LIMIT after a
+    failed Newton step, when its block cannot be factored or its step
+    collapsed.  The others go on as a stack of their own: with the same
+    round again when members ended at its top or a failed factor left
+    everyone where they were, else with the next.
     ``starts`` holds each member's warm start or None (all cold when
     omitted); a cold member stops at its ``_MAX_ITER``-th iteration, a warm
     one at its ``_WARM_MAX_ITER``-th.  ``pivoting`` chooses how the KKT
@@ -1202,38 +1198,41 @@ def _ipm_loop(
         given = [_checked_start(members[k][1], starts[k]) for k in warm]
         is_warm = np.zeros(len(members), dtype=bool)
         is_warm[warm] = True
-        for i, (v, kind) in enumerate(((x, "x"), (y, "y"), (s, "z"), (z, "z"))):
-            rows = st.spread(is_warm, kind)
-            v[rows] = np.concatenate([g[i] for g in given])
-            if kind == "z":
-                v[rows] += _WARM_SHIFT * e[rows]
+        for i, (v, kind) in enumerate(((x, "x"), (y, "y"), (z, "z"))):
+            v[st.spread(is_warm, kind)] = np.concatenate([g[i] for g in given])
+        # s fitted to the member's own rows at its x: h - Gx projected onto the cone
+        rows = st.spread(is_warm, "z")
+        s[rows] = st.cones.project(st.h - (st.C @ x)[st.m :])[rows]
+        for v in (s, z):
+            v[rows] += _WARM_SHIFT * e[rows]
 
-    def end(ended: list[int], status: str | None = None, scale: float = 1e8) -> None:
+    def end(ended: list[int], status: str | None = None) -> None:
         """The members at stack positions ``ended`` end at this round's point
         and residual norms, with ``status`` or, when None, the status
-        ``_classify`` gives at ``scale``."""
+        ``_classify`` gives."""
         for k in ended:
             prog, part = st.members[k][0], st.part(k, x, y, s, z)
-            verdict = status or _classify(prog, part, norms[k], scale)
+            verdict = status or _classify(prog, part, norms[k])
             done[live[k]] = _solution(prog, verdict, part, it, norms[k])
 
-    def drop(ended: list[int], *arrays):
-        """Take the members at stack positions ``ended`` out of the stack;
-        returns the other members' parts of each (array, kind), or None
-        when no member is left."""
-        nonlocal st, e
+    def drop(ended: list[int]) -> bool:
+        """Take the members at stack positions ``ended`` out of the stack,
+        with their parts of the iterate; False when no member is left."""
+        nonlocal st, e, x, y, s, z, live, limits
         kept = np.ones(len(st.members), dtype=bool)
         kept[ended] = False
         if not kept.any():
-            return None
-        e, *parts = st.gather(kept, (e, "z"), *arrays)
+            return False
+        e, x, y, s, z, live, limits = st.gather(
+            kept, (e, "z"), (x, "x"), (y, "y"), (s, "z"), (z, "z"), (live, "k"), (limits, "k")
+        )
         survivors = [st.members[k] for k in np.flatnonzero(kept).tolist()]
         st = None  # free the old stack and its factor before building the new one
         st = _Stack(survivors, pivoting)
-        return parts
+        return True
 
-    # every member ends in its cap's round at the latest, so the last round returns
-    for it in range(1, int(limits.max()) + 1):
+    it = 1
+    while True:
         r_d, r_p, r_g, ct_yz = st.residuals(x, y, s, z)
         gap = st.sums(s * z, "z")
         mu = gap / st.nu
@@ -1251,43 +1250,40 @@ def _ipm_loop(
             (np.maximum(st.norms(x, "x"), st.norms(s, "z")) > 1e8)
             | (st.norms(y, "y") + st.norms(z, "z") > 1e8)
         )
-        end(np.flatnonzero(optimal).tolist(), OPTIMAL)
         # a diverged member or one at its cap: a certificate or the iteration limit
-        ended = np.flatnonzero(optimal | diverged | (limits == it)).tolist()
-        end([k for k in ended if not optimal[k]])
-        state = [x, y, s, z, r_d, r_p, r_g, mu, norms, live, limits]
-        while True:
-            if ended:
-                state = drop(ended, *zip(state, "xyzzxyzkkkk"))
-                if state is None:
-                    return done
-            x, y, s, z, r_d, r_p, r_g, mu, norms, live, limits = state
-            singular, stalled = _newton_step(st, x, y, s, z, (r_d, r_p, r_g), mu, e)
-            if not singular:
-                break
-            # a member whose KKT block factors at neither regularization ends
-            # here; it has not diverged, so no certificate can hold
-            end(singular, ITER_LIMIT)
-            ended = singular
-        # a stalled member was left where it was, at the round's residuals
-        if stalled:
-            end(stalled, scale=1e5)
-            state = drop(stalled, *zip([x, y, s, z, live, limits], "xyzzkk"))
-            if state is None:
+        ended = optimal | diverged | (limits == it)
+        if ended.any():
+            end(np.flatnonzero(optimal).tolist(), OPTIMAL)
+            end(np.flatnonzero(ended & ~optimal).tolist())
+            if not drop(np.flatnonzero(ended).tolist()):
                 return done
-            x, y, s, z, live, limits = state
+            # the round again for the others, its residuals from their own
+            # stack: each member's come out bit for bit as on the larger one
+            continue
+        failed, moved = _newton_step(st, x, y, s, z, (r_d, r_p, r_g), mu, e)
+        # a member whose block factors at neither regularization, or whose
+        # step collapsed, was left where it was; it has not diverged, so no
+        # certificate can hold.  The others took their step, or, when a
+        # factor failed, take it again from the round's point.
+        end(failed, ITER_LIMIT)
+        if failed and not drop(failed):
+            return done
+        if moved:
+            it += 1
 
 
 def _newton_step(st: _Stack, x, y, s, z, r, mu: np.ndarray, e: np.ndarray):
     """One predictor-corrector step of every member of the stack, in place.
 
-    Returns the stack positions of the members whose KKT block factors at
-    neither regularization (then nothing has changed) and of those whose
-    step length collapsed (those are left where they were).  Everything
-    the step allocates, the factorization included, is freed on return,
-    before the next round allocates again: SuperLU reserves about thirty
-    times the stored entries of the matrix, and space handed back early is
-    reused rather than left behind as fragments.  For the same reason the
+    Returns ``(failed, moved)``: the stack positions of the members whose
+    KKT block factors at neither regularization, or else of those whose
+    step length collapsed, and whether the other members took their step.
+    A failed member is left where it was, and when a block does not factor
+    no member moves.  Everything the step allocates, the factorization
+    included, is freed on return, before the next round allocates again:
+    SuperLU reserves about thirty times the stored entries of the matrix,
+    and space handed back early is reused rather than left behind as
+    fragments.  For the same reason the
     predictor's temporaries are freed before the corrector allocates, and
     the factor right after the last solve: arrays that outlive the factor
     sit above it on the heap and push the next round's factor onto fresh
@@ -1303,7 +1299,7 @@ def _newton_step(st: _Stack, x, y, s, z, r, mu: np.ndarray, e: np.ndarray):
     sc, deltas = _scale_and_factor(st, s, z)
     failed = np.flatnonzero(np.isnan(deltas)).tolist()
     if failed:
-        return failed, []
+        return failed, False
     cones = st.cones
     lam_lam = _jprods(sc.lam, sc.lam)
 
@@ -1353,7 +1349,7 @@ def _newton_step(st: _Stack, x, y, s, z, r, mu: np.ndarray, e: np.ndarray):
             v[rows] += step[rows]
         else:
             v += step
-    return [], stalled
+    return stalled, True
 
 
 def _scale_and_factor(st: _Stack, s: np.ndarray, z: np.ndarray):
@@ -1375,29 +1371,3 @@ def _scale_and_factor(st: _Stack, s: np.ndarray, z: np.ndarray):
         if not np.isnan(deltas).any() and not st.factor(w2, deltas):
             raise RuntimeError("the stacked KKT matrix failed to factor where its blocks did")
     return sc, deltas
-
-
-def fitted_slack(prog: ConicProgram, x: np.ndarray) -> np.ndarray:
-    """The slack h - Gx of prog's cone rows at x, projected onto its cone:
-    the s of a start for prog whose x was solved on other rows."""
-    return _Cones(prog.cones).project(prog.h - prog.G @ x)
-
-
-def check_kkt(prog: ConicProgram, sol: ConicSolution) -> dict[str, float]:
-    """Recompute optimality residuals independently of the solver internals.
-
-    Returns the infinity norm of the primal residuals Ax - b and Gx + s - h,
-    that of the dual residual, the complementarity gap s'z and the worst
-    cone-membership violation of s and z.
-    """
-    if sol.status != OPTIMAL:
-        raise ValueError("check_kkt expects an optimal solution")
-    cones = _Cones(prog.cones)
-    x, s, z = sol.x, sol.s, sol.z
-    r_d = prog.q * x + prog.c - prog.A.T @ sol.y + prog.G.T @ z
-    return {
-        "primal": _norm(prog.A @ x - prog.b, prog.G @ x + s - prog.h),
-        "dual": _norm(r_d),
-        "gap": abs(float(s @ z)),
-        "cone": max(cones.membership_violation(s), cones.membership_violation(z)),
-    }

@@ -1,13 +1,17 @@
 """Test-only certificates of solver answers.
 
-``dual_sensitivity_probe`` checks an equality dual of a cone program by
-central finite differences on its right-hand side.  ``subproblem_I_objective``
-evaluates the coordinator's objective at any candidate point, so tests can
-check the closed form against a search or a numerical solve.  ``spy_runs``
-records the interior-point runs of cone solves, so tests can check which
-programs reach the solver's rescue, and ``uncertify_hour`` makes a network
-hour end without a certificate.  ``distflow_sweep`` solves a radial feeder's
-load flow, so tests can check the network operator's voltages and losses.
+``check_kkt`` recomputes an optimal cone solution's residuals and cone
+membership from the program itself, independently of the solver's
+internals.  ``dual_sensitivity_probe`` checks an equality dual of a cone
+program by central finite differences on its right-hand side.
+``subproblem_I_objective`` evaluates the coordinator's objective at any
+candidate point, so tests can check the closed form against a search or a
+numerical solve.  ``spy_runs`` records the interior-point runs of cone
+solves, so tests can check which programs reach the solver's rescue,
+``spy_batch_order`` the order in which a clearing hands its prosumers to
+the solver, and ``uncertify_hour`` makes a network hour end without a
+certificate.  ``distflow_sweep`` solves a radial feeder's load flow, so
+tests can check the network operator's voltages and losses.
 """
 
 from __future__ import annotations
@@ -16,10 +20,44 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from lemclear import dso, socp
+from lemclear import dso, market, socp
 from lemclear.lmo import LmoState
 from lemclear.model import AdmmConfig, NetworkModel
-from lemclear.socp import ITER_LIMIT, OPTIMAL, ConicProgram, ConicSolution, solve_socp_batch
+from lemclear.socp import (
+    ITER_LIMIT, OPTIMAL, ConicProgram, ConicSolution, _Cones, _norm, _rowdot, solve_socp_batch,
+)
+
+
+def membership_violation(cones: _Cones, u: np.ndarray) -> float:
+    """How far u sits outside the cone of the layout ``cones`` (0 when inside)."""
+    worst = 0.0
+    if len(cones.nonneg_idx):
+        worst = max(worst, float(-np.min(u[cones.nonneg_idx])))
+    for g in cones.soc_groups:
+        blk = u[g]
+        tail = np.sqrt(_rowdot(blk[:, 1:], blk[:, 1:]))
+        worst = max(worst, float(np.max(tail - blk[:, 0])))
+    return worst
+
+
+def check_kkt(prog: ConicProgram, sol: ConicSolution) -> dict[str, float]:
+    """Recompute optimality residuals independently of the solver internals.
+
+    Returns the infinity norm of the primal residuals Ax - b and Gx + s - h,
+    that of the dual residual, the complementarity gap s'z and the worst
+    cone-membership violation of s and z.
+    """
+    if sol.status != OPTIMAL:
+        raise ValueError("check_kkt expects an optimal solution")
+    cones = _Cones(prog.cones)
+    x, s, z = sol.x, sol.s, sol.z
+    r_d = prog.q * x + prog.c - prog.A.T @ sol.y + prog.G.T @ z
+    return {
+        "primal": _norm(prog.A @ x - prog.b, prog.G @ x + s - prog.h),
+        "dual": _norm(r_d),
+        "gap": abs(float(s @ z)),
+        "cone": max(membership_violation(cones, s), membership_violation(cones, z)),
+    }
 
 
 @dataclass
@@ -96,6 +134,20 @@ def spy_runs(monkeypatch) -> list[tuple[int, bool, bool]]:
 
     monkeypatch.setattr(socp, "_ipm_loop", spy)
     return runs
+
+
+def spy_batch_order(monkeypatch) -> list[list[str]]:
+    """Record, from here on, the prosumer ids of every batch of prosumer
+    programs a clearing solves, in the order the batch holds them."""
+    orders = []
+    solve = market.solve_subproblems
+
+    def spy(items, *args, **kwargs):
+        orders.append([pp.pros.id for pp, _ in items])
+        return solve(items, *args, **kwargs)
+
+    monkeypatch.setattr(market, "solve_subproblems", spy)
+    return orders
 
 
 def uncertify_hour(monkeypatch, hour: int) -> None:

@@ -2,6 +2,7 @@
 line with the measured quantity against its pinned tolerance."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,7 +19,7 @@ from lemclear.socp import (
     SecondOrder,
     solve_socp,
 )
-from certify import dual_sensitivity_probe
+from certify import dual_sensitivity_probe, spy_batch_order
 from lifted import Free, lifted
 
 
@@ -248,17 +249,26 @@ def test_09_solver_unit_suite():
     assert worst_dev <= 1e-6
 
 
-def test_10_determinism(six_bus, ieee69, ieee69_run):
+def reversed_prosumers(sc):
+    """The scenario with its prosumers listed in reverse."""
+    return replace(sc, prosumers=tuple(reversed(sc.prosumers)))
+
+
+def test_10_determinism(six_bus, ieee69, ieee69_run, monkeypatch):
     a = run_clearing(six_bus, prosumer_solver="exact", log_messages=True)
     b = run_clearing(six_bus, prosumer_solver="exact", log_messages=True)
-    ids = sorted(p.id for p in six_bus.prosumers)
-    c = run_clearing(six_bus, prosumer_solver="exact", prosumer_order=list(reversed(ids)))
     repeat_ok = a.trace.digest() == b.trace.digest() and a.trace.messages == b.trace.messages
+    # the prosumers listed in reverse: every batch holds them in reverse order
+    orders = spy_batch_order(monkeypatch)
+    c = run_clearing(reversed_prosumers(six_bus), prosumer_solver="exact")
     order_ok = a.trace.digest() == c.trace.digest()
-    ids69 = sorted(p.id for p in ieee69.prosumers)
-    d = run_clearing(ieee69, prosumer_solver="relax_repair",
-                     prosumer_order=list(reversed(ids69)))
+    n = len(orders)
+    d = run_clearing(reversed_prosumers(ieee69), prosumer_solver="relax_repair")
     order69_ok = d.trace.digest() == ieee69_run.trace.digest()
+    ids, ids69 = (sorted(p.id for p in sc.prosumers) for sc in (six_bus, ieee69))
+    assert 0 < n < len(orders)
+    assert all(o == ids[::-1] for o in orders[:n])
+    assert all(o == ids69[::-1] for o in orders[n:])
     ok = repeat_ok and order_ok and order69_ok
     _report(
         "10 determinism",

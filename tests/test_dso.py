@@ -398,6 +398,42 @@ class TestCarriedStarts:
         assert len(built) == 2 and len(starts.patterns) == 1
         assert len(starts.hours) == ieee69.horizon
 
+    def test_carried_hours_begin_with_fitted_slacks(self, ieee69, monkeypatch):
+        # each hour of the warm pass begins at the first pass's (x, y, z),
+        # with s fitted to the hour's own rows (h - Gx projected onto the
+        # cone) and s and z shifted into the cone
+        import lemclear.socp as socp
+
+        runs = []
+        loop, step = socp._ipm_loop, socp._newton_step
+
+        def run(members, *args, starts=None, **kwargs):
+            runs.append((starts, []))
+            return loop(members, *args, starts=starts, **kwargs)
+
+        def first(st, x, y, s, z, *args):
+            seen = runs[-1][1]
+            if not seen:
+                seen.extend(
+                    (prog, [v.copy() for v in st.part(k, x, y, s, z)])
+                    for k, (prog, _) in enumerate(st.members)
+                )
+            return step(st, x, y, s, z, *args)
+
+        monkeypatch.setattr(socp, "_ipm_loop", run)
+        monkeypatch.setattr(socp, "_newton_step", first)
+        self.passes(ieee69, monkeypatch)
+        warm = [r for r in runs if r[0] and any(s is not None for s in r[0])]
+        assert len(warm) == 1
+        starts, seen = warm[0]
+        assert len(seen) == len(starts) == ieee69.horizon
+        for (prog, (x, y, s, z)), (x0, y0, z0) in zip(seen, starts):
+            cones = socp._Cones(prog.cones)
+            shift = socp._WARM_SHIFT * cones.identity()
+            assert np.array_equal(x, x0) and np.array_equal(y, y0)
+            assert np.array_equal(z, z0 + shift)
+            assert np.array_equal(s, cones.project(prog.h - prog.G @ x0) + shift)
+
 
 class TestTightness:
     def test_uncongested_radial_tight(self):

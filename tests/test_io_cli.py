@@ -209,6 +209,34 @@ class TestCli:
         assert cli_main(["validate", "--scenario", str(out)]) == 0
 
     @pytest.mark.parametrize("spec_data, named", [
+        # vehicles are on by default, and the latest arrives at hour 21
+        ({"seed": 1, "horizon": 4}, "horizon 4"),
+        ({"seed": 1, "penetration": 1.0, "horizon": 21}, "horizon 21"),
+        ({"horizon": 0}, "horizon 0"),
+        ({"horizon": 0, "p_ev": 0.0}, "horizon 0"),
+    ])
+    def test_horizon_the_generator_cannot_fill_exits_2(self, tmp_path, capsys, spec_data, named):
+        # rejected before anything is written, not written and then
+        # rejected by validate
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(spec_data))
+        out = tmp_path / "scen"
+        assert cli_main(["generate", "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and named in err
+        assert not out.exists()
+
+    def test_shortest_horizon_with_vehicles_validates(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 1, "penetration": 1.0, "horizon": 22}))
+        out = tmp_path / "scen"
+        assert cli_main(["generate", "--spec", str(spec), "--out", str(out)]) == 0
+        assert cli_main(["validate", "--scenario", str(out)]) == 0
+        sc = load_scenario(out)
+        assert sc.horizon == 22
+        assert any(dev.name == "ev_pm" for p in sc.prosumers for dev in p.storages)
+
+    @pytest.mark.parametrize("spec_data, named", [
         ({"seed": 7, "penetration": 0.6, "colour": 1}, "'colour'"),
         ({"seed": 7, "penetration": "0.6"}, "'penetration'"),
         ([{"seed": 7, "penetration": 0.6}], "JSON object"),

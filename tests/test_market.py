@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ from lemclear.model import (
 from lemclear.oracle import solve_centralized
 from lemclear.prosumer import ProsumerInput, solve_subproblem_III, validate_schedule
 from lemclear.socp import SolveFailed
-from certify import spy_runs
+from certify import spy_batch_order, spy_runs
 
 T = 24
 
@@ -211,15 +211,20 @@ class TestRunClearing:
         for pid in a.schedules:
             assert np.array_equal(a.schedules[pid].p_net, b.schedules[pid].p_net)
 
-    def test_schedule_order_invariance(self):
+    def test_schedule_order_invariance(self, monkeypatch):
+        # the same prosumers listed in reverse are solved in reverse order
+        # and clear to the same digest
         sc = small_scenario()
+        orders = spy_batch_order(monkeypatch)
         a = run_clearing(sc, prosumer_solver="exact")
-        b = run_clearing(sc, prosumer_solver="exact", prosumer_order=["a2", "a1"])
+        n = len(orders)
+        b = run_clearing(replace(sc, prosumers=tuple(reversed(sc.prosumers))),
+                         prosumer_solver="exact")
+        assert 0 < n < len(orders)
+        assert all(o == ["a1", "a2"] for o in orders[:n])
+        assert all(o == ["a2", "a1"] for o in orders[n:])
         assert a.trace.digest() == b.trace.digest()
-
-    def test_bad_order_rejected(self):
-        with pytest.raises(ValueError):
-            run_clearing(small_scenario(), prosumer_order=["a1"])
+        assert list(b.schedules) == list(a.schedules) == ["a1", "a2"]
 
     def test_iteration_replay_reproduces_outputs(self):
         sc = small_scenario()

@@ -270,24 +270,39 @@ def test_uncertified_node_proves_nothing(monkeypatch, pinned):
 )
 def test_pinned_starts_fit_their_rows(monkeypatch, make):
     # a rounded re-solve or a child node starts from a relaxation with more
-    # columns; its slacks are refitted to the pinned program's own rows, so
-    # they lie in the cone and close every row on which h - Gx does
+    # columns; the solver fits its first s to the pinned program's own rows
+    # (h - Gx projected onto the cone, plus the shift), so the fitted part
+    # lies in the cone and closes every row on which h - Gx does
     import lemclear.miqp as miqp
+    import lemclear.socp as socp
 
     prob = make()
     n = prob.relaxation.n_vars
-    checked = []
+    starts, checked = {}, []
+    batch, step = miqp.solve_socp_batch, socp._newton_step
 
-    def fitted(progs, **kw):
+    def recorded(progs, **kw):
         for prog, start in zip(progs, kw.get("starts") or [None] * len(progs)):
             if start is not None and prog.n_vars < n:
-                x, _, s, _ = start
-                slack = prog.h - prog.G @ x
-                assert s.min() >= 0.0
-                assert np.abs(prog.G @ x + s - prog.h)[slack >= 0.0].max() <= 1e-12
-                checked.append(prog.n_vars)
-        return solve_socp_batch(progs, **kw)
+                starts[id(prog)] = (prog, start)
+        return batch(progs, **kw)
 
-    monkeypatch.setattr(miqp, "solve_socp_batch", fitted)
+    def first(st, x, y, s, z, *args):
+        for k, (prog, _) in enumerate(st.members):
+            if starts.get(id(prog), (None,))[0] is prog:
+                (x0, y0, z0), (xk, yk, sk, zk) = starts.pop(id(prog))[1], st.part(k, x, y, s, z)
+                cones = socp._Cones(prog.cones)
+                shift = socp._WARM_SHIFT * cones.identity()
+                fitted = cones.project(prog.h - prog.G @ x0)
+                assert np.array_equal(xk, x0) and np.array_equal(yk, y0)
+                assert np.array_equal(sk, fitted + shift) and np.array_equal(zk, z0 + shift)
+                assert fitted.min() >= 0.0
+                slack = prog.h - prog.G @ x0
+                assert np.abs(prog.G @ x0 + fitted - prog.h)[slack >= 0.0].max() <= 1e-12
+                checked.append(prog.n_vars)
+        return step(st, x, y, s, z, *args)
+
+    monkeypatch.setattr(miqp, "solve_socp_batch", recorded)
+    monkeypatch.setattr(socp, "_newton_step", first)
     res = solve_mbp(prob, mip_gap=1e-9)
     assert res.status == OPTIMAL and checked

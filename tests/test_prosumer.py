@@ -16,8 +16,8 @@ from lemclear.prosumer import (
     solve_subproblems,
     validate_schedule,
 )
-from lemclear.socp import ITER_LIMIT, OPTIMAL, check_kkt, solve_socp, solve_socp_batch
-from certify import spy_runs
+from lemclear.socp import ITER_LIMIT, OPTIMAL, solve_socp, solve_socp_batch
+from certify import check_kkt, spy_runs
 
 T = 24
 CFG = AdmmConfig()
@@ -290,7 +290,7 @@ class TestWarmStarts:
             keep = np.delete(np.arange(prog.n_vars), sorted(assign))
             cold = solve_socp(sub, tol=1e-9)
             (warm,) = solve_socp_batch(
-                [sub], tol=1e-9, starts=[(root.x[keep], root.y, root.s, root.z)]
+                [sub], tol=1e-9, starts=[(root.x[keep], root.y, root.z)]
             )
             assert cold.status == warm.status == OPTIMAL
             assert warm.iterations < cold.iterations, pros.id
@@ -465,7 +465,7 @@ def root_start(pros, prices):
     """The root relaxation of pros at other prices: what an earlier pass leaves."""
     earlier = ProsumerInput(lambda_lem=prices, p_tilde=None, lambda_p=np.zeros(H4))
     sol = solve_socp(build_subproblem(pros, earlier, CFG, 1.0, H4).mbp.relaxation, tol=1e-9)
-    return (sol.x, sol.y, sol.s, sol.z) if sol.status == OPTIMAL else None
+    return (sol.x, sol.y, sol.z) if sol.status == OPTIMAL else None
 
 
 def assert_matches_highs(result, raw, exact):

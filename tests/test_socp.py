@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from lemclear.socp import (
     ITER_LIMIT,
     OPTIMAL,
     UNBOUNDED,
+    _MAX_ITER,
     _WARM_MAX_ITER,
     _WARM_SHIFT,
     ConicProgram,
@@ -34,13 +36,11 @@ from lemclear.socp import (
     _soc_step,
     _Stack,
     _classify,
-    check_kkt,
-    fitted_slack,
     _ipm_loop,
     solve_socp,
     solve_socp_batch,
 )
-from certify import dual_sensitivity_probe, spy_runs
+from certify import check_kkt, dual_sensitivity_probe, membership_violation, spy_runs
 from lifted import Free, lifted
 
 
@@ -575,9 +575,9 @@ class TestBatchedConeAlgebra:
                 steps = _soc_step(x[g], du[g])
                 assert_rel(steps, [ref_soc_step(x[row], du[row]) for row in g])
         # cone membership, inside and outside
-        assert_rel(cones.membership_violation(x), ref.membership_violation(x))
-        assert_rel(cones.membership_violation(v), ref.membership_violation(v))
-        assert cones.membership_violation(v) > 0.0
+        assert_rel(membership_violation(cones, x), ref.membership_violation(x))
+        assert_rel(membership_violation(cones, v), ref.membership_violation(v))
+        assert membership_violation(cones, v) > 0.0
 
     @pytest.mark.parametrize(
         "u, du",
@@ -1086,6 +1086,49 @@ class TestLockstepBatch:
         for got, name in zip(together, ("lp", "bound", "lp")):
             assert_same_solution(got, alone[name])
 
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_every_ending_matches_its_run_alone(self, monkeypatch, order):
+        # one member converges, one has a KKT block that factors at neither
+        # delta (SuperLU is made to fail on its x diagonal of 0.375 + delta)
+        # and one has its step collapse (the stalled program's static run):
+        # each ends as it does alone, at the round it ends in
+        import lemclear.socp as socp
+
+        splu = spla.splu
+        marked = (0.375 + 1e-9, 0.375 + 1e-6)
+
+        def fake(A, **kwargs):
+            if np.isin(A.diagonal(), marked).any():
+                raise RuntimeError("Factor is exactly singular")
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", fake)
+        steps = []
+        step = socp._newton_step
+
+        def spy(st, *args):
+            steps.append(step(st, *args))
+            return steps[-1]
+
+        monkeypatch.setattr(socp, "_newton_step", spy)
+        singular = ConicProgram(
+            c=np.array([1.0]), A=sp.csr_matrix((0, 1)), b=np.zeros(0),
+            G=sp.csr_matrix([[-1.0]]), h=np.array([-1.0]), cones=(NonNeg(1),),
+            q=np.array([0.375]),
+        )
+        progs = [BATCH_POOL[0], singular, BATCH_POOL[14]]
+        with np.errstate(all="ignore"):
+            alone = [_ipm_loop(_members([prog]), 1e-8)[0] for prog in progs]
+            steps.clear()
+            together = _ipm_loop(_members([progs[i] for i in order]), 1e-8)
+        assert [sol.status for sol in alone] == [OPTIMAL, ITER_LIMIT, ITER_LIMIT]
+        assert alone[1].iterations == 1 and 1 < alone[2].iterations < _MAX_ITER
+        # the failed factor and the collapsed step both happened in the batch
+        assert ([order.index(1)], False) in steps
+        assert any(moved and failed for failed, moved in steps)
+        for i, sol in zip(order, together):
+            assert_same_solution(sol, alone[i])
+
 
 class TestCertifiedVerdicts:
     @pytest.mark.parametrize(
@@ -1108,8 +1151,9 @@ class TestCertifiedVerdicts:
 
 
 # ---------------------------------------------------------------------------
-# Warm starts: a member given a start begins at a blend of it and the cold
-# point, and is still bit for bit the same alone or in any batch.
+# Warm starts: a member given a start begins at its (x, y, z), with s
+# fitted to its own rows and (s, z) shifted into the cone, and is still bit
+# for bit the same alone or in any batch.
 # ---------------------------------------------------------------------------
 
 
@@ -1118,7 +1162,7 @@ def scaled_start(i, factor):
     if factor is None:
         return None
     sol = solo(i)
-    return tuple(factor * v for v in (sol.x, sol.y, sol.s, sol.z))
+    return tuple(factor * v for v in (sol.x, sol.y, sol.z))
 
 
 WARM_SOLO: dict[tuple, object] = {}
@@ -1143,6 +1187,26 @@ def rescued(i):
     return RESCUED[i]
 
 
+def first_iterates(monkeypatch):
+    """From here on, the (program, (x, y, s, z)) of each member of the first
+    Newton step of a cone solve, copied as the step receives them."""
+    import lemclear.socp as socp
+
+    first = []
+    step = socp._newton_step
+
+    def spy(st, x, y, s, z, *args):
+        if not first:
+            first.extend(
+                (prog, [v.copy() for v in st.part(k, x, y, s, z)])
+                for k, (prog, _) in enumerate(st.members)
+            )
+        return step(st, x, y, s, z, *args)
+
+    monkeypatch.setattr(socp, "_newton_step", spy)
+    return first
+
+
 class TestWarmStart:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -1163,30 +1227,24 @@ class TestWarmStart:
             assert_same_solution(sol, warm_solo(i, factor))
 
     def test_warm_member_begins_at_its_start_shifted_into_the_cone(self, monkeypatch):
-        # the warm member's first iterate is its start's x and y as given and
-        # its s and z plus _WARM_SHIFT times the cone identity, whose SOC
-        # entries past the first are 0; the cold member beside it begins at x = 0
-        import lemclear.socp as socp
-
+        # the warm member's first iterate is its start's x and y as given,
+        # its s fitted to its rows, h - Gx projected onto the cone, and s and
+        # z plus _WARM_SHIFT times the cone identity, whose SOC entries past
+        # the first are 0; the cold member beside it begins at x = 0
         i = next(k for k in range(12) if any(cb.kind == "soc" for cb in BATCH_POOL[k].cones))
-        e = _Cones(BATCH_POOL[i].cones).identity()
+        prog = BATCH_POOL[i]
+        cones = _Cones(prog.cones)
+        e = cones.identity()
         assert 0.0 < e.sum() < len(e)
-        x, y, s, z = start = scaled_start(i, 0.5)
-        first = []
-        step = socp._newton_step
-
-        def spy(st, x, y, s, z, *args):
-            if not first:
-                first.extend(
-                    [v.copy() for v in st.part(k, x, y, s, z)] for k in range(len(st.members))
-                )
-            return step(st, x, y, s, z, *args)
-
-        monkeypatch.setattr(socp, "_newton_step", spy)
-        solve_socp_batch([BATCH_POOL[1], BATCH_POOL[i]], tol=1e-8, starts=[None, start])
-        cold, warm = first
+        # x of the wrong sign, so that h - Gx leaves the cone
+        x, y, z = start = (-solo(i).x, *scaled_start(i, 0.5)[1:])
+        fitted = cones.project(prog.h - prog.G @ x)
+        assert not np.array_equal(fitted, prog.h - prog.G @ x)
+        first = first_iterates(monkeypatch)
+        solve_socp_batch([BATCH_POOL[1], prog], tol=1e-8, starts=[None, start])
+        (_, cold), (_, warm) = first
         assert not cold[0].any()
-        for got, want in zip(warm, (x, y, s + _WARM_SHIFT * e, z + _WARM_SHIFT * e)):
+        for got, want in zip(warm, (x, y, fitted + _WARM_SHIFT * e, z + _WARM_SHIFT * e)):
             assert np.array_equal(got, want)
 
     def test_start_from_the_solution_saves_iterations(self):
@@ -1195,15 +1253,15 @@ class TestWarmStart:
             assert warm_solo(i, 1.0).iterations < solo(i).iterations
 
     def test_failed_warm_start_is_rerun_cold(self, monkeypatch):
-        # s far outside the cone: the warm run ends at once without a
+        # z far outside the cone: the warm run ends at once without a
         # certificate, and the rescue gives exactly the answer of a cold run
         # under partial pivoting, which agrees with the cold solve's
         cold, rescue = solo(0), rescued(0)
-        x, y, s, z = scaled_start(0, 1.0)
+        x, y, z = scaled_start(0, 1.0)
         solo(1)
         runs = spy_runs(monkeypatch)
         warm, other = solve_socp_batch(
-            [BATCH_POOL[0], BATCH_POOL[1]], tol=1e-8, starts=[(x, y, -10.0 * s - 1.0, z), None]
+            [BATCH_POOL[0], BATCH_POOL[1]], tol=1e-8, starts=[(x, y, -10.0 * z - 1.0), None]
         )
         assert runs == [(2, False, True), (1, True, False)]
         assert warm.status == rescue.status == cold.status == OPTIMAL
@@ -1257,9 +1315,11 @@ class TestWarmStart:
 
     def test_start_sizes_checked(self):
         prog = BATCH_POOL[0]
-        x, y, s, z = scaled_start(0, 1.0)
+        x, y, z = scaled_start(0, 1.0)
         with pytest.raises(ValueError, match="start of sizes"):
-            solve_socp_batch([prog], starts=[(x[:-1], y, s, z)])
+            solve_socp_batch([prog], starts=[(x[:-1], y, z)])
+        with pytest.raises(ValueError, match="start of sizes"):
+            solve_socp_batch([prog], starts=[(x, y, z, z)])
         with pytest.raises(ValueError, match="1 starts for 2 programs"):
             solve_socp_batch([prog, prog], starts=[None])
 
@@ -1275,18 +1335,27 @@ class TestFittedSlack:
         cones = _Cones((NonNeg(3), SecondOrder(3), NonNeg(1), SecondOrder(4), SecondOrder(3)))
         u = rng.normal(size=cones.n) * rng.uniform(0.1, 10.0)
         p = cones.project(u)
-        assert cones.membership_violation(p) <= 1e-15 * np.abs(u).max()
-        assert cones.membership_violation(p - u) <= 1e-15 * np.abs(u).max()
+        assert membership_violation(cones, p) <= 1e-15 * np.abs(u).max()
+        assert membership_violation(cones, p - u) <= 1e-15 * np.abs(u).max()
         assert abs(p @ (p - u)) <= 1e-12 * (1.0 + u @ u)
         inside = p + cones.identity()
         assert np.array_equal(cones.project(inside), inside)
 
-    def test_solution_slack_is_refitted_to_itself(self):
-        # at a solution's x, h - Gx is the solution's s up to its residual
-        for i in range(12):
-            sol = solo(i)
-            fitted = fitted_slack(BATCH_POOL[i], sol.x)
-            assert np.abs(fitted - sol.s).max() <= 2.0 * sol.residuals["primal"] + 1e-15
+    def test_solution_slack_is_refitted_to_itself(self, monkeypatch):
+        # started from its own solution, each program's first s is h - Gx
+        # projected onto the cone, plus the shift: the solution's s up to
+        # its residual
+        first = first_iterates(monkeypatch)
+        starts = [scaled_start(i, 1.0) for i in range(12)]
+        solve_socp_batch(BATCH_POOL[:12], tol=1e-8, starts=starts)
+        assert len(first) == 12
+        for i, (prog, (x, _, s, _)) in enumerate(first):
+            assert prog is BATCH_POOL[i]
+            cones = _Cones(prog.cones)
+            e = cones.identity()
+            assert np.array_equal(s, cones.project(prog.h - prog.G @ x) + _WARM_SHIFT * e)
+            gap = np.abs(s - _WARM_SHIFT * e - solo(i).s).max()
+            assert gap <= 2.0 * solo(i).residuals["primal"] + 1e-15
 
 
 def recomputed_residuals(prog, sol):
@@ -1465,7 +1534,7 @@ def flat_newton_step(st, x, y, s, z, r, mu, e):
     w_nn, soc_w, lam, deltas = flat_scale_and_factor(st, s, z)
     failed = [k for k, d in enumerate(deltas) if d is None]
     if failed:
-        return failed, []
+        return failed, False
     cones = st.cones
     lam_lam = flat_jprod_all(cones, lam, lam)
     mu, nu = mu.tolist(), st.nu.tolist()
@@ -1503,7 +1572,7 @@ def flat_newton_step(st, x, y, s, z, r, mu, e):
             v[rows] += step[rows]
         else:
             v += step
-    return [], stalled
+    return stalled, True
 
 
 def layout_program(rng, cones, m):
@@ -1580,16 +1649,21 @@ def assert_round_is_bit_identical(monkeypatch, seed, singular_at, expect, layout
         want = flat_newton_step(st, *theirs, r, mu, e)
     assert got == want == expect
     assert factored and all(np.array_equal(a, b) for a, b in zip(ours, theirs))
-    if not expect[0]:
+    failed, moved = expect
+    if moved:
         member_1 = np.split(st.delta, np.cumsum(st.sizes)[:-1])[1]
         assert set(member_1) == {1e-6 if singular_at else 1e-9}
-    moved = [not np.array_equal(a, b) for a, b in zip(ours, state)]
-    assert moved == [not expect[0]] * 4
+    # every vector moves when the others step; a failed member stays put
+    changed = [not np.array_equal(a, b) for a, b in zip(ours, state)]
+    assert changed == [moved] * 4
+    for k in failed:
+        for a, b, kind in zip(ours, state, "xyzz"):
+            assert np.array_equal(a[st.span(kind, k)], b[st.span(kind, k)])
 
 
 ROUND_CASES = pytest.mark.parametrize(
     "singular_at, expect",
-    [((), ([], [2])), ((-1e-9,), ([], [2])), ((-1e-9, -1e-6), ([1], []))],
+    [((), ([2], True)), ((-1e-9,), ([2], True)), ((-1e-9, -1e-6), ([1], False))],
     ids=["delta 1e-9", "member 1 at 1e-6", "member 1 singular"],
 )
 
