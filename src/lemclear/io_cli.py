@@ -204,12 +204,15 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _write_json(path: Path, data) -> None:
+    """``data`` as indented JSON with sorted keys and a final newline."""
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def write_tables(tables: ScenarioTables, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.json").write_text(
-        json.dumps(tables.manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "manifest.json", tables.manifest)
     for name in _FILES:
         rows = getattr(tables, name)
         cols = _COLUMNS[name]
@@ -763,9 +766,7 @@ def emit_results(result: ClearingResult, out_dir: str | Path, scenario: Scenario
         },
         "trace_digest": result.trace.digest(),
     }
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "summary.json", summary)
     if result.trace.messages:
         with open(out / "messages.jsonl", "w", encoding="utf-8") as fh:
             for msg in result.trace.messages:
@@ -820,10 +821,7 @@ def _failed(args, code: int, message: str, payload: dict) -> int:
     print(message, file=sys.stderr)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "summary.json").write_text(
-        json.dumps({**payload, "mode": args.mode}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(out / "summary.json", {**payload, "mode": args.mode})
     return code
 
 
@@ -892,9 +890,7 @@ def cli_main(argv: list[str] | None = None) -> int:
                 "violations": res.violations,
                 "assumptions": res.meta,
             }
-            (out / "summary.json").write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            _write_json(out / "summary.json", payload)
             print(f"mode={res.mode} objective={res.objective:.4f}")
             return 0
     except DsoInfeasible as exc:

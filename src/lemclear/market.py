@@ -124,10 +124,9 @@ class InnerRecord:
 
 @dataclass
 class IterationIO:
-    """Recorded inputs/outputs of one outer pass, for replay checks."""
+    """The prosumers' net powers of one outer pass, which the digest hashes."""
 
     k: int
-    inputs: dict[str, ProsumerInput]
     p_net: dict[str, np.ndarray]
 
 
@@ -315,7 +314,7 @@ def run_clearing(
         p_net = {a: schedules[a].p_net for a in ids}
         for a in ids:
             bus.send(a, "lmo", "ProsumerToLmo", {"p_net": p_net[a]}, outer=k)
-        trace.replay.append(IterationIO(k, inputs, {a: p_net[a].copy() for a in ids}))
+        trace.replay.append(IterationIO(k, {a: p_net[a].copy() for a in ids}))
 
         p_node = lmo_mod.aggregate_to_nodes(psi, p_net, scenario)
 

@@ -176,7 +176,7 @@ def solve_centralized(
     for a in ids:
         pp = pros_programs[a]
         xs = x[pros_off[a] : pros_off[a] + pp.mbp.relaxation.n_vars]
-        sched = pros_mod._extract(pp, xs, 0.0, 0.0)
+        sched = pros_mod._extract(pp, xs, 0.0)
         payment = float(np.sum(sched.p_net * dlmp[pros_by_id[a].bus_id]) * dt)
         sched.cost_energy = payment
         sched.objective = payment + sched.cost_devices

@@ -93,7 +93,6 @@ class ProsumerSchedule:
     cost_energy: float
     cost_devices: float
     objective: float
-    solver_gap: float = 0.0
 
 
 @dataclass
@@ -308,7 +307,7 @@ def build_subproblem(
     return pose_subproblem(assemble_prosumer(pros, dt, horizon), inp, cfg)
 
 
-def _extract(pp: ProsumerProgram, x: np.ndarray, obj: float, gap: float) -> ProsumerSchedule:
+def _extract(pp: ProsumerProgram, x: np.ndarray, obj: float) -> ProsumerSchedule:
     pros, T, dt = pp.pros, pp.horizon, pp.dt
     p_net = x[pp.p_net : pp.p_net + T].copy()
     p_pv = [x[o : o + T].copy() for o in pp.pv]
@@ -346,7 +345,6 @@ def _extract(pp: ProsumerProgram, x: np.ndarray, obj: float, gap: float) -> Pros
         cost_energy=cost_energy,
         cost_devices=cost_dev,
         objective=obj,
-        solver_gap=gap,
     )
 
 
@@ -405,7 +403,7 @@ def solve_subproblems(
             raise SolveFailed(f"prosumer {pp.pros.id}", res.status)
         held[pp.pros.id] = res.root
     return [
-        _extract(pp, res.x_incumbent, res.obj_incumbent, res.gap) for pp, res in zip(pps, results)
+        _extract(pp, res.x_incumbent, res.obj_incumbent) for pp, res in zip(pps, results)
     ]
 
 

@@ -52,10 +52,11 @@ ordering, so no elimination crosses blocks.
 
 A round (``_newton_step``) does its cone work once, in this order.  It
 computes the NT scaling (``_Scaling``): s and z gathered into blocks, per
-block w, sqrt(w), sqrt(w)^-1 and lambda with their determinants, which
-every later product with W, W^-1, W^2 or lambda reads instead of
-recomputing.  It refills the KKT data by adding the round's delta and -W^2
-onto the constant weights (Q, C' and C), which the stack summed once.
+second-order block the closed form's beta, w and v from det s and det z,
+and lambda with its determinant, which every later product with W, W^-1,
+W^2 or lambda reads instead of recomputing.  It refills the KKT data by
+adding the round's delta and -W^2 onto the constant weights (Q, C' and
+C), which the stack summed once.
 The predictor and the corrector then each solve once and search one step
 over s and z together; the corrector reuses the predictor's W dz, and the
 round's intermediates stay blocks, written out as vectors on the slack
@@ -317,14 +318,21 @@ class SparseRows:
 # Jordan-algebra primitives for second-order cones, batched by block size.
 #
 # For u = (u0, ub) the cone is u0 >= ||ub||; the algebra has identity
-# e = (1, 0), product u o v = (u'v, u0*vb + v0*ub) and determinant
-# det(u) = u0^2 - ||ub||^2.  The quadratic representation
-# P(u) v = 2 u (u'v) - det(u) (v0, -vb) gives the NT scaling point in
-# closed form:  w = P(sqrt(x)) (P(sqrt(x)) z)^(-1/2)  satisfies P(w) z = x.
+# e = (1, 0), product u o v = (u'v, u0*vb + v0*ub), determinant
+# det(u) = u0^2 - ||ub||^2 and reflection J u = (u0, -ub).  The NT scaling
+# of a block at (s, z) has a closed form (Vandenberghe, "The CVXOPT linear
+# and quadratic cone program solvers", 2010, section 6): with s and z
+# normalized to determinant 1, s' = s / sqrt(det s) and z' = z / sqrt(det z),
+#
+#     w = (s' + J z') / sqrt(2 (1 + s'z')),   v = (w + e) / sqrt(2 (w0 + 1)),
+#     beta = (det s / det z)^(1/4),
+#
+# W = beta (2 v v' - J) is the symmetric W with W^2 z = s, W^-1 =
+# (2 J v v' J - J) / beta, W^2 = beta^2 (2 w w' - J), and lambda = W z has
+# det(lambda) = sqrt(det s * det z).
 #
 # Every helper takes (n_blocks, k) arrays holding one cone block of size k
-# per row, and works row by row.  Those that need det(u) of their first
-# argument take it as ``det`` when the caller already holds it.
+# per row, and works row by row.
 # ---------------------------------------------------------------------------
 
 
@@ -336,19 +344,16 @@ def _jdet(u: np.ndarray) -> np.ndarray:
     return u[:, 0] * u[:, 0] - _rowdot(u[:, 1:], u[:, 1:])
 
 
-def _jsqrt(u: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
-    root = np.sqrt(np.maximum(_jdet(u) if det is None else det, 0.0))
-    s = np.sqrt(np.maximum((u[:, 0] + root) / 2.0, 1e-300))
-    out = u / (2.0 * s)[:, None]
-    out[:, 0] = s
+def _reflect(u: np.ndarray) -> np.ndarray:
+    """J u = (u0, -ub)."""
+    out = -u
+    out[:, 0] = u[:, 0]
     return out
 
 
-def _jinv(u: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
-    det = _jdet(u) if det is None else det
-    out = -u / det[:, None]
-    out[:, 0] = u[:, 0] / det
-    return out
+def _nt_product(beta: np.ndarray, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """beta (2 v v'u - J u): W u, or W^-1 u given 1 / beta and J v."""
+    return beta[:, None] * (2.0 * _rowdot(v, u)[:, None] * v - _reflect(u))
 
 
 def _jprod(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -364,25 +369,6 @@ def _jdiv(lam: np.ndarray, d: np.ndarray, det: np.ndarray | None = None) -> np.n
     out[:, 0] = (lam[:, 0] * d[:, 0] - _rowdot(lam[:, 1:], d[:, 1:])) / det
     out[:, 1:] = (d[:, 1:] - out[:, :1] * lam[:, 1:]) / lam[:, :1]
     return out
-
-
-def _papply(u: np.ndarray, v: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
-    """Quadratic representation P(u) applied to v."""
-    det = (_jdet(u) if det is None else det)[:, None]
-    out = 2.0 * _rowdot(u, v)[:, None] * u
-    out[:, :1] -= det * v[:, :1]
-    out[:, 1:] += det * v[:, 1:]
-    return out
-
-
-def _pmat(u: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
-    """P(u) as a stack of dense k x k matrices, 2uu' - det(u) R."""
-    k = u.shape[1]
-    det = (_jdet(u) if det is None else det)[:, None, None]
-    m = 2.0 * (u[:, :, None] * u[:, None, :])
-    m[:, :1, :1] -= det
-    m[:, 1:, 1:] += det * np.eye(k - 1)
-    return m
 
 
 def _soc_step(u: np.ndarray, du: np.ndarray) -> np.ndarray:
@@ -636,10 +622,10 @@ class _Scaling:
     """The NT scaling of a layout at (s, z), with what each product with it reuses.
 
     Everything is held as blocks (see ``_Cones.blocks``): s and z, the
-    NonNeg weights sqrt(s / z), and per SOC size group w, sqrt(w) and
-    sqrt(w)^-1 with their determinants, and lambda = W^-1 s = W z with its
-    determinants.  A round of the interior point computes it once, and every
-    product with W, W^-1, W^2 or lambda in the round reads it.
+    NonNeg weights sqrt(s / z), per SOC size group the closed form's beta,
+    w and v (see the comment above ``_rowdot``), and lambda = W^-1 s = W z
+    with its determinants.  A round of the interior point computes it once,
+    and every product with W, W^-1, W^2 or lambda in the round reads it.
     """
 
     def __init__(self, cones: _Cones, s: np.ndarray, z: np.ndarray):
@@ -647,31 +633,38 @@ class _Scaling:
         s_nn, z_nn = self.s[0], self.z[0]
         self.w_nn = np.sqrt(s_nn / z_nn)
         self.lam = [np.sqrt(s_nn * z_nn)]
-        self.soc = []  # per group (w, det w, sqrt w, its det, sqrt(w)^-1, its det)
+        self.soc = []  # per group (beta, w, v)
+        self.det_lam = []
         for sb, zb in zip(self.s[1:], self.z[1:]):
-            t = _jsqrt(sb)
-            det_t = _jdet(t)
-            w = _papply(t, _jinv(_jsqrt(_papply(t, zb, det_t))), det_t)
-            det_w = _jdet(w)
-            wh = _jsqrt(w, det_w)
-            det_wh = _jdet(wh)
-            whi = _jinv(wh, det_wh)
-            det_whi = _jdet(whi)
-            self.soc.append((w, det_w, wh, det_wh, whi, det_whi))
-            self.lam.append(_papply(whi, sb, det_whi))
-        self.det_lam = [_jdet(lam) for lam in self.lam[1:]]
+            rs, rz = np.sqrt(_jdet(sb)), np.sqrt(_jdet(zb))
+            sn, zn = sb / rs[:, None], zb / rz[:, None]
+            w = (sn + _reflect(zn)) / np.sqrt(2.0 * (1.0 + _rowdot(sn, zn)))[:, None]
+            v = w.copy()
+            v[:, 0] += 1.0
+            v /= np.sqrt(2.0 * (w[:, 0] + 1.0))[:, None]
+            beta = np.sqrt(rs / rz)
+            self.soc.append((beta, w, v))
+            self.lam.append(_nt_product(beta, v, zb))
+            self.det_lam.append(rs * rz)
 
     def w2_values(self) -> np.ndarray:
-        """Entries of W^2 at the layout's (w2_rows, w2_cols): s/z on NonNeg, P(w) on SOC."""
-        return np.concatenate(
-            [self.w_nn * self.w_nn] + [_pmat(w, det_w).ravel() for w, det_w, *_ in self.soc]
-        )
+        """Entries of W^2 at the layout's (w2_rows, w2_cols): s/z on NonNeg,
+        beta^2 (2 w w' - J) on SOC."""
+        out = [self.w_nn * self.w_nn]
+        for beta, w, _ in self.soc:
+            m = 2.0 * (w[:, :, None] * w[:, None, :])
+            m[:, 0, 0] -= 1.0
+            m[:, 1:, 1:] += np.eye(w.shape[1] - 1)
+            out.append(((beta * beta)[:, None, None] * m).ravel())
+        return np.concatenate(out)
 
     def apply(self, u: list[np.ndarray], inverse: bool = False) -> list[np.ndarray]:
         """W (inverse=False) or W^-1 (inverse=True) applied to the blocks u."""
         out = [u[0] / self.w_nn if inverse else u[0] * self.w_nn]
-        for (_, _, wh, det_wh, whi, det_whi), ub in zip(self.soc, u[1:]):
-            out.append(_papply(whi, ub, det_whi) if inverse else _papply(wh, ub, det_wh))
+        for (beta, _, v), ub in zip(self.soc, u[1:]):
+            out.append(
+                _nt_product(1.0 / beta, _reflect(v), ub) if inverse else _nt_product(beta, v, ub)
+            )
         return out
 
     def lam_div(self, d: list[np.ndarray]) -> list[np.ndarray]:

@@ -120,17 +120,22 @@ def subproblem_I_objective(
     return val
 
 
-def spy_runs(monkeypatch) -> list[tuple[int, bool, bool]]:
+def spy_runs(monkeypatch, statuses: list | None = None) -> list[tuple[int, bool, bool]]:
     """Record every interior-point run of ``socp`` from here on as (members,
     pivoting, warm): how many programs ran together, whether under partial
-    pivoting (the rescue runs so), and whether any of them had a start."""
+    pivoting (the rescue runs so), and whether any of them had a start.
+    ``statuses``, if given, receives the statuses each run returns, one list
+    per run in the same order."""
     runs = []
     loop = socp._ipm_loop
 
     def spy(members, *args, **kwargs):
         warm = any(s is not None for s in kwargs.get("starts") or ())
         runs.append((len(members), kwargs.get("pivoting", False), warm))
-        return loop(members, *args, **kwargs)
+        sols = loop(members, *args, **kwargs)
+        if statuses is not None:
+            statuses.append([sol.status for sol in sols])
+        return sols
 
     monkeypatch.setattr(socp, "_ipm_loop", spy)
     return runs

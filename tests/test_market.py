@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lemclear.dso import DsoInput
+from lemclear.dso import DsoInput, check_tightness
 from lemclear.io_cli import GeneratorSpec, assemble_scenario, generate_tables
 from lemclear.market import (
     MESSAGE_SCHEMA,
@@ -26,7 +26,7 @@ from lemclear.model import (
 )
 from lemclear.oracle import solve_centralized
 from lemclear.prosumer import ProsumerInput, solve_subproblem_III, validate_schedule
-from lemclear.socp import SolveFailed
+from lemclear.socp import OPTIMAL, SolveFailed
 from certify import spy_batch_order, spy_runs
 
 T = 24
@@ -227,12 +227,21 @@ class TestRunClearing:
         assert list(b.schedules) == list(a.schedules) == ["a1", "a2"]
 
     def test_iteration_replay_reproduces_outputs(self):
+        # each pass's prosumer input, rebuilt from the message that carried
+        # it, gives back the net power the pass recorded
         sc = small_scenario()
-        res = run_clearing(sc, prosumer_solver="exact")
+        res = run_clearing(sc, prosumer_solver="exact", log_messages=True)
         pros = {p.id: p for p in sc.prosumers}
+        sent = {
+            (msg["outer"], msg["recipient"]): ProsumerInput(**{
+                f: None if v is None else np.array(v) for f, v in msg["payload"].items()
+            })
+            for msg in res.trace.messages if msg["type"] == "LmoToProsumer"
+        }
+        assert len(sent) == len(res.trace.replay) * len(pros)
         for io in res.trace.replay:
             for a, pn in io.p_net.items():
-                redo = solve_subproblem_III(pros[a], io.inputs[a], sc.admm, sc.dt, T, mode="exact")
+                redo = solve_subproblem_III(pros[a], sent[io.k, a], sc.admm, sc.dt, T, mode="exact")
                 assert np.max(np.abs(redo.p_net - pn)) <= 1e-9
 
     def test_all_schedules_feasible(self):
@@ -303,7 +312,7 @@ class TestPrivacy:
 
 
 def test_carried_network_state_stays_with_the_operator(monkeypatch):
-    # a dense clearing (a prosumer at every load point, exact search,
+    # a dense night clearing (a prosumer at every load point, exact search,
     # messages logged): the one network state the clearing carries from pass
     # to pass travels in no message and feeds no digest
     import lemclear.market as market
@@ -318,8 +327,18 @@ def test_carried_network_state_stays_with_the_operator(monkeypatch):
         return solve(*args, starts=starts, **kwargs)
 
     monkeypatch.setattr(market, "solve_dso_subproblem", spy)
+    statuses = []
+    runs = spy_runs(monkeypatch, statuses)
     res = run_clearing(sc, prosumer_solver="exact", log_messages=True)
     assert res.status == "converged"
+    # a few prosumer programs end their static run with a collapsed step:
+    # the rescue settles each one, and the schedules and the network hold
+    assert all(
+        st == [OPTIMAL] for (_, pivoting, _), st in zip(runs, statuses) if pivoting
+    )
+    for p in sc.prosumers:
+        assert validate_schedule(p, res.schedules[p.id], sc.dt) == []
+    assert check_tightness(res.dso).ok
     state = carried[0]
     assert len(carried) > 1 and all(s is state for s in carried)
     assert len(state.hours) == sc.horizon

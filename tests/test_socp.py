@@ -21,17 +21,17 @@ from lemclear.socp import (
     SecondOrder,
     _Cones,
     _DIAGONAL_PIVOTS,
+    _jdet,
     _jdiv,
-    _jinv,
     _jprod,
     _jprods,
-    _jsqrt,
     _members,
     _newton_step,
-    _papply,
+    _nt_product,
     _Pattern,
     _pattern_key,
-    _pmat,
+    _reflect,
+    _rowdot,
     _Scaling,
     _soc_step,
     _Stack,
@@ -296,10 +296,12 @@ class TestSensitivityProbe:
 
 # ---------------------------------------------------------------------------
 # Reference implementation: the per-block Jordan algebra and KKT assembly
-# that the size-grouped versions in socp replaced, restated for cone rows.  The batched code sums in
-# a different order, so it must agree to relative 1e-12 in the infinity norm
-# (infinite entries exactly); the KKT pattern is pure data movement and must
-# agree exactly.
+# that the size-grouped versions in socp replaced, restated for cone rows.
+# Its NT scaling is the Jordan-algebra derivation W = P(w^(1/2)) with
+# w = P(s^(1/2)) (P(s^(1/2)) z)^(-1/2), which socp replaced by the closed
+# form.  The batched code sums in a different order, so it must agree to
+# relative 1e-12 in the infinity norm (infinite entries exactly); the KKT
+# pattern is pure data movement and must agree exactly.
 # ---------------------------------------------------------------------------
 
 
@@ -523,19 +525,24 @@ def interior_point(rng, cones):
     return u
 
 
-def spread(cones, per_group):
-    """Scatter per-group (n_blocks, k) arrays into a full-length vector."""
-    out = np.zeros(cones.n)
-    for g, v in zip(cones.soc_groups, per_group):
-        out[g] = v
-    return out
+def scaling_matrix(cones, sc, inverse=False):
+    """W (or W^-1) of the scaling ``sc`` as a dense matrix, column by column."""
+    return np.column_stack([
+        cones.flat(sc.apply(cones.blocks(col), inverse)) for col in np.eye(cones.n)
+    ])
 
 
-def spread_ref(ref, per_block):
-    out = np.zeros(ref.n)
-    for (o, k), v in zip(ref.soc_blocks, per_block):
-        out[o : o + k] = v
-    return out
+def near_boundary_point(rng, cones, gap):
+    """Random SOC blocks with u0 = ||ub|| (1 + gap), their sizes spread over
+    six orders of magnitude."""
+    u = np.empty(sum(cb.size for cb in cones))
+    off = 0
+    for cb in cones:
+        t = rng.normal(size=cb.size) * 10.0 ** rng.uniform(-3.0, 3.0)
+        t[0] = np.linalg.norm(t[1:]) * (1.0 + gap)
+        u[off : off + cb.size] = t
+        off += cb.size
+    return u
 
 
 class TestBatchedConeAlgebra:
@@ -549,11 +556,6 @@ class TestBatchedConeAlgebra:
         rw_nn, rsoc_w, rlam = ref.compute_scaling(x, z)
         assert_rel(sc.w_nn, rw_nn)
         assert_rel(cones.flat(sc.lam), rlam)
-        for part, ours in enumerate((0, 2, 4)):  # w, sqrt(w), sqrt(w)^-1
-            assert_rel(
-                spread(cones, [t[ours] for t in sc.soc]),
-                spread_ref(ref, [t[part] for t in rsoc_w]),
-            )
         W2 = ref.w2_matrix(rw_nn, rsoc_w)
         assert_rel(w2_matrix(cones, sc.w2_values()).toarray(), W2.toarray())
         v = rng.normal(size=cones.n)
@@ -562,6 +564,13 @@ class TestBatchedConeAlgebra:
         for inverse in (False, True):
             assert_rel(
                 cones.flat(sc.apply(vb, inverse)), ref.apply_w(rw_nn, rsoc_w, v, inverse)
+            )
+            # W and W^-1 as matrices, column by column
+            assert_rel(
+                scaling_matrix(cones, sc, inverse),
+                np.column_stack([
+                    ref.apply_w(rw_nn, rsoc_w, col, inverse) for col in np.eye(cones.n)
+                ]),
             )
         assert_rel(cones.flat(_jprods(cones.blocks(x), vb)), ref.jprod_all(x, v))
         assert_rel(cones.flat(sc.lam_div(vb)), ref.jdiv_all(rlam, v))
@@ -578,6 +587,37 @@ class TestBatchedConeAlgebra:
         assert_rel(membership_violation(cones, x), ref.membership_violation(x))
         assert_rel(membership_violation(cones, v), ref.membership_violation(v))
         assert membership_violation(cones, v) > 0.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("gap", [1e-6, 1e-9])
+    def test_scaling_holds_near_the_boundary(self, seed, gap):
+        # s and z each within gap (relative) of the cone's boundary, so their
+        # determinants are about 2 gap u0^2.  The identities are measured
+        # against the size of the terms they sum, per block: where s and z
+        # are nearly complementary, W^2 has a condition number near 1/gap^2,
+        # and a perturbation of s or z by one rounding already moves W^2 z - s
+        # by about that times the machine epsilon relative to s.
+        rng = np.random.default_rng(seed)
+        layout = tuple(SecondOrder(int(k)) for k in rng.integers(2, 6, size=40))
+        cones = _Cones(layout)
+        s, z = near_boundary_point(rng, layout, gap), near_boundary_point(rng, layout, gap)
+        sc = _Scaling(cones, s, z)
+        W2 = w2_matrix(cones, sc.w2_values()).toarray()
+        W, Wi = scaling_matrix(cones, sc), scaling_matrix(cones, sc, inverse=True)
+        assert np.isfinite(W2).all() and np.isfinite(W).all() and np.isfinite(Wi).all()
+
+        def norm(u):  # the infinity norm of a vector or a matrix
+            return np.max(np.abs(u) if u.ndim == 1 else np.abs(u).sum(axis=1))
+
+        off = 0
+        for cb in layout:
+            b = slice(off, off + cb.size)
+            off += cb.size
+            s_b, z_b, W2_b, W_b, Wi_b = s[b], z[b], W2[b, b], W[b, b], Wi[b, b]
+            assert norm(W2_b @ z_b - s_b) <= 1e-12 * (norm(W2_b) * norm(z_b) + norm(s_b))
+            assert norm(W_b @ z_b - Wi_b @ s_b) <= 1e-12 * (
+                norm(W_b) * norm(z_b) + norm(Wi_b) * norm(s_b)
+            )
 
     @pytest.mark.parametrize(
         "u, du",
@@ -1294,12 +1334,12 @@ class TestWarmStart:
         assert sol.status == ITER_LIMIT and sol.iterations == 1
 
     def test_warm_run_is_capped(self, monkeypatch):
-        # from twice its own solution the stalled program neither converges
-        # nor stalls under static pivots; the warm run stops at its cap and the
-        # rescue settles it as it does without a start
+        # from 1.5 times its own solution the stalled program neither
+        # converges nor stalls under static pivots; the warm run stops at its
+        # cap and the rescue settles it as it does without a start
         cold, rescue = solo(14), rescued(14)
         runs = spy_runs(monkeypatch)
-        (warm,) = solve_socp_batch([BATCH_POOL[14]], tol=1e-8, starts=[scaled_start(14, 2.0)])
+        (warm,) = solve_socp_batch([BATCH_POOL[14]], tol=1e-8, starts=[scaled_start(14, 1.5)])
         assert runs == [(1, False, True), (1, True, False)]
         assert warm.status == cold.status == OPTIMAL
         for attr in ("x", "y", "s", "z"):
@@ -1398,7 +1438,7 @@ class TestReportedResiduals:
         assert_reports_its_point(BATCH_POOL[14], sol)
 
     def test_capped_run_reports_its_last_round(self):
-        start = scaled_start(14, 2.0)
+        start = scaled_start(14, 1.5)
         with np.errstate(all="ignore"):
             (sol,) = _ipm_loop(_members([BATCH_POOL[14]]), 1e-8, starts=[start])
         assert sol.status == ITER_LIMIT and sol.iterations == _WARM_MAX_ITER
@@ -1407,14 +1447,16 @@ class TestReportedResiduals:
 
 # ---------------------------------------------------------------------------
 # One interior-point round against a flat round: the same Newton step on
-# vectors over all slack rows, with every product with W recomputing its
-# determinants, separate step searches for s and z, and the KKT data summed
-# from all of its weights in every round.  The round computes each entry by
-# the same operations, so the two must agree exactly.
+# vectors over all slack rows, with the NT scaling restated from its closed
+# form and every product with W gathering its blocks from, and scattering
+# them back to, the full vectors, separate step searches for s and z, and
+# the KKT data summed from all of its weights in every round.  The round
+# computes each entry by the same operations, so the two must agree exactly.
 # ---------------------------------------------------------------------------
 
 
 def flat_scaling(cones, s, z):
+    """The NonNeg weights, per SOC group (beta, w, v, det lambda), and lambda."""
     nn = cones.nonneg_idx
     w_nn = np.sqrt(s[nn] / z[nn])
     lam = np.zeros(cones.n)
@@ -1422,26 +1464,40 @@ def flat_scaling(cones, s, z):
     soc_w = []
     for g in cones.soc_groups:
         sb, zb = s[g], z[g]
-        t = _jsqrt(sb)
-        u = _papply(t, zb)
-        w = _papply(t, _jinv(_jsqrt(u)))
-        wh = _jsqrt(w)
-        whi = _jinv(wh)
-        soc_w.append((w, wh, whi))
-        lam[g] = _papply(whi, sb)
+        rs, rz = np.sqrt(_jdet(sb)), np.sqrt(_jdet(zb))
+        # s and z normalized to determinant 1
+        sn, zn = sb / rs[:, None], zb / rz[:, None]
+        w = (sn + _reflect(zn)) / np.sqrt(2.0 * (1.0 + _rowdot(sn, zn)))[:, None]
+        e = np.zeros_like(w)
+        e[:, 0] = 1.0
+        v = (w + e) / np.sqrt(2.0 * (w[:, 0] + 1.0))[:, None]
+        beta = np.sqrt(rs / rz)
+        soc_w.append((beta, w, v, rs * rz))
+        lam[g] = _nt_product(beta, v, zb)
     return w_nn, soc_w, lam
 
 
 def flat_w2_values(w_nn, soc_w):
-    return np.concatenate([w_nn * w_nn] + [_pmat(w).ravel() for w, _, _ in soc_w])
+    """s/z on NonNeg, beta^2 (2 w w' - J) on SOC."""
+    out = [w_nn * w_nn]
+    for beta, w, _, _ in soc_w:
+        k = w.shape[1]
+        J = np.diag(np.r_[1.0, -np.ones(k - 1)])
+        m = 2.0 * (w[:, :, None] * w[:, None, :]) - J
+        out.append(((beta * beta)[:, None, None] * m).ravel())
+    return np.concatenate(out)
 
 
 def flat_apply_w(cones, w_nn, soc_w, u, inverse):
     out = np.empty_like(u)
     nn = cones.nonneg_idx
     out[nn] = u[nn] / w_nn if inverse else u[nn] * w_nn
-    for g, (_, wh, whi) in zip(cones.soc_groups, soc_w):
-        out[g] = _papply(whi if inverse else wh, u[g])
+    for g, (beta, _, v, _) in zip(cones.soc_groups, soc_w):
+        # W u = beta (2 v v'u - J u), W^-1 u = (2 J v (J v)'u - J u) / beta
+        if inverse:
+            out[g] = _nt_product(1.0 / beta, _reflect(v), u[g])
+        else:
+            out[g] = _nt_product(beta, v, u[g])
     return out
 
 
@@ -1454,12 +1510,12 @@ def flat_jprod_all(cones, u, v):
     return out
 
 
-def flat_jdiv_all(cones, lam, d):
+def flat_jdiv_all(cones, soc_w, lam, d):
     out = np.zeros(cones.n)
     nn = cones.nonneg_idx
     out[nn] = d[nn] / lam[nn]
-    for g in cones.soc_groups:
-        out[g] = _jdiv(lam[g], d[g])
+    for g, (*_, det_lam) in zip(cones.soc_groups, soc_w):
+        out[g] = _jdiv(lam[g], d[g], det_lam)
     return out
 
 
@@ -1540,7 +1596,7 @@ def flat_newton_step(st, x, y, s, z, r, mu, e):
     mu, nu = mu.tolist(), st.nu.tolist()
 
     def direction(d_target):
-        g = flat_jdiv_all(cones, lam, d_target)
+        g = flat_jdiv_all(cones, soc_w, lam, d_target)
         wg = flat_apply_w(cones, w_nn, soc_w, g, False)
         dx, dyt, dz = st.solve(-r_d, -r_p, -r_g - wg)
         wdz = flat_apply_w(cones, w_nn, soc_w, dz, False)
