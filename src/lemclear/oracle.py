@@ -7,15 +7,19 @@ bill plus loss cost plus device costs (market payments are internal
 transfers and do not appear).  The network hours are posed by
 ``dso.hour_programs`` and read back by ``dso.read_hours``, exactly as the
 network operator poses and reads its own; only the wholesale cost on the
-grid import is added here.  The selfish mode lets each prosumer respond
-to the wholesale series alone, then evaluates, without optimizing, what the
-network does under those injections; limit violations are reported as a
-congestion diagnostic rather than a failure.
+grid import is added here.  The joint program is solved on a unit
+objective scale: its costs (prices times the interval, about 1e3 in
+currency per per-unit hour) are divided by their largest magnitude, which
+puts them at the scale of its O(1) rows, and the answer is read back in
+currency.  The selfish mode lets each prosumer respond to the wholesale
+series alone, then evaluates, without optimizing, what the network does
+under those injections; limit violations are reported as a congestion
+diagnostic rather than a failure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -101,7 +105,10 @@ def solve_centralized(
     ``binaries`` is either "relaxed" (gates live in [0,1]) or a distributed
     clearing result whose gate pattern is pinned before solving.  Prices come
     from the nodal balance duals and are anchored at the wholesale price at
-    the substation.
+    the substation.  The posed program's c, q and c0 are divided by
+    omega = max(1, |c|_inf, |q|_inf) before the solve, and its duals
+    multiplied by omega after it, so prices, schedules and the objective
+    (evaluated on the posed program) do not depend on the currency unit.
     """
     net = scenario.network
     T = scenario.horizon
@@ -157,7 +164,11 @@ def solve_centralized(
     elif binaries != "relaxed":
         raise ValueError("binaries must be 'relaxed' or a ClearingResult")
 
-    sol = solve_socp(with_fixed_variables(prog, binary_fix))
+    # on a unit objective scale the cold point's z starts near the duals
+    posed = with_fixed_variables(prog, binary_fix)
+    omega = float(np.abs(np.concatenate([posed.c, posed.q])).max(initial=1.0))
+    sol = solve_socp(replace(posed, c=posed.c / omega, q=posed.q / omega, c0=posed.c0 / omega))
+    sol = replace(sol, y=sol.y * omega, z=sol.z * omega, obj=posed.objective(sol.x))
     if sol.status != OPTIMAL:
         # only an infeasible ending carries a certificate, so only it names a cause
         detail = "likely binding family: device energy floors vs network limits"

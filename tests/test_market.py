@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lemclear.dso import DsoInput, check_tightness
 from lemclear.io_cli import GeneratorSpec, assemble_scenario, generate_tables
+from lemclear.lmo import auxiliary_power
 from lemclear.market import (
     MESSAGE_SCHEMA,
     ConvergenceTrace,
@@ -228,17 +229,41 @@ class TestRunClearing:
 
     def test_iteration_replay_reproduces_outputs(self):
         # each pass's prosumer input, rebuilt from the message that carried
-        # it, gives back the net power the pass recorded
+        # it, is what the coordinator published and gives back the net power
+        # the pass recorded
         sc = small_scenario()
         res = run_clearing(sc, prosumer_solver="exact", log_messages=True)
         pros = {p.id: p for p in sc.prosumers}
+
+        def logged(mtype):
+            return [msg for msg in res.trace.messages if msg["type"] == mtype]
+
         sent = {
             (msg["outer"], msg["recipient"]): ProsumerInput(**{
                 f: None if v is None else np.array(v) for f, v in msg["payload"].items()
             })
-            for msg in res.trace.messages if msg["type"] == "LmoToProsumer"
+            for msg in logged("LmoToProsumer")
         }
         assert len(sent) == len(res.trace.replay) * len(pros)
+        # the prices that closed each pass (its last network pass) and the
+        # net powers the prosumers returned
+        closing = {msg["outer"]: msg["payload"]["dlmp"] for msg in logged("DsoToLmo")}
+        returned = {
+            (msg["outer"], msg["sender"]): np.array(msg["payload"]["p_net"])
+            for msg in logged("ProsumerToLmo")
+        }
+        for (k, a), inp in sent.items():
+            if k == 1:
+                # a pure price response to the wholesale series
+                np.testing.assert_array_equal(inp.lambda_lem, sc.wem_price)
+                assert inp.p_tilde is None and not inp.lambda_p.any()
+            else:
+                # the bus's price, and the auxiliary in closed form at the
+                # multiplier sent with it
+                np.testing.assert_array_equal(
+                    inp.lambda_lem, closing[k - 1][str(pros[a].bus_id)])
+                np.testing.assert_array_equal(inp.p_tilde, auxiliary_power(
+                    returned[k - 1, a], inp.lambda_p, sc.wem_price, sc.dt, sc.admm.rho))
         for io in res.trace.replay:
             for a, pn in io.p_net.items():
                 redo = solve_subproblem_III(pros[a], sent[io.k, a], sc.admm, sc.dt, T, mode="exact")

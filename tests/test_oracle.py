@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lemclear.dso import DsoInput, solve_dso_subproblem
+from lemclear.io_cli import assemble_scenario, bundled_scenario_dir, read_tables
 from lemclear.market import run_clearing
 from lemclear.model import (
     AdmmConfig,
@@ -45,6 +46,25 @@ def storage_scenario():
         network=sc.network, prosumers=(pros,), horizon=T, dt=1.0,
         wem_price=sc.wem_price, loss_cost=sc.loss_cost, admm=sc.admm,
     )
+
+
+def in_currency_units(sc: Scenario, k: float) -> Scenario:
+    """The scenario with every cost multiplied by k: a change of currency unit."""
+    prosumers = tuple(
+        replace(
+            p,
+            storages=tuple(replace(d, throughput_cost=d.throughput_cost * k) for d in p.storages),
+            fls=tuple(replace(f, discomfort_cost=f.discomfort_cost * k) for f in p.fls),
+        )
+        for p in sc.prosumers
+    )
+    return replace(sc, prosumers=prosumers, wem_price=sc.wem_price * k,
+                   loss_cost=sc.loss_cost * k)
+
+
+@pytest.fixture(scope="module")
+def ieee69_centralized(ieee69):
+    return solve_centralized(ieee69)
 
 
 class TestCentralized:
@@ -110,6 +130,29 @@ class TestCentralized:
             solve_centralized(six_bus)
         assert err.value.agent == "centralized program" and err.value.status == status
         assert ("likely binding family" in str(err.value)) == named
+
+    @pytest.mark.parametrize("name", ["six_bus", "ieee69"])
+    def test_answer_does_not_depend_on_the_currency_unit(self, request, name):
+        # the same market priced in milli-units: the schedules stay, prices
+        # and the objective scale with the unit
+        sc = request.getfixturevalue(name)
+        base = (request.getfixturevalue("ieee69_centralized") if name == "ieee69"
+                else solve_centralized(sc))
+        milli = solve_centralized(in_currency_units(sc, 1000.0))
+        for a, sched in base.schedules.items():
+            assert np.max(np.abs(milli.schedules[a].p_net - sched.p_net)) <= 1e-9
+        largest = max(float(np.max(np.abs(price))) for price in base.dlmp.values())
+        for n, price in base.dlmp.items():
+            assert np.max(np.abs(milli.dlmp[n] - 1000.0 * price)) <= 1e-9 * 1000.0 * largest
+        assert milli.objective == pytest.approx(1000.0 * base.objective, rel=1e-9)
+
+    @pytest.mark.parametrize("base_mva", [200.0, 300.0])
+    def test_objective_does_not_depend_on_the_power_base(self, ieee69_centralized, base_mva):
+        # the bundled SI feeder (stated on base 10) restated on another power base
+        tables = read_tables(bundled_scenario_dir("ieee69"))
+        tables.manifest["base_mva"] = base_mva
+        res = solve_centralized(assemble_scenario(tables))
+        assert res.objective == pytest.approx(ieee69_centralized.objective, rel=1e-6)
 
 
 class TestSelfish:
